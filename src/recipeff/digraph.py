@@ -3,39 +3,54 @@
 G has vertices 1..n and an edge (i, j) whenever w_i / w_j >= a_ij, up to a
 relative tolerance so that exact ratio ties (which float arithmetic
 perturbs) keep both directions.  A vector is efficient (not Pareto-dominated
-in entrywise deviation) iff G is strongly connected; for these digraphs that
-is also equivalent to the existence of a directed Hamiltonian cycle.
+in entrywise deviation) iff G is strongly connected.
+
+G is semicomplete: every pair of vertices has at least one edge.  For i < j
+canonical storage gives a_ji = fl(1/a_ij); with 0 <= eps_rel < 1 and
+monotone rounding, a missing (i, j) means w_i/w_j < a_ij exactly and forces
+fl(w_j/w_i) >= a_ji, so (j, i) is present.  Hence the condensation is a
+total order, sorting the vertices by out-degree lists its blocks in that
+order, and a strong G has a Hamiltonian cycle (Camion 1959) that insertion
+builds for every n.
 
 When G is not strongly connected, `dominating_vector` builds an explicit
-better vector: scale a source component of the condensation down by the
+better vector: scale the source component of the condensation down by the
 tightest crossing ratio.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import PerronPair, ReciprocalMatrix, pareto_dominates, perron
 
 DEFAULT_EPS_REL = 1e-9
-HAMILTONIAN_MAX_N = 10
 
 
 @dataclass(frozen=True, eq=False)
 class EfficiencyDigraph:
-    """Vertex set {1..n} with the ratio-vs-entry edge set."""
+    """Vertex set {1..n}; adj[i-1, j-1] is True iff edge (i, j) is present."""
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    adj: np.ndarray
     eps_rel: float
 
+    @property
+    def n(self) -> int:
+        return self.adj.shape[0]
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edge set as 1-based pairs."""
+        return frozenset(map(tuple, (np.argwhere(self.adj) + 1).tolist()))
+
     def out_neighbors(self, i: int) -> list[int]:
-        return sorted(j for (u, j) in self.edges if u == i)
+        return (np.flatnonzero(self.adj[i - 1]) + 1).tolist()
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self.edges
+        return bool(self.adj[i - 1, j - 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,97 +73,34 @@ def build_digraph(
     w = np.asarray(w, dtype=float)
     if w.shape != (A.n,):
         raise ValueError("vector length mismatch")
-    if eps_rel < 0:
-        raise ValueError("eps_rel must be nonnegative")
-    ratio = w[:, None] / w[None, :]
-    keep = ratio >= A.a * (1.0 - eps_rel)
-    np.fill_diagonal(keep, False)
-    edges = frozenset((int(i) + 1, int(j) + 1) for i, j in np.argwhere(keep))
-    return EfficiencyDigraph(n=A.n, edges=edges, eps_rel=float(eps_rel))
-
-
-def _adjacency(G: EfficiencyDigraph) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {v: [] for v in range(1, G.n + 1)}
-    for i, j in sorted(G.edges):
-        adj[i].append(j)
-    return adj
+    if not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError("vector entries must be positive and finite")
+    if not 0.0 <= eps_rel < 1.0:
+        raise ValueError("eps_rel must be nonnegative and below 1")
+    adj = w[:, None] / w[None, :] >= A.a * (1.0 - eps_rel)
+    np.fill_diagonal(adj, False)
+    return EfficiencyDigraph(adj=adj, eps_rel=float(eps_rel))
 
 
 def strongly_connected(G: EfficiencyDigraph) -> tuple[bool, int, list[int]]:
     """SCC decomposition: (single component?, count, per-vertex labels).
 
-    Labels follow the condensation topological order: every edge goes from
-    a component with a smaller-or-equal label to one with a larger-or-equal
-    label; ties broken by lowest contained vertex.
+    Labels follow the condensation order: every edge goes from a component
+    with a smaller-or-equal label to one with a larger-or-equal label.  Sorted
+    by descending out-degree, the components of a semicomplete digraph are
+    contiguous in that order; a block ends wherever no edge leads back.
     """
     n = G.n
-    adj = _adjacency(G)
-    radj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for i, j in sorted(G.edges):
-        radj[j].append(i)
-
-    # Kosaraju: order by finish time on G, then peel components on reversed G.
-    visited = [False] * (n + 1)
-    order: list[int] = []
-    for s in range(1, n + 1):
-        if visited[s]:
-            continue
-        stack: list[tuple[int, int]] = [(s, 0)]
-        visited[s] = True
-        while stack:
-            v, idx = stack.pop()
-            if idx < len(adj[v]):
-                stack.append((v, idx + 1))
-                u = adj[v][idx]
-                if not visited[u]:
-                    visited[u] = True
-                    stack.append((u, 0))
-            else:
-                order.append(v)
-
-    comp_of = [0] * (n + 1)
-    comps: list[list[int]] = []
-    seen = [False] * (n + 1)
-    for s in reversed(order):
-        if seen[s]:
-            continue
-        members = []
-        stack2 = [s]
-        seen[s] = True
-        while stack2:
-            v = stack2.pop()
-            members.append(v)
-            for u in radj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack2.append(u)
-        comps.append(sorted(members))
-
-    # Topological order of the condensation, smallest contained vertex first.
-    k = len(comps)
-    for ci, members in enumerate(comps):
-        for v in members:
-            comp_of[v] = ci
-    succ: list[set[int]] = [set() for _ in range(k)]
-    indeg = [0] * k
-    for i, j in G.edges:
-        ci, cj = comp_of[i], comp_of[j]
-        if ci != cj and cj not in succ[ci]:
-            succ[ci].add(cj)
-            indeg[cj] += 1
-    ready = sorted((comps[c][0], c) for c in range(k) if indeg[c] == 0)
-    topo: list[int] = []
-    while ready:
-        _, c = ready.pop(0)
-        topo.append(c)
-        for nxt in succ[c]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append((comps[nxt][0], nxt))
-                ready.sort()
-    label_of_comp = {c: pos for pos, c in enumerate(topo)}
-    labels = [label_of_comp[comp_of[v]] for v in range(1, n + 1)]
-    return k == 1, k, labels
+    order = np.argsort(-G.adj.sum(axis=1), kind="stable")
+    ranked = G.adj[np.ix_(order, order)]
+    # first[r]: earliest sorted position that sorted vertex r has an edge to
+    first = np.where(ranked.any(axis=1), ranked.argmax(axis=1), n)
+    reach = np.minimum.accumulate(first[::-1])[::-1]
+    block = np.concatenate(([0], np.cumsum(reach[1:] >= np.arange(1, n))))
+    labels = np.empty(n, dtype=int)
+    labels[order] = block
+    k = int(block[-1]) + 1
+    return k == 1, k, labels.tolist()
 
 
 def components_in_topo_order(G: EfficiencyDigraph) -> list[list[int]]:
@@ -162,14 +114,12 @@ def components_in_topo_order(G: EfficiencyDigraph) -> list[list[int]]:
 
 def sources(G: EfficiencyDigraph) -> tuple[int, ...]:
     """Vertices with no incoming edge."""
-    has_in = {j for (_, j) in G.edges}
-    return tuple(v for v in range(1, G.n + 1) if v not in has_in)
+    return tuple((np.flatnonzero(~G.adj.any(axis=0)) + 1).tolist())
 
 
 def sinks(G: EfficiencyDigraph) -> tuple[int, ...]:
     """Vertices with no outgoing edge."""
-    has_out = {i for (i, _) in G.edges}
-    return tuple(v for v in range(1, G.n + 1) if v not in has_out)
+    return tuple((np.flatnonzero(~G.adj.any(axis=1)) + 1).tolist())
 
 
 def no_source_theorem_check(
@@ -183,83 +133,80 @@ def no_source_theorem_check(
     """
     if A.n < 3:
         raise ValueError("requires order >= 3")
-    w = perron(A).w
-    G = build_digraph(A, w, eps_rel)
-    if sources(G):
-        return False
-    for i in range(1, A.n + 1):
-        missing_in = any(
-            (k, i) not in G.edges for k in range(1, A.n + 1) if k != i
-        )
-        if not missing_in:
-            continue
-        witness = any(
-            (j, i) in G.edges and (i, j) not in G.edges
-            for j in range(1, A.n + 1)
-            if j != i
-        )
-        if not witness:
-            return False
-    return True
+    adj = build_digraph(A, perron(A).w, eps_rel).adj
+    missing_in = (~adj.T & ~np.eye(A.n, dtype=bool)).any(axis=1)
+    witness = (adj.T & ~adj).any(axis=1)
+    return bool(adj.any(axis=0).all() and np.all(witness | ~missing_in))
+
+
+def _edge_between(adj: np.ndarray, src: np.ndarray, dst: np.ndarray):
+    """First edge (u, v), 0-based, with src[u] and dst[v], or None."""
+    u, v = np.flatnonzero(src), np.flatnonzero(dst)
+    hits = np.argwhere(adj[np.ix_(u, v)])
+    return (int(u[hits[0, 0]]), int(v[hits[0, 1]])) if len(hits) else None
 
 
 def hamiltonian_cycle(G: EfficiencyDigraph) -> list[int] | None:
-    """Directed Hamiltonian cycle by backtracking, or None.
+    """Directed Hamiltonian cycle starting at vertex 1, or None if G is not strong.
 
-    Branches lowest index first from vertex 1, so the returned cycle is
-    deterministic.  Guarded to small n; strong connectivity is the
-    equivalent scalable test for these digraphs.
+    Camion insertion on the semicomplete G.  The cycle grows from vertex 1
+    alone.  A vertex v with edges both from and to the cycle fits between
+    consecutive c -> v -> c'.  Otherwise every outside vertex is beaten by
+    the whole cycle or beats it, and an edge x -> y from the beaten side to
+    the beating side goes in as 1 -> x -> y -> (old successor of 1).  No
+    such edge means the beaten side cannot reach the rest: G is not strong.
     """
-    n = G.n
-    if n > HAMILTONIAN_MAX_N:
-        raise ValueError(f"brute-force search limited to n <= {HAMILTONIAN_MAX_N}")
-    adj = _adjacency(G)
-    if n == 1:
-        return None
-    path = [1]
-    used = [False] * (n + 1)
-    used[1] = True
+    adj, n = G.adj, G.n
+    nxt = np.zeros(n, dtype=np.intp)  # successor on the cycle
+    on = np.zeros(n, dtype=bool)
+    on[0] = True
+    cin, cout = adj[0].astype(int), adj[:, 0].astype(int)  # edges from/to the cycle
+    while not on.all():
+        # a vertex that fits keeps fitting as the cycle grows
+        new = np.flatnonzero(~on & (cin > 0) & (cout > 0)).tolist()
+        for v in new:
+            c = int(np.argmax(on & adj[:, v] & adj[v, nxt]))
+            nxt[v], nxt[c] = nxt[c], v
+            on[v] = True
+        if not new:
+            edge = _edge_between(adj, ~on & (cout == 0), ~on & (cin == 0))
+            if edge is None:
+                return None
+            x, y = new = list(edge)
+            nxt[y], nxt[x], nxt[0] = nxt[0], y, x
+            on[new] = True
+        cin += adj[new].sum(axis=0)
+        cout += adj[:, new].sum(axis=1)
+    succ, cycle = nxt.tolist(), [0]
+    while len(cycle) < n:
+        cycle.append(succ[cycle[-1]])
+    return [v + 1 for v in cycle]
 
-    def extend() -> bool:
-        if len(path) == n:
-            return (path[-1], 1) in G.edges
-        for j in adj[path[-1]]:
-            if not used[j]:
-                used[j] = True
-                path.append(j)
-                if extend():
-                    return True
-                path.pop()
-                used[j] = False
-        return False
 
-    return path.copy() if extend() else None
+def _scale_source(A: ReciprocalMatrix, w: np.ndarray, labels) -> np.ndarray:
+    """w with its source component (label 0) scaled down to a dominating vector.
+
+    Every absent crossing edge (j, i) into the source S means w_i / w_j
+    exceeds a_ij strictly, so scaling S down by beta = max a_ij w_j / w_i
+    (< 1) shrinks all crossing deviations, zeroes at least one, and leaves
+    the rest unchanged.
+    """
+    S = np.asarray(labels) == 0
+    beta = (A.a[np.ix_(S, ~S)] * w[~S][None, :] / w[S][:, None]).max()
+    if not beta < 1.0:
+        raise AssertionError("source component scaling must be < 1")
+    w2 = w.copy()
+    w2[S] = beta * w[S]
+    return w2
 
 
 def dominating_vector(
     A: ReciprocalMatrix, w, eps_rel: float = DEFAULT_EPS_REL
 ) -> np.ndarray | None:
-    """A vector Pareto-dominating w, or None when w is efficient.
-
-    Take S = the first source component of the condensation.  Every absent
-    crossing edge (j, i) into S means w_i / w_j exceeds a_ij strictly, so
-    scaling S down by beta = max a_ij w_j / w_i (< 1) shrinks all crossing
-    deviations, zeroes at least one, and leaves the rest unchanged.
-    """
-    w = np.asarray(w, dtype=float)
+    """A vector Pareto-dominating w, or None when w is efficient."""
     G = build_digraph(A, w, eps_rel)
-    comps = components_in_topo_order(G)
-    if len(comps) == 1:
-        return None
-    S = set(comps[0])
-    rest = [v for v in range(1, A.n + 1) if v not in S]
-    beta = max(A[i, j] * w[j - 1] / w[i - 1] for i in S for j in rest)
-    if not beta < 1.0:
-        raise AssertionError("source component scaling must be < 1")
-    w2 = w.copy()
-    for i in S:
-        w2[i - 1] = beta * w[i - 1]
-    return w2
+    efficient, _, labels = strongly_connected(G)
+    return None if efficient else _scale_source(A, np.asarray(w, dtype=float), labels)
 
 
 def analyze(
@@ -274,13 +221,11 @@ def analyze(
         w = pp.w
     w = np.asarray(w, dtype=float)
     G = build_digraph(A, w, eps_rel)
-    efficient, scc_count, _ = strongly_connected(G)
-    ham = hamiltonian_cycle(G) if A.n <= HAMILTONIAN_MAX_N else None
-    cert = dominating_vector(A, w, eps_rel)
-    if efficient != (cert is None):
-        raise AssertionError("certificate existence must match inefficiency")
+    efficient, scc_count, labels = strongly_connected(G)
+    cert = None if efficient else _scale_source(A, w, labels)
     if cert is not None and not pareto_dominates(A, w, cert):
         raise AssertionError("certificate failed the dominance definition")
+    ham = hamiltonian_cycle(G)
     return EfficiencyReport(
         efficient=efficient,
         scc_count=scc_count,

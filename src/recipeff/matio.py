@@ -90,7 +90,7 @@ def report_to_dict(report: EfficiencyReport) -> dict:
         "efficient": report.efficient,
         "perron_value": report.perron.r if report.perron is not None else None,
         "perron_vector": [float(v) for v in report.w],
-        "edges": [[i, j] for i, j in sorted(report.digraph.edges)],
+        "edges": (np.argwhere(report.digraph.adj) + 1).tolist(),
         "scc_count": report.scc_count,
         "sources": list(report.sources),
         "sinks": list(report.sinks),

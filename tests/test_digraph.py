@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recipeff.core import (
     consistent_from_vector,
@@ -63,6 +65,17 @@ def test_build_digraph_input_checks():
         build_digraph(A, np.ones(4))
     with pytest.raises(ValueError, match="nonnegative"):
         build_digraph(A, np.ones(3), eps_rel=-1e-9)
+    with pytest.raises(ValueError, match="nonnegative"):
+        build_digraph(A, np.ones(3), eps_rel=1.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+def test_build_digraph_rejects_nonpositive_or_nonfinite_vector(bad):
+    A = random_reciprocal(3, seed=0)
+    w = np.array([1.0, bad, 2.0])
+    for call in (build_digraph, dominating_vector, analyze):
+        with pytest.raises(ValueError, match="positive and finite"):
+            call(A, w)
 
 
 def test_out_neighbors_and_has_edge(counterexample):
@@ -85,6 +98,43 @@ def test_components_topo_order_has_no_back_edges():
         assert label[i] <= label[j]
 
 
+def _mutual_reachability(adj):
+    """Boolean transitive closure by Warshall, intersected with its transpose."""
+    reach = adj | np.eye(len(adj), dtype=bool)
+    for k in range(len(adj)):
+        reach |= reach[:, [k]] & reach[[k], :]
+    return reach & reach.T
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=60),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(["perron", "random", "near_perron", "consistent", "consistent_v"]),
+    st.sampled_from([0.0, 1e-9]),
+)
+def test_scc_labels_match_reachability_classes(n, seed, kind, eps_rel):
+    rng = np.random.default_rng(seed)
+    if kind.startswith("consistent"):
+        v = np.exp(rng.uniform(-2.0, 2.0, size=n))
+        A = consistent_from_vector(v)
+        w = v if kind == "consistent_v" else perron(A).w
+    else:
+        A = random_reciprocal(n, seed=seed)
+        w = perron(A).w
+        if kind == "random":
+            w = np.exp(rng.uniform(-1.0, 1.0, size=n))
+        elif kind == "near_perron":
+            w = w * np.exp(rng.normal(0.0, 1e-3, size=n))
+    G = build_digraph(A, w, eps_rel)
+    ok, k, labels = strongly_connected(G)
+    lab = np.array(labels)
+    assert sorted(set(labels)) == list(range(k)) and ok == (k == 1)
+    assert np.array_equal(lab[:, None] == lab[None, :], _mutual_reachability(G.adj))
+    i, j = np.nonzero(G.adj)
+    assert np.all(lab[i] <= lab[j])
+
+
 def test_hamiltonian_cycle_on_complete_digraph():
     A = consistent_from_vector(np.array([1.0, 2.0, 3.0, 4.0]))
     G = build_digraph(A, perron(A).w)
@@ -100,11 +150,54 @@ def test_hamiltonian_cycle_absent_when_not_strong(counterexample):
     assert hamiltonian_cycle(G) is None
 
 
-def test_hamiltonian_cycle_size_guard():
-    A = random_reciprocal(11, seed=1)
-    G = build_digraph(A, perron(A).w)
-    with pytest.raises(ValueError, match="n <= 10"):
-        hamiltonian_cycle(G)
+def _assert_valid_cycle(G, cyc):
+    assert cyc[0] == 1 and sorted(cyc) == list(range(1, G.n + 1))
+    for u, v in zip(cyc, cyc[1:] + cyc[:1]):
+        assert G.has_edge(u, v)
+
+
+def _reference_cycle(G):
+    """Backtracking Hamiltonian-cycle search from vertex 1 (small n only)."""
+    n = G.n
+    path, used = [1], {1}
+
+    def extend() -> bool:
+        if len(path) == n:
+            return G.has_edge(path[-1], 1)
+        for j in G.out_neighbors(path[-1]):
+            if j not in used:
+                used.add(j)
+                path.append(j)
+                if extend():
+                    return True
+                path.pop()
+                used.discard(j)
+        return False
+
+    return path.copy() if extend() else None
+
+
+def test_hamiltonian_cycle_matches_reference_search():
+    rng = np.random.default_rng(17)
+    seen = {True: 0, False: 0}
+    for k in range(150):
+        n = 2 + k % 7
+        A = random_reciprocal(n, seed=1700 + k)
+        for w in (perron(A).w, np.exp(rng.uniform(-1.0, 1.0, size=n))):
+            G = build_digraph(A, w)
+            ref, cyc = _reference_cycle(G), hamiltonian_cycle(G)
+            assert (cyc is None) == (ref is None)
+            if cyc is not None:
+                _assert_valid_cycle(G, cyc)
+            seen[cyc is None] += 1
+    assert min(seen.values()) > 0
+
+
+def test_hamiltonian_cycle_valid_for_large_orders():
+    for n in range(11, 61):
+        rep = analyze(random_reciprocal(n, seed=1100 + n))
+        assert rep.efficient
+        _assert_valid_cycle(rep.digraph, list(rep.hamiltonian))
 
 
 def test_hamiltonian_iff_strongly_connected_sample():
@@ -118,6 +211,34 @@ def test_no_source_theorem_on_random_matrices():
     for k in range(40):
         A = random_reciprocal(3 + k % 6, seed=500 + k)
         assert no_source_theorem_check(A)
+
+
+def _reference_no_source(A, eps_rel):
+    """Loop form of the no-source check over the edge set."""
+    E = build_digraph(A, perron(A).w, eps_rel).edges
+    V = range(1, A.n + 1)
+    if any(all((k, i) not in E for k in V) for i in V):
+        return False
+    return all(
+        all((k, i) in E for k in V if k != i)
+        or any((j, i) in E and (i, j) not in E for j in V if j != i)
+        for i in V
+    )
+
+
+def test_no_source_check_matches_loop_reference():
+    # consistent matrices at eps_rel = 0 break ratio ties either way, so
+    # both verdicts occur
+    seen = {True: 0, False: 0}
+    for k in range(60):
+        n = 3 + k % 8
+        v = np.exp(np.random.default_rng(k).uniform(-2.0, 2.0, size=n))
+        for A in (random_reciprocal(n, seed=k), consistent_from_vector(v)):
+            for eps_rel in (0.0, 1e-9):
+                ref = _reference_no_source(A, eps_rel)
+                assert no_source_theorem_check(A, eps_rel) == ref
+                seen[ref] += 1
+    assert min(seen.values()) > 0
 
 
 def test_no_source_check_rejects_tiny_order():
@@ -143,6 +264,14 @@ def test_dominating_vector_random_inefficient_vectors():
         else:
             found += 1
             assert pareto_dominates(A, w, w2)
+            # loop form of the source scaling; the arithmetic is the same
+            S = components_in_topo_order(build_digraph(A, w))[0]
+            rest = [j for j in range(1, 6) if j not in S]
+            beta = max(A[i, j] * w[j - 1] / w[i - 1] for i in S for j in rest)
+            ref = w.copy()
+            for i in S:
+                ref[i - 1] = beta * w[i - 1]
+            assert np.array_equal(w2, ref)
     assert found > 0  # random vectors are usually inefficient
 
 

@@ -95,6 +95,16 @@ def test_report_dict_shape(tmp_path):
     assert d["certificate"] is None and len(d["hamiltonian"]) == 3
 
 
+def test_report_edges_are_the_sorted_edge_set():
+    rng = np.random.default_rng(3)
+    for n in (3, 8, 25):
+        A = random_reciprocal(n, seed=300 + n)
+        for w in (None, np.exp(rng.uniform(-1.0, 1.0, size=n))):
+            rep = analyze(A, w=w)
+            edges = report_to_dict(rep)["edges"]
+            assert edges == [list(e) for e in sorted(rep.digraph.edges)]
+
+
 # --- walkthrough and sweep ----------------------------------------------
 
 
@@ -213,6 +223,24 @@ def test_cli_analyze_input_error(tmp_path, capsys):
     assert "reciprocity violation" in err
     code, _, err = run_cli(capsys, "analyze", str(tmp_path / "missing.csv"))
     assert code == 2
+
+
+@pytest.mark.parametrize("entry", ["inf", "nan", "0", "-1"])
+def test_cli_analyze_rejects_bad_vector(tmp_path, capsys, entry):
+    mat = tmp_path / "M.csv"
+    save_matrix(random_reciprocal(3, seed=4), mat)
+    vec = tmp_path / "w.csv"
+    vec.write_text(f"1,{entry},2\n")
+    code, out, err = run_cli(capsys, "analyze", str(mat), "--vector", str(vec))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "positive" in err
+
+
+def test_cli_analyze_rejects_eps_rel_of_one(tmp_path, capsys):
+    mat = tmp_path / "M.csv"
+    save_matrix(random_reciprocal(3, seed=4), mat)
+    code, _, err = run_cli(capsys, "analyze", str(mat), "--eps-rel", "1")
+    assert code == 2 and err.startswith("error:") and "nonnegative" in err
 
 
 def test_cli_z_region_payload(capsys):
