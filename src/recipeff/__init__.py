@@ -75,9 +75,10 @@ from .zfamily import (
     CYCLE_CATALOG,
     IdentityResiduals,
     RegionVerdict,
-    SinkCheck,
     ZParams,
+    ZPoint,
     eigen_identity_residuals,
+    evaluate_z,
     forbidden_reverse_edges,
     guarantee_a1,
     guarantee_n4,
@@ -91,27 +92,3 @@ from .zfamily import (
     z_matrix,
 )
 
-__all__ = [
-    "MonomialTransform", "PerronPair", "ReciprocalMatrix",
-    "consistent_from_vector", "is_consistent", "make_reciprocal",
-    "monomial_similarity", "pareto_dominates", "perron", "random_reciprocal",
-    "DEFAULT_EPS_REL", "EfficiencyDigraph", "EfficiencyReport", "analyze",
-    "build_digraph", "components_in_topo_order", "dominating_vector",
-    "hamiltonian_cycle", "no_source_theorem_check", "sinks", "sources",
-    "strongly_connected",
-    "ExtensionResult", "SourceScanReport", "conjugated_extension",
-    "constant_row_sum_extension", "extension_report", "extension_source_scan",
-    "is_extension", "order_preservation_check", "remove_index", "row_sums",
-    "well_behaved_type_I",
-    "DEFAULT_AXES", "SweepRecord", "VerificationSummary", "WalkthroughStep",
-    "example_base", "example_conjugate_reference", "example_walkthrough",
-    "grid_sweep", "sweep_point", "verify_paper_suite",
-    "load_matrix", "load_vector", "report_to_dict", "save_matrix",
-    "save_report", "save_vector",
-    "CYCLE_CATALOG", "IdentityResiduals", "RegionVerdict", "SinkCheck",
-    "ZParams", "eigen_identity_residuals", "forbidden_reverse_edges",
-    "guarantee_a1", "guarantee_n4", "guarantee_n5plus",
-    "middle_quotient_sinks", "predicted_edges", "reduce_to_min_first",
-    "sink_characterization", "table_oracle", "verify_table_claims",
-    "z_matrix",
-]

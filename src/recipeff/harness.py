@@ -53,15 +53,13 @@ from .extensions import (
 )
 from .zfamily import (
     ZParams,
-    eigen_identity_residuals,
+    ZPoint,
+    evaluate_z,
     forbidden_reverse_edges,
     guarantee_a1,
     guarantee_n4,
     guarantee_n5plus,
     predicted_edges,
-    sink_characterization,
-    verify_table_claims,
-    z_matrix,
 )
 
 DEFAULT_AXES = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -193,17 +191,20 @@ class SweepRecord:
 
 
 def sweep_point(p: ZParams, eps_rel: float = DEFAULT_EPS_REL) -> SweepRecord:
-    verdict = guarantee_n5plus(p)
-    sc = sink_characterization(p, eps_rel)
+    return _sweep_record(evaluate_z(p, eps_rel))
+
+
+def _sweep_record(pt: ZPoint) -> SweepRecord:
+    verdict = guarantee_n5plus(pt.p)
     return SweepRecord(
-        params=p,
-        r=sc.r,
-        efficient=sc.efficient,
+        params=pt.p,
+        r=pt.r,
+        efficient=pt.efficient,
         guaranteed=verdict.guaranteed_efficient,
         exception=verdict.matched_exception,
-        sink_present=sc.sink_present,
-        sink_vertex=sc.sink_vertex,
-        agrees=sc.agrees,
+        sink_present=pt.sink_present,
+        sink_vertex=pt.sink_vertex,
+        agrees=pt.agrees,
     )
 
 
@@ -269,165 +270,156 @@ ALL_EXCEPTION_LABELS = frozenset(
 )
 
 
-def _zfamily_grid_audit(n: int, axes, eps_rel: float) -> dict[str, list[str]]:
-    """Guaranteed-edge/identity/catalog violations over one parameter grid."""
-    bad: dict[str, list[str]] = {
-        "subsumption": [], "forbidden": [], "identities": [],
-        "middle": [], "tables": [],
-    }
-    for xyza in itertools.product(axes, repeat=4):
-        p = ZParams(n, *xyza)
-        A = z_matrix(p)
-        pp = perron(A)
-        G = build_digraph(A, pp.w, eps_rel)
-        missing = predicted_edges(p) - G.edges
-        if missing:
-            bad["subsumption"].append(f"n={n} {xyza}: missing {sorted(missing)}")
-        for v in forbidden_reverse_edges(p, G):
-            bad["forbidden"].append(f"n={n} {xyza}: {v}")
-        res = eigen_identity_residuals(p)
-        if res.identities_max > 1e-9 * res.r:
-            bad["identities"].append(
-                f"n={n} {xyza}: residual {res.identities_max:.2e}"
-            )
-        if res.middle_deviation_max > 1e-10 * perron(A).w[2]:
-            bad["middle"].append(
-                f"n={n} {xyza}: deviation {res.middle_deviation_max:.2e}"
-            )
-        for v in verify_table_claims(p, eps_rel):
-            bad["tables"].append(f"n={n} {xyza}: {v}")
-    return bad
+class _Count:
+    """A count-style check; calling it gives (passed, detail).
+
+    Instances come from `add(instance, number bad)` and, on the call, from
+    the lazy `outcomes` pairs.  A failing detail names the first bad
+    instance after the filled-in `template`, so the line alone replays it.
+    """
+
+    def __init__(self, template: str, outcomes=()) -> None:
+        self.template, self.outcomes = template, outcomes
+        self.total, self.bad, self.first = 0, 0, None
+
+    def add(self, instance: str, nb_bad: int | bool) -> None:
+        self.total += 1
+        self.bad += int(nb_bad)
+        if nb_bad and self.first is None:
+            self.first = instance
+
+    def __call__(self) -> tuple[bool, str]:
+        for instance, nb_bad in self.outcomes:
+            self.add(instance, nb_bad)
+        detail = self.template.format(bad=self.bad, total=self.total)
+        if self.bad:
+            detail += f"; first: {self.first}"
+        return self.bad == 0, detail
+
+
+# per-point audits of the n = 5, 6, 7 grids: (check id, violations at a point)
+_GRID_AUDITS = (
+    ("edges.guaranteed_present", lambda pt: bool(predicted_edges(pt.p) - pt.G.edges)),
+    ("edges.no_forbidden_reverse", lambda pt: len(forbidden_reverse_edges(pt.p, pt.G))),
+    ("identities.residuals", lambda pt: pt.identities.identities_max > 1e-9 * pt.r),
+    ("identities.middle_collapse",
+     lambda pt: pt.identities.middle_deviation_max > 1e-10 * pt.perron.w[2]),
+    ("tables.claims", lambda pt: len(pt.table_violations)),
+)
+
+
+def _certificate_fails(A: ReciprocalMatrix, w, eps_rel: float) -> bool:
+    cert = dominating_vector(A, w, eps_rel)
+    return cert is None or not pareto_dominates(A, w, cert)
+
+
+def _grid_checks(eps_rel: float, certs: _Count) -> dict:
+    """One pass over the Z-family grids; the grid checks' runs by id, in order.
+
+    Each point is evaluated once, read by every check and dropped.  The
+    n = 5 and 6 grids feed the sweep checks and the inefficient points'
+    certificates (`certs`); the n = 5, 6 and 7 grids feed `_GRID_AUDITS`.
+    """
+    runs: dict = {}
+    labeled = {(n, eff): 0 for n in (5, 6) for eff in (True, False)}
+    seen: set[str] = set()
+    for n in (5, 6):
+        runs[f"sink_characterization.grid_n{n}"] = _Count(
+            "{bad} of {total} grid points disagree")
+        runs[f"region.soundness_n{n}"] = _Count("{bad} guaranteed-but-inefficient points")
+        runs[f"region.exceptions_one_sided_n{n}"] = lambda n=n: (
+            labeled[n, True] > 0 and labeled[n, False] > 0,
+            f"exception labels cover {labeled[n, False]} inefficient and "
+            f"{labeled[n, True]} efficient points (guarantee is one-way)",
+        )
+    runs["region.exception_labels_nonvacuous"] = lambda: (
+        seen == ALL_EXCEPTION_LABELS, f"labels hit: {sorted(seen)}")
+    for cid, _ in _GRID_AUDITS:
+        runs[cid] = _Count("{bad} violations")
+    for n in (5, 6, 7):
+        for xyza in itertools.product(DEFAULT_AXES, repeat=4):
+            pt = evaluate_z(ZParams(n, *xyza), eps_rel)
+            where = f"ZParams{(n, *xyza)}"
+            for cid, violations in _GRID_AUDITS:
+                runs[cid].add(where, violations(pt))
+            if n == 7:
+                continue
+            rec = _sweep_record(pt)
+            runs[f"sink_characterization.grid_n{n}"].add(where, not rec.agrees)
+            runs[f"region.soundness_n{n}"].add(where, rec.guaranteed and not rec.efficient)
+            if rec.exception is not None:
+                labeled[n, rec.efficient] += 1
+                seen.add(rec.exception)
+            if not rec.efficient:
+                certs.add(where, _certificate_fails(pt.A, pt.perron.w, eps_rel))
+    return runs
+
+
+def _seeded(count: int, orders: int, seed: int, is_bad):
+    """(replay call, bad) for random_reciprocal(3 + k % orders, seed + k), k < count."""
+    for k in range(count):
+        n, s = 3 + k % orders, seed + k
+        yield f"random_reciprocal({n}, seed={s})", is_bad(random_reciprocal(n, seed=s))
+
+
+def _random_extensions(eps_rel: float):
+    for b in range(20):
+        base = f"random_reciprocal({3 + b % 6}, seed={2000 + b})"
+        scan = extension_source_scan(random_reciprocal(3 + b % 6, seed=2000 + b),
+                                     50, seed=3000 + b, eps_rel=eps_rel)
+        for k in range(scan.samples):
+            yield (f"sample {k} of extension_source_scan({base}, 50, seed={3000 + b})",
+                   k in scan.failures)
+
+
+def _hamiltonian_disagrees(A: ReciprocalMatrix, eps_rel: float) -> bool:
+    G = build_digraph(A, perron(A).w, eps_rel)
+    return strongly_connected(G)[0] != (hamiltonian_cycle(G) is not None)
 
 
 def verify_paper_suite(eps_rel: float = DEFAULT_EPS_REL) -> VerificationSummary:
-    """Run every bundled check; failures are reported, never thrown."""
+    """Run every bundled check; failures are reported, never thrown.
+
+    The suite is a table of (check_id, run) entries in report order; each
+    run returns (passed, detail).
+    """
     t0 = time.perf_counter()
-    results: list[tuple[str, bool, str]] = []
-
-    def check(check_id: str, passed: bool, detail: str) -> None:
-        results.append((check_id, bool(passed), detail))
-
-    for s in example_walkthrough(eps_rel):
-        check(s.check_id, s.passed, s.detail)
-
-    # fixed 3x3 instance with an explicitly inefficient vector
     A3 = make_reciprocal(np.array(COUNTEREXAMPLE_3X3_ROWS), mode="validate")
     w3 = np.array(COUNTEREXAMPLE_3X3_W)
     G3 = build_digraph(A3, w3, eps_rel)
-    check(
-        "counterexample3x3.structure",
-        G3.edges == {(2, 1), (3, 1), (3, 2)} and sources(G3) == (3,),
-        f"edges {sorted(G3.edges)}, sources {sources(G3)}",
-    )
-
-    nb_bad = sum(
-        not no_source_theorem_check(random_reciprocal(3 + k % 6, seed=1000 + k),
-                                    eps_rel)
-        for k in range(1000)
-    )
-    check("no_source.random_matrices", nb_bad == 0,
-          f"{nb_bad} of 1000 random matrices violated")
-
-    nb_bad = 0
-    for b in range(20):
-        base = random_reciprocal(3 + b % 6, seed=2000 + b)
-        nb_bad += len(extension_source_scan(base, 50, seed=3000 + b,
-                                            eps_rel=eps_rel).failures)
-    check("no_source.random_extensions", nb_bad == 0,
-          f"{nb_bad} of 1000 random extensions violated")
-
-    grid_records: dict[int, list[SweepRecord]] = {
-        n: grid_sweep(n, DEFAULT_AXES, eps_rel=eps_rel) for n in (5, 6)
-    }
-    for n, records in grid_records.items():
-        bad = sum(not rec.agrees for rec in records)
-        check(f"sink_characterization.grid_n{n}", bad == 0,
-              f"{bad} of {len(records)} grid points disagree")
-        unsound = sum(rec.guaranteed and not rec.efficient for rec in records)
-        check(f"region.soundness_n{n}", unsound == 0,
-              f"{unsound} guaranteed-but-inefficient points")
-        labeled_eff = sum(
-            rec.efficient and rec.exception is not None for rec in records
-        )
-        labeled_ineff = sum(
-            not rec.efficient and rec.exception is not None for rec in records
-        )
-        check(
-            f"region.exceptions_one_sided_n{n}",
-            labeled_eff > 0 and labeled_ineff > 0,
-            f"exception labels cover {labeled_ineff} inefficient and "
-            f"{labeled_eff} efficient points (guarantee is one-way)",
-        )
-
-    seen_labels = {
-        rec.exception
-        for records in grid_records.values()
-        for rec in records
-        if rec.exception
-    }
-    check(
-        "region.exception_labels_nonvacuous",
-        seen_labels == set(ALL_EXCEPTION_LABELS),
-        f"labels hit: {sorted(seen_labels)}",
-    )
-
-    audit_keys = ("subsumption", "forbidden", "identities", "middle", "tables")
-    audit_names = {
-        "subsumption": "edges.guaranteed_present",
-        "forbidden": "edges.no_forbidden_reverse",
-        "identities": "identities.residuals",
-        "middle": "identities.middle_collapse",
-        "tables": "tables.claims",
-    }
-    merged: dict[str, list[str]] = {k: [] for k in audit_keys}
-    for n in (5, 6, 7):
-        for k, v in _zfamily_grid_audit(n, DEFAULT_AXES, eps_rel).items():
-            merged[k].extend(v)
-    for k in audit_keys:
-        check(audit_names[k], not merged[k],
-              f"{len(merged[k])} violations" +
-              (f"; first: {merged[k][0]}" if merged[k] else ""))
-
-    nb_bad = 0
-    for k in range(200):
-        A = random_reciprocal(3 + k % 5, seed=4000 + k)
-        G = build_digraph(A, perron(A).w, eps_rel)
-        if strongly_connected(G)[0] != (hamiltonian_cycle(G) is not None):
-            nb_bad += 1
-    check("hamiltonian.equivalence", nb_bad == 0,
-          f"{nb_bad} of 200 random digraphs disagree")
-
-    rng = np.random.default_rng(5000)
-    triples = np.exp(rng.uniform(-np.log(9.0), np.log(9.0), size=(1000, 3)))
-    nb_bad = sum(
-        guarantee_n4(x, y, z, "six_cases")
-        != guarantee_n4(x, y, z, "region_complement")
-        for x, y, z in triples
-    )
-    check("n4.forms_agree", nb_bad == 0, f"{nb_bad} of 1000 triples disagree")
-
-    nb_bad = sum(
-        guarantee_a1(5, x, y, z).guaranteed_efficient
-        != guarantee_n5plus(ZParams(5, x, y, z, 1.0)).guaranteed_efficient
-        for x, y, z in itertools.product(DEFAULT_AXES, repeat=3)
-    )
-    check("a1.slice_equality", nb_bad == 0,
-          f"{nb_bad} of 125 slice points disagree")
-
-    bad_certs = []
-    inefficient_instances = [(A3, w3)]
-    for n, records in grid_records.items():
-        for rec in records:
-            if not rec.efficient:
-                A = z_matrix(rec.params)
-                inefficient_instances.append((A, perron(A).w))
-    for A, w in inefficient_instances:
-        cert = dominating_vector(A, w, eps_rel)
-        if cert is None or not pareto_dominates(A, w, cert):
-            bad_certs.append(A.n)
-    check("certificates.sound", not bad_certs,
-          f"{len(bad_certs)} of {len(inefficient_instances)} certificates failed")
-
+    certificates = _Count("{bad} of {total} certificates failed")
+    certificates.add("the 3x3 counterexample", _certificate_fails(A3, w3, eps_rel))
+    triples = np.exp(np.random.default_rng(5000).uniform(
+        -np.log(9.0), np.log(9.0), size=(1000, 3))).tolist()
+    table = [
+        *((s.check_id, lambda s=s: (s.passed, s.detail))
+          for s in example_walkthrough(eps_rel)),
+        ("counterexample3x3.structure", lambda: (
+            G3.edges == {(2, 1), (3, 1), (3, 2)} and sources(G3) == (3,),
+            f"edges {sorted(G3.edges)}, sources {sources(G3)}")),
+        ("no_source.random_matrices", _Count(
+            "{bad} of {total} random matrices violated",
+            _seeded(1000, 6, 1000, lambda A: not no_source_theorem_check(A, eps_rel)))),
+        ("no_source.random_extensions", _Count(
+            "{bad} of {total} random extensions violated", _random_extensions(eps_rel))),
+        *_grid_checks(eps_rel, certificates).items(),
+        ("hamiltonian.equivalence", _Count(
+            "{bad} of {total} random digraphs disagree",
+            _seeded(200, 5, 4000, lambda A: _hamiltonian_disagrees(A, eps_rel)))),
+        ("n4.forms_agree", _Count(
+            "{bad} of {total} triples disagree",
+            ((f"(x, y, z) = {tuple(t)}", guarantee_n4(*t, "six_cases")
+              != guarantee_n4(*t, "region_complement")) for t in triples))),
+        ("a1.slice_equality", _Count(
+            "{bad} of {total} slice points disagree",
+            ((f"ZParams{(5, x, y, z, 1.0)}",
+              guarantee_a1(5, x, y, z).guaranteed_efficient
+              != guarantee_n5plus(ZParams(5, x, y, z, 1.0)).guaranteed_efficient)
+             for x, y, z in itertools.product(DEFAULT_AXES, repeat=3)))),
+        ("certificates.sound", certificates),
+    ]
+    results = [(cid, bool(passed), detail)
+               for cid, run in table for passed, detail in [run()]]
     failures = tuple((cid, detail) for cid, ok, detail in results if not ok)
     return VerificationSummary(
         suite="verify",

@@ -105,6 +105,5 @@ def report_to_dict(report: EfficiencyReport) -> dict:
 
 
 def save_report(report: dict, path) -> None:
-    Path(path).write_text(
-        json.dumps(report, indent=2) + "\n", encoding="utf-8"
-    )
+    """Write the report as one line of compact JSON (the C encoder's form)."""
+    Path(path).write_text(json.dumps(report) + "\n", encoding="utf-8")

@@ -22,11 +22,12 @@ that is the digraph itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .core import ReciprocalMatrix, make_reciprocal, perron
+from .core import PerronPair, ReciprocalMatrix, make_reciprocal, perron
 from .digraph import (
     DEFAULT_EPS_REL,
     EfficiencyDigraph,
@@ -80,20 +81,14 @@ def z_matrix(p: ZParams) -> ReciprocalMatrix:
 # The three nontrivial monomial symmetries of the family, as parameter maps:
 # swapping rows/cols (n-1) and n maps (x,y,z,a) -> (y,x,a,z); swapping 1 and
 # 2 maps to (z,a,x,y); doing both maps to (a,z,y,x).  Each is an involution.
+# The order is the tie order of `reduce_to_min_first`.
 SYMMETRY_IMAGES: dict[str, Callable[[float, float, float, float], tuple]] = {
     "identity": lambda x, y, z, a: (x, y, z, a),
     "(y,x,a,z)": lambda x, y, z, a: (y, x, a, z),
     "(z,a,x,y)": lambda x, y, z, a: (z, a, x, y),
     "(a,z,y,x)": lambda x, y, z, a: (a, z, y, x),
 }
-
-_REDUCTION_ORDER = ("identity", "(y,x,a,z)", "(z,a,x,y)", "(a,z,y,x)")
-_VARIANT_OF_REDUCTION = {
-    "identity": "T5",
-    "(y,x,a,z)": "T6",
-    "(z,a,x,y)": "T7",
-    "(a,z,y,x)": "T8",
-}
+_VARIANT_OF_REDUCTION = dict(zip(SYMMETRY_IMAGES, ("T5", "T6", "T7", "T8")))
 
 
 def reduce_to_min_first(
@@ -105,8 +100,8 @@ def reduce_to_min_first(
     (y,x,a,z), (z,a,x,y), (a,z,y,x), so the result is deterministic.
     """
     m = min(x, y, z, a)
-    for name in _REDUCTION_ORDER:
-        img = SYMMETRY_IMAGES[name](x, y, z, a)
+    for name, image in SYMMETRY_IMAGES.items():
+        img = image(x, y, z, a)
         if img[0] == m:
             return img, name
     raise AssertionError("unreachable: some coordinate attains the minimum")
@@ -195,48 +190,111 @@ class IdentityResiduals:
     middle_deviation_max: float
 
 
-def eigen_identity_residuals(p: ZParams) -> IdentityResiduals:
-    """Evaluate the eigenvector identities of the family at the Perron pair.
+@dataclass(frozen=True, eq=False)
+class ZPoint:
+    """One evaluated parameter point; every check on the point reads it.
 
-    Returns the max residual of the n row equations of (Z - rI)w = 0, the
-    ten two-or-three-term identities obtained by differencing those rows
-    (each vanishes for an exact eigenpair), and the maximal deviation
-    |w_j - w_3| over middle indices (exactly 0 is expected: middle rows are
-    identical, so power iteration keeps their components equal).
+    Built by `evaluate_z` only.  `quotient_sinks` are the sinks of the
+    middle-class quotient digraph (see `middle_quotient_sinks`); a sink
+    vertex of 3 stands for the whole middle class.
     """
+
+    p: ZParams
+    A: ReciprocalMatrix
+    perron: PerronPair
+    G: EfficiencyDigraph
+    efficient: bool
+    quotient_sinks: tuple[int, ...]
+
+    @property
+    def r(self) -> float:
+        return self.perron.r
+
+    @property
+    def sink_present(self) -> bool:
+        return bool(self.quotient_sinks)
+
+    @property
+    def sink_vertex(self) -> int | None:
+        return self.quotient_sinks[0] if self.quotient_sinks else None
+
+    @property
+    def agrees(self) -> bool:
+        """Inefficient exactly when the quotient digraph has a sink."""
+        return (not self.efficient) == self.sink_present
+
+    @cached_property
+    def identities(self) -> IdentityResiduals:
+        """The eigenvector identities of the family at the Perron pair.
+
+        The max residual of the n row equations of (Z - rI)w = 0, the ten
+        two-or-three-term identities obtained by differencing those rows
+        (each vanishes for an exact eigenpair), and the maximal deviation
+        |w_j - w_3| over middle indices (exactly 0 is expected: middle rows
+        are identical, so power iteration keeps their components equal).
+        """
+        n, (x, y, z, a) = self.p.n, self.p.xyza
+        r, w = self.perron.r, self.perron.w
+        rows_max = float(np.max(np.abs(self.A.a @ w - r * w)))
+        w1, w2, w3 = w[0], w[1], w[2]
+        wm, wn = w[n - 2], w[n - 1]
+        k = n - 4
+        identities = (
+            r * (w2 - w1) + (y - a) * wm + (x - z) * wn,
+            r * (w3 - w1) + (y - 1) * wm + (x - 1) * wn,
+            r * (y * wm - w1) + (1 - y / a) * w2 + (1 - y) * k * w3 + (x - y) * wn,
+            r * (x * wn - w1) + (1 - x / z) * w2 + (1 - x) * k * w3 + (y - x) * wm,
+            r * (w3 - w2) + (a - 1) * wm + (z - 1) * wn,
+            r * (a * wm - w2) + (1 - a / y) * w1 + (1 - a) * k * w3 + (z - a) * wn,
+            r * (z * wn - w2) + (1 - z / x) * w1 + (1 - z) * k * w3 + (a - z) * wm,
+            r * (wm - w3) + (1 - 1 / y) * w1 + (1 - 1 / a) * w2,
+            r * (wn - w3) + (1 - 1 / x) * w1 + (1 - 1 / z) * w2,
+            r * (wn - wm) + (1 / y - 1 / x) * w1 + (1 / a - 1 / z) * w2,
+        )
+        identities = tuple(float(v) for v in identities)
+        mid_dev = float(np.max(np.abs(w[3 : n - 2] - w3))) if n > 5 else 0.0
+        return IdentityResiduals(
+            r=r,
+            rows_max=rows_max,
+            identities=identities,
+            identities_max=max(abs(v) for v in identities),
+            middle_deviation_max=mid_dev,
+        )
+
+    @property
+    def table_violations(self) -> list[str]:
+        """Every matching catalog row checked against the digraph.
+
+        For each match: the claimed cycle edges and extra edges must be
+        present; for inefficient points the quotient sink must be the row's
+        sink vertex.  Returns violation descriptions (expected empty).
+        """
+        out = []
+        for m in table_oracle(self.p):
+            cycle = [(u, v) for c in m.cycles for u, v in zip(c, c[1:] + c[:1])]
+            for kind, edges in (("cycle", cycle), ("extra", m.extra_edges)):
+                out += [f"{m.row.relation}: {kind} edge ({u},{v}) absent"
+                        for u, v in edges if not self.G.has_edge(u, v)]
+            if m.kind == "sink" and not self.efficient and self.quotient_sinks != (m.vertex,):
+                out.append(f"{m.row.relation}: expected sink {m.vertex}, "
+                           f"got {self.quotient_sinks}")
+        return out
+
+
+def evaluate_z(p: ZParams, eps_rel: float = DEFAULT_EPS_REL) -> ZPoint:
+    """Evaluate Z_n(x,y,z,a), n >= 5: matrix, Perron pair, digraph, sinks."""
     if p.n < 5:
         raise ValueError("requires n >= 5")
-    n, (x, y, z, a) = p.n, p.xyza
     A = z_matrix(p)
     pp = perron(A)
-    r, w = pp.r, pp.w
-    rows_max = float(np.max(np.abs(A.a @ w - r * w)))
-    w1, w2, w3 = w[0], w[1], w[2]
-    wm, wn = w[n - 2], w[n - 1]
-    k = n - 4
-    identities = (
-        r * (w2 - w1) + (y - a) * wm + (x - z) * wn,
-        r * (w3 - w1) + (y - 1) * wm + (x - 1) * wn,
-        r * (y * wm - w1) + (1 - y / a) * w2 + (1 - y) * k * w3 + (x - y) * wn,
-        r * (x * wn - w1) + (1 - x / z) * w2 + (1 - x) * k * w3 + (y - x) * wm,
-        r * (w3 - w2) + (a - 1) * wm + (z - 1) * wn,
-        r * (a * wm - w2) + (1 - a / y) * w1 + (1 - a) * k * w3 + (z - a) * wn,
-        r * (z * wn - w2) + (1 - z / x) * w1 + (1 - z) * k * w3 + (a - z) * wm,
-        r * (wm - w3) + (1 - 1 / y) * w1 + (1 - 1 / a) * w2,
-        r * (wn - w3) + (1 - 1 / x) * w1 + (1 - 1 / z) * w2,
-        r * (wn - wm) + (1 / y - 1 / x) * w1 + (1 / a - 1 / z) * w2,
-    )
-    identities = tuple(float(v) for v in identities)
-    mid_dev = 0.0
-    if n > 5:
-        mid_dev = float(np.max(np.abs(w[3 : n - 2] - w3)))
-    return IdentityResiduals(
-        r=r,
-        rows_max=rows_max,
-        identities=identities,
-        identities_max=max(abs(v) for v in identities),
-        middle_deviation_max=mid_dev,
-    )
+    G = build_digraph(A, pp.w, eps_rel)
+    efficient, _, _ = strongly_connected(G)
+    return ZPoint(p, A, pp, G, efficient, middle_quotient_sinks(G, p.n))
+
+
+def eigen_identity_residuals(p: ZParams) -> IdentityResiduals:
+    """The eigenvector identities at p (see `ZPoint.identities`)."""
+    return evaluate_z(p).identities
 
 
 def predicted_edges(p: ZParams) -> set[tuple[int, int]]:
@@ -324,49 +382,17 @@ def middle_quotient_sinks(G: EfficiencyDigraph, n: int) -> tuple[int, ...]:
     Valid for Z-family Perron digraphs, where the middle components are
     exactly equal and mutually tied.  For n = 5 this is just the sinks of G.
     """
-
-    def rep(v: int) -> int:
-        return 3 if 3 <= v <= n - 2 else v
-
-    verts = sorted({rep(v) for v in range(1, n + 1)})
-    qedges = {(rep(i), rep(j)) for (i, j) in G.edges if rep(i) != rep(j)}
-    has_out = {i for (i, _) in qedges}
-    return tuple(v for v in verts if v not in has_out)
+    has_out = G.adj.copy()
+    has_out[2 : n - 2, 2 : n - 2] = False  # edges inside the middle class
+    has_out = has_out.any(axis=1)
+    reps = {1: has_out[0], 2: has_out[1], 3: has_out[2 : n - 2].any(),
+            n - 1: has_out[n - 2], n: has_out[n - 1]}
+    return tuple(v for v, out in reps.items() if not out)
 
 
-@dataclass(frozen=True)
-class SinkCheck:
-    efficient: bool
-    sink_present: bool
-    agrees: bool
-    sink_vertex: int | None
-    r: float
-
-
-def sink_characterization(
-    p: ZParams, eps_rel: float = DEFAULT_EPS_REL
-) -> SinkCheck:
-    """Inefficiency-iff-sink check at one parameter point (n >= 5).
-
-    Sink presence is decided on the middle-class quotient digraph (see
-    `middle_quotient_sinks`); a reported sink vertex of 3 stands for the
-    whole middle class.
-    """
-    if p.n < 5:
-        raise ValueError("requires n >= 5")
-    A = z_matrix(p)
-    pp = perron(A)
-    G = build_digraph(A, pp.w, eps_rel)
-    efficient, _, _ = strongly_connected(G)
-    qsinks = middle_quotient_sinks(G, p.n)
-    sink_present = len(qsinks) > 0
-    return SinkCheck(
-        efficient=efficient,
-        sink_present=sink_present,
-        agrees=(not efficient) == sink_present,
-        sink_vertex=qsinks[0] if qsinks else None,
-        r=pp.r,
-    )
+def sink_characterization(p: ZParams, eps_rel: float = DEFAULT_EPS_REL) -> ZPoint:
+    """Inefficiency-iff-sink check at p: `efficient`, `sink_present`, `agrees`."""
+    return evaluate_z(p, eps_rel)
 
 
 # --- catalog of known digraph structures per parameter region -------------
@@ -482,8 +508,8 @@ CYCLE_CATALOG: tuple[CatalogRow, ...] = (
 )
 
 
-def _realize(n: int, code: int) -> int:
-    return n + 1 + code if code < 0 else code
+def _realize(n: int, codes: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(n + 1 + c if c < 0 else c for c in codes)
 
 
 @dataclass(frozen=True)
@@ -503,56 +529,19 @@ def table_oracle(p: ZParams) -> list[CatalogMatch]:
     """
     if p.n < 5:
         raise ValueError("requires n >= 5")
-    n = p.n
-    matches = []
-    for row in CYCLE_CATALOG:
-        if not row.predicate(*p.xyza):
-            continue
-        matches.append(
-            CatalogMatch(
-                row=row,
-                cycles=tuple(
-                    tuple(_realize(n, c) for c in cyc) for cyc in row.cycles
-                ),
-                extra_edges=tuple(
-                    (_realize(n, u), _realize(n, v)) for u, v in row.extra_edges
-                ),
-                kind=row.kind,
-                vertex=_realize(n, row.vertex) if row.vertex is not None else None,
-            )
+    return [
+        CatalogMatch(
+            row=row,
+            cycles=tuple(_realize(p.n, cyc) for cyc in row.cycles),
+            extra_edges=tuple(_realize(p.n, edge) for edge in row.extra_edges),
+            kind=row.kind,
+            vertex=None if row.vertex is None else _realize(p.n, (row.vertex,))[0],
         )
-    return matches
+        for row in CYCLE_CATALOG
+        if row.predicate(*p.xyza)
+    ]
 
 
-def verify_table_claims(
-    p: ZParams, eps_rel: float = DEFAULT_EPS_REL
-) -> list[str]:
-    """Check every matching catalog row against the computed digraph.
-
-    For each match: the claimed cycle edges and extra edges must be present;
-    for inefficient points the quotient sink must be the row's sink vertex.
-    Returns violation descriptions (expected empty everywhere).
-    """
-    matches = table_oracle(p)
-    if not matches:
-        return []
-    A = z_matrix(p)
-    w = perron(A).w
-    G = build_digraph(A, w, eps_rel)
-    efficient, _, _ = strongly_connected(G)
-    qsinks = middle_quotient_sinks(G, p.n)
-    out = []
-    for m in matches:
-        for cyc in m.cycles:
-            for u, v in zip(cyc, cyc[1:] + cyc[:1]):
-                if (u, v) not in G.edges:
-                    out.append(f"{m.row.relation}: cycle edge ({u},{v}) absent")
-        for u, v in m.extra_edges:
-            if (u, v) not in G.edges:
-                out.append(f"{m.row.relation}: extra edge ({u},{v}) absent")
-        if m.kind == "sink" and not efficient:
-            if qsinks != (m.vertex,):
-                out.append(
-                    f"{m.row.relation}: expected sink {m.vertex}, got {qsinks}"
-                )
-    return out
+def verify_table_claims(p: ZParams, eps_rel: float = DEFAULT_EPS_REL) -> list[str]:
+    """Catalog violations at p (see `ZPoint.table_violations`)."""
+    return evaluate_z(p, eps_rel).table_violations

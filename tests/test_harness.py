@@ -1,10 +1,13 @@
+import ast
 import json
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from recipeff import cli
-from recipeff.core import make_reciprocal, random_reciprocal
+from recipeff import cli, harness, zfamily
+from recipeff.core import make_reciprocal, perron, random_reciprocal
 from recipeff.digraph import analyze
 from recipeff.harness import (
     SWEEP_CSV_HEADER,
@@ -89,6 +92,7 @@ def test_report_dict_shape(tmp_path):
     out = tmp_path / "r.json"
     save_report(d, out)
     assert json.loads(out.read_text()) == d
+    assert len(out.read_text().splitlines()) == 1  # compact, one line
 
     d = report_to_dict(analyze(A))
     assert d["perron_value"] is not None and d["efficient"] is True
@@ -170,17 +174,77 @@ def test_grid_sweep_validation():
 
 
 @pytest.fixture(scope="module")
-def suite():
-    return verify_paper_suite()
+def counted_suite():
+    """One suite run; the orders of the Perron solves made in zfamily, and
+    the most evaluated grid points alive at once."""
+    solves, live, peak = [], weakref.WeakSet(), [0]
+
+    def counted_perron(A, *args, **kwargs):
+        solves.append(A.n)
+        return perron(A, *args, **kwargs)
+
+    def tracked(p, eps_rel):
+        pt = zfamily.evaluate_z(p, eps_rel)
+        live.add(pt)
+        peak[0] = max(peak[0], len(live))
+        return pt
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zfamily, "perron", counted_perron)
+        mp.setattr(harness, "evaluate_z", tracked)
+        summary = verify_paper_suite()
+    return summary, solves, peak[0]
+
+
+@pytest.fixture(scope="module")
+def suite(counted_suite):
+    return counted_suite[0]
 
 
 def test_suite_single_known_failure(suite):
-    assert suite.checks >= 25
+    assert suite.checks == 29
     assert [cid for cid, _ in suite.failures] == [
         "example1.bprime_perron_inefficient"
     ]
     assert not suite.ok
     assert suite.wall_time > 0
+
+
+def test_suite_solves_each_grid_point_once(counted_suite):
+    _, solves, _ = counted_suite
+    assert Counter(solves) == {5: 625, 6: 625, 7: 625}
+
+
+def test_suite_streams_grid_points(counted_suite):
+    # the point being read and the one just evaluated, never the grid
+    _, _, peak = counted_suite
+    assert peak <= 2
+
+
+def test_failing_details_name_the_instance_to_replay(monkeypatch):
+    bad_point = ZParams(6, 0.5, 1.0, 2.0, 4.0)
+    forbidden = zfamily.forbidden_reverse_edges
+    monkeypatch.setattr(harness, "no_source_theorem_check", lambda A, eps: A.n != 5)
+    monkeypatch.setattr(harness, "forbidden_reverse_edges", lambda p, G: (
+        ["injected"] if p == bad_point else forbidden(p, G)))
+    monkeypatch.setattr(harness, "guarantee_n4",
+                        lambda x, y, z, form: form == "six_cases" and x > 8)
+    details = dict(verify_paper_suite().failures)
+    assert list(details) == [
+        "example1.bprime_perron_inefficient",
+        "no_source.random_matrices",
+        "edges.no_forbidden_reverse",
+        "n4.forms_agree",
+    ]
+    # k = 2 is the first seed offset with 3 + k % 6 == 5
+    assert details["no_source.random_matrices"] == (
+        "167 of 1000 random matrices violated; first: random_reciprocal(5, seed=1002)")
+    head, first = details["edges.no_forbidden_reverse"].split("; first: ")
+    assert head == "1 violations"
+    assert eval(first, {"ZParams": ZParams}) == bad_point
+    head, first = details["n4.forms_agree"].split("; first: (x, y, z) = ")
+    assert head.endswith("of 1000 triples disagree") and not head.startswith("0 ")
+    assert ast.literal_eval(first)[0] > 8
 
 
 # --- CLI -----------------------------------------------------------------

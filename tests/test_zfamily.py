@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recipeff.core import perron
-from recipeff.digraph import build_digraph, sinks, strongly_connected
+from recipeff.digraph import EfficiencyDigraph, build_digraph, sinks, strongly_connected
 from recipeff.zfamily import (
     CYCLE_CATALOG,
     SYMMETRY_IMAGES,
     RegionVerdict,
     ZParams,
     eigen_identity_residuals,
+    evaluate_z,
     forbidden_reverse_edges,
     guarantee_a1,
     guarantee_n4,
@@ -250,6 +251,49 @@ def test_quotient_sink_differs_from_literal_sinks_for_n6():
     assert middle_quotient_sinks(G, 6) == (3,)
     sc = sink_characterization(p)
     assert sc.sink_present and sc.agrees and sc.sink_vertex == 3
+
+
+def quotient_sinks_reference(G, n):
+    """Loop form: contract the middle class, keep the classes with no out-edge."""
+
+    def rep(v):
+        return 3 if 3 <= v <= n - 2 else v
+
+    verts = sorted({rep(v) for v in range(1, n + 1)})
+    has_out = {rep(i) for (i, j) in G.edges if rep(i) != rep(j)}
+    return tuple(v for v in verts if v not in has_out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(4, 9), seed=st.integers(0, 2**32 - 1),
+       density=st.floats(0.02, 0.6))
+def test_middle_quotient_sinks_matches_loop_reference(n, seed, density):
+    rng = np.random.default_rng(seed)
+    adj = rng.random((n, n)) < density
+    np.fill_diagonal(adj, False)
+    G = EfficiencyDigraph(adj, 1e-9)
+    assert middle_quotient_sinks(G, n) == quotient_sinks_reference(G, n)
+
+
+def test_middle_quotient_sinks_reference_on_grid():
+    for n in (5, 6, 7):
+        for p in small_grid(n):
+            G = evaluate_z(p).G
+            assert middle_quotient_sinks(G, n) == quotient_sinks_reference(G, n), p
+
+
+def test_evaluate_z_is_read_by_the_point_functions():
+    p = ZParams(6, 0.25, 2.0, 2.0, 0.5)
+    pt = evaluate_z(p)
+    assert pt.p == p and pt.G.n == 6 and pt.r == pt.perron.r
+    assert not pt.efficient and pt.quotient_sinks == (3,) and pt.sink_vertex == 3
+    assert pt.identities == eigen_identity_residuals(p)
+    assert pt.table_violations == verify_table_claims(p)
+    sc = sink_characterization(p)
+    assert (sc.efficient, sc.sink_present, sc.sink_vertex, sc.agrees, sc.r) == (
+        pt.efficient, pt.sink_present, pt.sink_vertex, pt.agrees, pt.r)
+    with pytest.raises(ValueError, match="n >= 5"):
+        evaluate_z(ZParams(4, 1.0, 1.0, 1.0, 1.0))
 
 
 def test_sink_characterization_grid_agreement():
