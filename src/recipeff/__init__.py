@@ -86,9 +86,7 @@ from .zfamily import (
     middle_quotient_sinks,
     predicted_edges,
     reduce_to_min_first,
-    sink_characterization,
     table_oracle,
-    verify_table_claims,
     z_matrix,
 )
 

@@ -35,13 +35,7 @@ from .harness import (
     verify_paper_suite,
 )
 from .matio import load_matrix, load_vector, report_to_dict, save_report
-from .zfamily import (
-    ZParams,
-    guarantee_n4,
-    guarantee_n5plus,
-    sink_characterization,
-    z_matrix,
-)
+from .zfamily import ZParams, evaluate_z, guarantee_n4, guarantee_n5plus, z_matrix
 
 
 def _resolve_eps(flag_value: float | None) -> float:
@@ -79,23 +73,24 @@ def _cmd_analyze(args: argparse.Namespace, eps: float) -> int:
 
 def _cmd_z(args: argparse.Namespace, eps: float) -> int:
     p = ZParams(args.n, args.x, args.y, args.z, args.a)
+    pt = evaluate_z(p, eps) if p.n >= 5 else None
+    rep = pt.report if pt else analyze(z_matrix(p), eps_rel=eps)
     payload: dict = {
         "params": {"n": p.n, "x": p.x, "y": p.y, "z": p.z, "a": p.a},
-        "report": report_to_dict(analyze(z_matrix(p), eps_rel=eps)),
+        "report": report_to_dict(rep),
     }
-    if p.n >= 5:
+    if pt:
         v = guarantee_n5plus(p)
         payload["region"] = {
             "guaranteed_efficient": v.guaranteed_efficient,
             "matched_exception": v.matched_exception,
             "reduction_used": v.reduction_used,
         }
-        sc = sink_characterization(p, eps)
         payload["sink_check"] = {
-            "efficient": sc.efficient,
-            "sink_present": sc.sink_present,
-            "sink_vertex": sc.sink_vertex,
-            "agrees": sc.agrees,
+            "efficient": rep.efficient,
+            "sink_present": pt.sink_present,
+            "sink_vertex": pt.sink_vertex,
+            "agrees": pt.agrees,
         }
     elif p.a == 1.0:
         payload["region"] = {

@@ -13,9 +13,11 @@ total order, sorting the vertices by out-degree lists its blocks in that
 order, and a strong G has a Hamiltonian cycle (Camion 1959) that insertion
 builds for every n.
 
-When G is not strongly connected, `dominating_vector` builds an explicit
-better vector: scale the source component of the condensation down by the
-tightest crossing ratio.
+`analyze` is the one evaluation path: Perron vector (unless w is given),
+G, its SCCs and, when G is not strongly connected, an explicit better
+vector, made by scaling the source component of the condensation down by
+the tightest crossing ratio.  Its `EfficiencyReport` is what every other
+consumer reads.
 """
 
 from __future__ import annotations
@@ -55,15 +57,34 @@ class EfficiencyDigraph:
 
 @dataclass(frozen=True, eq=False)
 class EfficiencyReport:
-    efficient: bool
-    scc_count: int
-    sources: tuple[int, ...]
-    sinks: tuple[int, ...]
-    hamiltonian: tuple[int, ...] | None
-    certificate: np.ndarray | None
-    digraph: EfficiencyDigraph
+    """One evaluation of (A, w), filled by `analyze` only.
+
+    `perron` is the Perron pair when w was computed, else None;
+    `certificate` is a vector dominating w, or None when w is efficient.
+    `sources`, `sinks` and `hamiltonian` are views of `digraph`, computed
+    on first read.
+    """
+
+    A: ReciprocalMatrix
     w: np.ndarray
     perron: PerronPair | None
+    digraph: EfficiencyDigraph
+    efficient: bool
+    scc_count: int
+    certificate: np.ndarray | None
+
+    @cached_property
+    def sources(self) -> tuple[int, ...]:
+        return sources(self.digraph)
+
+    @cached_property
+    def sinks(self) -> tuple[int, ...]:
+        return sinks(self.digraph)
+
+    @cached_property
+    def hamiltonian(self) -> tuple[int, ...] | None:
+        ham = hamiltonian_cycle(self.digraph)
+        return tuple(ham) if ham else None
 
 
 def build_digraph(
@@ -204,9 +225,7 @@ def dominating_vector(
     A: ReciprocalMatrix, w, eps_rel: float = DEFAULT_EPS_REL
 ) -> np.ndarray | None:
     """A vector Pareto-dominating w, or None when w is efficient."""
-    G = build_digraph(A, w, eps_rel)
-    efficient, _, labels = strongly_connected(G)
-    return None if efficient else _scale_source(A, np.asarray(w, dtype=float), labels)
+    return analyze(A, w, eps_rel).certificate
 
 
 def analyze(
@@ -225,15 +244,4 @@ def analyze(
     cert = None if efficient else _scale_source(A, w, labels)
     if cert is not None and not pareto_dominates(A, w, cert):
         raise AssertionError("certificate failed the dominance definition")
-    ham = hamiltonian_cycle(G)
-    return EfficiencyReport(
-        efficient=efficient,
-        scc_count=scc_count,
-        sources=sources(G),
-        sinks=sinks(G),
-        hamiltonian=tuple(ham) if ham else None,
-        certificate=cert,
-        digraph=G,
-        w=w,
-        perron=pp,
-    )
+    return EfficiencyReport(A, w, pp, G, efficient, scc_count, cert)

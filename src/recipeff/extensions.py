@@ -16,16 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ReciprocalMatrix, make_reciprocal, perron
-from .digraph import (
-    DEFAULT_EPS_REL,
-    build_digraph,
-    no_source_theorem_check,
-    strongly_connected,
-)
+from .digraph import DEFAULT_EPS_REL, analyze, no_source_theorem_check
 
 ROOT_ATOL = 1e-13
 ROW_SUM_RTOL = 1e-10
 APPENDED_SPAN = 9.0  # appended entries sampled log-uniformly in [1/9, 9]
+RANK_TIE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -197,17 +193,22 @@ def _dense_ranks(w: np.ndarray, tie_tol: float) -> tuple[int, ...]:
 
 
 def order_preservation_check(
-    A: ReciprocalMatrix, B: ReciprocalMatrix, tie_tol: float = 1e-8
+    A: ReciprocalMatrix, B: ReciprocalMatrix, tie_tol: float = RANK_TIE_TOL
 ) -> tuple[bool, tuple[int, ...], tuple[int, ...]]:
     """Does extending A to B keep the ranking of the first n Perron weights?
 
     Returns (preserved, ranks of Perron(A).w, ranks of Perron(B).w[:n]),
     ranks dense and descending with tolerance-aware ties.
     """
+    return _ranks_kept(A, B, perron(B).w, tie_tol)
+
+
+def _ranks_kept(A: ReciprocalMatrix, B: ReciprocalMatrix, wB: np.ndarray, tie_tol: float):
+    """`order_preservation_check` given the Perron vector wB of B."""
     if not is_extension(B, A):
         raise ValueError("B is not an extension of A")
     ra = _dense_ranks(perron(A).w, tie_tol)
-    rb = _dense_ranks(perron(B).w[: A.n], tie_tol)
+    rb = _dense_ranks(wB[: A.n], tie_tol)
     return ra == rb, ra, rb
 
 
@@ -218,15 +219,13 @@ def extension_report(
     eps_rel: float = DEFAULT_EPS_REL,
 ) -> dict:
     """JSON-ready summary of one extension of A."""
-    pp = perron(ext)
-    G = build_digraph(ext, pp.w, eps_rel)
-    efficient, _, _ = strongly_connected(G)
-    preserved, _, _ = order_preservation_check(A, ext)
+    rep = analyze(ext, eps_rel=eps_rel)
+    preserved, _, _ = _ranks_kept(A, ext, rep.w, RANK_TIE_TOL)
     return {
         "base_order": A.n,
         "target_sum": target_sum,
         "appended_column": [float(v) for v in ext.a[: A.n, A.n]],
-        "perron_vector": [float(v) for v in pp.w],
-        "efficient": efficient,
+        "perron_vector": [float(v) for v in rep.w],
+        "efficient": rep.efficient,
         "order_preserved": preserved,
     }

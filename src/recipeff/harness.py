@@ -34,13 +34,9 @@ from .core import (
 )
 from .digraph import (
     DEFAULT_EPS_REL,
+    EfficiencyReport,
     analyze,
-    build_digraph,
-    dominating_vector,
-    hamiltonian_cycle,
     no_source_theorem_check,
-    sources,
-    strongly_connected,
 )
 from .extensions import (
     conjugated_extension,
@@ -153,13 +149,13 @@ def example_walkthrough(eps_rel: float = DEFAULT_EPS_REL) -> list[WalkthroughSte
     step("example1.conjugated_restores_base", is_extension(A, B, 0.0),
          "leading block comparison is exact")
 
-    vA = perron(A).w
-    err = float(np.max(np.abs(vA - np.array(EXAMPLE_EXTENSION_PERRON))))
+    rep_A = analyze(A, eps_rel=eps_rel)
+    err = float(np.max(np.abs(rep_A.w - np.array(EXAMPLE_EXTENSION_PERRON))))
     step("example1.conjugated_perron_matches", err <= 1e-9,
          f"max component deviation {err:.2e} (tol 1e-9)")
 
     step("example1.conjugated_efficient",
-         analyze(A, eps_rel=eps_rel).efficient, "computed on the order-6 digraph")
+         rep_A.efficient, "computed on the order-6 digraph")
 
     preserved, ra, rb = order_preservation_check(B, A)
     step("example1.ranking_changes",
@@ -199,7 +195,7 @@ def _sweep_record(pt: ZPoint) -> SweepRecord:
     return SweepRecord(
         params=pt.p,
         r=pt.r,
-        efficient=pt.efficient,
+        efficient=pt.report.efficient,
         guaranteed=verdict.guaranteed_efficient,
         exception=verdict.matched_exception,
         sink_present=pt.sink_present,
@@ -299,18 +295,20 @@ class _Count:
 
 # per-point audits of the n = 5, 6, 7 grids: (check id, violations at a point)
 _GRID_AUDITS = (
-    ("edges.guaranteed_present", lambda pt: bool(predicted_edges(pt.p) - pt.G.edges)),
-    ("edges.no_forbidden_reverse", lambda pt: len(forbidden_reverse_edges(pt.p, pt.G))),
+    ("edges.guaranteed_present", lambda pt: not all(
+        pt.report.digraph.has_edge(i, j) for i, j in predicted_edges(pt.p))),
+    ("edges.no_forbidden_reverse",
+     lambda pt: len(forbidden_reverse_edges(pt.p, pt.report.digraph))),
     ("identities.residuals", lambda pt: pt.identities.identities_max > 1e-9 * pt.r),
     ("identities.middle_collapse",
-     lambda pt: pt.identities.middle_deviation_max > 1e-10 * pt.perron.w[2]),
+     lambda pt: pt.identities.middle_deviation_max > 1e-10 * pt.report.w[2]),
     ("tables.claims", lambda pt: len(pt.table_violations)),
 )
 
 
-def _certificate_fails(A: ReciprocalMatrix, w, eps_rel: float) -> bool:
-    cert = dominating_vector(A, w, eps_rel)
-    return cert is None or not pareto_dominates(A, w, cert)
+def _certificate_fails(rep: EfficiencyReport) -> bool:
+    cert = rep.certificate
+    return cert is None or not pareto_dominates(rep.A, rep.w, cert)
 
 
 def _grid_checks(eps_rel: float, certs: _Count) -> dict:
@@ -351,7 +349,7 @@ def _grid_checks(eps_rel: float, certs: _Count) -> dict:
                 labeled[n, rec.efficient] += 1
                 seen.add(rec.exception)
             if not rec.efficient:
-                certs.add(where, _certificate_fails(pt.A, pt.perron.w, eps_rel))
+                certs.add(where, _certificate_fails(pt.report))
     return runs
 
 
@@ -373,8 +371,8 @@ def _random_extensions(eps_rel: float):
 
 
 def _hamiltonian_disagrees(A: ReciprocalMatrix, eps_rel: float) -> bool:
-    G = build_digraph(A, perron(A).w, eps_rel)
-    return strongly_connected(G)[0] != (hamiltonian_cycle(G) is not None)
+    rep = analyze(A, eps_rel=eps_rel)
+    return rep.efficient != (rep.hamiltonian is not None)
 
 
 def verify_paper_suite(eps_rel: float = DEFAULT_EPS_REL) -> VerificationSummary:
@@ -384,19 +382,19 @@ def verify_paper_suite(eps_rel: float = DEFAULT_EPS_REL) -> VerificationSummary:
     run returns (passed, detail).
     """
     t0 = time.perf_counter()
-    A3 = make_reciprocal(np.array(COUNTEREXAMPLE_3X3_ROWS), mode="validate")
-    w3 = np.array(COUNTEREXAMPLE_3X3_W)
-    G3 = build_digraph(A3, w3, eps_rel)
+    rep3 = analyze(make_reciprocal(np.array(COUNTEREXAMPLE_3X3_ROWS), mode="validate"),
+                   np.array(COUNTEREXAMPLE_3X3_W), eps_rel)
+    G3 = rep3.digraph
     certificates = _Count("{bad} of {total} certificates failed")
-    certificates.add("the 3x3 counterexample", _certificate_fails(A3, w3, eps_rel))
+    certificates.add("the 3x3 counterexample", _certificate_fails(rep3))
     triples = np.exp(np.random.default_rng(5000).uniform(
         -np.log(9.0), np.log(9.0), size=(1000, 3))).tolist()
     table = [
         *((s.check_id, lambda s=s: (s.passed, s.detail))
           for s in example_walkthrough(eps_rel)),
         ("counterexample3x3.structure", lambda: (
-            G3.edges == {(2, 1), (3, 1), (3, 2)} and sources(G3) == (3,),
-            f"edges {sorted(G3.edges)}, sources {sources(G3)}")),
+            G3.edges == {(2, 1), (3, 1), (3, 2)} and rep3.sources == (3,),
+            f"edges {sorted(G3.edges)}, sources {rep3.sources}")),
         ("no_source.random_matrices", _Count(
             "{bad} of {total} random matrices violated",
             _seeded(1000, 6, 1000, lambda A: not no_source_theorem_check(A, eps_rel)))),

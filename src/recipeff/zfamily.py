@@ -27,13 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import PerronPair, ReciprocalMatrix, make_reciprocal, perron
-from .digraph import (
-    DEFAULT_EPS_REL,
-    EfficiencyDigraph,
-    build_digraph,
-    strongly_connected,
-)
+from .core import ReciprocalMatrix, make_reciprocal
+from .digraph import DEFAULT_EPS_REL, EfficiencyDigraph, EfficiencyReport, analyze
 
 
 @dataclass(frozen=True)
@@ -194,21 +189,19 @@ class IdentityResiduals:
 class ZPoint:
     """One evaluated parameter point; every check on the point reads it.
 
-    Built by `evaluate_z` only.  `quotient_sinks` are the sinks of the
+    Built by `evaluate_z` only.  `report` is the `analyze` record of the
+    Perron vector of Z_n(x,y,z,a).  `quotient_sinks` are the sinks of the
     middle-class quotient digraph (see `middle_quotient_sinks`); a sink
     vertex of 3 stands for the whole middle class.
     """
 
     p: ZParams
-    A: ReciprocalMatrix
-    perron: PerronPair
-    G: EfficiencyDigraph
-    efficient: bool
+    report: EfficiencyReport
     quotient_sinks: tuple[int, ...]
 
     @property
     def r(self) -> float:
-        return self.perron.r
+        return self.report.perron.r
 
     @property
     def sink_present(self) -> bool:
@@ -221,7 +214,7 @@ class ZPoint:
     @property
     def agrees(self) -> bool:
         """Inefficient exactly when the quotient digraph has a sink."""
-        return (not self.efficient) == self.sink_present
+        return (not self.report.efficient) == self.sink_present
 
     @cached_property
     def identities(self) -> IdentityResiduals:
@@ -234,8 +227,8 @@ class ZPoint:
         are identical, so power iteration keeps their components equal).
         """
         n, (x, y, z, a) = self.p.n, self.p.xyza
-        r, w = self.perron.r, self.perron.w
-        rows_max = float(np.max(np.abs(self.A.a @ w - r * w)))
+        r, w = self.r, self.report.w
+        rows_max = float(np.max(np.abs(self.report.A.a @ w - r * w)))
         w1, w2, w3 = w[0], w[1], w[2]
         wm, wn = w[n - 2], w[n - 1]
         k = n - 4
@@ -269,27 +262,25 @@ class ZPoint:
         present; for inefficient points the quotient sink must be the row's
         sink vertex.  Returns violation descriptions (expected empty).
         """
-        out = []
+        G, out = self.report.digraph, []
         for m in table_oracle(self.p):
             cycle = [(u, v) for c in m.cycles for u, v in zip(c, c[1:] + c[:1])]
             for kind, edges in (("cycle", cycle), ("extra", m.extra_edges)):
                 out += [f"{m.row.relation}: {kind} edge ({u},{v}) absent"
-                        for u, v in edges if not self.G.has_edge(u, v)]
-            if m.kind == "sink" and not self.efficient and self.quotient_sinks != (m.vertex,):
+                        for u, v in edges if not G.has_edge(u, v)]
+            if (m.kind == "sink" and not self.report.efficient
+                    and self.quotient_sinks != (m.vertex,)):
                 out.append(f"{m.row.relation}: expected sink {m.vertex}, "
                            f"got {self.quotient_sinks}")
         return out
 
 
 def evaluate_z(p: ZParams, eps_rel: float = DEFAULT_EPS_REL) -> ZPoint:
-    """Evaluate Z_n(x,y,z,a), n >= 5: matrix, Perron pair, digraph, sinks."""
+    """Evaluate Z_n(x,y,z,a), n >= 5: its `analyze` report and quotient sinks."""
     if p.n < 5:
         raise ValueError("requires n >= 5")
-    A = z_matrix(p)
-    pp = perron(A)
-    G = build_digraph(A, pp.w, eps_rel)
-    efficient, _, _ = strongly_connected(G)
-    return ZPoint(p, A, pp, G, efficient, middle_quotient_sinks(G, p.n))
+    rep = analyze(z_matrix(p), eps_rel=eps_rel)
+    return ZPoint(p, rep, middle_quotient_sinks(rep.digraph, p.n))
 
 
 def eigen_identity_residuals(p: ZParams) -> IdentityResiduals:
@@ -371,7 +362,7 @@ def forbidden_reverse_edges(p: ZParams, G: EfficiencyDigraph) -> list[str]:
     )
     violations = []
     for fwd, cond, rev in checks:
-        if cond and fwd in G.edges and rev in G.edges:
+        if cond and G.has_edge(*fwd) and G.has_edge(*rev):
             violations.append(f"edge {fwd} with relation forbids {rev}")
     return violations
 
@@ -388,11 +379,6 @@ def middle_quotient_sinks(G: EfficiencyDigraph, n: int) -> tuple[int, ...]:
     reps = {1: has_out[0], 2: has_out[1], 3: has_out[2 : n - 2].any(),
             n - 1: has_out[n - 2], n: has_out[n - 1]}
     return tuple(v for v, out in reps.items() if not out)
-
-
-def sink_characterization(p: ZParams, eps_rel: float = DEFAULT_EPS_REL) -> ZPoint:
-    """Inefficiency-iff-sink check at p: `efficient`, `sink_present`, `agrees`."""
-    return evaluate_z(p, eps_rel)
 
 
 # --- catalog of known digraph structures per parameter region -------------
@@ -540,8 +526,3 @@ def table_oracle(p: ZParams) -> list[CatalogMatch]:
         for row in CYCLE_CATALOG
         if row.predicate(*p.xyza)
     ]
-
-
-def verify_table_claims(p: ZParams, eps_rel: float = DEFAULT_EPS_REL) -> list[str]:
-    """Catalog violations at p (see `ZPoint.table_violations`)."""
-    return evaluate_z(p, eps_rel).table_violations

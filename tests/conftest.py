@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from recipeff.core import perron
 from recipeff.harness import (
     EXAMPLE_DIAG,
     EXAMPLE_EXTENSION_PERRON,
@@ -33,3 +36,18 @@ def reference_perron():
 @pytest.fixture(scope="session")
 def extension_perron_reference():
     return np.array(EXAMPLE_EXTENSION_PERRON)
+
+
+@pytest.fixture
+def perron_calls(monkeypatch):
+    """Orders of the Perron solves made through any recipeff module."""
+    calls = []
+
+    def counted(A, *args, **kwargs):
+        calls.append(A.n)
+        return perron(A, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("recipeff") and getattr(mod, "perron", None) is perron:
+            monkeypatch.setattr(mod, "perron", counted)
+    return calls

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from recipeff.core import (
     perron,
     random_reciprocal,
 )
+import recipeff.digraph as dg
 from recipeff.digraph import (
     analyze,
     build_digraph,
@@ -314,3 +317,28 @@ def test_analyze_supplied_vector_report(counterexample):
     assert rep.certificate is not None
     assert pareto_dominates(A, w, rep.certificate)
     assert np.array_equal(rep.w, w)
+
+
+def test_analyze_report_survives_pickling(counterexample):
+    A, w = counterexample
+    for rep in (analyze(A, w=w), analyze(random_reciprocal(6, seed=5))):
+        back = pickle.loads(pickle.dumps(rep))
+        assert np.array_equal(back.w, rep.w) and np.array_equal(back.A.a, rep.A.a)
+        assert (back.efficient, back.scc_count) == (rep.efficient, rep.scc_count)
+        if rep.certificate is None:
+            assert back.certificate is None
+        else:
+            assert np.array_equal(back.certificate, rep.certificate)
+        assert "hamiltonian" not in vars(back)
+        assert (back.sources, back.sinks, back.hamiltonian) == (
+            rep.sources, rep.sinks, rep.hamiltonian)
+
+
+def test_analyze_builds_views_only_when_read(monkeypatch):
+    calls = []
+    monkeypatch.setattr(dg, "hamiltonian_cycle",
+                        lambda G: calls.append(G.n) or hamiltonian_cycle(G))
+    rep = analyze(random_reciprocal(7, seed=3))
+    assert calls == [] and not {"sources", "sinks", "hamiltonian"} & set(vars(rep))
+    cycle = rep.hamiltonian
+    assert cycle is not None and rep.hamiltonian is cycle and calls == [7]

@@ -201,9 +201,10 @@ def test_order_preservation_requires_extension():
         order_preservation_check(random_reciprocal(3, seed=1), B)
 
 
-def test_extension_report_fields(conjugate_reference):
+def test_extension_report_fields(conjugate_reference, perron_calls):
     res = constant_row_sum_extension(conjugate_reference)
     d = extension_report(conjugate_reference, res.B, res.target_sum)
+    assert sorted(perron_calls) == [5, 6]  # one solve per matrix
     assert d["base_order"] == 5
     assert d["target_sum"] == res.target_sum
     assert len(d["appended_column"]) == 5

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from recipeff import cli, harness, zfamily
+from recipeff import cli, digraph, harness, zfamily
 from recipeff.core import make_reciprocal, perron, random_reciprocal
 from recipeff.digraph import analyze
 from recipeff.harness import (
@@ -175,25 +175,34 @@ def test_grid_sweep_validation():
 
 @pytest.fixture(scope="module")
 def counted_suite():
-    """One suite run; the orders of the Perron solves made in zfamily, and
-    the most evaluated grid points alive at once."""
-    solves, live, peak = [], weakref.WeakSet(), [0]
+    """One suite run; the orders of the Perron solves and of the digraphs
+    built while evaluating grid points, and the most evaluated grid points
+    alive at once."""
+    solves, builds, live, peak, inside = [], [], weakref.WeakSet(), [0], [False]
 
-    def counted_perron(A, *args, **kwargs):
-        solves.append(A.n)
-        return perron(A, *args, **kwargs)
+    def counted(calls, fn):
+        def wrapper(A, *args, **kwargs):
+            if inside[0]:
+                calls.append(A.n)
+            return fn(A, *args, **kwargs)
+        return wrapper
 
     def tracked(p, eps_rel):
-        pt = zfamily.evaluate_z(p, eps_rel)
+        inside[0] = True
+        try:
+            pt = zfamily.evaluate_z(p, eps_rel)
+        finally:
+            inside[0] = False
         live.add(pt)
         peak[0] = max(peak[0], len(live))
         return pt
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(zfamily, "perron", counted_perron)
+        mp.setattr(digraph, "perron", counted(solves, perron))
+        mp.setattr(digraph, "build_digraph", counted(builds, digraph.build_digraph))
         mp.setattr(harness, "evaluate_z", tracked)
         summary = verify_paper_suite()
-    return summary, solves, peak[0]
+    return summary, solves, builds, peak[0]
 
 
 @pytest.fixture(scope="module")
@@ -211,13 +220,14 @@ def test_suite_single_known_failure(suite):
 
 
 def test_suite_solves_each_grid_point_once(counted_suite):
-    _, solves, _ = counted_suite
+    _, solves, builds, _ = counted_suite
     assert Counter(solves) == {5: 625, 6: 625, 7: 625}
+    assert Counter(builds) == {5: 625, 6: 625, 7: 625}
 
 
 def test_suite_streams_grid_points(counted_suite):
     # the point being read and the one just evaluated, never the grid
-    _, _, peak = counted_suite
+    _, _, _, peak = counted_suite
     assert peak <= 2
 
 
@@ -307,7 +317,7 @@ def test_cli_analyze_rejects_eps_rel_of_one(tmp_path, capsys):
     assert code == 2 and err.startswith("error:") and "nonnegative" in err
 
 
-def test_cli_z_region_payload(capsys):
+def test_cli_z_region_payload(capsys, perron_calls):
     code, out, _ = run_cli(capsys, "z", "--n", "5", "--x", "0.2", "--y", "2",
                            "--z", "0.5", "--a", "1.5")
     assert code == 0
@@ -316,6 +326,9 @@ def test_cli_z_region_payload(capsys):
     assert payload["region"]["matched_exception"] == "T5(i)"
     assert payload["sink_check"]["agrees"] is True
     assert payload["report"]["efficient"] is True
+    # the report and the sink check read one evaluation
+    assert payload["sink_check"]["efficient"] is True
+    assert perron_calls == [5]
 
 
 def test_cli_z_n4(capsys):

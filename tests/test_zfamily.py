@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recipeff.core import perron
-from recipeff.digraph import EfficiencyDigraph, build_digraph, sinks, strongly_connected
+from recipeff.digraph import (
+    EfficiencyDigraph,
+    analyze,
+    build_digraph,
+    sinks,
+    strongly_connected,
+)
 from recipeff.zfamily import (
     CYCLE_CATALOG,
     SYMMETRY_IMAGES,
@@ -21,9 +27,7 @@ from recipeff.zfamily import (
     middle_quotient_sinks,
     predicted_edges,
     reduce_to_min_first,
-    sink_characterization,
     table_oracle,
-    verify_table_claims,
     z_matrix,
 )
 
@@ -232,12 +236,12 @@ def test_forbidden_reverse_edges_empty_on_grid():
 
 def test_sink_characterization_agreement_and_vertex():
     # exception clause T5(iii) point: inefficient, middle class is the sink
-    sc = sink_characterization(ZParams(5, 0.25, 2.0, 2.0, 0.5))
-    assert not sc.efficient and sc.sink_present and sc.agrees
+    sc = evaluate_z(ZParams(5, 0.25, 2.0, 2.0, 0.5))
+    assert not sc.report.efficient and sc.sink_present and sc.agrees
     assert sc.sink_vertex == 3
     # guaranteed point: efficient, no sink
-    sc = sink_characterization(ZParams(5, 1.0, 1.0, 1.0, 1.0))
-    assert sc.efficient and not sc.sink_present and sc.agrees and sc.sink_vertex is None
+    sc = evaluate_z(ZParams(5, 1.0, 1.0, 1.0, 1.0))
+    assert sc.report.efficient and not sc.sink_present and sc.agrees and sc.sink_vertex is None
 
 
 def test_quotient_sink_differs_from_literal_sinks_for_n6():
@@ -249,7 +253,7 @@ def test_quotient_sink_differs_from_literal_sinks_for_n6():
     assert not strongly_connected(G)[0]
     assert sinks(G) == ()
     assert middle_quotient_sinks(G, 6) == (3,)
-    sc = sink_characterization(p)
+    sc = evaluate_z(p)
     assert sc.sink_present and sc.agrees and sc.sink_vertex == 3
 
 
@@ -278,20 +282,24 @@ def test_middle_quotient_sinks_matches_loop_reference(n, seed, density):
 def test_middle_quotient_sinks_reference_on_grid():
     for n in (5, 6, 7):
         for p in small_grid(n):
-            G = evaluate_z(p).G
+            G = evaluate_z(p).report.digraph
             assert middle_quotient_sinks(G, n) == quotient_sinks_reference(G, n), p
 
 
 def test_evaluate_z_is_read_by_the_point_functions():
     p = ZParams(6, 0.25, 2.0, 2.0, 0.5)
     pt = evaluate_z(p)
-    assert pt.p == p and pt.G.n == 6 and pt.r == pt.perron.r
-    assert not pt.efficient and pt.quotient_sinks == (3,) and pt.sink_vertex == 3
+    rep = analyze(z_matrix(p))
+    assert pt.p == p and pt.report.digraph.n == 6 and pt.r == pt.report.perron.r
+    assert pt.r == rep.perron.r and np.array_equal(pt.report.w, rep.w)
+    assert np.array_equal(pt.report.digraph.adj, rep.digraph.adj)
+    assert np.array_equal(pt.report.certificate, rep.certificate)
+    assert not pt.report.efficient and pt.quotient_sinks == (3,) and pt.sink_vertex == 3
     assert pt.identities == eigen_identity_residuals(p)
-    assert pt.table_violations == verify_table_claims(p)
-    sc = sink_characterization(p)
-    assert (sc.efficient, sc.sink_present, sc.sink_vertex, sc.agrees, sc.r) == (
-        pt.efficient, pt.sink_present, pt.sink_vertex, pt.agrees, pt.r)
+    assert pt.table_violations == evaluate_z(p).table_violations == []
+    sc = evaluate_z(p)
+    assert (sc.report.efficient, sc.sink_present, sc.sink_vertex, sc.agrees, sc.r) == (
+        pt.report.efficient, pt.sink_present, pt.sink_vertex, pt.agrees, pt.r)
     with pytest.raises(ValueError, match="n >= 5"):
         evaluate_z(ZParams(4, 1.0, 1.0, 1.0, 1.0))
 
@@ -299,7 +307,7 @@ def test_evaluate_z_is_read_by_the_point_functions():
 def test_sink_characterization_grid_agreement():
     for n in (5, 6):
         for p in small_grid(n):
-            assert sink_characterization(p).agrees, p
+            assert evaluate_z(p).agrees, p
 
 
 def test_catalog_covers_41_structures():
@@ -326,7 +334,7 @@ def test_table_oracle_realizes_vertices_for_larger_n():
 def test_table_claims_hold_on_grid():
     for n in (5, 6):
         for p in small_grid(n):
-            assert verify_table_claims(p) == [], p
+            assert evaluate_z(p).table_violations == [], p
 
 
 def test_table_oracle_gaps_and_overlaps():
