@@ -15,6 +15,7 @@ and constructs order-(n+1) extensions with prescribed Perron vectors.
 from .core import (
     MonomialTransform,
     PerronPair,
+    PerronStack,
     ReciprocalMatrix,
     consistent_from_vector,
     is_consistent,
@@ -22,17 +23,21 @@ from .core import (
     monomial_similarity,
     pareto_dominates,
     perron,
+    perron_stack,
     random_reciprocal,
+    random_reciprocal_stack,
 )
 from .digraph import (
     DEFAULT_EPS_REL,
     EfficiencyDigraph,
     EfficiencyReport,
     analyze,
+    analyze_stack,
     build_digraph,
     components_in_topo_order,
     dominating_vector,
     hamiltonian_cycle,
+    has_no_source,
     no_source_theorem_check,
     sinks,
     sources,
@@ -79,6 +84,7 @@ from .zfamily import (
     ZPoint,
     eigen_identity_residuals,
     evaluate_z,
+    evaluate_z_stack,
     forbidden_reverse_edges,
     guarantee_a1,
     guarantee_n4,

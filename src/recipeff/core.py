@@ -7,18 +7,23 @@ equivalently when it has the form (v_i / v_j) for a positive vector v.
 Matrices are canonicalized from the upper triangle (a_ji stored as 1/a_ij),
 so ratio tests against a_ij and a_ji can never disagree by more than a
 rounding ulp.  Perron pairs are computed by power iteration and normalized
-to have first component 1.
+to have first component 1.  The power iteration runs on (B, n, n) stacks
+(`perron_stack`); `perron` is its one-matrix case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
 RECIPROCITY_RTOL = 1e-12
 PERRON_TOL = 1e-14
 PERRON_MAX_ITER = 100_000
+# power steps between two stop tests; each test reads every recorded step,
+# so a row stops at the same step as with a test after every step
+PERRON_STOP_EVERY = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,13 +94,24 @@ def _as_positive_square(raw) -> np.ndarray:
     return a
 
 
-def _canonicalize(a: np.ndarray) -> np.ndarray:
-    """Rebuild from the upper triangle: diagonal 1, lower entries 1/upper."""
-    n = a.shape[0]
-    out = np.ones((n, n))
+@cache
+def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of order n, read-only."""
     iu, ju = np.triu_indices(n, k=1)
-    out[iu, ju] = a[iu, ju]
-    out[ju, iu] = 1.0 / a[iu, ju]
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
+def _canonicalize(a: np.ndarray) -> np.ndarray:
+    """Rebuild from the upper triangle: diagonal 1, lower entries 1/upper.
+
+    Works on (..., n, n) stacks.  Off the diagonal each entry is one term
+    plus exact zeros, so it is the upper entry or its reciprocal bit for bit.
+    """
+    n = a.shape[-1]
+    out = np.triu(a, 1)
+    out += np.triu(1.0 / a, 1).swapaxes(-1, -2)
+    out[..., range(n), range(n)] = 1.0
     return out
 
 
@@ -143,36 +159,80 @@ def is_consistent(A: ReciprocalMatrix, tol: float = 1e-12) -> bool:
     return bool(np.all(np.abs(dev) <= tol * a[:, :, None]))
 
 
+@dataclass(frozen=True, eq=False)
+class PerronStack:
+    """Perron pairs of a (B, n, n) stack: row i of each array is matrix i's."""
+
+    w: np.ndarray
+    r: np.ndarray
+    residual: np.ndarray
+    iterations: np.ndarray
+
+    def __getitem__(self, i: int) -> PerronPair:
+        return PerronPair(float(self.r[i]), self.w[i], float(self.residual[i]),
+                          int(self.iterations[i]))
+
+
+def perron_stack(
+    a: np.ndarray,
+    tol: float = PERRON_TOL,
+    max_iter: int = PERRON_MAX_ITER,
+) -> PerronStack:
+    """Perron eigenpairs of a (B, n, n) stack by power iteration from all-ones.
+
+    Each row iterates v <- A v, renormalized to v[0] == 1, and stops at the
+    first step whose iterate differs from the previous one by less than
+    `tol` in max norm; r is (A w)[0] at that iterate.  The iterates are
+    recorded and tested every PERRON_STOP_EVERY steps (never past
+    `max_iter`), and rows that stopped are written out and dropped from
+    the stack.  Every row equals its own one-matrix solve bit for bit.
+    """
+    a = np.ascontiguousarray(a, dtype=float)
+    B, n = a.shape[0], a.shape[-1]
+    w = np.empty((B, n))
+    iterations = np.empty(B, dtype=int)
+    rows, live = np.arange(B), a
+    steps = np.empty((PERRON_STOP_EVERY + 1, B, n, 1))  # steps[0]: last tested
+    steps[0] = 1.0
+    done, views = 0, None
+    while rows.size:
+        todo = min(PERRON_STOP_EVERY, max_iter - done)
+        if todo == 0:
+            i, last = int(rows[0]), steps[0, 0, :, 0]
+            av = a[i] @ last
+            raise RuntimeError(
+                f"power iteration did not converge in {max_iter} iterations "
+                f"at row {i} (residual {np.max(np.abs(av - av[0] * last)):.3e})"
+            )
+        if views is None:  # made once per stack shape: the step loop is all ufuncs
+            views = list(steps)
+            heads = [v[:, :1] for v in views]
+        for k in range(1, todo + 1):
+            np.matmul(live, views[k - 1], out=views[k])
+            views[k] /= heads[k]
+        hit = np.abs(steps[1 : todo + 1] - steps[:todo]).max(axis=2)[..., 0] < tol
+        stop = hit.any(axis=0)
+        if stop.any():
+            first = hit.argmax(axis=0)[stop]
+            w[rows[stop]] = steps[first + 1, np.flatnonzero(stop), :, 0]
+            iterations[rows[stop]] = done + first + 1
+            rows, live, steps = rows[~stop], live[~stop], steps[:, ~stop]
+            views = None
+        steps[0] = steps[todo]
+        done += todo
+    aw = np.matmul(a, w[..., None])[..., 0]
+    r = aw[:, 0]
+    residual = np.max(np.abs(aw - r[:, None] * w), axis=1)
+    return PerronStack(w, r, residual, iterations)
+
+
 def perron(
     A: ReciprocalMatrix,
     tol: float = PERRON_TOL,
     max_iter: int = PERRON_MAX_ITER,
 ) -> PerronPair:
-    """Perron eigenpair by power iteration from the all-ones vector.
-
-    Iterates v <- A v, renormalized to v[0] == 1, until successive iterates
-    differ by less than `tol` in max norm.  r is the eigenvalue estimate
-    (A w)[0] / w[0] at convergence.
-    """
-    a = A.a
-    n = A.n
-    w = np.ones(n)
-    for it in range(1, max_iter + 1):
-        v = a @ w
-        v /= v[0]
-        if np.max(np.abs(v - w)) < tol:
-            w = v
-            break
-        w = v
-    else:
-        res = float(np.max(np.abs(a @ w - (a @ w)[0] * w)))
-        raise RuntimeError(
-            f"power iteration did not converge in {max_iter} iterations "
-            f"(residual {res:.3e})"
-        )
-    r = float((a @ w)[0])
-    residual = float(np.max(np.abs(a @ w - r * w)))
-    return PerronPair(r=r, w=w, residual=residual, iterations=it)
+    """Perron eigenpair of A: the one-matrix case of `perron_stack`."""
+    return perron_stack(A.a[None], tol, max_iter)[0]
 
 
 def monomial_similarity(A: ReciprocalMatrix, Q: MonomialTransform) -> ReciprocalMatrix:
@@ -210,12 +270,19 @@ def pareto_dominates(
 
 def random_reciprocal(n: int, seed: int, log_scale: float = np.log(9.0)) -> ReciprocalMatrix:
     """Seeded random matrix: upper entries exp(U[-log_scale, log_scale])."""
+    return ReciprocalMatrix(random_reciprocal_stack(n, [seed], log_scale)[0])
+
+
+def random_reciprocal_stack(n: int, seeds, log_scale: float = np.log(9.0)) -> np.ndarray:
+    """(len(seeds), n, n) stack; row k is random_reciprocal(n, seeds[k], log_scale).a."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if log_scale < 0:
         raise ValueError("log_scale must be nonnegative")
-    rng = np.random.default_rng(seed)
-    a = np.ones((n, n))
-    iu, ju = np.triu_indices(n, k=1)
-    a[iu, ju] = np.exp(rng.uniform(-log_scale, log_scale, size=len(iu)))
-    return make_reciprocal(a, mode="symmetrize")
+    a = np.ones((len(seeds), n, n))
+    for row, seed in zip(a, seeds):
+        rng = np.random.default_rng(seed)
+        row[_upper(n)] = np.exp(rng.uniform(-log_scale, log_scale, size=n * (n - 1) // 2))
+    if not np.all(np.isfinite(a) & (a > 0)):
+        raise ValueError("log_scale too large: entries overflow")
+    return _canonicalize(a)

@@ -10,24 +10,33 @@ canonical storage gives a_ji = fl(1/a_ij); with 0 <= eps_rel < 1 and
 monotone rounding, a missing (i, j) means w_i/w_j < a_ij exactly and forces
 fl(w_j/w_i) >= a_ji, so (j, i) is present.  Hence the condensation is a
 total order, sorting the vertices by out-degree lists its blocks in that
-order, and a strong G has a Hamiltonian cycle (Camion 1959) that insertion
-builds for every n.
+order, the block ends follow from the degrees alone, and a strong G has a
+Hamiltonian cycle (Camion 1959) that insertion builds for every n.
 
-`analyze` is the one evaluation path: Perron vector (unless w is given),
-G, its SCCs and, when G is not strongly connected, an explicit better
-vector, made by scaling the source component of the condensation down by
-the tightest crossing ratio.  Its `EfficiencyReport` is what every other
-consumer reads.
+`analyze_stack` is the one evaluation path: for a (B, n, n) stack, the
+Perron vectors (unless given), the digraphs as one boolean tensor, their
+SCCs and, for each digraph that is not strongly connected, an explicit
+better vector, made by scaling the source component of the condensation
+down by the tightest crossing ratio.  Its `EfficiencyReport`s, one per
+matrix, are what every other consumer reads; `analyze` is the one-matrix
+case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
-from .core import PerronPair, ReciprocalMatrix, pareto_dominates, perron
+from .core import (
+    PerronPair,
+    ReciprocalMatrix,
+    pareto_dominates,
+    perron,
+    perron_stack,
+)
 
 DEFAULT_EPS_REL = 1e-9
 
@@ -57,7 +66,7 @@ class EfficiencyDigraph:
 
 @dataclass(frozen=True, eq=False)
 class EfficiencyReport:
-    """One evaluation of (A, w), filled by `analyze` only.
+    """One evaluation of (A, w), filled by `analyze_stack` only.
 
     `perron` is the Perron pair when w was computed, else None;
     `certificate` is a vector dominating w, or None when w is efficient.
@@ -87,41 +96,61 @@ class EfficiencyReport:
         return tuple(ham) if ham else None
 
 
-def build_digraph(
-    A: ReciprocalMatrix, w, eps_rel: float = DEFAULT_EPS_REL
-) -> EfficiencyDigraph:
-    """Edge (i,j) iff w_i / w_j >= a_ij * (1 - eps_rel), i != j."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (A.n,):
+def _adjacency(a: np.ndarray, w: np.ndarray, eps_rel: float) -> np.ndarray:
+    """(B, n, n) edge tensor of a (B, n, n) matrix stack and (B, n) vectors."""
+    if w.shape != a.shape[:2]:
         raise ValueError("vector length mismatch")
     if not np.all(np.isfinite(w) & (w > 0)):
         raise ValueError("vector entries must be positive and finite")
     if not 0.0 <= eps_rel < 1.0:
         raise ValueError("eps_rel must be nonnegative and below 1")
-    adj = w[:, None] / w[None, :] >= A.a * (1.0 - eps_rel)
-    np.fill_diagonal(adj, False)
-    return EfficiencyDigraph(adj=adj, eps_rel=float(eps_rel))
+    adj = w[:, :, None] / w[:, None, :] >= a * (1.0 - eps_rel)
+    n = a.shape[-1]
+    adj.reshape(len(adj), n * n)[:, :: n + 1] = False
+    return adj
+
+
+def build_digraph(
+    A: ReciprocalMatrix, w, eps_rel: float = DEFAULT_EPS_REL
+) -> EfficiencyDigraph:
+    """Edge (i,j) iff w_i / w_j >= a_ij * (1 - eps_rel), i != j."""
+    w = np.asarray(w, dtype=float)
+    return EfficiencyDigraph(_adjacency(A.a[None], w[None], eps_rel)[0], float(eps_rel))
+
+
+def _scc_labels(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """SCC labels (B, n) and counts (B,) of a (B, n, n) semicomplete stack.
+
+    Labels follow the condensation order: every edge goes from a component
+    with a smaller-or-equal label to one with a larger-or-equal label.  A
+    vertex of an earlier component beats every vertex of a later one, so
+    it has the larger out-degree, and sorted by descending out-degree the
+    components are contiguous.  The first r sorted vertices end a block
+    iff no edge leads back into them, that is iff all r(n - r) crossing
+    pairs are edges out only: iff their out- minus in-degrees sum to
+    r(n - r).
+    """
+    B, n = adj.shape[:2]
+    out = adj.sum(axis=2)
+    order = np.argsort(-out, axis=1, kind="stable")
+    flat = (order + n * np.arange(B)[:, None]).ravel()  # into the (B*n,) ravel
+    net = (out - adj.sum(axis=1)).ravel()[flat].reshape(B, n)
+    r = np.arange(1, n)
+    block = np.zeros((B, n), dtype=int)
+    np.cumsum(np.cumsum(net, axis=1)[:, :-1] == r * (n - r), axis=1, out=block[:, 1:])
+    labels = np.empty(B * n, dtype=int)
+    labels[flat] = block.ravel()
+    return labels.reshape(B, n), block[:, -1] + 1
 
 
 def strongly_connected(G: EfficiencyDigraph) -> tuple[bool, int, list[int]]:
     """SCC decomposition: (single component?, count, per-vertex labels).
 
-    Labels follow the condensation order: every edge goes from a component
-    with a smaller-or-equal label to one with a larger-or-equal label.  Sorted
-    by descending out-degree, the components of a semicomplete digraph are
-    contiguous in that order; a block ends wherever no edge leads back.
+    The labels follow the condensation order (see `_scc_labels`).
     """
-    n = G.n
-    order = np.argsort(-G.adj.sum(axis=1), kind="stable")
-    ranked = G.adj[np.ix_(order, order)]
-    # first[r]: earliest sorted position that sorted vertex r has an edge to
-    first = np.where(ranked.any(axis=1), ranked.argmax(axis=1), n)
-    reach = np.minimum.accumulate(first[::-1])[::-1]
-    block = np.concatenate(([0], np.cumsum(reach[1:] >= np.arange(1, n))))
-    labels = np.empty(n, dtype=int)
-    labels[order] = block
-    k = int(block[-1]) + 1
-    return k == 1, k, labels.tolist()
+    labels, counts = _scc_labels(G.adj[None])
+    k = int(counts[0])
+    return k == 1, k, labels[0].tolist()
 
 
 def components_in_topo_order(G: EfficiencyDigraph) -> list[list[int]]:
@@ -143,21 +172,26 @@ def sinks(G: EfficiencyDigraph) -> tuple[int, ...]:
     return tuple((np.flatnonzero(~G.adj.any(axis=1)) + 1).tolist())
 
 
+def has_no_source(G: EfficiencyDigraph) -> bool:
+    """The structural no-source property of a Perron digraph.
+
+    G has no source, and the sharper witness form holds: whenever a vertex
+    i misses some incoming edge, there is a j with (j,i) present and (i,j)
+    absent.
+    """
+    adj = G.adj
+    missing_in = (~adj.T & ~np.eye(G.n, dtype=bool)).any(axis=1)
+    witness = (adj.T & ~adj).any(axis=1)
+    return bool(adj.any(axis=0).all() and np.all(witness | ~missing_in))
+
+
 def no_source_theorem_check(
     A: ReciprocalMatrix, eps_rel: float = DEFAULT_EPS_REL
 ) -> bool:
-    """Structural no-source property of Perron digraphs.
-
-    Checks that G has no source, and the sharper witness form: whenever a
-    vertex i misses some incoming edge, there is a j with (j,i) present and
-    (i,j) absent.
-    """
+    """`has_no_source` for the Perron digraph of A, n >= 3."""
     if A.n < 3:
         raise ValueError("requires order >= 3")
-    adj = build_digraph(A, perron(A).w, eps_rel).adj
-    missing_in = (~adj.T & ~np.eye(A.n, dtype=bool)).any(axis=1)
-    witness = (adj.T & ~adj).any(axis=1)
-    return bool(adj.any(axis=0).all() and np.all(witness | ~missing_in))
+    return has_no_source(build_digraph(A, perron(A).w, eps_rel))
 
 
 def _edge_between(adj: np.ndarray, src: np.ndarray, dst: np.ndarray):
@@ -228,20 +262,41 @@ def dominating_vector(
     return analyze(A, w, eps_rel).certificate
 
 
+def analyze_stack(
+    As: np.ndarray,
+    ws: np.ndarray | None = None,
+    eps_rel: float = DEFAULT_EPS_REL,
+) -> Iterator[EfficiencyReport]:
+    """Efficiency reports for a (B, n, n) stack of canonical reciprocal matrices.
+
+    `ws` is a (B, n) stack of vectors, or None for the Perron vectors.  The
+    Perron solves, the digraphs and their SCCs run along the whole stack;
+    the reports come one at a time, in stack order, and a certificate is
+    built only for an inefficient row, when its report is made.
+    """
+    As = np.asarray(As, dtype=float)
+    pps = None
+    if ws is None:
+        pps = perron_stack(As)
+        ws = pps.w
+    ws = np.asarray(ws, dtype=float)
+    adj = _adjacency(As, ws, eps_rel)
+    labels, counts = _scc_labels(adj)
+    eps_rel = float(eps_rel)
+    for i, (a, w, k) in enumerate(zip(As, ws, counts.tolist())):
+        A = ReciprocalMatrix(a)
+        cert = None if k == 1 else _scale_source(A, w, labels[i])
+        if cert is not None and not pareto_dominates(A, w, cert):
+            raise AssertionError("certificate failed the dominance definition")
+        yield EfficiencyReport(A, w, None if pps is None else pps[i],
+                               EfficiencyDigraph(adj[i], eps_rel), k == 1, k, cert)
+
+
 def analyze(
     A: ReciprocalMatrix,
     w=None,
     eps_rel: float = DEFAULT_EPS_REL,
 ) -> EfficiencyReport:
     """Full efficiency report for (A, w); w defaults to the Perron vector."""
-    pp: PerronPair | None = None
-    if w is None:
-        pp = perron(A)
-        w = pp.w
-    w = np.asarray(w, dtype=float)
-    G = build_digraph(A, w, eps_rel)
-    efficient, scc_count, labels = strongly_connected(G)
-    cert = None if efficient else _scale_source(A, w, labels)
-    if cert is not None and not pareto_dominates(A, w, cert):
-        raise AssertionError("certificate failed the dominance definition")
-    return EfficiencyReport(A, w, pp, G, efficient, scc_count, cert)
+    ws = None if w is None else np.asarray(w, dtype=float)[None]
+    return next(analyze_stack(A.a[None], ws, eps_rel))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ReciprocalMatrix, make_reciprocal, perron
-from .digraph import DEFAULT_EPS_REL, analyze, no_source_theorem_check
+from .digraph import DEFAULT_EPS_REL, analyze, analyze_stack, has_no_source
 
 ROOT_ATOL = 1e-13
 ROW_SUM_RTOL = 1e-10
@@ -96,14 +96,19 @@ def _solve_target_sum(r: np.ndarray) -> float:
     return 0.5 * (lo + hi)
 
 
+def _append_columns(A: ReciprocalMatrix, cols: np.ndarray) -> np.ndarray:
+    """(B, n+1, n+1) stack of extensions of A by the rows of cols, canonical as A is."""
+    n = A.n
+    b = np.ones((len(cols), n + 1, n + 1))
+    b[:, :n, :n] = A.a
+    b[:, :n, n] = cols
+    b[:, n, :n] = 1.0 / cols
+    return b
+
+
 def _append_column(A: ReciprocalMatrix, col: np.ndarray) -> ReciprocalMatrix:
     """Extension with appended column col; leading block is A verbatim."""
-    n = A.n
-    b = np.ones((n + 1, n + 1))
-    b[:n, :n] = A.a
-    b[:n, n] = col
-    b[n, :n] = 1.0 / col
-    return make_reciprocal(b, mode="validate")
+    return make_reciprocal(_append_columns(A, col[None])[0], mode="validate")
 
 
 def constant_row_sum_extension(A: ReciprocalMatrix) -> ExtensionResult:
@@ -161,21 +166,18 @@ def extension_source_scan(
 ) -> SourceScanReport:
     """Random extensions of A never yield a source under the Perron vector.
 
-    Appends log-uniform columns in [1/9, 9], computes each Perron vector,
-    and checks both the absence of sources and the incoming-edge witness
-    condition.  Failures (expected none) are reported by sample index.
+    Appends log-uniform columns in [1/9, 9], evaluates the extensions as
+    one stack, and checks both the absence of sources and the
+    incoming-edge witness condition (`has_no_source`).  Failures (expected
+    none) are reported by sample index.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
     span = np.log(APPENDED_SPAN)
-    failures = []
-    for k in range(samples):
-        col = np.exp(rng.uniform(-span, span, size=A.n))
-        B = _append_column(A, col)
-        if not no_source_theorem_check(B, eps_rel):
-            failures.append(k)
-    return SourceScanReport(samples=samples, seed=seed, failures=tuple(failures))
+    cols = np.exp(np.random.default_rng(seed).uniform(-span, span, size=(samples, A.n)))
+    reports = analyze_stack(_append_columns(A, cols), eps_rel=eps_rel)
+    failures = tuple(k for k, rep in enumerate(reports) if not has_no_source(rep.digraph))
+    return SourceScanReport(samples=samples, seed=seed, failures=failures)
 
 
 def _dense_ranks(w: np.ndarray, tie_tol: float) -> tuple[int, ...]:
@@ -200,14 +202,15 @@ def order_preservation_check(
     Returns (preserved, ranks of Perron(A).w, ranks of Perron(B).w[:n]),
     ranks dense and descending with tolerance-aware ties.
     """
-    return _ranks_kept(A, B, perron(B).w, tie_tol)
+    return _ranks_kept(A, B, perron(A).w, perron(B).w, tie_tol)
 
 
-def _ranks_kept(A: ReciprocalMatrix, B: ReciprocalMatrix, wB: np.ndarray, tie_tol: float):
-    """`order_preservation_check` given the Perron vector wB of B."""
+def _ranks_kept(A: ReciprocalMatrix, B: ReciprocalMatrix, wA: np.ndarray,
+                wB: np.ndarray, tie_tol: float = RANK_TIE_TOL):
+    """`order_preservation_check` given the Perron vectors wA of A and wB of B."""
     if not is_extension(B, A):
         raise ValueError("B is not an extension of A")
-    ra = _dense_ranks(perron(A).w, tie_tol)
+    ra = _dense_ranks(wA, tie_tol)
     rb = _dense_ranks(wB[: A.n], tie_tol)
     return ra == rb, ra, rb
 
@@ -220,7 +223,7 @@ def extension_report(
 ) -> dict:
     """JSON-ready summary of one extension of A."""
     rep = analyze(ext, eps_rel=eps_rel)
-    preserved, _, _ = _ranks_kept(A, ext, rep.w, RANK_TIE_TOL)
+    preserved, _, _ = _ranks_kept(A, ext, perron(A).w, rep.w)
     return {
         "base_order": A.n,
         "target_sum": target_sum,

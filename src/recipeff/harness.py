@@ -31,19 +31,21 @@ from .core import (
     pareto_dominates,
     perron,
     random_reciprocal,
+    random_reciprocal_stack,
 )
 from .digraph import (
     DEFAULT_EPS_REL,
     EfficiencyReport,
     analyze,
-    no_source_theorem_check,
+    analyze_stack,
+    has_no_source,
 )
 from .extensions import (
+    _ranks_kept,
     conjugated_extension,
     constant_row_sum_extension,
     extension_source_scan,
     is_extension,
-    order_preservation_check,
     row_sums,
     well_behaved_type_I,
 )
@@ -51,6 +53,7 @@ from .zfamily import (
     ZParams,
     ZPoint,
     evaluate_z,
+    evaluate_z_stack,
     forbidden_reverse_edges,
     guarantee_a1,
     guarantee_n4,
@@ -157,7 +160,7 @@ def example_walkthrough(eps_rel: float = DEFAULT_EPS_REL) -> list[WalkthroughSte
     step("example1.conjugated_efficient",
          rep_A.efficient, "computed on the order-6 digraph")
 
-    preserved, ra, rb = order_preservation_check(B, A)
+    preserved, ra, rb = _ranks_kept(B, A, w, rep_A.w)
     step("example1.ranking_changes",
          not preserved and ra == (1, 4, 5, 2, 3) and rb == (3, 3, 3, 2, 1),
          f"base ranks {ra}, extension-prefix ranks {rb}")
@@ -236,10 +239,8 @@ def grid_sweep(
     axes = tuple(float(v) for v in axis_values)
     if not axes or any(not v > 0 for v in axes):
         raise ValueError("axis values must be positive")
-    records = [
-        sweep_point(ZParams(n, x, y, z, a), eps_rel)
-        for x, y, z, a in itertools.product(axes, repeat=4)
-    ]
+    grid = [ZParams(n, *xyza) for xyza in itertools.product(axes, repeat=4)]
+    records = [_sweep_record(pt) for pt in evaluate_z_stack(grid, eps_rel)]
     if out is not None:
         lines = [SWEEP_CSV_HEADER] + [sweep_csv_row(r) for r in records]
         Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -314,9 +315,10 @@ def _certificate_fails(rep: EfficiencyReport) -> bool:
 def _grid_checks(eps_rel: float, certs: _Count) -> dict:
     """One pass over the Z-family grids; the grid checks' runs by id, in order.
 
-    Each point is evaluated once, read by every check and dropped.  The
-    n = 5 and 6 grids feed the sweep checks and the inefficient points'
-    certificates (`certs`); the n = 5, 6 and 7 grids feed `_GRID_AUDITS`.
+    Each grid is evaluated as one stack; each point is read by every check
+    and dropped.  The n = 5 and 6 grids feed the sweep checks and the
+    inefficient points' certificates (`certs`); the n = 5, 6 and 7 grids
+    feed `_GRID_AUDITS`.
     """
     runs: dict = {}
     labeled = {(n, eff): 0 for n in (5, 6) for eff in (True, False)}
@@ -335,9 +337,9 @@ def _grid_checks(eps_rel: float, certs: _Count) -> dict:
     for cid, _ in _GRID_AUDITS:
         runs[cid] = _Count("{bad} violations")
     for n in (5, 6, 7):
-        for xyza in itertools.product(DEFAULT_AXES, repeat=4):
-            pt = evaluate_z(ZParams(n, *xyza), eps_rel)
-            where = f"ZParams{(n, *xyza)}"
+        grid = [ZParams(n, *xyza) for xyza in itertools.product(DEFAULT_AXES, repeat=4)]
+        for pt in evaluate_z_stack(grid, eps_rel):
+            where = f"ZParams{(n, *pt.p.xyza)}"
             for cid, violations in _GRID_AUDITS:
                 runs[cid].add(where, violations(pt))
             if n == 7:
@@ -353,11 +355,20 @@ def _grid_checks(eps_rel: float, certs: _Count) -> dict:
     return runs
 
 
-def _seeded(count: int, orders: int, seed: int, is_bad):
-    """(replay call, bad) for random_reciprocal(3 + k % orders, seed + k), k < count."""
+def _seeded(count: int, orders: int, seed: int, eps_rel: float, is_bad):
+    """(replay call, bad) for random_reciprocal(3 + k % orders, seed + k), k < count.
+
+    `is_bad` reads the matrix's Perron `analyze` report.  The matrices of
+    each order are evaluated as one stack; the pairs come in k order.
+    """
+    bad = [False] * count
+    for n in range(3, 3 + orders):
+        ks = range(n - 3, count, orders)
+        stack = random_reciprocal_stack(n, [seed + k for k in ks])
+        for k, rep in zip(ks, analyze_stack(stack, eps_rel=eps_rel)):
+            bad[k] = is_bad(rep)
     for k in range(count):
-        n, s = 3 + k % orders, seed + k
-        yield f"random_reciprocal({n}, seed={s})", is_bad(random_reciprocal(n, seed=s))
+        yield f"random_reciprocal({3 + k % orders}, seed={seed + k})", bad[k]
 
 
 def _random_extensions(eps_rel: float):
@@ -370,8 +381,7 @@ def _random_extensions(eps_rel: float):
                    k in scan.failures)
 
 
-def _hamiltonian_disagrees(A: ReciprocalMatrix, eps_rel: float) -> bool:
-    rep = analyze(A, eps_rel=eps_rel)
+def _hamiltonian_disagrees(rep: EfficiencyReport) -> bool:
     return rep.efficient != (rep.hamiltonian is not None)
 
 
@@ -397,13 +407,13 @@ def verify_paper_suite(eps_rel: float = DEFAULT_EPS_REL) -> VerificationSummary:
             f"edges {sorted(G3.edges)}, sources {rep3.sources}")),
         ("no_source.random_matrices", _Count(
             "{bad} of {total} random matrices violated",
-            _seeded(1000, 6, 1000, lambda A: not no_source_theorem_check(A, eps_rel)))),
+            _seeded(1000, 6, 1000, eps_rel, lambda rep: not has_no_source(rep.digraph)))),
         ("no_source.random_extensions", _Count(
             "{bad} of {total} random extensions violated", _random_extensions(eps_rel))),
         *_grid_checks(eps_rel, certificates).items(),
         ("hamiltonian.equivalence", _Count(
             "{bad} of {total} random digraphs disagree",
-            _seeded(200, 5, 4000, lambda A: _hamiltonian_disagrees(A, eps_rel)))),
+            _seeded(200, 5, 4000, eps_rel, _hamiltonian_disagrees))),
         ("n4.forms_agree", _Count(
             "{bad} of {total} triples disagree",
             ((f"(x, y, z) = {tuple(t)}", guarantee_n4(*t, "six_cases")

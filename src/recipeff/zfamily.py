@@ -23,12 +23,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import ReciprocalMatrix, make_reciprocal
-from .digraph import DEFAULT_EPS_REL, EfficiencyDigraph, EfficiencyReport, analyze
+from .core import ReciprocalMatrix
+from .digraph import (
+    DEFAULT_EPS_REL,
+    EfficiencyDigraph,
+    EfficiencyReport,
+    analyze_stack,
+)
 
 
 @dataclass(frozen=True)
@@ -63,14 +68,19 @@ class RegionVerdict:
             raise ValueError("verdict and exception label must agree")
 
 
+def _z_stack(ps: Sequence[ZParams]) -> np.ndarray:
+    """(len(ps), n, n) stack of the canonical Z_n matrices of points of one order n."""
+    n = ps[0].n
+    out = np.ones((len(ps), n, n))
+    for (i, j), v in zip(((0, n - 1), (0, n - 2), (1, n - 1), (1, n - 2)),
+                         np.array([p.xyza for p in ps], dtype=float).T):
+        out[:, i, j] = v
+        out[:, j, i] = 1.0 / v
+    return out
+
+
 def z_matrix(p: ZParams) -> ReciprocalMatrix:
-    n = p.n
-    a = np.ones((n, n))
-    a[0, n - 2] = p.y
-    a[0, n - 1] = p.x
-    a[1, n - 2] = p.a
-    a[1, n - 1] = p.z
-    return make_reciprocal(a, mode="symmetrize")
+    return ReciprocalMatrix(_z_stack([p])[0])
 
 
 # The three nontrivial monomial symmetries of the family, as parameter maps:
@@ -189,7 +199,7 @@ class IdentityResiduals:
 class ZPoint:
     """One evaluated parameter point; every check on the point reads it.
 
-    Built by `evaluate_z` only.  `report` is the `analyze` record of the
+    Built by `evaluate_z_stack` only.  `report` is the `analyze` record of the
     Perron vector of Z_n(x,y,z,a).  `quotient_sinks` are the sinks of the
     middle-class quotient digraph (see `middle_quotient_sinks`); a sink
     vertex of 3 stands for the whole middle class.
@@ -275,12 +285,26 @@ class ZPoint:
         return out
 
 
+def evaluate_z_stack(
+    ps: Sequence[ZParams], eps_rel: float = DEFAULT_EPS_REL
+) -> Iterator[ZPoint]:
+    """`evaluate_z` for points of one order n >= 5, evaluated as one stack.
+
+    The points come one at a time, in order, so a caller that drops each
+    one holds a single record.
+    """
+    n = ps[0].n
+    if n < 5:
+        raise ValueError("requires n >= 5")
+    if any(p.n != n for p in ps):
+        raise ValueError("points must share one order")
+    for p, rep in zip(ps, analyze_stack(_z_stack(ps), eps_rel=eps_rel)):
+        yield ZPoint(p, rep, middle_quotient_sinks(rep.digraph, n))
+
+
 def evaluate_z(p: ZParams, eps_rel: float = DEFAULT_EPS_REL) -> ZPoint:
     """Evaluate Z_n(x,y,z,a), n >= 5: its `analyze` report and quotient sinks."""
-    if p.n < 5:
-        raise ValueError("requires n >= 5")
-    rep = analyze(z_matrix(p), eps_rel=eps_rel)
-    return ZPoint(p, rep, middle_quotient_sinks(rep.digraph, p.n))
+    return next(evaluate_z_stack([p], eps_rel))
 
 
 def eigen_identity_residuals(p: ZParams) -> IdentityResiduals:

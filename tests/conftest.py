@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from recipeff.core import perron
+from recipeff.core import perron_stack
 from recipeff.harness import (
     EXAMPLE_DIAG,
     EXAMPLE_EXTENSION_PERRON,
@@ -40,14 +40,15 @@ def extension_perron_reference():
 
 @pytest.fixture
 def perron_calls(monkeypatch):
-    """Orders of the Perron solves made through any recipeff module."""
+    """Orders of the Perron solves made through any recipeff module, one
+    entry per row of each stack that passes through `perron_stack`."""
     calls = []
 
-    def counted(A, *args, **kwargs):
-        calls.append(A.n)
-        return perron(A, *args, **kwargs)
+    def counted(a, *args, **kwargs):
+        calls.extend([a.shape[-1]] * len(a))
+        return perron_stack(a, *args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("recipeff") and getattr(mod, "perron", None) is perron:
-            monkeypatch.setattr(mod, "perron", counted)
+        if name.startswith("recipeff") and getattr(mod, "perron_stack", None) is perron_stack:
+            monkeypatch.setattr(mod, "perron_stack", counted)
     return calls

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import recipeff.core as core
 from recipeff.core import (
+    PERRON_STOP_EVERY,
     MonomialTransform,
     ReciprocalMatrix,
     consistent_from_vector,
@@ -12,7 +14,9 @@ from recipeff.core import (
     monomial_similarity,
     pareto_dominates,
     perron,
+    perron_stack,
     random_reciprocal,
+    random_reciprocal_stack,
 )
 
 positive_entry = st.floats(min_value=1.0 / 9.0, max_value=9.0)
@@ -179,3 +183,118 @@ def test_consistent_iff_rank_one_form(vs):
     A = consistent_from_vector(np.array(vs))
     assert is_consistent(A)
     assert abs(perron(A).r - len(vs)) <= 1e-9 * len(vs)
+
+
+# --- stacked power iteration -------------------------------------------------
+
+
+def perron_loop_reference(a, tol=1e-14, max_iter=100_000):
+    """The one-matrix power iteration with a stop test after every step."""
+    w = np.ones(a.shape[0])
+    for it in range(1, max_iter + 1):
+        v = a @ w
+        v /= v[0]
+        if np.max(np.abs(v - w)) < tol:
+            w = v
+            break
+        w = v
+    else:
+        raise RuntimeError("did not converge")
+    r = float((a @ w)[0])
+    return w, r, float(np.max(np.abs(a @ w - r * w))), it
+
+
+def same_pair(pp, ref) -> bool:
+    w, r, residual, it = ref
+    return (pp.w.tobytes() == w.tobytes() and pp.r == r
+            and pp.residual == residual and pp.iterations == it)
+
+
+CAP = 3000  # rows slower than this are left to the cap tests
+
+
+def mixed_rows(n, count, seed):
+    """Matrices of order n: consistent ones (two steps), random ones with
+    spreads log-uniform up to 1e3 (fast to slow), all below CAP steps."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        k = len(out)
+        if k % 4 == 3:
+            A = consistent_from_vector(np.exp(rng.uniform(-3.0, 3.0, size=n)))
+        else:
+            spread = np.exp(rng.uniform(0.0, np.log(1e3)))
+            A = random_reciprocal(n, seed=seed + k, log_scale=np.log(spread))
+        try:
+            ref = perron_loop_reference(A.a, max_iter=CAP)
+        except RuntimeError:
+            seed += 1000
+            continue
+        out.append((A, ref))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=2, max_value=12), st.sampled_from([1, 2, 37]),
+       st.integers(min_value=0, max_value=10**6))
+def test_perron_stack_rows_equal_one_matrix_solves(n, B, seed):
+    rows = mixed_rows(n, B, seed)
+    stack = perron_stack(np.array([A.a for A, _ in rows]))
+    its = [ref[3] for _, ref in rows]
+    for i, (A, ref) in enumerate(rows):
+        assert same_pair(stack[i], ref), (i, its)
+        assert same_pair(perron(A), ref), (i, its)
+
+
+def test_perron_stack_mixes_fast_and_slow_rows():
+    rows = mixed_rows(9, 37, seed=11)
+    its = sorted(ref[3] for _, ref in rows)
+    assert its[0] <= 3 and its[-1] >= 10 * PERRON_STOP_EVERY
+    stack = perron_stack(np.array([A.a for A, _ in rows]))
+    assert all(same_pair(stack[i], ref) for i, (_, ref) in enumerate(rows))
+
+
+def test_perron_cap_is_exact_at_every_step_count():
+    seen = set()
+    for A, ref in mixed_rows(5, 40, seed=3):
+        it = ref[3]
+        seen.add(it % PERRON_STOP_EVERY)
+        assert same_pair(perron(A, max_iter=it), ref)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            perron(A, max_iter=it - 1)
+    # the boundary fell on and off the stop-test steps
+    assert {0, 1} < seen and len(seen) >= 5
+
+
+def test_perron_stack_names_the_row_that_does_not_converge():
+    slow = random_reciprocal(8, seed=20, log_scale=np.log(100.0))
+    fast = [random_reciprocal(8, seed=s) for s in (1, 2, 3)]
+    cap = max(perron(A).iterations for A in fast)
+    stack = np.array([fast[0].a, fast[1].a, slow.a, fast[2].a])
+    with pytest.raises(RuntimeError, match=r"did not converge in \d+ iterations at row 2 "):
+        perron_stack(stack, max_iter=cap)
+    with pytest.raises(RuntimeError, match="at row 0 "):
+        perron_stack(slow.a[None], max_iter=cap)
+
+
+def test_upper_indices_are_cached_and_read_only():
+    iu, ju = core._upper(6)
+    assert core._upper(6)[0] is iu
+    assert not iu.flags.writeable and not ju.flags.writeable
+    ref = np.triu_indices(6, k=1)
+    assert np.array_equal(iu, ref[0]) and np.array_equal(ju, ref[1])
+    with pytest.raises(ValueError):
+        iu[0] = 1
+
+
+def test_random_reciprocal_stack_rows_are_the_matrices():
+    for n in (2, 3, 8):
+        seeds = [5, 17, 1000 + n]
+        stack = random_reciprocal_stack(n, seeds)
+        assert stack.shape == (3, n, n)
+        for row, s in zip(stack, seeds):
+            assert row.tobytes() == random_reciprocal(n, seed=s).a.tobytes()
+    with pytest.raises(ValueError, match="at least 2"):
+        random_reciprocal_stack(1, [0])
+    with pytest.raises(ValueError, match="overflow"), np.errstate(over="ignore"):
+        random_reciprocal_stack(3, [0], log_scale=1e4)

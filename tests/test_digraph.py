@@ -15,6 +15,7 @@ from recipeff.core import (
 import recipeff.digraph as dg
 from recipeff.digraph import (
     analyze,
+    analyze_stack,
     build_digraph,
     components_in_topo_order,
     dominating_vector,
@@ -342,3 +343,62 @@ def test_analyze_builds_views_only_when_read(monkeypatch):
     assert calls == [] and not {"sources", "sinks", "hamiltonian"} & set(vars(rep))
     cycle = rep.hamiltonian
     assert cycle is not None and rep.hamiltonian is cycle and calls == [7]
+
+
+def same_report(rep, one) -> bool:
+    cert_same = (rep.certificate is None and one.certificate is None) or (
+        rep.certificate is not None and one.certificate is not None
+        and rep.certificate.tobytes() == one.certificate.tobytes())
+    perron_same = (rep.perron is None and one.perron is None) or (
+        (rep.perron.r, rep.perron.residual, rep.perron.iterations)
+        == (one.perron.r, one.perron.residual, one.perron.iterations))
+    return (rep.w.tobytes() == one.w.tobytes() and rep.A.a.tobytes() == one.A.a.tobytes()
+            and np.array_equal(rep.digraph.adj, one.digraph.adj)
+            and rep.digraph.eps_rel == one.digraph.eps_rel
+            and rep.scc_count == one.scc_count and rep.efficient == one.efficient
+            and cert_same and perron_same)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.sampled_from([1, 2, 37]),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(["perron", "random"]),
+    st.sampled_from([0.0, 1e-9]),
+)
+def test_analyze_stack_reports_equal_one_matrix_reports(n, B, seed, kind, eps_rel):
+    rng = np.random.default_rng(seed)
+    mats = [random_reciprocal(n, seed=seed + k) for k in range(B)]
+    As = np.array([A.a for A in mats])
+    ws = None if kind == "perron" else np.exp(rng.uniform(-1.0, 1.0, size=(B, n)))
+    adj = dg._adjacency(As, dg.perron_stack(As).w if ws is None else ws, eps_rel)
+    labels, counts = dg._scc_labels(adj)
+    # a row whose certificate raises (exact ties at eps_rel = 0, as for every
+    # order-2 matrix) raises the same error in the stack, which ends there
+    start = 0
+    while start < B:
+        reports = analyze_stack(As[start:], None if ws is None else ws[start:], eps_rel)
+        for i in range(start, B):
+            try:
+                one = analyze(mats[i], None if ws is None else ws[i], eps_rel)
+            except AssertionError as exc:
+                with pytest.raises(AssertionError, match=str(exc)):
+                    next(reports)
+                break
+            assert same_report(next(reports), one), i
+            assert labels[i].tolist() == strongly_connected(one.digraph)[2]
+            assert counts[i] == one.scc_count and np.array_equal(adj[i], one.digraph.adj)
+        start = i + 1
+
+
+def test_analyze_stack_rejects_bad_vectors_and_yields_lazily():
+    As = np.array([random_reciprocal(4, seed=s).a for s in (1, 2)])
+    with pytest.raises(ValueError, match="length"):
+        next(analyze_stack(As, np.ones((2, 3))))
+    with pytest.raises(ValueError, match="positive and finite"):
+        next(analyze_stack(As, np.array([np.ones(4), [1.0, 0.0, 1.0, 1.0]])))
+    reports = analyze_stack(As, np.ones((2, 4)))
+    assert next(reports).A.a.tobytes() == As[0].tobytes()
+    assert next(reports).A.a.tobytes() == As[1].tobytes()
+    assert next(reports, None) is None

@@ -9,6 +9,7 @@ from recipeff.core import (
     perron,
     random_reciprocal,
 )
+from recipeff import extensions
 from recipeff.digraph import analyze
 from recipeff.extensions import (
     ExtensionResult,
@@ -166,6 +167,28 @@ def test_extension_source_scan_clean():
     rep = extension_source_scan(z_matrix(ZParams(5, 0.25, 2.0, 2.0, 0.5)),
                                 samples=200, seed=2)
     assert rep.ok
+
+
+def test_extension_source_scan_stacks_the_sequential_samples(monkeypatch):
+    """The scan's stack holds, bit for bit, the extensions that drawing one
+    column at a time gives, and flags the samples the one-matrix check does."""
+    stacks, real = [], extensions.analyze_stack
+    monkeypatch.setattr(extensions, "analyze_stack",
+                        lambda As, **kw: stacks.append(As) or real(As, **kw))
+    # a check that fails exactly when the appended vertex has out-degree 2
+    monkeypatch.setattr(extensions, "has_no_source", lambda G: G.adj[-1].sum() != 2)
+    for n, seed in ((3, 3000), (6, 3005), (8, 3019)):
+        A = random_reciprocal(n, seed=seed - 1000)
+        rep = extension_source_scan(A, 50, seed=seed)
+        rng, span = np.random.default_rng(seed), np.log(extensions.APPENDED_SPAN)
+        flagged = []
+        for k, row in enumerate(stacks.pop()):
+            B = extensions._append_column(A, np.exp(rng.uniform(-span, span, size=n)))
+            assert row.tobytes() == B.a.tobytes()
+            if analyze(B).digraph.adj[-1].sum() == 2:
+                flagged.append(k)
+        assert rep.failures == tuple(flagged)
+        assert 0 < len(flagged) < 50
 
 
 def test_extension_source_scan_validates_samples():

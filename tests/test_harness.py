@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from recipeff import cli, digraph, harness, zfamily
-from recipeff.core import make_reciprocal, perron, random_reciprocal
+from recipeff.core import make_reciprocal, perron_stack, random_reciprocal
 from recipeff.digraph import analyze
 from recipeff.harness import (
     SWEEP_CSV_HEADER,
@@ -125,6 +125,31 @@ def test_walkthrough_known_discrepancy_only(walkthrough):
     assert failing == ["example1.bprime_perron_inefficient"]
 
 
+WALKTHROUGH_STEPS = [
+    ("example1.base_perron_matches", True, "max component deviation 2.56e-04 (tol 5e-4)"),
+    ("example1.conjugate_matches", True, "max entry deviation 1.00e-04 (tol 1e-3)"),
+    ("example1.bprime_perron_inefficient", False,
+     "reference verdict inefficient; computed efficient=True"),
+    ("example1.ones_vector_efficient", True, "computed efficient=True"),
+    ("example1.well_behaved", True, "first/last row-sum gap 5.79 (reference 5.79)"),
+    ("example1.extension_unit_perron", True,
+     "row-sum residual 1.03e-12, all-ones efficient=True"),
+    ("example1.conjugated_restores_base", True, "leading block comparison is exact"),
+    ("example1.conjugated_perron_matches", True,
+     "max component deviation 1.54e-13 (tol 1e-9)"),
+    ("example1.conjugated_efficient", True, "computed on the order-6 digraph"),
+    ("example1.ranking_changes", True,
+     "base ranks (1, 4, 5, 2, 3), extension-prefix ranks (3, 3, 3, 2, 1)"),
+]
+
+
+def test_walkthrough_solves_each_matrix_once(perron_calls):
+    steps = example_walkthrough()
+    assert [(s.check_id, s.passed, s.detail) for s in steps] == WALKTHROUGH_STEPS
+    # the base B, the conjugate B' and the order-6 extension, once each
+    assert sorted(perron_calls) == [5, 5, 6]
+
+
 def test_sweep_point_trivial():
     rec = sweep_point(ZParams(5, 1.0, 1.0, 1.0, 1.0))
     assert rec.efficient and rec.guaranteed and not rec.sink_present
@@ -175,32 +200,40 @@ def test_grid_sweep_validation():
 
 @pytest.fixture(scope="module")
 def counted_suite():
-    """One suite run; the orders of the Perron solves and of the digraphs
-    built while evaluating grid points, and the most evaluated grid points
-    alive at once."""
+    """One suite run; the orders of the rows that pass through `perron_stack`
+    and `analyze_stack` while grid points are evaluated, and the most
+    evaluated grid points alive at once."""
     solves, builds, live, peak, inside = [], [], weakref.WeakSet(), [0], [False]
 
-    def counted(calls, fn):
-        def wrapper(A, *args, **kwargs):
-            if inside[0]:
-                calls.append(A.n)
-            return fn(A, *args, **kwargs)
-        return wrapper
+    def counted_solves(a, *args, **kwargs):
+        if inside[0]:
+            solves.extend([a.shape[-1]] * len(a))
+        return perron_stack(a, *args, **kwargs)
 
-    def tracked(p, eps_rel):
-        inside[0] = True
-        try:
-            pt = zfamily.evaluate_z(p, eps_rel)
-        finally:
-            inside[0] = False
-        live.add(pt)
-        peak[0] = max(peak[0], len(live))
-        return pt
+    def counted_reports(As, *args, **kwargs):
+        for rep in digraph.analyze_stack(As, *args, **kwargs):
+            if inside[0]:
+                builds.append(rep.digraph.n)
+            yield rep
+
+    def tracked(ps, eps_rel):
+        points = zfamily.evaluate_z_stack(ps, eps_rel)
+        while True:
+            inside[0] = True
+            try:
+                pt = next(points)
+            except StopIteration:
+                return
+            finally:
+                inside[0] = False
+            live.add(pt)
+            peak[0] = max(peak[0], len(live))
+            yield pt
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(digraph, "perron", counted(solves, perron))
-        mp.setattr(digraph, "build_digraph", counted(builds, digraph.build_digraph))
-        mp.setattr(harness, "evaluate_z", tracked)
+        mp.setattr(digraph, "perron_stack", counted_solves)
+        mp.setattr(zfamily, "analyze_stack", counted_reports)
+        mp.setattr(harness, "evaluate_z_stack", tracked)
         summary = verify_paper_suite()
     return summary, solves, builds, peak[0]
 
@@ -234,7 +267,7 @@ def test_suite_streams_grid_points(counted_suite):
 def test_failing_details_name_the_instance_to_replay(monkeypatch):
     bad_point = ZParams(6, 0.5, 1.0, 2.0, 4.0)
     forbidden = zfamily.forbidden_reverse_edges
-    monkeypatch.setattr(harness, "no_source_theorem_check", lambda A, eps: A.n != 5)
+    monkeypatch.setattr(harness, "has_no_source", lambda G: G.n != 5)
     monkeypatch.setattr(harness, "forbidden_reverse_edges", lambda p, G: (
         ["injected"] if p == bad_point else forbidden(p, G)))
     monkeypatch.setattr(harness, "guarantee_n4",
@@ -255,6 +288,16 @@ def test_failing_details_name_the_instance_to_replay(monkeypatch):
     head, first = details["n4.forms_agree"].split("; first: (x, y, z) = ")
     assert head.endswith("of 1000 triples disagree") and not head.startswith("0 ")
     assert ast.literal_eval(first)[0] > 8
+
+
+def test_seeded_instances_come_in_seed_order():
+    # stacks are evaluated order by order, but the pairs (and so a count
+    # check's first failing instance) follow k, as one-at-a-time evaluation
+    got = list(harness._seeded(40, 6, 1000, 1e-9, lambda rep: rep.A.a[0, 1] > 2.0))
+    want = [(f"random_reciprocal({3 + k % 6}, seed={1000 + k})",
+             bool(random_reciprocal(3 + k % 6, seed=1000 + k).a[0, 1] > 2.0))
+            for k in range(40)]
+    assert got == want and 0 < sum(bad for _, bad in got) < 40
 
 
 # --- CLI -----------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recipeff.core import perron
+from recipeff.core import make_reciprocal, perron
 from recipeff.digraph import (
     EfficiencyDigraph,
     analyze,
@@ -20,6 +20,7 @@ from recipeff.zfamily import (
     ZParams,
     eigen_identity_residuals,
     evaluate_z,
+    evaluate_z_stack,
     forbidden_reverse_edges,
     guarantee_a1,
     guarantee_n4,
@@ -342,3 +343,37 @@ def test_table_oracle_gaps_and_overlaps():
     assert table_oracle(ZParams(5, 0.25, 0.25, 2.0, 1.25)) == []
     # at the all-ones point every non-strict relation holds at once
     assert len(table_oracle(ZParams(5, 1.0, 1.0, 1.0, 1.0))) == 15
+
+
+def z_matrix_reference(p):
+    """Z_n(x,y,z,a) through `make_reciprocal`, as the family defines it."""
+    n = p.n
+    a = np.ones((n, n))
+    a[0, n - 2], a[0, n - 1], a[1, n - 2], a[1, n - 1] = p.y, p.x, p.a, p.z
+    return make_reciprocal(a, mode="symmetrize")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=4, max_value=9), param_value, param_value, param_value,
+       param_value)
+def test_z_matrix_is_the_canonical_family_member(n, x, y, z, a):
+    p = ZParams(n, x, y, z, a)
+    assert z_matrix(p).a.tobytes() == z_matrix_reference(p).a.tobytes()
+
+
+def test_evaluate_z_stack_points_equal_one_point_evaluations():
+    for n in (5, 6):
+        grid = list(small_grid(n))
+        points = list(evaluate_z_stack(grid))
+        assert [pt.p for pt in points] == grid
+        for pt in points:
+            one = evaluate_z(pt.p)
+            assert pt.report.w.tobytes() == one.report.w.tobytes()
+            assert pt.r == one.r and pt.report.perron.iterations == one.report.perron.iterations
+            assert np.array_equal(pt.report.digraph.adj, one.report.digraph.adj)
+            assert pt.report.efficient == one.report.efficient
+            assert pt.quotient_sinks == one.quotient_sinks
+    with pytest.raises(ValueError, match="one order"):
+        next(evaluate_z_stack([ZParams(5, 1.0, 1.0, 1.0, 1.0), ZParams(6, 1.0, 1.0, 1.0, 1.0)]))
+    with pytest.raises(ValueError, match="n >= 5"):
+        next(evaluate_z_stack([ZParams(4, 1.0, 1.0, 1.0, 1.0)]))
