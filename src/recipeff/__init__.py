@@ -13,14 +13,11 @@ and constructs order-(n+1) extensions with prescribed Perron vectors.
 """
 
 from .core import (
-    MonomialTransform,
     PerronPair,
     PerronStack,
     ReciprocalMatrix,
     consistent_from_vector,
-    is_consistent,
     make_reciprocal,
-    monomial_similarity,
     pareto_dominates,
     perron,
     perron_stack,
@@ -34,7 +31,6 @@ from .digraph import (
     analyze,
     analyze_stack,
     build_digraph,
-    components_in_topo_order,
     dominating_vector,
     hamiltonian_cycle,
     has_no_source,
@@ -51,7 +47,6 @@ from .extensions import (
     extension_report,
     extension_source_scan,
     is_extension,
-    order_preservation_check,
     remove_index,
     row_sums,
     well_behaved_type_I,
@@ -65,7 +60,6 @@ from .harness import (
     example_conjugate_reference,
     example_walkthrough,
     grid_sweep,
-    sweep_point,
     verify_paper_suite,
 )
 from .matio import (

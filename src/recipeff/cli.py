@@ -117,6 +117,8 @@ def _cmd_sweep(args: argparse.Namespace, eps: float) -> int:
 def _cmd_extend(args: argparse.Namespace, eps: float) -> int:
     A = load_matrix(args.matrix, "symmetrize" if args.symmetrize else "validate")
     if args.conjugate_diag is not None:
+        if args.method == "constant-row-sum":
+            raise ValueError("--method constant-row-sum does not take --conjugate-diag")
         d = np.array(_parse_floats(args.conjugate_diag, "--conjugate-diag"))
         ext = conjugated_extension(A, d)
         payload = extension_report(A, ext, None, eps)
@@ -190,8 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extend", help="order-(n+1) extension of a matrix CSV")
     p.add_argument("matrix", help="matrix CSV path")
-    p.add_argument("--method", choices=("constant-row-sum", "conjugate-diag"),
-                   default="constant-row-sum")
+    p.add_argument("--method", choices=("constant-row-sum", "conjugate-diag"))
     p.add_argument("--conjugate-diag", default=None, metavar="d1,...,dn",
                    help="positive diagonal for the conjugated construction")
     p.add_argument("--symmetrize", action="store_true")

@@ -13,7 +13,7 @@ to have first component 1.  The power iteration runs on (B, n, n) stacks
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -50,34 +50,6 @@ class PerronPair:
     w: np.ndarray
     residual: float
     iterations: int
-
-
-@dataclass(frozen=True)
-class MonomialTransform:
-    """Q = diag(d) * P with P the permutation matrix of `perm`.
-
-    `perm` is 0-based: (P v)_i = v[perm[i]], so conjugation by Q sends
-    entry (perm[i], perm[j]) of A to position (i, j) scaled by d_i / d_j.
-    """
-
-    perm: tuple[int, ...]
-    diag: tuple[float, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(n)):
-            raise ValueError("perm must be a permutation of 0..n-1")
-        d = self.diag if self.diag else tuple(1.0 for _ in range(n))
-        if len(d) != n:
-            raise ValueError("diag length must match perm")
-        if any(not (v > 0) for v in d):
-            raise ValueError("diag entries must be positive")
-        object.__setattr__(self, "diag", tuple(float(v) for v in d))
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Q @ v."""
-        d = np.asarray(self.diag)
-        return d * np.asarray(v, float)[list(self.perm)]
 
 
 def _as_positive_square(raw) -> np.ndarray:
@@ -149,14 +121,6 @@ def consistent_from_vector(v) -> ReciprocalMatrix:
     if not np.all(v > 0) or not np.all(np.isfinite(v)):
         raise ValueError("v must be strictly positive and finite")
     return make_reciprocal(np.outer(v, 1.0 / v), mode="symmetrize")
-
-
-def is_consistent(A: ReciprocalMatrix, tol: float = 1e-12) -> bool:
-    """True iff a_ij * a_jk = a_ik for all triples, to relative tol."""
-    a = A.a
-    # dev[i,k,j] = a_ij * a_jk - a_ik, all triples at once
-    dev = np.einsum("ij,jk->ikj", a, a) - a[:, :, None]
-    return bool(np.all(np.abs(dev) <= tol * a[:, :, None]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,16 +197,6 @@ def perron(
 ) -> PerronPair:
     """Perron eigenpair of A: the one-matrix case of `perron_stack`."""
     return perron_stack(A.a[None], tol, max_iter)[0]
-
-
-def monomial_similarity(A: ReciprocalMatrix, Q: MonomialTransform) -> ReciprocalMatrix:
-    """Q A Q^{-1}; reciprocal again, with Perron vector proportional to Q w."""
-    if len(Q.perm) != A.n:
-        raise ValueError("transform dimension mismatch")
-    p = list(Q.perm)
-    d = np.asarray(Q.diag)
-    b = A.a[np.ix_(p, p)] * (d[:, None] / d[None, :])
-    return make_reciprocal(b, mode="symmetrize")
 
 
 def pareto_dominates(

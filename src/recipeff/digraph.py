@@ -57,9 +57,6 @@ class EfficiencyDigraph:
         """The edge set as 1-based pairs."""
         return frozenset(map(tuple, (np.argwhere(self.adj) + 1).tolist()))
 
-    def out_neighbors(self, i: int) -> list[int]:
-        return (np.flatnonzero(self.adj[i - 1]) + 1).tolist()
-
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.adj[i - 1, j - 1])
 
@@ -151,15 +148,6 @@ def strongly_connected(G: EfficiencyDigraph) -> tuple[bool, int, list[int]]:
     labels, counts = _scc_labels(G.adj[None])
     k = int(counts[0])
     return k == 1, k, labels[0].tolist()
-
-
-def components_in_topo_order(G: EfficiencyDigraph) -> list[list[int]]:
-    """Vertex lists of the SCCs, sources of the condensation first."""
-    _, k, labels = strongly_connected(G)
-    comps: list[list[int]] = [[] for _ in range(k)]
-    for v, lab in enumerate(labels, start=1):
-        comps[lab].append(v)
-    return comps
 
 
 def sources(G: EfficiencyDigraph) -> tuple[int, ...]:

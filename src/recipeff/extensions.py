@@ -194,20 +194,13 @@ def _dense_ranks(w: np.ndarray, tie_tol: float) -> tuple[int, ...]:
     return tuple(int(v) for v in ranks)
 
 
-def order_preservation_check(
-    A: ReciprocalMatrix, B: ReciprocalMatrix, tie_tol: float = RANK_TIE_TOL
-) -> tuple[bool, tuple[int, ...], tuple[int, ...]]:
-    """Does extending A to B keep the ranking of the first n Perron weights?
-
-    Returns (preserved, ranks of Perron(A).w, ranks of Perron(B).w[:n]),
-    ranks dense and descending with tolerance-aware ties.
-    """
-    return _ranks_kept(A, B, perron(A).w, perron(B).w, tie_tol)
-
-
 def _ranks_kept(A: ReciprocalMatrix, B: ReciprocalMatrix, wA: np.ndarray,
                 wB: np.ndarray, tie_tol: float = RANK_TIE_TOL):
-    """`order_preservation_check` given the Perron vectors wA of A and wB of B."""
+    """Does extending A to B keep the ranking of the first n Perron weights?
+
+    Returns (preserved, ranks of wA, ranks of wB[:n]) for the Perron vectors
+    wA of A and wB of B; ranks are dense and descending, ties within tie_tol.
+    """
     if not is_extension(B, A):
         raise ValueError("B is not an extension of A")
     ra = _dense_ranks(wA, tie_tol)

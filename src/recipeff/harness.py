@@ -52,7 +52,6 @@ from .extensions import (
 from .zfamily import (
     ZParams,
     ZPoint,
-    evaluate_z,
     evaluate_z_stack,
     forbidden_reverse_edges,
     guarantee_a1,
@@ -187,10 +186,6 @@ class SweepRecord:
     def __post_init__(self) -> None:
         if self.agrees != (self.efficient == (not self.sink_present)):
             raise ValueError("agrees flag inconsistent with verdicts")
-
-
-def sweep_point(p: ZParams, eps_rel: float = DEFAULT_EPS_REL) -> SweepRecord:
-    return _sweep_record(evaluate_z(p, eps_rel))
 
 
 def _sweep_record(pt: ZPoint) -> SweepRecord:

@@ -21,8 +21,11 @@ that is the digraph itself.
 
 from __future__ import annotations
 
+import itertools
+import math
+import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -112,15 +115,71 @@ def reduce_to_min_first(
     raise AssertionError("unreachable: some coordinate attains the minimum")
 
 
-def _min_first_exception(x: float, y: float, z: float, a: float) -> str | None:
-    """Exception clauses for a point with x <= min{y, z, a}."""
-    if x < z < a < y and z < 1:
-        return "(i)"
-    if x < y < a < z and 1 < a:
-        return "(ii)"
-    if x <= a < 1 < min(y, z):
-        return "(iii)"
-    return None
+# --- parameter relations ---------------------------------------------------
+
+_TERMS = ("1", "x", "y", "z", "a")
+
+
+def _relation(text: str) -> np.ndarray:
+    """The requirement matrix R of a relation over the terms (1, x, y, z, a).
+
+    A relation is one or more chains joined by ";", such as
+    "x < z < a < y; z < 1"; in a chain, a term "y,z" stands for each of its
+    members.  R[i, j] is 2 where term i < term j is required, 1 where
+    term i <= term j is, else 0.
+    """
+    req = np.zeros((5, 5), dtype=np.int8)
+    for chain in text.split(";"):
+        parts = re.split(r"(<=|<)", chain)
+        for lo, op, hi in zip(parts[::2], parts[1::2], parts[2::2]):
+            for i, j in itertools.product(lo.split(","), hi.split(",")):
+                req[_TERMS.index(i.strip()), _TERMS.index(j.strip())] = 2 if op == "<" else 1
+    return req
+
+
+class _Relations:
+    """Labeled requirement matrices, compiled once and tested as one stack.
+
+    A point's order matrix holds 2, 1 or 0 where term i is <, == or > term
+    j, and a relation holds iff that matrix is >= its R everywhere.  The
+    dense ranks of the terms fix the order matrix, so the labels that hold
+    are cached per ranks; five terms have 541 orders.
+    """
+
+    def __init__(self, labels, reqs) -> None:
+        self.labels, self.reqs, self._hits = tuple(labels), np.stack(reqs), {}
+
+    def holding(self, xyza: Sequence[float]) -> tuple:
+        """The labels of the rows that hold at (x, y, z, a), in row order."""
+        if any(map(math.isnan, xyza)):
+            raise ValueError("parameters must not be NaN")
+        v = (1.0, *xyza)
+        ranks = tuple(map(sorted(set(v)).index, v))
+        if ranks not in self._hits:
+            r = np.array(ranks)
+            order = (r[:, None] <= r).astype(np.int8) + (r[:, None] < r)
+            hit = (order >= self.reqs).all(axis=(1, 2))
+            self._hits[ranks] = tuple(lab for lab, h in zip(self.labels, hit) if h)
+        return self._hits[ranks]
+
+
+def _compile(*rows: tuple[object, str]) -> _Relations:
+    return _Relations([label for label, _ in rows], [_relation(t) for _, t in rows])
+
+
+# exception clauses for a point with x <= min{y, z, a}
+_MIN_FIRST_EXCEPTIONS = _compile(
+    ("(i)", "x < z < a < y; z < 1"),
+    ("(ii)", "x < y < a < z; 1 < a"),
+    ("(iii)", "x <= a < 1 < y,z"),
+)
+# exception clauses on the a = 1 slice
+_A1_EXCEPTIONS = _compile(
+    ("A1(i)", "1 < z < x < y"),
+    ("A1(ii)", "z < 1 < y < x"),
+    ("A1(iii)", "z < x < y < 1"),
+    ("A1(iv)", "x < z < 1 < y"),
+)
 
 
 def guarantee_n5plus(p: ZParams) -> RegionVerdict:
@@ -134,27 +193,25 @@ def guarantee_n5plus(p: ZParams) -> RegionVerdict:
     if p.n < 5:
         raise ValueError("guarantee_n5plus requires n >= 5")
     rep, reduction = reduce_to_min_first(*p.xyza)
-    clause = _min_first_exception(*rep)
-    if clause is None:
+    clauses = _MIN_FIRST_EXCEPTIONS.holding(rep)
+    if not clauses:
         return RegionVerdict(True, None, reduction)
-    label = f"{_VARIANT_OF_REDUCTION[reduction]}{clause}"
-    return RegionVerdict(False, label, reduction)
+    return RegionVerdict(False, _VARIANT_OF_REDUCTION[reduction] + clauses[0], reduction)
 
 
 def guarantee_a1(n: int, x: float, y: float, z: float) -> RegionVerdict:
     """Efficiency-region verdict for the a = 1 slice, n >= 5."""
     if n < 5:
         raise ValueError("guarantee_a1 requires n >= 5")
-    clauses = (
-        ("A1(i)", 1 < z < x < y),
-        ("A1(ii)", z < 1 < y < x),
-        ("A1(iii)", z < x < y < 1),
-        ("A1(iv)", x < z < 1 < y),
-    )
-    for label, hit in clauses:
-        if hit:
-            return RegionVerdict(False, label, "identity")
-    return RegionVerdict(True, None, "identity")
+    label = next(iter(_A1_EXCEPTIONS.holding((x, y, z, 1.0))), None)
+    return RegionVerdict(label is None, label, "identity")
+
+
+# the six sufficient clauses for Z_4(x, y, z, 1)
+_N4_CASES = _compile(*enumerate((
+    "y <= x,1 <= z", "y,z <= x,1", "1 <= y,z <= x",
+    "z <= x,1 <= y", "x,1 <= y,z", "x <= y,z <= 1",
+)))
 
 
 def guarantee_n4(x: float, y: float, z: float, form: str = "six_cases") -> bool:
@@ -166,14 +223,7 @@ def guarantee_n4(x: float, y: float, z: float, form: str = "six_cases") -> bool:
     1 != x and y != z.  The two forms are equivalent.
     """
     if form == "six_cases":
-        return (
-            (y <= x <= z and y <= 1 <= z)
-            or (y <= x and y <= 1 and z <= 1 and z <= x)
-            or (1 <= y <= x and 1 <= z <= x)
-            or (z <= x <= y and 1 <= y and z <= 1)
-            or (x <= y and 1 <= y and 1 <= z and x <= z)
-            or (x <= y <= 1 and x <= z <= 1)
-        )
+        return bool(_N4_CASES.holding((x, y, z, 1.0)))
     if form == "region_complement":
         lo_x, hi_x = min(1.0, x), max(1.0, x)
         lo_yz, hi_yz = min(y, z), max(y, z)
@@ -312,59 +362,67 @@ def eigen_identity_residuals(p: ZParams) -> IdentityResiduals:
     return evaluate_z(p).identities
 
 
-def predicted_edges(p: ZParams) -> set[tuple[int, int]]:
-    """Edges guaranteed by the parameter order relations alone.
+# Edge rules read off the two-/three-term identities, as (edge, relation).
+# Vertex codes as in the catalog below, with 3 for every middle vertex.  The
+# five rules give twenty: their images under the symmetries, which permute
+# both the vertices and the terms, and the transposes of those, which reverse
+# the edge and every relation.
+_EDGE_RULES = (
+    ((1, 2), "a <= y; z <= x"),
+    ((-2, -1), "y <= x; a <= z"),
+    ((1, -2), "y <= 1,a,x"),
+    ((1, 3), "1 <= x,y"),
+    ((-2, 3), "y,a <= 1"),
+)
+# the entry of Z_n that holds each parameter, as vertex codes
+_ENTRY = {"x": (1, -1), "y": (1, -2), "z": (2, -1), "a": (2, -2)}
 
-    Twenty sign conditions, read off the two-/three-term identities: ten
-    give edges out of or into {1, 2, n-1, n} among themselves, ten give
-    edges between those vertices and every middle vertex.
+
+def _edge_relations() -> _Relations:
+    rules = {}
+    for image in SYMMETRY_IMAGES.values():
+        moved = image(*"xyza")  # moved[k]: the parameter that lands in place k
+        terms = [0] + [_TERMS.index(t) for t in moved]
+        vertex = {3: 3}
+        for old, new in zip(moved, "xyza"):
+            vertex.update(zip(_ENTRY[old], _ENTRY[new]))
+        for (u, v), text in _EDGE_RULES:
+            req = _relation(text)[np.ix_(terms, terms)]
+            for edge, r in (((vertex[u], vertex[v]), req), ((vertex[v], vertex[u]), req.T)):
+                rules[edge, r.tobytes()] = edge, r
+    return _Relations(*zip(*rules.values()))
+
+
+_EDGE_RELATIONS = _edge_relations()
+
+
+@cache
+def _rule_edges(n: int, u: int, v: int) -> frozenset[tuple[int, int]]:
+    """The edges of rule (u, v) at order n."""
+    mids = range(3, n - 1)
+    return frozenset(itertools.product(mids if u == 3 else _realize(n, (u,)),
+                                       mids if v == 3 else _realize(n, (v,))))
+
+
+def predicted_edges(p: ZParams) -> set[tuple[int, int]]:
+    """Edges guaranteed by the parameter order relations alone (`_EDGE_RULES`).
+
+    Ten rules give edges among {1, 2, n-1, n}, ten give edges between those
+    vertices and every middle vertex.
     """
     if p.n < 5:
         raise ValueError("requires n >= 5")
-    n, (x, y, z, a) = p.n, p.xyza
-    mids = range(3, n - 1)
-    E: set[tuple[int, int]] = set()
-    if a <= y and z <= x:
-        E.add((1, 2))
-    if y <= min(1, a, x):
-        E.add((1, n - 1))
-    if x <= min(1, y, z):
-        E.add((1, n))
-    if a <= min(1, y, z):
-        E.add((2, n - 1))
-    if z <= min(1, x, a):
-        E.add((2, n))
-    if y <= x and a <= z:
-        E.add((n - 1, n))
-    if 1 <= min(x, y):
-        E.update((1, i) for i in mids)
-    if 1 <= min(a, z):
-        E.update((2, i) for i in mids)
-    if max(y, a) <= 1:
-        E.update((n - 1, i) for i in mids)
-    if max(x, z) <= 1:
-        E.update((n, i) for i in mids)
-    if y <= a and x <= z:
-        E.add((2, 1))
-    if max(1, a, x) <= y:
-        E.add((n - 1, 1))
-    if max(1, y, z) <= x:
-        E.add((n, 1))
-    if max(1, y, z) <= a:
-        E.add((n - 1, 2))
-    if max(1, a, x) <= z:
-        E.add((n, 2))
-    if x <= y and z <= a:
-        E.add((n, n - 1))
-    if max(x, y) <= 1:
-        E.update((i, 1) for i in mids)
-    if max(a, z) <= 1:
-        E.update((i, 2) for i in mids)
-    if 1 <= min(a, y):
-        E.update((i, n - 1) for i in mids)
-    if 1 <= min(x, z):
-        E.update((i, n) for i in mids)
-    return E
+    return set().union(*(_rule_edges(p.n, *e) for e in _EDGE_RELATIONS.holding(p.xyza)))
+
+
+# (v, relation): with the relation, edge (3, v) forbids edge (v, 3).  A
+# condition "u, w <= 1 and u != w" is written as its two strict orders.
+_FORBIDDEN_REVERSE = _compile(
+    (2, "a < z <= 1"), (2, "z < a <= 1"),
+    (1, "x < y <= 1"), (1, "y < x <= 1"),
+    (-1, "1 <= x < z"), (-1, "1 <= z < x"),
+    (-2, "1 <= a < y"), (-2, "1 <= y < a"),
+)
 
 
 def forbidden_reverse_edges(p: ZParams, G: EfficiencyDigraph) -> list[str]:
@@ -377,18 +435,9 @@ def forbidden_reverse_edges(p: ZParams, G: EfficiencyDigraph) -> list[str]:
     """
     if p.n < 5:
         raise ValueError("requires n >= 5")
-    n, (x, y, z, a) = p.n, p.xyza
-    checks = (
-        ((3, 2), max(a, z) <= 1 and a != z, (2, 3)),
-        ((3, 1), max(x, y) <= 1 and x != y, (1, 3)),
-        ((3, n), min(x, z) >= 1 and x != z, (n, 3)),
-        ((3, n - 1), min(y, a) >= 1 and a != y, (n - 1, 3)),
-    )
-    violations = []
-    for fwd, cond, rev in checks:
-        if cond and G.has_edge(*fwd) and G.has_edge(*rev):
-            violations.append(f"edge {fwd} with relation forbids {rev}")
-    return violations
+    corners = _realize(p.n, _FORBIDDEN_REVERSE.holding(p.xyza))
+    return [f"edge {(3, v)} with relation forbids {(v, 3)}"
+            for v in corners if G.has_edge(3, v) and G.has_edge(v, 3)]
 
 
 def middle_quotient_sinks(G: EfficiencyDigraph, n: int) -> tuple[int, ...]:
@@ -407,19 +456,19 @@ def middle_quotient_sinks(G: EfficiencyDigraph, n: int) -> tuple[int, ...]:
 
 # --- catalog of known digraph structures per parameter region -------------
 #
-# Each row: a relation among 1, x, y, z, a and the cycle(s) plus extra
-# edges it forces, with the vertex that can become a source or sink there.
-# Vertex codes: 1, 2, 3 literal (3 = middle-class representative), -2 for…
-# n-1, -1 for n.  "kind" tags what the region admits: "cycle" rows cover
-# the guaranteed-efficient side; "source"/"sink" rows name the only vertex
-# that can end up as a source/sink (sink rows are the inefficiency cases).
+# Each row: a relation among 1, x, y, z, a (its predicate) and the cycle(s)
+# plus extra edges it forces, with the vertex that can become a source or
+# sink there.  Vertex codes: 1, 2, 3 literal (3 = middle-class
+# representative), -2 for n-1, -1 for n.  "kind" tags what the region
+# admits: "cycle" rows cover the guaranteed-efficient side; "source"/"sink"
+# rows name the only vertex that can end up as a source/sink (sink rows are
+# the inefficiency cases).
 
 
 @dataclass(frozen=True)
 class CatalogRow:
     group: int
     relation: str
-    predicate: Callable[[float, float, float, float], bool]
     cycles: tuple[tuple[int, ...], ...]
     extra_edges: tuple[tuple[int, int], ...]
     kind: str  # "cycle" | "source" | "sink"
@@ -428,93 +477,52 @@ class CatalogRow:
 
 CYCLE_CATALOG: tuple[CatalogRow, ...] = (
     # group 1: one Hamiltonian cycle on {1,2,3,n-1,n}
-    CatalogRow(1, "x <= 1 <= a <= y,z", lambda x, y, z, a: x <= 1 <= a <= min(y, z),
-               ((1, -1, 2, 3, -2),), (), "cycle", None),
-    CatalogRow(1, "x <= z <= 1 <= y <= a", lambda x, y, z, a: x <= z <= 1 <= y <= a,
-               ((1, -1, 3, -2, 2),), (), "cycle", None),
-    CatalogRow(1, "1 <= x <= y,z <= a", lambda x, y, z, a: 1 <= x <= min(y, z) and max(y, z) <= a,
-               ((1, 3, -1, -2, 2),), (), "cycle", None),
-    CatalogRow(1, "x <= a <= y <= 1 <= z", lambda x, y, z, a: x <= a <= y <= 1 <= z,
-               ((1, -1, 2, -2, 3),), (), "cycle", None),
-    CatalogRow(1, "x <= a <= z <= 1 <= y", lambda x, y, z, a: x <= a <= z <= 1 <= y,
-               ((1, -1, 3, 2, -2),), (), "cycle", None),
-    CatalogRow(1, "x <= y <= 1 <= z <= a", lambda x, y, z, a: x <= y <= 1 <= z <= a,
-               ((1, -1, -2, 2, 3),), (), "cycle", None),
-    CatalogRow(1, "x <= y,z <= a <= 1", lambda x, y, z, a: x <= min(y, z) and max(y, z) <= a <= 1,
-               ((1, -1, -2, 3, 2),), (), "cycle", None),
+    CatalogRow(1, "x <= 1 <= a <= y,z", ((1, -1, 2, 3, -2),), (), "cycle", None),
+    CatalogRow(1, "x <= z <= 1 <= y <= a", ((1, -1, 3, -2, 2),), (), "cycle", None),
+    CatalogRow(1, "1 <= x <= y,z <= a", ((1, 3, -1, -2, 2),), (), "cycle", None),
+    CatalogRow(1, "x <= a <= y <= 1 <= z", ((1, -1, 2, -2, 3),), (), "cycle", None),
+    CatalogRow(1, "x <= a <= z <= 1 <= y", ((1, -1, 3, 2, -2),), (), "cycle", None),
+    CatalogRow(1, "x <= y <= 1 <= z <= a", ((1, -1, -2, 2, 3),), (), "cycle", None),
+    CatalogRow(1, "x <= y,z <= a <= 1", ((1, -1, -2, 3, 2),), (), "cycle", None),
     # group 2: two cycles whose union is strongly connected
-    CatalogRow(2, "x <= 1 <= y,z <= a", lambda x, y, z, a: x <= 1 <= min(y, z) and max(y, z) <= a,
-               ((2, 3, -2), (1, -1, -2, 2)), (), "cycle", None),
-    CatalogRow(2, "x <= a <= y,z <= 1", lambda x, y, z, a: x <= a <= min(y, z) and max(y, z) <= 1,
-               ((3, 1, -1), (3, 2, -2)), (), "cycle", None),
-    CatalogRow(2, "x <= y,z <= 1 <= a", lambda x, y, z, a: x <= min(y, z) and max(y, z) <= 1 <= a,
-               ((1, -1, 3), (1, -1, -2, 2)), (), "cycle", None),
-    CatalogRow(2, "1 <= x <= a <= y,z", lambda x, y, z, a: 1 <= x <= a <= min(y, z),
-               ((3, -1, 2), (3, -2, 1)), (), "cycle", None),
+    CatalogRow(2, "x <= 1 <= y,z <= a", ((2, 3, -2), (1, -1, -2, 2)), (), "cycle", None),
+    CatalogRow(2, "x <= a <= y,z <= 1", ((3, 1, -1), (3, 2, -2)), (), "cycle", None),
+    CatalogRow(2, "x <= y,z <= 1 <= a", ((1, -1, 3), (1, -1, -2, 2)), (), "cycle", None),
+    CatalogRow(2, "1 <= x <= a <= y,z", ((3, -1, 2), (3, -2, 1)), (), "cycle", None),
     # groups 3-4: a cycle plus extra edges; vertex names the only possible source
-    CatalogRow(3, "1 <= x <= z <= a <= y", lambda x, y, z, a: 1 <= x <= z <= a <= y,
-               ((3, -1, -2, 1),), ((2, 3),), "source", 2),
-    CatalogRow(3, "x <= y <= a <= z <= 1", lambda x, y, z, a: x <= y <= a <= z <= 1,
-               ((3, 2, 1, -1),), ((-2, 3),), "source", -2),
-    CatalogRow(4, "x <= 1 <= z <= a <= y", lambda x, y, z, a: x <= 1 <= z <= a <= y,
-               ((1, -1, -2),), ((2, 3), (3, -2)), "source", 2),
-    CatalogRow(4, "x <= y <= a <= 1 <= z", lambda x, y, z, a: x <= y <= a <= 1 <= z,
-               ((1, -1, 2),), ((-2, 3), (3, 1)), "source", -2),
+    CatalogRow(3, "1 <= x <= z <= a <= y", ((3, -1, -2, 1),), ((2, 3),), "source", 2),
+    CatalogRow(3, "x <= y <= a <= z <= 1", ((3, 2, 1, -1),), ((-2, 3),), "source", -2),
+    CatalogRow(4, "x <= 1 <= z <= a <= y", ((1, -1, -2),), ((2, 3), (3, -2)), "source", 2),
+    CatalogRow(4, "x <= y <= a <= 1 <= z", ((1, -1, 2),), ((-2, 3), (3, 1)), "source", -2),
     # group 5: a cycle plus one extra edge; vertex names the sink
-    CatalogRow(5, "z < x < y < a <= 1", lambda x, y, z, a: z < x < y < a <= 1,
-               ((3, 2, -1, -2),), ((3, 1),), "sink", 1),
-    CatalogRow(5, "x < z < a < y <= 1", lambda x, y, z, a: x < z < a < y <= 1,
-               ((3, 1, -1, -2),), ((3, 2),), "sink", 2),
-    CatalogRow(5, "y < a < z < x <= 1", lambda x, y, z, a: y < a < z < x <= 1,
-               ((3, 1, -2, -1),), ((3, 2),), "sink", 2),
-    CatalogRow(5, "a < y < x < z <= 1", lambda x, y, z, a: a < y < x < z <= 1,
-               ((3, 2, -2, -1),), ((3, 1),), "sink", 1),
-    CatalogRow(5, "1 <= a < z < x < y", lambda x, y, z, a: 1 <= a < z < x < y,
-               ((3, -2, 1, 2),), ((3, -1),), "sink", -1),
-    CatalogRow(5, "1 <= y < x < z < a", lambda x, y, z, a: 1 <= y < x < z < a,
-               ((3, -2, 2, 1),), ((3, -1),), "sink", -1),
-    CatalogRow(5, "1 <= z < a < y < x", lambda x, y, z, a: 1 <= z < a < y < x,
-               ((3, -1, 1, 2),), ((3, -2),), "sink", -2),
-    CatalogRow(5, "1 <= x < y < a < z", lambda x, y, z, a: 1 <= x < y < a < z,
-               ((3, -1, 2, 1),), ((3, -2),), "sink", -2),
+    CatalogRow(5, "z < x < y < a <= 1", ((3, 2, -1, -2),), ((3, 1),), "sink", 1),
+    CatalogRow(5, "x < z < a < y <= 1", ((3, 1, -1, -2),), ((3, 2),), "sink", 2),
+    CatalogRow(5, "y < a < z < x <= 1", ((3, 1, -2, -1),), ((3, 2),), "sink", 2),
+    CatalogRow(5, "a < y < x < z <= 1", ((3, 2, -2, -1),), ((3, 1),), "sink", 1),
+    CatalogRow(5, "1 <= a < z < x < y", ((3, -2, 1, 2),), ((3, -1),), "sink", -1),
+    CatalogRow(5, "1 <= y < x < z < a", ((3, -2, 2, 1),), ((3, -1),), "sink", -1),
+    CatalogRow(5, "1 <= z < a < y < x", ((3, -1, 1, 2),), ((3, -2),), "sink", -2),
+    CatalogRow(5, "1 <= x < y < a < z", ((3, -1, 2, 1),), ((3, -2),), "sink", -2),
     # group 6: a cycle plus two extra edges; vertex names the sink
-    CatalogRow(6, "x < z < a < 1 <= y", lambda x, y, z, a: x < z < a < 1 <= y,
-               ((1, -1, -2),), ((3, 2), (-1, 3)), "sink", 2),
-    CatalogRow(6, "a < 1 <= z < x < y", lambda x, y, z, a: a < 1 <= z < x < y,
-               ((1, 2, -2),), ((3, -1), (1, 3)), "sink", -1),
-    CatalogRow(6, "z < x < y <= 1 < a", lambda x, y, z, a: z < x < y <= 1 < a,
-               ((2, -1, -2),), ((3, 1), (-1, 3)), "sink", 1),
-    CatalogRow(6, "y < 1 <= x < z < a", lambda x, y, z, a: y < 1 <= x < z < a,
-               ((1, -2, 2),), ((3, -1), (2, 3)), "sink", -1),
-    CatalogRow(6, "y < a < z < 1 <= x", lambda x, y, z, a: y < a < z < 1 <= x,
-               ((1, -2, -1),), ((3, 2), (-2, 3)), "sink", 2),
-    CatalogRow(6, "z < 1 <= a < y < x", lambda x, y, z, a: z < 1 <= a < y < x,
-               ((1, 2, -1),), ((3, -2), (1, 3)), "sink", -2),
-    CatalogRow(6, "a < y < x < 1 <= z", lambda x, y, z, a: a < y < x < 1 <= z,
-               ((2, -2, -1),), ((3, 1), (-2, 3)), "sink", 1),
-    CatalogRow(6, "x < 1 <= y < a < z", lambda x, y, z, a: x < 1 <= y < a < z,
-               ((1, -1, 2),), ((3, -2), (2, 3)), "sink", -2),
+    CatalogRow(6, "x < z < a < 1 <= y", ((1, -1, -2),), ((3, 2), (-1, 3)), "sink", 2),
+    CatalogRow(6, "a < 1 <= z < x < y", ((1, 2, -2),), ((3, -1), (1, 3)), "sink", -1),
+    CatalogRow(6, "z < x < y <= 1 < a", ((2, -1, -2),), ((3, 1), (-1, 3)), "sink", 1),
+    CatalogRow(6, "y < 1 <= x < z < a", ((1, -2, 2),), ((3, -1), (2, 3)), "sink", -1),
+    CatalogRow(6, "y < a < z < 1 <= x", ((1, -2, -1),), ((3, 2), (-2, 3)), "sink", 2),
+    CatalogRow(6, "z < 1 <= a < y < x", ((1, 2, -1),), ((3, -2), (1, 3)), "sink", -2),
+    CatalogRow(6, "a < y < x < 1 <= z", ((2, -2, -1),), ((3, 1), (-2, 3)), "sink", 1),
+    CatalogRow(6, "x < 1 <= y < a < z", ((1, -1, 2),), ((3, -2), (2, 3)), "sink", -2),
     # group 7: a cycle missing exactly one vertex; that vertex is the sink
-    CatalogRow(7, "x < z < 1 <= a < y", lambda x, y, z, a: x < z < 1 <= a < y,
-               ((1, -1, 3, -2),), (), "sink", 2),
-    CatalogRow(7, "y < a < 1 <= z < x", lambda x, y, z, a: y < a < 1 <= z < x,
-               ((1, -2, 3, -1),), (), "sink", 2),
-    CatalogRow(7, "z < a <= 1 < y < x", lambda x, y, z, a: z < a <= 1 < y < x,
-               ((1, 3, 2, -1),), (), "sink", -2),
-    CatalogRow(7, "x < y <= 1 < a < z", lambda x, y, z, a: x < y <= 1 < a < z,
-               ((1, -1, 2, 3),), (), "sink", -2),
-    CatalogRow(7, "y,z < 1 < a,x", lambda x, y, z, a: max(y, z) < 1 < min(a, x),
-               ((1, -2, 2, -1),), (), "sink", 3),
-    CatalogRow(7, "x,a < 1 < z,y", lambda x, y, z, a: max(x, a) < 1 < min(z, y),
-               ((1, -1, 2, -2),), (), "sink", 3),
-    CatalogRow(7, "y < x <= 1 < z < a", lambda x, y, z, a: y < x <= 1 < z < a,
-               ((1, -2, 2, 3),), (), "sink", -1),
-    CatalogRow(7, "a < z <= 1 < x < y", lambda x, y, z, a: a < z <= 1 < x < y,
-               ((1, 3, 2, -2),), (), "sink", -1),
-    CatalogRow(7, "a < y < 1 <= x < z", lambda x, y, z, a: a < y < 1 <= x < z,
-               ((3, -1, 2, -2),), (), "sink", 1),
-    CatalogRow(7, "z < x < 1 <= y < a", lambda x, y, z, a: z < x < 1 <= y < a,
-               ((3, -2, 2, -1),), (), "sink", 1),
+    CatalogRow(7, "x < z < 1 <= a < y", ((1, -1, 3, -2),), (), "sink", 2),
+    CatalogRow(7, "y < a < 1 <= z < x", ((1, -2, 3, -1),), (), "sink", 2),
+    CatalogRow(7, "z < a <= 1 < y < x", ((1, 3, 2, -1),), (), "sink", -2),
+    CatalogRow(7, "x < y <= 1 < a < z", ((1, -1, 2, 3),), (), "sink", -2),
+    CatalogRow(7, "y,z < 1 < a,x", ((1, -2, 2, -1),), (), "sink", 3),
+    CatalogRow(7, "x,a < 1 < z,y", ((1, -1, 2, -2),), (), "sink", 3),
+    CatalogRow(7, "y < x <= 1 < z < a", ((1, -2, 2, 3),), (), "sink", -1),
+    CatalogRow(7, "a < z <= 1 < x < y", ((1, 3, 2, -2),), (), "sink", -1),
+    CatalogRow(7, "a < y < 1 <= x < z", ((3, -1, 2, -2),), (), "sink", 1),
+    CatalogRow(7, "z < x < 1 <= y < a", ((3, -2, 2, -1),), (), "sink", 1),
 )
 
 
@@ -529,6 +537,9 @@ class CatalogMatch:
     extra_edges: tuple[tuple[int, int], ...]
     kind: str
     vertex: int | None
+
+
+_CATALOG_RELATIONS = _compile(*((row, row.relation) for row in CYCLE_CATALOG))
 
 
 def table_oracle(p: ZParams) -> list[CatalogMatch]:
@@ -547,6 +558,5 @@ def table_oracle(p: ZParams) -> list[CatalogMatch]:
             kind=row.kind,
             vertex=None if row.vertex is None else _realize(p.n, (row.vertex,))[0],
         )
-        for row in CYCLE_CATALOG
-        if row.predicate(*p.xyza)
+        for row in _CATALOG_RELATIONS.holding(p.xyza)
     ]

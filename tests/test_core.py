@@ -6,12 +6,9 @@ from hypothesis import strategies as st
 import recipeff.core as core
 from recipeff.core import (
     PERRON_STOP_EVERY,
-    MonomialTransform,
     ReciprocalMatrix,
     consistent_from_vector,
-    is_consistent,
     make_reciprocal,
-    monomial_similarity,
     pareto_dominates,
     perron,
     perron_stack,
@@ -20,6 +17,14 @@ from recipeff.core import (
 )
 
 positive_entry = st.floats(min_value=1.0 / 9.0, max_value=9.0)
+
+
+def is_consistent(A, tol=1e-12):
+    """True iff a_ij * a_jk = a_ik for all triples, to relative tol."""
+    a = A.a
+    # dev[i,k,j] = a_ij * a_jk - a_ik, all triples at once
+    dev = np.einsum("ij,jk->ikj", a, a) - a[:, :, None]
+    return bool(np.all(np.abs(dev) <= tol * a[:, :, None]))
 
 
 def test_make_reciprocal_validate_accepts_exact():
@@ -105,38 +110,17 @@ def test_perron_nonconvergence_raises():
         perron(A, max_iter=2)
 
 
-def test_monomial_transform_validation():
-    with pytest.raises(ValueError, match="permutation"):
-        MonomialTransform(perm=(0, 0, 1))
-    with pytest.raises(ValueError, match="diag length"):
-        MonomialTransform(perm=(0, 1), diag=(1.0,))
-    with pytest.raises(ValueError, match="positive"):
-        MonomialTransform(perm=(0, 1), diag=(1.0, -2.0))
-
-
-def test_monomial_similarity_permutation_only():
-    A = random_reciprocal(4, seed=11)
-    Q = MonomialTransform(perm=(2, 0, 3, 1))
-    B = monomial_similarity(A, Q)
-    p = [2, 0, 3, 1]
-    assert np.allclose(B.a, A.a[np.ix_(p, p)])
-
-
 def test_monomial_similarity_maps_perron_vector():
+    # Q A Q^-1 with Q = diag(d) P: its Perron vector is Q w up to scale
     A = random_reciprocal(5, seed=23)
-    Q = MonomialTransform(perm=(3, 1, 0, 4, 2), diag=(2.0, 0.5, 1.0, 3.0, 0.25))
-    B = monomial_similarity(A, Q)
+    perm, d = [3, 1, 0, 4, 2], np.array([2.0, 0.5, 1.0, 3.0, 0.25])
+    B = make_reciprocal(A.a[np.ix_(perm, perm)] * (d[:, None] / d[None, :]),
+                        mode="symmetrize")
     wa = perron(A).w
     wb = perron(B).w
-    image = Q.apply(wa)
+    image = d * wa[perm]
     assert np.max(np.abs(wb - image / image[0])) <= 1e-10
     assert abs(perron(B).r - perron(A).r) <= 1e-10
-
-
-def test_monomial_similarity_dimension_mismatch():
-    A = random_reciprocal(3, seed=1)
-    with pytest.raises(ValueError, match="dimension"):
-        monomial_similarity(A, MonomialTransform(perm=(1, 0)))
 
 
 def test_pareto_dominates_known_instance():

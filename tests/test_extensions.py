@@ -18,7 +18,6 @@ from recipeff.extensions import (
     extension_report,
     extension_source_scan,
     is_extension,
-    order_preservation_check,
     remove_index,
     row_sums,
     well_behaved_type_I,
@@ -28,6 +27,11 @@ from recipeff.zfamily import ZParams, z_matrix
 
 def all_ones(n):
     return make_reciprocal(np.ones((n, n)))
+
+
+def ranks_kept(A, B):
+    """Ranking check of extending A to B, from both Perron vectors."""
+    return extensions._ranks_kept(A, B, perron(A).w, perron(B).w)
 
 
 def test_remove_index_all_ones():
@@ -198,14 +202,14 @@ def test_extension_source_scan_validates_samples():
 
 def test_order_preservation_reference(base_matrix, diag):
     A = conjugated_extension(base_matrix, diag)
-    preserved, ra, rb = order_preservation_check(base_matrix, A)
+    preserved, ra, rb = ranks_kept(base_matrix, A)
     assert not preserved
     assert ra == (1, 4, 5, 2, 3)
     assert rb == (3, 3, 3, 2, 1)
 
 
 def test_order_preservation_all_ones():
-    preserved, ra, rb = order_preservation_check(all_ones(3), all_ones(4))
+    preserved, ra, rb = ranks_kept(all_ones(3), all_ones(4))
     assert preserved and ra == (1, 1, 1) and rb == (1, 1, 1)
 
 
@@ -213,7 +217,7 @@ def test_order_preservation_consistent_base():
     v = np.array([1.0, 3.0, 0.2, 2.0])
     A = consistent_from_vector(v)
     res = constant_row_sum_extension(A)
-    preserved, ra, rb = order_preservation_check(A, res.B)
+    preserved, ra, rb = ranks_kept(A, res.B)
     assert ra == (3, 1, 4, 2)  # ranks of v itself
     assert isinstance(preserved, bool) and len(rb) == 4
 
@@ -221,7 +225,7 @@ def test_order_preservation_consistent_base():
 def test_order_preservation_requires_extension():
     B = constant_row_sum_extension(random_reciprocal(3, seed=2)).B
     with pytest.raises(ValueError, match="not an extension"):
-        order_preservation_check(random_reciprocal(3, seed=1), B)
+        ranks_kept(random_reciprocal(3, seed=1), B)
 
 
 def test_extension_report_fields(conjugate_reference, perron_calls):

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import weakref
 from collections import Counter
@@ -15,7 +16,6 @@ from recipeff.harness import (
     example_walkthrough,
     grid_sweep,
     sweep_csv_row,
-    sweep_point,
     verify_paper_suite,
 )
 from recipeff.matio import (
@@ -151,7 +151,7 @@ def test_walkthrough_solves_each_matrix_once(perron_calls):
 
 
 def test_sweep_point_trivial():
-    rec = sweep_point(ZParams(5, 1.0, 1.0, 1.0, 1.0))
+    (rec,) = grid_sweep(5, (1.0,))
     assert rec.efficient and rec.guaranteed and not rec.sink_present
     assert rec.exception is None and rec.sink_vertex is None and rec.agrees
     assert rec.r >= 5.0
@@ -180,7 +180,7 @@ def test_grid_sweep_shape_and_order(tmp_path):
 
 
 def test_sweep_csv_row_formats():
-    rec = sweep_point(ZParams(5, 0.25, 2.0, 2.0, 0.5))
+    rec = harness._sweep_record(zfamily.evaluate_z(ZParams(5, 0.25, 2.0, 2.0, 0.5)))
     row = sweep_csv_row(rec).split(",")
     assert row[:5] == ["5", "0.25", "2", "2", "0.5"]
     assert row[6] == "false" and row[9] == "true"  # inefficient, sink present
@@ -398,6 +398,26 @@ def test_cli_sweep_stdout(capsys):
     assert lines[0] == SWEEP_CSV_HEADER and len(lines) == 17
 
 
+# sha256 of `recipeff sweep --n N | cut -d, -f1-5,7-`: the default-axes grid
+# with the r column dropped, so the digest does not read the eigenvalue's
+# last bits
+GOLDEN_SWEEP_SHA256 = {
+    5: "eee6c30cd2974fa1c071537bdceeeba840e17970a0cebe84534edcb5d46fd245",
+    6: "e209cb6b1c16540e0321aa4c7fa83c4c1177ea3e7e717ac9195dedb7572412fc",
+    7: "aeb2a4ffe750ea09c9914139008fe1ad9852d65b4bf3ba9c0ec2fe1513ef0417",
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_SWEEP_SHA256))
+def test_cli_sweep_matches_golden_digest(capsys, n):
+    code, out, _ = run_cli(capsys, "sweep", "--n", str(n))
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()]
+    assert len(rows) == 626 and all(len(row) == 12 for row in rows)
+    cut = "".join(",".join(row[:5] + row[6:]) + "\n" for row in rows)
+    assert hashlib.sha256(cut.encode()).hexdigest() == GOLDEN_SWEEP_SHA256[n]
+
+
 def test_cli_extend_constant_row_sum(tmp_path, capsys):
     path = tmp_path / "m.csv"
     save_matrix(random_reciprocal(4, seed=12), path)
@@ -424,6 +444,13 @@ def test_cli_extend_conjugate(tmp_path, capsys):
     code, _, err = run_cli(capsys, "extend", str(path), "--method",
                            "conjugate-diag")
     assert code == 2 and "requires --conjugate-diag" in err
+    code, out, err = run_cli(capsys, "extend", str(path), "--method",
+                             "constant-row-sum", "--conjugate-diag", "2,1,0.5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "does not take --conjugate-diag" in err
+    code, out, _ = run_cli(capsys, "extend", str(path), "--method",
+                           "conjugate-diag", "--conjugate-diag", "2,1,0.5")
+    assert code == 0 and json.loads(out)["perron_vector"] == w
 
 
 def test_cli_example_walkthrough_reports_discrepancy(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -377,3 +378,217 @@ def test_evaluate_z_stack_points_equal_one_point_evaluations():
         next(evaluate_z_stack([ZParams(5, 1.0, 1.0, 1.0, 1.0), ZParams(6, 1.0, 1.0, 1.0, 1.0)]))
     with pytest.raises(ValueError, match="n >= 5"):
         next(evaluate_z_stack([ZParams(4, 1.0, 1.0, 1.0, 1.0)]))
+
+
+# --- compiled relations against the written-out predicates -----------------
+#
+# Each relation string in `zfamily` is compiled into a requirement matrix.
+# The predicates below state the same relations as Python comparisons; they
+# are the oracles for the compiled form.
+
+CATALOG_REFERENCE = (
+    ("x <= 1 <= a <= y,z", lambda x, y, z, a: x <= 1 <= a <= min(y, z)),
+    ("x <= z <= 1 <= y <= a", lambda x, y, z, a: x <= z <= 1 <= y <= a),
+    ("1 <= x <= y,z <= a", lambda x, y, z, a: 1 <= x <= min(y, z) and max(y, z) <= a),
+    ("x <= a <= y <= 1 <= z", lambda x, y, z, a: x <= a <= y <= 1 <= z),
+    ("x <= a <= z <= 1 <= y", lambda x, y, z, a: x <= a <= z <= 1 <= y),
+    ("x <= y <= 1 <= z <= a", lambda x, y, z, a: x <= y <= 1 <= z <= a),
+    ("x <= y,z <= a <= 1", lambda x, y, z, a: x <= min(y, z) and max(y, z) <= a <= 1),
+    ("x <= 1 <= y,z <= a", lambda x, y, z, a: x <= 1 <= min(y, z) and max(y, z) <= a),
+    ("x <= a <= y,z <= 1", lambda x, y, z, a: x <= a <= min(y, z) and max(y, z) <= 1),
+    ("x <= y,z <= 1 <= a", lambda x, y, z, a: x <= min(y, z) and max(y, z) <= 1 <= a),
+    ("1 <= x <= a <= y,z", lambda x, y, z, a: 1 <= x <= a <= min(y, z)),
+    ("1 <= x <= z <= a <= y", lambda x, y, z, a: 1 <= x <= z <= a <= y),
+    ("x <= y <= a <= z <= 1", lambda x, y, z, a: x <= y <= a <= z <= 1),
+    ("x <= 1 <= z <= a <= y", lambda x, y, z, a: x <= 1 <= z <= a <= y),
+    ("x <= y <= a <= 1 <= z", lambda x, y, z, a: x <= y <= a <= 1 <= z),
+    ("z < x < y < a <= 1", lambda x, y, z, a: z < x < y < a <= 1),
+    ("x < z < a < y <= 1", lambda x, y, z, a: x < z < a < y <= 1),
+    ("y < a < z < x <= 1", lambda x, y, z, a: y < a < z < x <= 1),
+    ("a < y < x < z <= 1", lambda x, y, z, a: a < y < x < z <= 1),
+    ("1 <= a < z < x < y", lambda x, y, z, a: 1 <= a < z < x < y),
+    ("1 <= y < x < z < a", lambda x, y, z, a: 1 <= y < x < z < a),
+    ("1 <= z < a < y < x", lambda x, y, z, a: 1 <= z < a < y < x),
+    ("1 <= x < y < a < z", lambda x, y, z, a: 1 <= x < y < a < z),
+    ("x < z < a < 1 <= y", lambda x, y, z, a: x < z < a < 1 <= y),
+    ("a < 1 <= z < x < y", lambda x, y, z, a: a < 1 <= z < x < y),
+    ("z < x < y <= 1 < a", lambda x, y, z, a: z < x < y <= 1 < a),
+    ("y < 1 <= x < z < a", lambda x, y, z, a: y < 1 <= x < z < a),
+    ("y < a < z < 1 <= x", lambda x, y, z, a: y < a < z < 1 <= x),
+    ("z < 1 <= a < y < x", lambda x, y, z, a: z < 1 <= a < y < x),
+    ("a < y < x < 1 <= z", lambda x, y, z, a: a < y < x < 1 <= z),
+    ("x < 1 <= y < a < z", lambda x, y, z, a: x < 1 <= y < a < z),
+    ("x < z < 1 <= a < y", lambda x, y, z, a: x < z < 1 <= a < y),
+    ("y < a < 1 <= z < x", lambda x, y, z, a: y < a < 1 <= z < x),
+    ("z < a <= 1 < y < x", lambda x, y, z, a: z < a <= 1 < y < x),
+    ("x < y <= 1 < a < z", lambda x, y, z, a: x < y <= 1 < a < z),
+    ("y,z < 1 < a,x", lambda x, y, z, a: max(y, z) < 1 < min(a, x)),
+    ("x,a < 1 < z,y", lambda x, y, z, a: max(x, a) < 1 < min(z, y)),
+    ("y < x <= 1 < z < a", lambda x, y, z, a: y < x <= 1 < z < a),
+    ("a < z <= 1 < x < y", lambda x, y, z, a: a < z <= 1 < x < y),
+    ("a < y < 1 <= x < z", lambda x, y, z, a: a < y < 1 <= x < z),
+    ("z < x < 1 <= y < a", lambda x, y, z, a: z < x < 1 <= y < a),
+)
+
+
+def min_first_exception_reference(x, y, z, a):
+    """Exception clauses for a point with x <= min{y, z, a}."""
+    if x < z < a < y and z < 1:
+        return "(i)"
+    if x < y < a < z and 1 < a:
+        return "(ii)"
+    if x <= a < 1 < min(y, z):
+        return "(iii)"
+    return None
+
+
+def guarantee_n5plus_reference(p):
+    rep, reduction = reduce_to_min_first(*p.xyza)
+    clause = min_first_exception_reference(*rep)
+    variant = dict(zip(SYMMETRY_IMAGES, ("T5", "T6", "T7", "T8")))[reduction]
+    return RegionVerdict(clause is None, clause and variant + clause, reduction)
+
+
+def guarantee_a1_reference(x, y, z):
+    clauses = (
+        ("A1(i)", 1 < z < x < y),
+        ("A1(ii)", z < 1 < y < x),
+        ("A1(iii)", z < x < y < 1),
+        ("A1(iv)", x < z < 1 < y),
+    )
+    for label, hit in clauses:
+        if hit:
+            return RegionVerdict(False, label, "identity")
+    return RegionVerdict(True, None, "identity")
+
+
+def predicted_edges_reference(p):
+    """The twenty edge conditions, written out one by one."""
+    n, (x, y, z, a) = p.n, p.xyza
+    mids = range(3, n - 1)
+    E = set()
+    if a <= y and z <= x:
+        E.add((1, 2))
+    if y <= min(1, a, x):
+        E.add((1, n - 1))
+    if x <= min(1, y, z):
+        E.add((1, n))
+    if a <= min(1, y, z):
+        E.add((2, n - 1))
+    if z <= min(1, x, a):
+        E.add((2, n))
+    if y <= x and a <= z:
+        E.add((n - 1, n))
+    if 1 <= min(x, y):
+        E.update((1, i) for i in mids)
+    if 1 <= min(a, z):
+        E.update((2, i) for i in mids)
+    if max(y, a) <= 1:
+        E.update((n - 1, i) for i in mids)
+    if max(x, z) <= 1:
+        E.update((n, i) for i in mids)
+    if y <= a and x <= z:
+        E.add((2, 1))
+    if max(1, a, x) <= y:
+        E.add((n - 1, 1))
+    if max(1, y, z) <= x:
+        E.add((n, 1))
+    if max(1, y, z) <= a:
+        E.add((n - 1, 2))
+    if max(1, a, x) <= z:
+        E.add((n, 2))
+    if x <= y and z <= a:
+        E.add((n, n - 1))
+    if max(x, y) <= 1:
+        E.update((i, 1) for i in mids)
+    if max(a, z) <= 1:
+        E.update((i, 2) for i in mids)
+    if 1 <= min(a, y):
+        E.update((i, n - 1) for i in mids)
+    if 1 <= min(x, z):
+        E.update((i, n) for i in mids)
+    return E
+
+
+def forbidden_reverse_edges_reference(p, G):
+    n, (x, y, z, a) = p.n, p.xyza
+    checks = (
+        ((3, 2), max(a, z) <= 1 and a != z, (2, 3)),
+        ((3, 1), max(x, y) <= 1 and x != y, (1, 3)),
+        ((3, n), min(x, z) >= 1 and x != z, (n, 3)),
+        ((3, n - 1), min(y, a) >= 1 and a != y, (n - 1, 3)),
+    )
+    violations = []
+    for fwd, cond, rev in checks:
+        if cond and G.has_edge(*fwd) and G.has_edge(*rev):
+            violations.append(f"edge {fwd} with relation forbids {rev}")
+    return violations
+
+
+def n4_six_cases_reference(x, y, z):
+    return (
+        (y <= x <= z and y <= 1 <= z)
+        or (y <= x and y <= 1 and z <= 1 and z <= x)
+        or (1 <= y <= x and 1 <= z <= x)
+        or (z <= x <= y and 1 <= y and z <= 1)
+        or (x <= y and 1 <= y and 1 <= z and x <= z)
+        or (x <= y <= 1 and x <= z <= 1)
+    )
+
+
+def complete_digraph(n):
+    return EfficiencyDigraph(~np.eye(n, dtype=bool), 1e-9)
+
+
+def assert_relations_match_reference(p):
+    x, y, z, a = p.xyza
+    assert [m.row.relation for m in table_oracle(p)] == [
+        rel for rel, holds in CATALOG_REFERENCE if holds(x, y, z, a)], p
+    assert predicted_edges(p) == predicted_edges_reference(p), p
+    assert guarantee_n5plus(p) == guarantee_n5plus_reference(p), p
+    assert guarantee_a1(p.n, x, y, z) == guarantee_a1_reference(x, y, z), p
+    # every edge present, so each clause whose relation holds is reported
+    G = complete_digraph(p.n)
+    assert forbidden_reverse_edges(p, G) == forbidden_reverse_edges_reference(p, G), p
+    assert guarantee_n4(x, y, z) == n4_six_cases_reference(x, y, z), p
+
+
+def test_relation_oracles_are_not_vacuous():
+    p = ZParams(5, 0.5, 0.8, 0.25, 0.8)  # max(a, z) <= 1, a != z, x != y
+    assert len(forbidden_reverse_edges(p, complete_digraph(5))) == 2
+    assert forbidden_reverse_edges(p, evaluate_z(p).report.digraph) == []
+    # every rule holds: 12 edges among 1, 2, 7, 8 and 8 rules to or from 4 middle vertices
+    assert len(predicted_edges(ZParams(8, 1.0, 1.0, 1.0, 1.0))) == 12 + 8 * 4
+
+
+def test_relations_reject_nan():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="NaN"):
+        guarantee_a1(5, 0.5, nan, 2.0)
+    with pytest.raises(ValueError, match="NaN"):
+        guarantee_n4(nan, 1.0, 1.0)
+
+
+def test_catalog_relations_are_the_reference_relations():
+    assert [row.relation for row in CYCLE_CATALOG] == [rel for rel, _ in CATALOG_REFERENCE]
+
+
+ORACLE_AXES = (0.25, 0.5, 0.8, 1.0, 1.25, 2.0, 4.0)
+
+
+@pytest.mark.parametrize("n", (5, 7, 8))
+def test_compiled_relations_match_reference_on_tied_grid(n):
+    # the axes include 1 and repeat values across coordinates, so every
+    # boundary of every relation is hit with ties
+    for xyza in itertools.product(ORACLE_AXES, repeat=4):
+        assert_relations_match_reference(ZParams(n, *xyza))
+
+
+log_uniform = st.floats(min_value=-3.0, max_value=3.0).map(math.exp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=5, max_value=9), log_uniform, log_uniform, log_uniform,
+       log_uniform)
+def test_compiled_relations_match_reference_log_uniform(n, x, y, z, a):
+    assert_relations_match_reference(ZParams(n, x, y, z, a))
