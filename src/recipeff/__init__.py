@@ -13,10 +13,10 @@ and constructs order-(n+1) extensions with prescribed Perron vectors.
 """
 
 from .core import (
+    PerronConvergenceError,
     PerronPair,
     PerronStack,
     ReciprocalMatrix,
-    consistent_from_vector,
     make_reciprocal,
     pareto_dominates,
     perron,
@@ -66,9 +66,7 @@ from .matio import (
     load_matrix,
     load_vector,
     report_to_dict,
-    save_matrix,
     save_report,
-    save_vector,
 )
 from .zfamily import (
     CYCLE_CATALOG,

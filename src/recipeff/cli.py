@@ -6,7 +6,8 @@ verdict), sweep (parameter grid -> CSV), extend (matrix -> extension
 JSON), verify (bundled verification suite), example-ee1 (replay the
 bundled worked example with pass/fail marks).
 
-Exit codes: 0 success, 1 verification failure, 2 input error.  The env
+Exit codes: 0 success, 1 verification failure, 2 input error or a Perron
+solve that did not converge.  The env
 var RECIP_EPS overrides the default edge tolerance; an explicit
 --eps-rel flag overrides both.
 """
@@ -20,6 +21,7 @@ import sys
 
 import numpy as np
 
+from .core import PerronConvergenceError
 from .digraph import DEFAULT_EPS_REL, analyze
 from .extensions import (
     conjugated_extension,
@@ -216,7 +218,7 @@ def main(argv=None) -> int:
     try:
         eps = _resolve_eps(args.eps_rel)
         return args.func(args, eps)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, PerronConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,7 @@
-"""CSV / JSON input and output.
+"""CSV input and JSON output.
 
-Matrices travel as headerless CSV, n rows by n columns; vectors as a single
-CSV row or a single column.  Writers emit 17 significant digits so a
-save/load round trip is bit-exact.  Reports are serialized as JSON with
+Matrices are read from headerless CSV, n rows by n columns; vectors from a
+single CSV row or a single column.  Reports are serialized as JSON with
 1-based vertex indices.
 """
 
@@ -15,8 +14,6 @@ import numpy as np
 
 from .core import ReciprocalMatrix, make_reciprocal
 from .digraph import EfficiencyReport
-
-FLOAT_FMT = "%.17g"
 
 
 def _parse_rows(text: str, what: str) -> list[list[float]]:
@@ -70,18 +67,6 @@ def load_vector(path) -> np.ndarray:
     if not np.all(v > 0):
         raise ValueError(f"{path}: vector entries must be positive")
     return v
-
-
-def save_matrix(A: ReciprocalMatrix, path) -> None:
-    lines = [",".join(FLOAT_FMT % v for v in row) for row in A.a]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def save_vector(w, path) -> None:
-    w = np.asarray(w, dtype=float)
-    Path(path).write_text(
-        ",".join(FLOAT_FMT % v for v in w) + "\n", encoding="utf-8"
-    )
 
 
 def report_to_dict(report: EfficiencyReport) -> dict:

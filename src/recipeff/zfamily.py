@@ -39,6 +39,13 @@ from .digraph import (
 )
 
 
+def _require_positive(**params: float) -> None:
+    """Reject a parameter that is not positive and finite (NaN included)."""
+    for name, v in params.items():
+        if not (v > 0 and math.isfinite(v)):
+            raise ValueError(f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class ZParams:
     n: int
@@ -50,10 +57,7 @@ class ZParams:
     def __post_init__(self) -> None:
         if self.n < 4:
             raise ValueError("n must be at least 4")
-        for name in ("x", "y", "z", "a"):
-            v = getattr(self, name)
-            if not (v > 0 and np.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite")
+        _require_positive(x=self.x, y=self.y, z=self.z, a=self.a)
 
     @property
     def xyza(self) -> tuple[float, float, float, float]:
@@ -151,8 +155,6 @@ class _Relations:
 
     def holding(self, xyza: Sequence[float]) -> tuple:
         """The labels of the rows that hold at (x, y, z, a), in row order."""
-        if any(map(math.isnan, xyza)):
-            raise ValueError("parameters must not be NaN")
         v = (1.0, *xyza)
         ranks = tuple(map(sorted(set(v)).index, v))
         if ranks not in self._hits:
@@ -203,6 +205,7 @@ def guarantee_a1(n: int, x: float, y: float, z: float) -> RegionVerdict:
     """Efficiency-region verdict for the a = 1 slice, n >= 5."""
     if n < 5:
         raise ValueError("guarantee_a1 requires n >= 5")
+    _require_positive(x=x, y=y, z=z)
     label = next(iter(_A1_EXCEPTIONS.holding((x, y, z, 1.0))), None)
     return RegionVerdict(label is None, label, "identity")
 
@@ -220,8 +223,10 @@ def guarantee_n4(x: float, y: float, z: float, form: str = "six_cases") -> bool:
     "six_cases" checks the six sufficient clauses directly;
     "region_complement" checks that neither interleaving pattern
     min{1,x} < min{y,z} < max{1,x} < max{y,z} (nor its mirror) holds with
-    1 != x and y != z.  The two forms are equivalent.
+    1 != x and y != z.  The two forms are equivalent.  x, y and z must be
+    positive and finite.
     """
+    _require_positive(x=x, y=y, z=z)
     if form == "six_cases":
         return bool(_N4_CASES.holding((x, y, z, 1.0)))
     if form == "region_complement":

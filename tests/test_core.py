@@ -1,13 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recipeff.core as core
+from helpers import consistent_from_vector
 from recipeff.core import (
     PERRON_STOP_EVERY,
+    PerronConvergenceError,
     ReciprocalMatrix,
-    consistent_from_vector,
     make_reciprocal,
     pareto_dominates,
     perron,
@@ -172,10 +175,32 @@ def test_consistent_iff_rank_one_form(vs):
 # --- stacked power iteration -------------------------------------------------
 
 
-def perron_loop_reference(a, tol=1e-14, max_iter=100_000):
-    """The one-matrix power iteration with a stop test after every step."""
-    w = np.ones(a.shape[0])
-    for it in range(1, max_iter + 1):
+def squared_start_reference(a, max_iter=100_000):
+    """One matrix: M <- M @ M over its largest row sum until the row sums,
+    scaled to first component 1, move by at most 1e-15 times their largest
+    entry; all-ones when they stop being finite and positive."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        m = a
+        u = m.sum(axis=1)
+        s = u / u[0]
+        for k in range(1, max_iter + 1):
+            m = m @ m
+            u = m.sum(axis=1)
+            m = m / u.max()
+            t = u / u[0]
+            if not np.max(np.abs(t - s)) > 1e-15 * (u.max() / u[0]):
+                break
+            s = t
+        else:
+            raise RuntimeError("did not converge")
+    return (t if np.all(np.isfinite(t) & (t > 0)) else np.ones(len(a))), k
+
+
+def perron_loop_reference(a, tol=1e-14, max_iter=100_000, w=None, done=0):
+    """The one-matrix power iteration from w (all-ones by default) with a
+    stop test after every step; `done` iterations are already spent."""
+    w = np.ones(a.shape[0]) if w is None else w
+    for it in range(done + 1, max_iter + 1):
         v = a @ w
         v /= v[0]
         if np.max(np.abs(v - w)) < tol:
@@ -188,6 +213,14 @@ def perron_loop_reference(a, tol=1e-14, max_iter=100_000):
     return w, r, float(np.max(np.abs(a @ w - r * w))), it
 
 
+def perron_reference(a, tol=1e-14, max_iter=100_000):
+    """The squared start (orders up to 16), then the loop from it."""
+    if a.shape[0] > core.PERRON_SQUARE_MAX_N:
+        return perron_loop_reference(a, tol, max_iter)
+    w, k = squared_start_reference(a, max_iter)
+    return perron_loop_reference(a, tol, max_iter, w, k)
+
+
 def same_pair(pp, ref) -> bool:
     w, r, residual, it = ref
     return (pp.w.tobytes() == w.tobytes() and pp.r == r
@@ -197,9 +230,9 @@ def same_pair(pp, ref) -> bool:
 CAP = 3000  # rows slower than this are left to the cap tests
 
 
-def mixed_rows(n, count, seed):
+def mixed_rows(n, count, seed, reference=perron_reference):
     """Matrices of order n: consistent ones (two steps), random ones with
-    spreads log-uniform up to 1e3 (fast to slow), all below CAP steps."""
+    spreads log-uniform up to 1e3 (fast to slow), all below CAP iterations."""
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
@@ -210,7 +243,7 @@ def mixed_rows(n, count, seed):
             spread = np.exp(rng.uniform(0.0, np.log(1e3)))
             A = random_reciprocal(n, seed=seed + k, log_scale=np.log(spread))
         try:
-            ref = perron_loop_reference(A.a, max_iter=CAP)
+            ref = reference(A.a, max_iter=CAP)
         except RuntimeError:
             seed += 1000
             continue
@@ -219,8 +252,8 @@ def mixed_rows(n, count, seed):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=2, max_value=12), st.sampled_from([1, 2, 37]),
-       st.integers(min_value=0, max_value=10**6))
+@given(st.integers(min_value=2, max_value=core.PERRON_SQUARE_MAX_N),
+       st.sampled_from([1, 2, 37]), st.integers(min_value=0, max_value=10**6))
 def test_perron_stack_rows_equal_one_matrix_solves(n, B, seed):
     rows = mixed_rows(n, B, seed)
     stack = perron_stack(np.array([A.a for A, _ in rows]))
@@ -230,30 +263,122 @@ def test_perron_stack_rows_equal_one_matrix_solves(n, B, seed):
         assert same_pair(perron(A), ref), (i, its)
 
 
-def test_perron_stack_mixes_fast_and_slow_rows():
-    rows = mixed_rows(9, 37, seed=11)
-    its = sorted(ref[3] for _, ref in rows)
-    assert its[0] <= 3 and its[-1] >= 10 * PERRON_STOP_EVERY
+@settings(max_examples=8, deadline=None)
+@given(st.integers(min_value=core.PERRON_SQUARE_MAX_N + 1, max_value=40),
+       st.sampled_from([1, 2, 37]), st.integers(min_value=0, max_value=10**6))
+def test_large_orders_keep_the_loop_from_all_ones(n, B, seed):
+    rows = mixed_rows(n, B, seed, reference=perron_loop_reference)
     stack = perron_stack(np.array([A.a for A, _ in rows]))
     assert all(same_pair(stack[i], ref) for i, (_, ref) in enumerate(rows))
 
 
+def test_perron_stack_mixes_fast_and_slow_rows():
+    rows = mixed_rows(20, 37, seed=11)
+    its = sorted(ref[3] for _, ref in rows)
+    assert its[0] <= 3 and its[-1] >= 5 * PERRON_STOP_EVERY
+    stack = perron_stack(np.array([A.a for A, _ in rows]))
+    assert all(same_pair(stack[i], ref) for i, (_, ref) in enumerate(rows))
+
+
+def test_squared_start_rows_settle_at_different_squarings():
+    rows = mixed_rows(9, 37, seed=11)
+    squarings = {squared_start_reference(A.a)[1] for A, _ in rows}
+    assert len(squarings) >= 4
+    stack = perron_stack(np.array([A.a for A, _ in rows]))
+    assert all(same_pair(stack[i], ref) for i, (_, ref) in enumerate(rows))
+
+
+def both_references(a, max_iter):
+    """The squared start's pair and the loop's; either may stall under the
+    absolute stop test on a matrix the other solves."""
+    return perron_reference(a, max_iter=max_iter), perron_loop_reference(a, max_iter=max_iter)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=2, max_value=core.PERRON_SQUARE_MAX_N),
+       st.integers(min_value=0, max_value=10**6))
+def test_squared_start_stays_close_to_the_loop(n, seed):
+    # the loop stops within tol of its last step, not of w*: on slow rows
+    # its own error reaches a few 1e-13
+    for _, (new, old) in mixed_rows(n, 4, seed, reference=both_references):
+        assert np.max(np.abs(new[0] - old[0]) / old[0]) <= 1e-12
+        assert abs(new[1] - old[1]) <= 1e-12 * old[1]
+
+
+def mp_perron(a, w, r):
+    """The Perron pair to 50 digits: Newton's method on A x = r x, x_1 = 1,
+    from a float pair."""
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 50
+    n = len(a)
+    A, x, r = mp.matrix(a.tolist()), mp.matrix(w.tolist()), mp.mpf(r)
+    for _ in range(5):  # quadratic: 1e-13 -> 1e-26 -> 1e-50
+        J = mp.matrix(n + 1, n + 1)
+        for i in range(n):
+            for j in range(n):
+                J[i, j] = A[i, j] - (r if i == j else 0)
+            J[i, n] = -x[i]
+        J[n, 0] = 1
+        F = A * x - r * x
+        d = mp.lu_solve(J, mp.matrix([-F[i] for i in range(n)] + [1 - x[0]]))
+        x, r = mp.matrix([x[i] + d[i] for i in range(n)]), r + d[n]
+    return np.array([float(v) for v in x]), float(r)
+
+
+@pytest.mark.parametrize("n", (3, 8, 16))
+def test_squared_start_matches_a_50_digit_vector_on_wide_spreads(n):
+    solved = 0
+    for seed, spread in itertools.product(range(3), (1e2, 1e3, 1e4)):
+        A = random_reciprocal(n, seed=seed, log_scale=np.log(spread))
+        try:  # a row that stalls under the absolute stop test is left out
+            pp = perron(A, max_iter=CAP)
+        except PerronConvergenceError:
+            continue
+        w, r = mp_perron(A.a, pp.w, pp.r)
+        assert np.max(np.abs(pp.w - w) / w) <= 1e-14, (seed, spread)
+        assert abs(pp.r - r) <= 1e-14 * r, (seed, spread)
+        solved += 1
+    assert solved >= 6
+
+
 def test_perron_cap_is_exact_at_every_step_count():
     seen = set()
-    for A, ref in mixed_rows(5, 40, seed=3):
+    rows = mixed_rows(5, 20, seed=3) + mixed_rows(20, 40, seed=3)
+    for A, ref in rows:
         it = ref[3]
-        seen.add(it % PERRON_STOP_EVERY)
+        if A.n > core.PERRON_SQUARE_MAX_N:
+            seen.add(it % PERRON_STOP_EVERY)
         assert same_pair(perron(A, max_iter=it), ref)
-        with pytest.raises(RuntimeError, match="did not converge"):
+        with pytest.raises(PerronConvergenceError, match="did not converge"):
             perron(A, max_iter=it - 1)
     # the boundary fell on and off the stop-test steps
     assert {0, 1} < seen and len(seen) >= 5
 
 
+def test_perron_cap_can_end_the_squarings():
+    A = random_reciprocal(6, seed=4, log_scale=np.log(100.0))
+    _, squarings = squared_start_reference(A.a)
+    assert squarings >= 3
+    for cap in range(squarings):
+        with pytest.raises(PerronConvergenceError, match=f"in {cap} iterations at row 0 "):
+            perron(A, max_iter=cap)
+
+
+def test_overflowing_squared_start_starts_from_ones():
+    # a_12 * a_23 overflows in the first squaring; the loop from all-ones
+    # converges
+    a = make_reciprocal(np.array([[1.0, 1e155, 1e155], [1e-155, 1.0, 1e155],
+                                  [1e-155, 1e-155, 1.0]])).a
+    start, squarings = squared_start_reference(a)
+    assert squarings == 1 and np.array_equal(start, np.ones(3))
+    ref = perron_loop_reference(a, done=1)
+    assert same_pair(perron_stack(np.array([a, random_reciprocal(3, seed=1).a]))[0], ref)
+
+
 def test_perron_stack_names_the_row_that_does_not_converge():
-    slow = random_reciprocal(8, seed=20, log_scale=np.log(100.0))
+    slow = random_reciprocal(8, seed=54, log_scale=np.log(1000.0))
     fast = [random_reciprocal(8, seed=s) for s in (1, 2, 3)]
-    cap = max(perron(A).iterations for A in fast)
+    cap = 5 * max(perron(A).iterations for A in fast)
     stack = np.array([fast[0].a, fast[1].a, slow.a, fast[2].a])
     with pytest.raises(RuntimeError, match=r"did not converge in \d+ iterations at row 2 "):
         perron_stack(stack, max_iter=cap)

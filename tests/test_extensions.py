@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import consistent_from_vector
+
 from recipeff.core import (
-    consistent_from_vector,
     make_reciprocal,
     perron,
     random_reciprocal,

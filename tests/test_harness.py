@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from helpers import save_matrix, save_vector
 from recipeff import cli, digraph, harness, zfamily
 from recipeff.core import make_reciprocal, perron_stack, random_reciprocal
 from recipeff.digraph import analyze
@@ -22,9 +23,7 @@ from recipeff.matio import (
     load_matrix,
     load_vector,
     report_to_dict,
-    save_matrix,
     save_report,
-    save_vector,
 )
 from recipeff.zfamily import ZParams
 
@@ -136,7 +135,7 @@ WALKTHROUGH_STEPS = [
      "row-sum residual 1.03e-12, all-ones efficient=True"),
     ("example1.conjugated_restores_base", True, "leading block comparison is exact"),
     ("example1.conjugated_perron_matches", True,
-     "max component deviation 1.54e-13 (tol 1e-9)"),
+     "max component deviation 1.49e-13 (tol 1e-9)"),
     ("example1.conjugated_efficient", True, "computed on the order-6 digraph"),
     ("example1.ranking_changes", True,
      "base ranks (1, 4, 5, 2, 3), extension-prefix ranks (3, 3, 3, 2, 1)"),
@@ -380,6 +379,16 @@ def test_cli_z_n4(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["region"]["guaranteed_efficient"] is True
+
+
+def test_cli_z_reports_a_solve_that_does_not_converge(capsys):
+    # 1e308 and 1e-308 overflow the squared start, and the loop from
+    # all-ones stalls under the absolute stop test
+    code, out, err = run_cli(capsys, "z", "--n", "5", "--x", "1e308", "--y", "1e-308",
+                             "--z", "1", "--a", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: power iteration did not converge in 100000 iterations")
+    assert "Traceback" not in err
 
 
 def test_cli_sweep_to_file(tmp_path, capsys):

@@ -563,10 +563,25 @@ def test_relation_oracles_are_not_vacuous():
 
 def test_relations_reject_nan():
     nan = float("nan")
-    with pytest.raises(ValueError, match="NaN"):
+    with pytest.raises(ValueError, match="y must be positive and finite"):
         guarantee_a1(5, 0.5, nan, 2.0)
-    with pytest.raises(ValueError, match="NaN"):
+    with pytest.raises(ValueError, match="x must be positive and finite"):
         guarantee_n4(nan, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", (-1.0, 0.0, math.inf, math.nan))
+@pytest.mark.parametrize("slot", range(3))
+def test_guarantees_reject_parameters_that_zparams_rejects(bad, slot):
+    xyz = [0.5, 2.0, 1.5]
+    xyz[slot] = bad
+    name = "xyz"[slot]
+    with pytest.raises(ValueError, match="positive and finite"):
+        ZParams(5, *xyz, 1.0)
+    for form in ("six_cases", "region_complement"):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            guarantee_n4(*xyz, form)
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        guarantee_a1(5, *xyz)
 
 
 def test_catalog_relations_are_the_reference_relations():
