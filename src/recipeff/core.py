@@ -22,9 +22,7 @@ import numpy as np
 RECIPROCITY_RTOL = 1e-12
 PERRON_TOL = 1e-14
 PERRON_MAX_ITER = 100_000
-# power steps between two stop tests; each test reads every recorded step,
-# so a row stops at the same step as with a test after every step
-PERRON_STOP_EVERY = 8
+PARETO_MARGIN = 1e-12  # pareto_dominates ignores deviation changes up to this size
 # orders up to this start the power iteration from a squared start.  A
 # squaring costs n^3 where a step costs n^2: one matrix at spread 1e2 solved
 # faster from a squared start up to n = 32 and slower at n = 40 (2 cores,
@@ -137,7 +135,8 @@ class PerronStack:
 
 
 class PerronConvergenceError(RuntimeError):
-    """The power iteration reached its iteration cap without stopping."""
+    """The power iteration reached its iteration cap without stopping, or
+    stopped at a w or r that is not positive and finite."""
 
 
 def _not_converged(a: np.ndarray, v: np.ndarray, i: int, max_iter: int):
@@ -188,23 +187,20 @@ def _squared_start(a: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray
     return start, squarings
 
 
-def perron_stack(
-    a: np.ndarray,
-    tol: float = PERRON_TOL,
-    max_iter: int = PERRON_MAX_ITER,
-) -> PerronStack:
+def perron_stack(a: np.ndarray, max_iter: int = PERRON_MAX_ITER) -> PerronStack:
     """Perron eigenpairs of a (B, n, n) stack by power iteration.
 
     Orders up to PERRON_SQUARE_MAX_N start from a squared start (see
     `_squared_start`); larger orders start from all-ones.  From there each
-    row iterates v <- A v, renormalized to v[0] == 1, and stops at the
-    first step whose iterate differs from the previous one by less than
-    `tol` in max norm; r is (A w)[0] at that iterate.  A row's `iterations`
-    counts its squarings plus its power steps, and `max_iter` caps that
-    total: a row that reaches it raises PerronConvergenceError naming the
-    row.  The iterates are recorded and tested every PERRON_STOP_EVERY
-    steps (never past a row's cap), and rows that stopped are written out
-    and dropped from the stack.  Every row equals its own one-matrix solve
+    pass takes one step v <- A v, renormalized to v[0] == 1, on every live
+    row; a row stops at the first step whose iterate differs from the
+    previous one by less than PERRON_TOL in max norm, and is written out
+    and dropped from the stack.  r is (A w)[0] at that iterate.  A row's
+    `iterations` counts its squarings plus its power steps, and `max_iter`
+    caps that total.  PerronConvergenceError names the row when it reaches
+    the cap (the one with the least budget left, the first on ties), or
+    when it stops at a w or r that is not positive and finite, as when an
+    entry product underflows.  Every row equals its own one-matrix solve
     bit for bit.
     """
     a = np.ascontiguousarray(a, dtype=float)
@@ -216,53 +212,42 @@ def perron_stack(
     w = np.empty((B, n))
     iterations = np.empty(B, dtype=int)
     rows, live, left = np.arange(B), a, max_iter - squarings
-    steps = np.empty((PERRON_STOP_EVERY + 1, B, n, 1))  # steps[0]: last tested
-    steps[0, :, :, 0] = start
-    done, views = 0, None
+    v, k, cap = start[..., None], 0, int(left.min(initial=max_iter))
     while rows.size:
-        todo = min(PERRON_STOP_EVERY, int(left.min()) - done)
-        if todo == 0:
+        if k == cap:
             j = int(left.argmin())
-            raise _not_converged(a[rows[j]], steps[0, j, :, 0], int(rows[j]), max_iter)
-        if views is None:  # made once per stack shape: the step loop is all ufuncs
-            views = list(steps)
-            heads = [v[:, :1] for v in views]
-        for k in range(1, todo + 1):
-            np.matmul(live, views[k - 1], out=views[k])
-            views[k] /= heads[k]
-        hit = np.abs(steps[1 : todo + 1] - steps[:todo]).max(axis=2)[..., 0] < tol
-        stop = hit.any(axis=0)
+            raise _not_converged(a[rows[j]], v[j, :, 0], int(rows[j]), max_iter)
+        u = live @ v
+        u /= u[:, :1]
+        k += 1
+        stop = np.abs(u - v).max(axis=1)[:, 0] < PERRON_TOL
         if stop.any():
-            first = hit.argmax(axis=0)[stop]
-            w[rows[stop]] = steps[first + 1, np.flatnonzero(stop), :, 0]
-            iterations[rows[stop]] = squarings[rows[stop]] + done + first + 1
-            rows, live, steps, left = rows[~stop], live[~stop], steps[:, ~stop], left[~stop]
-            views = None
-        steps[0] = steps[todo]
-        done += todo
+            w[rows[stop]] = u[stop, :, 0]
+            iterations[rows[stop]] = squarings[rows[stop]] + k
+            rows, live, u, left = rows[~stop], live[~stop], u[~stop], left[~stop]
+            cap = int(left.min(initial=max_iter))
+        v = u
     aw = np.matmul(a, w[..., None])[..., 0]
     r = aw[:, 0]
+    ok = np.all((w > 0) & np.isfinite(aw), axis=1)  # so w is finite and r >= w[0] = 1
+    if not ok.all():
+        raise PerronConvergenceError("power iteration stopped at a w or r that is not "
+                                     f"positive and finite at row {int(ok.argmin())}")
     residual = np.max(np.abs(aw - r[:, None] * w), axis=1)
     return PerronStack(w, r, residual, iterations)
 
 
-def perron(
-    A: ReciprocalMatrix,
-    tol: float = PERRON_TOL,
-    max_iter: int = PERRON_MAX_ITER,
-) -> PerronPair:
+def perron(A: ReciprocalMatrix, max_iter: int = PERRON_MAX_ITER) -> PerronPair:
     """Perron eigenpair of A: the one-matrix case of `perron_stack`."""
-    return perron_stack(A.a[None], tol, max_iter)[0]
+    return perron_stack(A.a[None], max_iter)[0]
 
 
-def pareto_dominates(
-    A: ReciprocalMatrix, w, w2, strict_margin: float = 1e-12
-) -> bool:
+def pareto_dominates(A: ReciprocalMatrix, w, w2) -> bool:
     """True iff w2 fits A at least as well as w entrywise, strictly somewhere.
 
     Fit is the absolute deviation |a_ij - u_i/u_j|; domination requires no
-    deviation to grow by more than strict_margin and at least one to shrink
-    by more than strict_margin.  The slack on the growth side absorbs the
+    deviation to grow by more than PARETO_MARGIN and at least one to shrink
+    by more than PARETO_MARGIN.  The slack on the growth side absorbs the
     ulp-level ratio drift introduced when a block of w2 is a rescaled copy
     of the corresponding block of w.
     """
@@ -273,9 +258,9 @@ def pareto_dominates(
     dev = np.abs(A.a - w[:, None] / w[None, :])
     dev2 = np.abs(A.a - w2[:, None] / w2[None, :])
     off = ~np.eye(A.n, dtype=bool)
-    if np.any(dev2[off] > dev[off] + strict_margin):
+    if np.any(dev2[off] > dev[off] + PARETO_MARGIN):
         return False
-    return bool(np.any(dev[off] - dev2[off] > strict_margin))
+    return bool(np.any(dev[off] - dev2[off] > PARETO_MARGIN))
 
 
 def random_reciprocal(n: int, seed: int, log_scale: float = np.log(9.0)) -> ReciprocalMatrix:

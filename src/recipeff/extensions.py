@@ -139,9 +139,14 @@ def conjugated_extension(
     d = np.asarray(D, dtype=float).reshape(-1)
     if d.size != A_orig.n:
         raise ValueError(f"diagonal has {d.size} entries, expected {A_orig.n}")
-    if not np.all(d > 0):
-        raise ValueError("diagonal entries must be positive")
-    Bp = make_reciprocal(A_orig.a * (d[:, None] / d[None, :]), mode="symmetrize")
+    if not np.all(np.isfinite(d) & (d > 0)):
+        raise ValueError("diagonal entries must be positive and finite")
+    with np.errstate(over="ignore"):
+        conj = A_orig.a * (d[:, None] / d[None, :])
+    if not np.all(np.isfinite(conj) & (conj > 0)):
+        raise ValueError("diagonal ratios overflow: D A D^-1 has entries that are not "
+                         "positive and finite")
+    Bp = make_reciprocal(conj, mode="symmetrize")
     r = row_sums(Bp)
     s = _solve_target_sum(r)
     return _append_column(A_orig, (s - r) / d)
@@ -180,9 +185,9 @@ def extension_source_scan(
     return SourceScanReport(samples=samples, seed=seed, failures=failures)
 
 
-def _dense_ranks(w: np.ndarray, tie_tol: float) -> tuple[int, ...]:
-    """Descending dense ranks; values within tie_tol * max(w) tie."""
-    gap = tie_tol * float(np.max(w))
+def _dense_ranks(w: np.ndarray) -> tuple[int, ...]:
+    """Descending dense ranks; values within RANK_TIE_TOL * max(w) tie."""
+    gap = RANK_TIE_TOL * float(np.max(w))
     order = np.argsort(-w, kind="stable")
     ranks = np.empty(w.size, dtype=int)
     rank = 1
@@ -194,17 +199,16 @@ def _dense_ranks(w: np.ndarray, tie_tol: float) -> tuple[int, ...]:
     return tuple(int(v) for v in ranks)
 
 
-def _ranks_kept(A: ReciprocalMatrix, B: ReciprocalMatrix, wA: np.ndarray,
-                wB: np.ndarray, tie_tol: float = RANK_TIE_TOL):
+def _ranks_kept(A: ReciprocalMatrix, B: ReciprocalMatrix, wA: np.ndarray, wB: np.ndarray):
     """Does extending A to B keep the ranking of the first n Perron weights?
 
     Returns (preserved, ranks of wA, ranks of wB[:n]) for the Perron vectors
-    wA of A and wB of B; ranks are dense and descending, ties within tie_tol.
+    wA of A and wB of B; ranks are dense and descending, ties within RANK_TIE_TOL.
     """
     if not is_extension(B, A):
         raise ValueError("B is not an extension of A")
-    ra = _dense_ranks(wA, tie_tol)
-    rb = _dense_ranks(wB[: A.n], tie_tol)
+    ra = _dense_ranks(wA)
+    rb = _dense_ranks(wB[: A.n])
     return ra == rb, ra, rb
 
 

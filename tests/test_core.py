@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import recipeff.core as core
 from helpers import consistent_from_vector
 from recipeff.core import (
-    PERRON_STOP_EVERY,
     PerronConvergenceError,
     ReciprocalMatrix,
     make_reciprocal,
@@ -275,7 +274,7 @@ def test_large_orders_keep_the_loop_from_all_ones(n, B, seed):
 def test_perron_stack_mixes_fast_and_slow_rows():
     rows = mixed_rows(20, 37, seed=11)
     its = sorted(ref[3] for _, ref in rows)
-    assert its[0] <= 3 and its[-1] >= 5 * PERRON_STOP_EVERY
+    assert its[0] <= 3 and its[-1] >= 40
     stack = perron_stack(np.array([A.a for A, _ in rows]))
     assert all(same_pair(stack[i], ref) for i, (_, ref) in enumerate(rows))
 
@@ -342,17 +341,12 @@ def test_squared_start_matches_a_50_digit_vector_on_wide_spreads(n):
 
 
 def test_perron_cap_is_exact_at_every_step_count():
-    seen = set()
     rows = mixed_rows(5, 20, seed=3) + mixed_rows(20, 40, seed=3)
     for A, ref in rows:
         it = ref[3]
-        if A.n > core.PERRON_SQUARE_MAX_N:
-            seen.add(it % PERRON_STOP_EVERY)
         assert same_pair(perron(A, max_iter=it), ref)
         with pytest.raises(PerronConvergenceError, match="did not converge"):
             perron(A, max_iter=it - 1)
-    # the boundary fell on and off the stop-test steps
-    assert {0, 1} < seen and len(seen) >= 5
 
 
 def test_perron_cap_can_end_the_squarings():
@@ -375,6 +369,23 @@ def test_overflowing_squared_start_starts_from_ones():
     assert same_pair(perron_stack(np.array([a, random_reciprocal(3, seed=1).a]))[0], ref)
 
 
+def test_perron_stack_of_no_rows():
+    for n in (4, 20):
+        stack = perron_stack(np.empty((0, n, n)))
+        assert stack.w.shape == (0, n) and stack.iterations.shape == (0,)
+
+
+def test_perron_stack_names_the_row_whose_solve_underflows():
+    # a_12 * a_23 / a_13 = 1e150, but the all-ones start underflows w_3 to 0
+    # and the loop stops at w = [1, 2e-200, 0], r = 3
+    a = make_reciprocal([[1, 1e200, 1e200], [1e-200, 1, 1e150], [1e-200, 1e-150, 1]])
+    stack = np.array([random_reciprocal(3, seed=1).a, a.a])
+    with pytest.raises(PerronConvergenceError, match="not positive and finite at row 0$"):
+        perron(a)
+    with pytest.raises(PerronConvergenceError, match="not positive and finite at row 1$"):
+        perron_stack(stack)
+
+
 def test_perron_stack_names_the_row_that_does_not_converge():
     slow = random_reciprocal(8, seed=54, log_scale=np.log(1000.0))
     fast = [random_reciprocal(8, seed=s) for s in (1, 2, 3)]
@@ -384,6 +395,24 @@ def test_perron_stack_names_the_row_that_does_not_converge():
         perron_stack(stack, max_iter=cap)
     with pytest.raises(RuntimeError, match="at row 0 "):
         perron_stack(slow.a[None], max_iter=cap)
+    # 4, 8, 7 and 8 squarings: the cap leaves rows 1 and 3 no step, and the
+    # row with the least budget left is named, the first on ties
+    stack = np.array([random_reciprocal(3, seed=s).a for s in (5, 4, 1, 4)])
+    with pytest.raises(RuntimeError, match="in 8 iterations at row 1 "):
+        perron_stack(stack, max_iter=8)
+
+
+def test_perron_cap_is_exact_for_each_row_of_a_stack():
+    # the squared start of the middle row overflows: 1 squaring, then
+    # 10,002 steps from all-ones.  The other rows take more squarings and
+    # leave first; the middle row still gets its whole budget
+    a = make_reciprocal(np.array([[1.0, 1e155, 1e10], [1e-155, 1.0, 1e155],
+                                  [1e-10, 1e-155, 1.0]])).a
+    ref = perron_reference(a)
+    stack = np.array([random_reciprocal(3, seed=1).a, a, random_reciprocal(3, seed=4).a])
+    assert same_pair(perron_stack(stack, max_iter=ref[3])[1], ref)
+    with pytest.raises(PerronConvergenceError, match="at row 1 "):
+        perron_stack(stack, max_iter=ref[3] - 1)
 
 
 def test_upper_indices_are_cached_and_read_only():

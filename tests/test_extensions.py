@@ -146,6 +146,11 @@ def test_conjugated_extension_input_checks():
         conjugated_extension(A, np.ones(4))
     with pytest.raises(ValueError, match="positive"):
         conjugated_extension(A, np.array([1.0, -1.0, 1.0]))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="diagonal entries must be positive and finite"):
+            conjugated_extension(A, np.array([1.0, bad, 1.0]))
+    with pytest.raises(ValueError, match="diagonal ratios overflow"):
+        conjugated_extension(A, np.array([1.0, 1e-320, 1.0]))
 
 
 def test_conjugated_extension_reference_chain(

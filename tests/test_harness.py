@@ -391,6 +391,26 @@ def test_cli_z_reports_a_solve_that_does_not_converge(capsys):
     assert "Traceback" not in err
 
 
+def test_cli_analyze_reports_a_solve_that_underflows(tmp_path, capsys):
+    mat = tmp_path / "M.csv"
+    save_matrix(make_reciprocal([[1, 1e200, 1e200], [1e-200, 1, 1e150],
+                                 [1e-200, 1e-150, 1]]), mat)
+    code, out, err = run_cli(capsys, "analyze", str(mat))
+    assert code == 2 and out == ""
+    assert err.startswith("error: power iteration stopped at a w or r that is not "
+                          "positive and finite at row 0")
+
+
+@pytest.mark.parametrize("diag", ["1,inf,1", "1,1e-320,1"])
+def test_cli_extend_rejects_a_bad_conjugate_diagonal(tmp_path, capsys, diag):
+    path = tmp_path / "m.csv"
+    save_matrix(random_reciprocal(3, seed=13), path)
+    # a numpy RuntimeWarning fails the test: pyproject.toml makes it an error
+    code, out, err = run_cli(capsys, "extend", str(path), "--conjugate-diag", diag)
+    assert code == 2 and out == ""
+    assert err.startswith("error: diagonal") and err.count("\n") == 1
+
+
 def test_cli_sweep_to_file(tmp_path, capsys):
     out = tmp_path / "s.csv"
     code, stdout, _ = run_cli(capsys, "sweep", "--n", "5", "--axes", "1",
