@@ -65,6 +65,7 @@ from .harness import (
 from .matio import (
     load_matrix,
     load_vector,
+    report_json,
     report_to_dict,
     save_report,
 )

@@ -15,9 +15,9 @@ var RECIP_EPS overrides the default edge tolerance; an explicit
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .harness import (
     sweep_csv_row,
     verify_paper_suite,
 )
-from .matio import load_matrix, load_vector, report_to_dict, save_report
+from .matio import load_matrix, load_vector, report_json, report_to_dict, save_report
 from .zfamily import ZParams, evaluate_z, guarantee_n4, guarantee_n5plus, z_matrix
 
 
@@ -56,7 +56,7 @@ def _emit(payload: dict, out: str | None) -> None:
     if out:
         save_report(payload, out)
     else:
-        print(json.dumps(payload, indent=2))
+        print(report_json(payload, indent=2))
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -155,6 +155,7 @@ def _cmd_example(args: argparse.Namespace, eps: float) -> int:
     return 1 if nb_fail else 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="recipeff",

@@ -96,7 +96,13 @@ class EfficiencyReport:
 def _adjacency(a: np.ndarray, w: np.ndarray, eps_rel: float) -> np.ndarray:
     """(B, n, n) edge tensor of a (B, n, n) matrix stack and (B, n) vectors."""
     if w.shape != a.shape[:2]:
-        raise ValueError("vector length mismatch")
+        raise ValueError(
+            f"vector length mismatch: vector has {w.shape[1]} entries, "
+            f"matrix order is {a.shape[2]}"
+            if w.ndim == 2 and len(w) == len(a)
+            else f"vector length mismatch: vectors of shape {w.shape} "
+            f"for matrices of shape {a.shape}"
+        )
     if not np.all(np.isfinite(w) & (w > 0)):
         raise ValueError("vector entries must be positive and finite")
     if not 0.0 <= eps_rel < 1.0:

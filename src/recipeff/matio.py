@@ -2,7 +2,8 @@
 
 Matrices are read from headerless CSV, n rows by n columns; vectors from a
 single CSV row or a single column.  Reports are serialized as JSON with
-1-based vertex indices.
+1-based vertex indices; `report_json` is the one encoder, for files and
+for stdout.
 """
 
 from __future__ import annotations
@@ -15,25 +16,40 @@ import numpy as np
 from .core import ReciprocalMatrix, make_reciprocal
 from .digraph import EfficiencyReport
 
+_MARK = "\0"  # holds an array's place in compact JSON (see `report_json`)
 
-def _parse_rows(text: str, what: str) -> list[list[float]]:
-    rows: list[list[float]] = []
+
+def _parse_rows(text: str, what: str) -> list[np.ndarray]:
+    """One float array per non-blank line.
+
+    numpy converts each token with Python's `float`, so the accepted syntax
+    is `float`'s; the per-token scan runs only to locate a failure.
+    """
+    rows: list[np.ndarray] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        row = []
-        for colno, tok in enumerate(line.split(","), start=1):
-            try:
-                row.append(float(tok))
-            except ValueError:
-                raise ValueError(
-                    f"{what}: row {lineno}, column {colno}: "
-                    f"cannot parse {tok.strip()!r}"
-                ) from None
-        rows.append(row)
+        toks = line.split(",")
+        try:
+            rows.append(np.array(toks, dtype=float))
+        except ValueError:
+            for colno, tok in enumerate(toks, start=1):
+                try:
+                    float(tok)
+                except ValueError:
+                    raise ValueError(
+                        f"{what}: row {lineno}, column {colno}: "
+                        f"cannot parse {tok.strip()!r}"
+                    ) from None
+            raise
     if not rows:
         raise ValueError(f"{what}: empty input")
     return rows
+
+
+def _read_rows(path) -> list[np.ndarray]:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports begin with
+    return _parse_rows(Path(path).read_text(encoding="utf-8-sig"), str(path))
 
 
 def load_matrix(path, mode: str = "validate") -> ReciprocalMatrix:
@@ -43,52 +59,93 @@ def load_matrix(path, mode: str = "validate") -> ReciprocalMatrix:
     non-reciprocal data, "symmetrize" rebuilds the lower triangle from the
     upper (for sources printing rounded reciprocals).
     """
-    text = Path(path).read_text(encoding="utf-8")
-    rows = _parse_rows(text, str(path))
+    rows = _read_rows(path)
     n = len(rows)
     for lineno, row in enumerate(rows, start=1):
         if len(row) != n:
             raise ValueError(
                 f"{path}: row {lineno} has {len(row)} values, expected {n}"
             )
-    return make_reciprocal(np.array(rows), mode=mode)
+    return make_reciprocal(rows, mode=mode)
 
 
 def load_vector(path) -> np.ndarray:
     """Read a positive vector from a one-row or one-column CSV."""
-    text = Path(path).read_text(encoding="utf-8")
-    rows = _parse_rows(text, str(path))
+    rows = _read_rows(path)
     if len(rows) == 1:
-        v = np.array(rows[0])
+        v = rows[0]
     elif all(len(r) == 1 for r in rows):
-        v = np.array([r[0] for r in rows])
+        v = np.concatenate(rows)
     else:
         raise ValueError(f"{path}: expected a single CSV row or column")
-    if not np.all(v > 0):
-        raise ValueError(f"{path}: vector entries must be positive")
+    if not np.all(np.isfinite(v) & (v > 0)):
+        raise ValueError(f"{path}: vector entries must be positive and finite")
     return v
 
 
 def report_to_dict(report: EfficiencyReport) -> dict:
-    """JSON-ready view of an efficiency report (1-based vertices)."""
+    """JSON-ready view of an efficiency report (1-based vertices).
+
+    `edges` is the (m, 2) int array of edges in row-major order, for
+    `report_json` to write; every other value is a JSON type.
+    """
     return {
         "efficient": report.efficient,
         "perron_value": report.perron.r if report.perron is not None else None,
-        "perron_vector": [float(v) for v in report.w],
-        "edges": (np.argwhere(report.digraph.adj) + 1).tolist(),
+        "perron_vector": report.w.tolist(),
+        "edges": np.argwhere(report.digraph.adj) + 1,
         "scc_count": report.scc_count,
         "sources": list(report.sources),
         "sinks": list(report.sinks),
         "hamiltonian": list(report.hamiltonian) if report.hamiltonian else None,
         "certificate": (
-            [float(v) for v in report.certificate]
-            if report.certificate is not None
-            else None
+            report.certificate.tolist() if report.certificate is not None else None
         ),
         "eps_rel": report.digraph.eps_rel,
     }
 
 
+def _rows_text(a: np.ndarray) -> str:
+    """`json.dumps(a.tolist())` for a nonempty 2-D array of nonnegative ints.
+
+    Each entry's digits come from one label table over 0..max, NUL-padded
+    to a common width.  Laid out row-major between the ", " and "], ["
+    separator cells, the text is the array's bytes with the NULs deleted.
+    """
+    top = int(a.max())
+    labels = np.arange(top + 1).astype(f"S{max(len(str(top)), 4)}")
+    cells = np.empty((a.shape[0], 2 * a.shape[1]), dtype=labels.dtype)
+    cells[:, 0::2] = labels[a]
+    cells[:, 1::2] = b", "
+    cells[:, -1] = b"], ["
+    return "[[" + cells.tobytes().translate(None, b"\0")[:-4].decode() + "]]"
+
+
+def report_json(payload: dict, indent: int | None = None) -> str:
+    """JSON text of a payload that may hold numpy arrays, such as `edges`.
+
+    With an indent, arrays are written through `tolist`.  The compact form
+    (the C encoder's) holds the place of each nonempty 2-D array of
+    nonnegative ints with a marker and writes its text with `_rows_text`,
+    byte for byte what `json.dumps` makes of its `tolist`.
+    """
+    if indent is not None:
+        return json.dumps(payload, indent=indent, default=np.ndarray.tolist)
+    held: list[str] = []
+
+    def hold(a):
+        if (isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype.kind in "iu"
+                and a.size and a.min() >= 0):
+            held.append(_rows_text(a))
+            return _MARK
+        return np.ndarray.tolist(a)
+
+    parts = json.dumps(payload, default=hold).split(json.dumps(_MARK))
+    if len(parts) != len(held) + 1:  # a payload string was the marker
+        return json.dumps(payload, default=np.ndarray.tolist)
+    return "".join(p + t for p, t in zip(parts, held + [""]))
+
+
 def save_report(report: dict, path) -> None:
-    """Write the report as one line of compact JSON (the C encoder's form)."""
-    Path(path).write_text(json.dumps(report) + "\n", encoding="utf-8")
+    """Write the report as one line of compact JSON (`report_json`)."""
+    Path(path).write_text(report_json(report) + "\n", encoding="utf-8")

@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import save_matrix, save_vector
 from recipeff import cli, digraph, harness, zfamily
@@ -20,8 +22,10 @@ from recipeff.harness import (
     verify_paper_suite,
 )
 from recipeff.matio import (
+    _parse_rows,
     load_matrix,
     load_vector,
+    report_json,
     report_to_dict,
     save_report,
 )
@@ -84,13 +88,13 @@ def test_report_dict_shape(tmp_path):
     d = report_to_dict(analyze(A, w=np.array([1.0, 2.0, 3.0])))
     assert d["efficient"] is False
     assert d["perron_value"] is None  # vector was supplied, not computed
-    assert d["edges"] == [[2, 1], [3, 1], [3, 2]]
+    assert d["edges"].tolist() == [[2, 1], [3, 1], [3, 2]]
     assert d["sources"] == [3] and d["sinks"] == [1]
     assert d["hamiltonian"] is None
     assert d["certificate"] == [1.0, 2.0, 2.0]
     out = tmp_path / "r.json"
     save_report(d, out)
-    assert json.loads(out.read_text()) == d
+    assert json.loads(out.read_text()) == {**d, "edges": d["edges"].tolist()}
     assert len(out.read_text().splitlines()) == 1  # compact, one line
 
     d = report_to_dict(analyze(A))
@@ -104,8 +108,100 @@ def test_report_edges_are_the_sorted_edge_set():
         A = random_reciprocal(n, seed=300 + n)
         for w in (None, np.exp(rng.uniform(-1.0, 1.0, size=n))):
             rep = analyze(A, w=w)
-            edges = report_to_dict(rep)["edges"]
+            edges = report_to_dict(rep)["edges"].tolist()
             assert edges == [list(e) for e in sorted(rep.digraph.edges)]
+
+
+def parse_rows_reference(text, what):
+    """`_parse_rows` as a per-token `float` loop: the syntax and errors to keep."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        row = []
+        for colno, tok in enumerate(line.split(","), start=1):
+            try:
+                row.append(float(tok))
+            except ValueError:
+                raise ValueError(
+                    f"{what}: row {lineno}, column {colno}: cannot parse {tok.strip()!r}"
+                ) from None
+        rows.append(row)
+    if not rows:
+        raise ValueError(f"{what}: empty input")
+    return rows
+
+
+padding = st.text(alphabet=" \t\u00a0\u3000", max_size=2)
+csv_token = st.one_of(
+    st.floats().map(repr),
+    st.tuples(padding, st.floats().map(repr), padding).map("".join),
+    st.sampled_from(["1_0", "inf", "-inf", "nan", "-nan", "Infinity", "", " ", "0x10",
+                     "1e", "--1", "1__0", ".", "\u0661\u0662", "1\x00"]),
+    st.text(max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(csv_token, min_size=1, max_size=6), min_size=1, max_size=5))
+def test_parse_rows_matches_float_per_token(lines):
+    text = "\n".join(",".join(toks) for toks in lines)
+    try:
+        want = parse_rows_reference(text, "m.csv")
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _parse_rows(text, "m.csv")
+        assert str(got.value) == str(exc)
+        return
+    got = _parse_rows(text, "m.csv")
+    assert [row.tobytes() for row in got] == [np.array(row).tobytes() for row in want]
+
+
+def test_parse_rows_names_the_first_bad_token_of_a_wide_file():
+    rows = [["1.5"] * 300 for _ in range(6)]
+    rows[3][250] = "x"  # row 4, column 251: the first in row-major order
+    rows[3][251] = "y"
+    rows[4][0] = "z"
+    text = "\n".join(",".join(row) for row in rows)
+    with pytest.raises(ValueError, match=r"^m\.csv: row 4, column 251: cannot parse 'x'$"):
+        _parse_rows(text, "m.csv")
+    rows[2][299] = " w "
+    text = "\n".join(",".join(row) for row in rows)
+    with pytest.raises(ValueError, match=r"^m\.csv: row 3, column 300: cannot parse 'w'$"):
+        _parse_rows(text, "m.csv")
+
+
+def test_csv_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "excel.csv"
+    path.write_bytes("\ufeff1,2\r\n0.5,1\r\n".encode("utf-8"))
+    assert load_matrix(path).a.tolist() == [[1.0, 2.0], [0.5, 1.0]]
+    path.write_bytes("\ufeff1,2.5,3\r\n".encode("utf-8"))
+    assert load_vector(path).tolist() == [1.0, 2.5, 3.0]
+
+
+@pytest.mark.parametrize("entry", ["inf", "nan", "0", "-1"])
+def test_load_vector_rejects_entries_that_are_not_positive_and_finite(tmp_path, entry):
+    path = tmp_path / "w.csv"
+    path.write_text(f"1,{entry},2\n")
+    with pytest.raises(ValueError) as exc:
+        load_vector(path)
+    assert str(exc.value) == f"{path}: vector entries must be positive and finite"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=20_000), st.integers(min_value=0, max_value=2**32))
+def test_report_json_writes_int_arrays_as_json_dumps_does(m, k, top, seed):
+    a = np.random.default_rng(seed).integers(0, top + 1, size=(m, k))
+    payload = {"edges": a, "w": [0.5, 1e-300], "name": "T5(i)", "none": None}
+    listed = {**payload, "edges": a.tolist()}
+    assert report_json(payload) == json.dumps(listed)
+    assert report_json(payload, indent=2) == json.dumps(listed, indent=2)
+
+
+def test_report_json_with_a_string_that_looks_like_its_marker():
+    payload = {"note": "\0", "edges": np.array([[1, 2], [2, 1]])}
+    assert report_json(payload) == json.dumps({**payload, "edges": [[1, 2], [2, 1]]})
 
 
 # --- walkthrough and sweep ----------------------------------------------
@@ -445,6 +541,55 @@ def test_cli_sweep_matches_golden_digest(capsys, n):
     assert len(rows) == 626 and all(len(row) == 12 for row in rows)
     cut = "".join(",".join(row[:5] + row[6:]) + "\n" for row in rows)
     assert hashlib.sha256(cut.encode()).hexdigest() == GOLDEN_SWEEP_SHA256[n]
+
+
+
+# sha256 of the report bytes as written by the parent of the array-native
+# encoder.  The Perron cases read the solver's last bits, so a change to
+# `core.perron_stack`'s arithmetic changes them too.
+GOLDEN_REPORT_SHA256 = {
+    ("perron", "out"): "8211d70fae0d695859be4281fe01dd9190aa26dabb2c1e6612e7f3aadd59d2a2",
+    ("perron", "stdout"): "8f68619de19568573e6d3689146fdbc4a00656b2d3692c5a84b1020247c70995",
+    ("vector", "out"): "fadb947de646276cb05a0fdba8403a4c2345a41289e6cd8e4067b3e3ea9e3d67",
+    ("vector", "stdout"): "eff2f8c4c17a4065afa7ec123b52cabc6801fe25bc8d8fefdf53fa9c5a957681",
+    ("z", "out"): "7ef399d1b324bd4550662b3c6b7e6d94591b43062407a14e35056f83a8a88f4c",
+    ("z", "stdout"): "6bd4eae15d9cd9b5a6c1046d1b965714aa9ad143ecb8be016dbdf55a34397987",
+}
+
+
+@pytest.mark.parametrize("case, form", sorted(GOLDEN_REPORT_SHA256))
+def test_cli_report_matches_golden_digest(tmp_path, capsys, case, form):
+    A = random_reciprocal(60, seed=60)
+    mat = tmp_path / "M.csv"
+    save_matrix(A, mat)
+    # the row geometric means with 15 items raised 1000-fold: inefficient,
+    # two SCCs, so the certificate is written too
+    w = np.exp(np.log(A.a).mean(axis=1))
+    w[:15] *= 1e3
+    vec = tmp_path / "w.csv"
+    save_vector(w, vec)
+    argv = {
+        "perron": ["analyze", str(mat)],
+        "vector": ["analyze", str(mat), "--vector", str(vec)],
+        "z": ["z", "--n", "5", "--x", "0.2", "--y", "2", "--z", "0.5", "--a", "1.5"],
+    }[case]
+    out = tmp_path / "r.json"
+    if form == "out":
+        argv += ["--out", str(out)]
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    text = out.read_bytes() if form == "out" else stdout.encode()
+    assert hashlib.sha256(text).hexdigest() == GOLDEN_REPORT_SHA256[case, form]
+
+
+def test_cli_analyze_names_both_sizes_of_a_vector_length_mismatch(tmp_path, capsys):
+    mat = tmp_path / "M.csv"
+    save_matrix(random_reciprocal(2, seed=4), mat)
+    vec = tmp_path / "w.csv"
+    vec.write_text("1,2,3\n")
+    code, out, err = run_cli(capsys, "analyze", str(mat), "--vector", str(vec))
+    assert code == 2 and out == ""
+    assert err == "error: vector length mismatch: vector has 3 entries, matrix order is 2\n"
 
 
 def test_cli_extend_constant_row_sum(tmp_path, capsys):
