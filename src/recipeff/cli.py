@@ -18,6 +18,7 @@ import argparse
 import os
 import sys
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 
@@ -52,11 +53,15 @@ def _resolve_eps(flag_value: float | None) -> float:
     return DEFAULT_EPS_REL
 
 
-def _emit(payload: dict, out: str | None) -> None:
+def _emit(body: dict | list[str], out: str | None) -> None:
+    """Write a JSON payload (compact, one line) or lines of text to `out`, or print them."""
+    if out and isinstance(body, dict):
+        return save_report(body, out)
+    text = report_json(body, indent=2) if isinstance(body, dict) else "\n".join(body)
     if out:
-        save_report(payload, out)
+        Path(out).write_text(text + "\n", encoding="utf-8")
     else:
-        print(report_json(payload, indent=2))
+        print(text)
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -108,11 +113,8 @@ def _cmd_z(args: argparse.Namespace, eps: float) -> int:
 
 def _cmd_sweep(args: argparse.Namespace, eps: float) -> int:
     axes = _parse_floats(args.axes, "--axes") if args.axes else DEFAULT_AXES
-    records = grid_sweep(args.n, axes, out=args.out, eps_rel=eps)
-    if not args.out:
-        print(SWEEP_CSV_HEADER)
-        for rec in records:
-            print(sweep_csv_row(rec))
+    records = grid_sweep(args.n, axes, eps_rel=eps)
+    _emit([SWEEP_CSV_HEADER, *map(sweep_csv_row, records)], args.out)
     return 0
 
 
@@ -135,23 +137,22 @@ def _cmd_extend(args: argparse.Namespace, eps: float) -> int:
 
 def _cmd_verify(args: argparse.Namespace, eps: float) -> int:
     summary = verify_paper_suite(eps)
-    for check_id, detail in summary.failures:
-        print(f"FAIL {check_id}: {detail}")
+    lines = [f"FAIL {check_id}: {detail}" for check_id, detail in summary.failures]
     status = "FAIL" if summary.failures else "PASS"
-    print(
+    lines.append(
         f"{status}: {summary.checks - len(summary.failures)}/{summary.checks} "
         f"checks passed in {summary.wall_time:.1f}s"
     )
+    _emit(lines, args.out)
     return 1 if summary.failures else 0
 
 
 def _cmd_example(args: argparse.Namespace, eps: float) -> int:
     steps = example_walkthrough(eps)
-    for s in steps:
-        mark = "PASS" if s.passed else "FAIL"
-        print(f"[{mark}] {s.check_id}: {s.detail}")
+    lines = [f"[{'PASS' if s.passed else 'FAIL'}] {s.check_id}: {s.detail}" for s in steps]
     nb_fail = sum(not s.passed for s in steps)
-    print(f"{len(steps) - nb_fail}/{len(steps)} steps passed")
+    lines.append(f"{len(steps) - nb_fail}/{len(steps)} steps passed")
+    _emit(lines, args.out)
     return 1 if nb_fail else 0
 
 

@@ -48,14 +48,11 @@ def remove_index(C: ReciprocalMatrix, i: int) -> ReciprocalMatrix:
     return make_reciprocal(sub, mode="validate")
 
 
-def is_extension(B: ReciprocalMatrix, A: ReciprocalMatrix, tol: float = 0.0) -> bool:
-    """True iff B with its last row/column removed equals A within tol."""
+def is_extension(B: ReciprocalMatrix, A: ReciprocalMatrix) -> bool:
+    """True iff B with its last row/column removed equals A exactly."""
     if B.n != A.n + 1:
         raise ValueError(f"order mismatch: {B.n} is not {A.n} + 1")
-    lead = B.a[: A.n, : A.n]
-    if tol == 0.0:
-        return bool(np.array_equal(lead, A.a))
-    return bool(np.max(np.abs(lead - A.a)) <= tol)
+    return bool(np.array_equal(B.a[: A.n, : A.n], A.a))
 
 
 def row_sums(A: ReciprocalMatrix) -> np.ndarray:

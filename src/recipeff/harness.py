@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -148,7 +147,7 @@ def example_walkthrough(eps_rel: float = DEFAULT_EPS_REL) -> list[WalkthroughSte
          f"row-sum residual {ext.perron_check:.2e}, all-ones efficient={ones_eff}")
 
     A = conjugated_extension(B, d)
-    step("example1.conjugated_restores_base", is_extension(A, B, 0.0),
+    step("example1.conjugated_restores_base", is_extension(A, B),
          "leading block comparison is exact")
 
     rep_A = analyze(A, eps_rel=eps_rel)
@@ -222,12 +221,11 @@ def sweep_csv_row(rec: SweepRecord) -> str:
 def grid_sweep(
     n: int,
     axis_values=DEFAULT_AXES,
-    out=None,
     eps_rel: float = DEFAULT_EPS_REL,
 ) -> list[SweepRecord]:
     """Evaluate every (x,y,z,a) in the Cartesian grid, lexicographically.
 
-    Writes CSV to `out` when given; always returns the records.
+    `SWEEP_CSV_HEADER` and `sweep_csv_row` write the records as CSV.
     """
     if n < 5:
         raise ValueError("grid sweep requires n >= 5")
@@ -235,11 +233,7 @@ def grid_sweep(
     if not axes or any(not v > 0 for v in axes):
         raise ValueError("axis values must be positive")
     grid = [ZParams(n, *xyza) for xyza in itertools.product(axes, repeat=4)]
-    records = [_sweep_record(pt) for pt in evaluate_z_stack(grid, eps_rel)]
-    if out is not None:
-        lines = [SWEEP_CSV_HEADER] + [sweep_csv_row(r) for r in records]
-        Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return records
+    return [_sweep_record(pt) for pt in evaluate_z_stack(grid, eps_rel)]
 
 
 # --- verification suite ----------------------------------------------------

@@ -16,22 +16,22 @@ import numpy as np
 from .core import ReciprocalMatrix, make_reciprocal
 from .digraph import EfficiencyReport
 
-_MARK = "\0"  # holds an array's place in compact JSON (see `report_json`)
+_MARK = "\0"  # holds an array's place in the JSON text (see `report_json`)
 
 
-def _parse_rows(text: str, what: str) -> list[np.ndarray]:
-    """One float array per non-blank line.
+def _parse_rows(text: str, what: str) -> list[tuple[int, np.ndarray]]:
+    """The file line number and float array of each non-blank line.
 
     numpy converts each token with Python's `float`, so the accepted syntax
     is `float`'s; the per-token scan runs only to locate a failure.
     """
-    rows: list[np.ndarray] = []
+    rows: list[tuple[int, np.ndarray]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         toks = line.split(",")
         try:
-            rows.append(np.array(toks, dtype=float))
+            rows.append((lineno, np.array(toks, dtype=float)))
         except ValueError:
             for colno, tok in enumerate(toks, start=1):
                 try:
@@ -47,7 +47,7 @@ def _parse_rows(text: str, what: str) -> list[np.ndarray]:
     return rows
 
 
-def _read_rows(path) -> list[np.ndarray]:
+def _read_rows(path) -> list[tuple[int, np.ndarray]]:
     # utf-8-sig drops the byte-order mark that spreadsheet exports begin with
     return _parse_rows(Path(path).read_text(encoding="utf-8-sig"), str(path))
 
@@ -61,17 +61,17 @@ def load_matrix(path, mode: str = "validate") -> ReciprocalMatrix:
     """
     rows = _read_rows(path)
     n = len(rows)
-    for lineno, row in enumerate(rows, start=1):
+    for lineno, row in rows:
         if len(row) != n:
             raise ValueError(
                 f"{path}: row {lineno} has {len(row)} values, expected {n}"
             )
-    return make_reciprocal(rows, mode=mode)
+    return make_reciprocal([row for _, row in rows], mode=mode)
 
 
 def load_vector(path) -> np.ndarray:
     """Read a positive vector from a one-row or one-column CSV."""
-    rows = _read_rows(path)
+    rows = [row for _, row in _read_rows(path)]
     if len(rows) == 1:
         v = rows[0]
     elif all(len(r) == 1 for r in rows):
@@ -105,45 +105,52 @@ def report_to_dict(report: EfficiencyReport) -> dict:
     }
 
 
-def _rows_text(a: np.ndarray) -> str:
-    """`json.dumps(a.tolist())` for a nonempty 2-D array of nonnegative ints.
+def _rows_text(a: np.ndarray, indent: int | None, pad: int) -> str:
+    """`json.dumps(a.tolist(), indent=indent)` for a nonempty 2-D array of
+    nonnegative ints whose line starts with `pad` spaces.
 
     Each entry's digits come from one label table over 0..max, NUL-padded
-    to a common width.  Laid out row-major between the ", " and "], ["
+    to a common width.  Laid out row-major between the item and row
     separator cells, the text is the array's bytes with the NULs deleted.
     """
+    comma, nl, step = ((", ", "", "") if indent is None
+                       else (",", "\n" + " " * pad, " " * indent))
+    nl1, nl2 = nl + step, nl + 2 * step  # the line breaks one and two levels in
+    row = nl1 + "]" + comma + nl1 + "[" + nl2
     top = int(a.max())
-    labels = np.arange(top + 1).astype(f"S{max(len(str(top)), 4)}")
+    labels = np.arange(top + 1).astype(f"S{max(len(str(top)), len(row))}")
     cells = np.empty((a.shape[0], 2 * a.shape[1]), dtype=labels.dtype)
     cells[:, 0::2] = labels[a]
-    cells[:, 1::2] = b", "
-    cells[:, -1] = b"], ["
-    return "[[" + cells.tobytes().translate(None, b"\0")[:-4].decode() + "]]"
+    cells[:, 1::2] = (comma + nl2).encode()
+    cells[:, -1] = row.encode()
+    body = cells.tobytes().translate(None, b"\0")[: -len(row)].decode()
+    return "[" + nl1 + "[" + nl2 + body + nl1 + "]" + nl + "]"
 
 
 def report_json(payload: dict, indent: int | None = None) -> str:
     """JSON text of a payload that may hold numpy arrays, such as `edges`.
 
-    With an indent, arrays are written through `tolist`.  The compact form
-    (the C encoder's) holds the place of each nonempty 2-D array of
-    nonnegative ints with a marker and writes its text with `_rows_text`,
-    byte for byte what `json.dumps` makes of its `tolist`.
+    `json` holds the place of each nonempty 2-D array of nonnegative ints
+    with a marker, and `_rows_text` writes its text at the marker's indent:
+    byte for byte what `json.dumps` makes of its `tolist`, compact or
+    indented.
     """
-    if indent is not None:
-        return json.dumps(payload, indent=indent, default=np.ndarray.tolist)
-    held: list[str] = []
+    held: list[np.ndarray] = []
 
     def hold(a):
         if (isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype.kind in "iu"
                 and a.size and a.min() >= 0):
-            held.append(_rows_text(a))
+            held.append(a)
             return _MARK
         return np.ndarray.tolist(a)
 
-    parts = json.dumps(payload, default=hold).split(json.dumps(_MARK))
+    parts = json.dumps(payload, indent=indent, default=hold).split(json.dumps(_MARK))
     if len(parts) != len(held) + 1:  # a payload string was the marker
-        return json.dumps(payload, default=np.ndarray.tolist)
-    return "".join(p + t for p, t in zip(parts, held + [""]))
+        return json.dumps(payload, indent=indent, default=np.ndarray.tolist)
+    lines = [p[p.rfind("\n") + 1:] for p in parts]  # the marker's line, so far
+    text = [p + _rows_text(a, indent, len(line) - len(line.lstrip(" ")))
+            for p, line, a in zip(parts, lines, held)]
+    return "".join(text + parts[-1:])
 
 
 def save_report(report: dict, path) -> None:

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import re
 import weakref
 from collections import Counter
 
@@ -49,6 +50,13 @@ def test_load_matrix_error_locations(tmp_path):
         load_matrix(path)
     path.write_text("1,2\n0.5\n")
     with pytest.raises(ValueError, match="row 2 has 1 values, expected 2"):
+        load_matrix(path)
+    # rows are named by file line, blank lines included, in both errors
+    path.write_text("1,2\n\n0.5\n")
+    with pytest.raises(ValueError, match="row 3 has 1 values, expected 2"):
+        load_matrix(path)
+    path.write_text("1,2\n\n0.5,x\n")
+    with pytest.raises(ValueError, match="row 3, column 2"):
         load_matrix(path)
     path.write_text("")
     with pytest.raises(ValueError, match="empty"):
@@ -154,7 +162,7 @@ def test_parse_rows_matches_float_per_token(lines):
         assert str(got.value) == str(exc)
         return
     got = _parse_rows(text, "m.csv")
-    assert [row.tobytes() for row in got] == [np.array(row).tobytes() for row in want]
+    assert [row.tobytes() for _, row in got] == [np.array(row).tobytes() for row in want]
 
 
 def test_parse_rows_names_the_first_bad_token_of_a_wide_file():
@@ -193,10 +201,13 @@ def test_load_vector_rejects_entries_that_are_not_positive_and_finite(tmp_path, 
        st.integers(min_value=0, max_value=20_000), st.integers(min_value=0, max_value=2**32))
 def test_report_json_writes_int_arrays_as_json_dumps_does(m, k, top, seed):
     a = np.random.default_rng(seed).integers(0, top + 1, size=(m, k))
-    payload = {"edges": a, "w": [0.5, 1e-300], "name": "T5(i)", "none": None}
-    listed = {**payload, "edges": a.tolist()}
-    assert report_json(payload) == json.dumps(listed)
-    assert report_json(payload, indent=2) == json.dumps(listed, indent=2)
+    # `z`'s payload holds its edges two levels deep, under "report"
+    payload = {"edges": a, "w": [0.5, 1e-300], "name": "T5(i)", "none": None,
+               "report": {"sinks": [3], "edges": a[::-1]}}
+    listed = {**payload, "edges": a.tolist(),
+              "report": {"sinks": [3], "edges": a[::-1].tolist()}}
+    for indent in (None, 0, 1, 2, 3, 4):
+        assert report_json(payload, indent) == json.dumps(listed, indent=indent)
 
 
 def test_report_json_with_a_string_that_looks_like_its_marker():
@@ -260,15 +271,17 @@ def test_sweep_record_invariant_enforced():
                     agrees=True)
 
 
-def test_grid_sweep_shape_and_order(tmp_path):
-    out = tmp_path / "sweep.csv"
-    records = grid_sweep(5, (0.25, 4.0), out=out)
+def test_grid_sweep_shape_and_order(tmp_path, capsys):
+    records = grid_sweep(5, (0.25, 4.0))
     assert len(records) == 16
     xs = [rec.params.x for rec in records]
     assert xs == [0.25] * 8 + [4.0] * 8  # lexicographic in axis order
+    out = tmp_path / "sweep.csv"
+    code, stdout, _ = run_cli(capsys, "sweep", "--n", "5", "--axes", "0.25,4",
+                              "--out", str(out))
+    assert code == 0 and stdout == ""
     lines = out.read_text().splitlines()
-    assert lines[0] == SWEEP_CSV_HEADER
-    assert len(lines) == 17
+    assert lines == [SWEEP_CSV_HEADER, *map(sweep_csv_row, records)]
     first = lines[1].split(",")
     assert first[0] == "5" and first[1] == "0.25"
     assert first[6] in ("true", "false")
@@ -625,6 +638,32 @@ def test_cli_extend_conjugate(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "extend", str(path), "--method",
                            "conjugate-diag", "--conjugate-diag", "2,1,0.5")
     assert code == 0 and json.loads(out)["perron_vector"] == w
+
+
+@pytest.mark.parametrize("command", ["analyze", "z", "sweep", "extend", "example-ee1",
+                                     "verify"])
+def test_every_subcommand_honours_out(tmp_path, capsys, command):
+    mat = tmp_path / "M.csv"
+    save_matrix(random_reciprocal(4, seed=14), mat)
+    argv = {
+        "analyze": ["analyze", str(mat)],
+        "z": ["z", "--n", "5", "--x", "0.25", "--y", "2", "--z", "2", "--a", "0.5"],
+        "sweep": ["sweep", "--n", "5", "--axes", "0.5,2"],
+        "extend": ["extend", str(mat)],
+        "example-ee1": ["example-ee1"],
+        "verify": ["verify"],
+    }[command]
+    code, shown, _ = run_cli(capsys, *argv)
+    out = tmp_path / "out.txt"
+    assert run_cli(capsys, *argv, "--out", str(out))[:2] == (code, "")
+    written = out.read_text()
+    if command in ("analyze", "z", "extend"):
+        # printed JSON is indented; the file holds the same object, compact
+        assert written == json.dumps(json.loads(shown)) + "\n"
+    else:
+        def timeless(text):
+            return re.sub(r"checks passed in [0-9.]+s$", "checks passed", text, flags=re.M)
+        assert shown and timeless(written) == timeless(shown)
 
 
 def test_cli_example_walkthrough_reports_discrepancy(capsys):
