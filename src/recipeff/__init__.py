@@ -53,7 +53,6 @@ from .extensions import (
 )
 from .harness import (
     DEFAULT_AXES,
-    SweepRecord,
     VerificationSummary,
     WalkthroughStep,
     example_base,

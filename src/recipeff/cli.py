@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from functools import cache
 from pathlib import Path
 
@@ -38,7 +39,7 @@ from .harness import (
     verify_paper_suite,
 )
 from .matio import load_matrix, load_vector, report_json, report_to_dict, save_report
-from .zfamily import ZParams, evaluate_z, guarantee_n4, guarantee_n5plus, z_matrix
+from .zfamily import ZParams, evaluate_z, guarantee_n4, z_matrix
 
 
 def _resolve_eps(flag_value: float | None) -> float:
@@ -83,22 +84,13 @@ def _cmd_z(args: argparse.Namespace, eps: float) -> int:
     pt = evaluate_z(p, eps) if p.n >= 5 else None
     rep = pt.report if pt else analyze(z_matrix(p), eps_rel=eps)
     payload: dict = {
-        "params": {"n": p.n, "x": p.x, "y": p.y, "z": p.z, "a": p.a},
+        "params": asdict(p),
         "report": report_to_dict(rep),
     }
     if pt:
-        v = guarantee_n5plus(p)
-        payload["region"] = {
-            "guaranteed_efficient": v.guaranteed_efficient,
-            "matched_exception": v.matched_exception,
-            "reduction_used": v.reduction_used,
-        }
-        payload["sink_check"] = {
-            "efficient": rep.efficient,
-            "sink_present": pt.sink_present,
-            "sink_vertex": pt.sink_vertex,
-            "agrees": pt.agrees,
-        }
+        payload["region"] = asdict(pt.verdict)
+        payload["sink_check"] = {k: getattr(pt, k)
+                                 for k in ("efficient", "sink_present", "sink_vertex", "agrees")}
     elif p.a == 1.0:
         payload["region"] = {
             "guaranteed_efficient": guarantee_n4(p.x, p.y, p.z),
@@ -113,22 +105,18 @@ def _cmd_z(args: argparse.Namespace, eps: float) -> int:
 
 def _cmd_sweep(args: argparse.Namespace, eps: float) -> int:
     axes = _parse_floats(args.axes, "--axes") if args.axes else DEFAULT_AXES
-    records = grid_sweep(args.n, axes, eps_rel=eps)
-    _emit([SWEEP_CSV_HEADER, *map(sweep_csv_row, records)], args.out)
+    points = grid_sweep(args.n, axes, eps_rel=eps)
+    _emit([SWEEP_CSV_HEADER, *map(sweep_csv_row, points)], args.out)
     return 0
 
 
 def _cmd_extend(args: argparse.Namespace, eps: float) -> int:
     A = load_matrix(args.matrix, "symmetrize" if args.symmetrize else "validate")
     if args.conjugate_diag is not None:
-        if args.method == "constant-row-sum":
-            raise ValueError("--method constant-row-sum does not take --conjugate-diag")
         d = np.array(_parse_floats(args.conjugate_diag, "--conjugate-diag"))
         ext = conjugated_extension(A, d)
         payload = extension_report(A, ext, None, eps)
     else:
-        if args.method == "conjugate-diag":
-            raise ValueError("--method conjugate-diag requires --conjugate-diag")
         res = constant_row_sum_extension(A)
         payload = extension_report(A, res.B, res.target_sum, eps)
     _emit(payload, args.out)
@@ -196,9 +184,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extend", help="order-(n+1) extension of a matrix CSV")
     p.add_argument("matrix", help="matrix CSV path")
-    p.add_argument("--method", choices=("constant-row-sum", "conjugate-diag"))
     p.add_argument("--conjugate-diag", default=None, metavar="d1,...,dn",
-                   help="positive diagonal for the conjugated construction")
+                   help="positive diagonal for the conjugated construction "
+                        "(default: the constant-row-sum construction)")
     p.add_argument("--symmetrize", action="store_true")
     add_common(p)
     p.set_defaults(func=_cmd_extend)

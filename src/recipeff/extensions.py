@@ -70,7 +70,8 @@ def _solve_target_sum(r: np.ndarray) -> float:
 
     f is strictly decreasing there, tends to +inf at the left end and to
     -inf as s grows, so a sign change brackets exactly one root.  Bracketed
-    bisection to 1e-13 absolute.
+    bisection to 1e-13 absolute, or until the bracket holds no float
+    strictly inside (above 512, adjacent floats are more than 1e-13 apart).
     """
     n = r.size
     rmax = float(np.max(r))
@@ -86,6 +87,8 @@ def _solve_target_sum(r: np.ndarray) -> float:
         hi = rmax + 2.0 * (hi - rmax)
     while hi - lo > ROOT_ATOL:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if f(mid) > 0.0:
             lo = mid
         else:
@@ -186,13 +189,9 @@ def _dense_ranks(w: np.ndarray) -> tuple[int, ...]:
     """Descending dense ranks; values within RANK_TIE_TOL * max(w) tie."""
     gap = RANK_TIE_TOL * float(np.max(w))
     order = np.argsort(-w, kind="stable")
+    s = w[order]
     ranks = np.empty(w.size, dtype=int)
-    rank = 1
-    ranks[order[0]] = rank
-    for prev, cur in zip(order, order[1:]):
-        if w[prev] - w[cur] > gap:
-            rank += 1
-        ranks[cur] = rank
+    ranks[order] = 1 + np.concatenate(([0], np.cumsum(s[:-1] - s[1:] > gap)))
     return tuple(int(v) for v in ranks)
 
 

@@ -171,36 +171,6 @@ def example_walkthrough(eps_rel: float = DEFAULT_EPS_REL) -> list[WalkthroughSte
 SWEEP_CSV_HEADER = "n,x,y,z,a,r,efficient,guaranteed,exception,sink_present,sink_vertex,agrees"
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    params: ZParams
-    r: float
-    efficient: bool
-    guaranteed: bool
-    exception: str | None
-    sink_present: bool
-    sink_vertex: int | None
-    agrees: bool
-
-    def __post_init__(self) -> None:
-        if self.agrees != (self.efficient == (not self.sink_present)):
-            raise ValueError("agrees flag inconsistent with verdicts")
-
-
-def _sweep_record(pt: ZPoint) -> SweepRecord:
-    verdict = guarantee_n5plus(pt.p)
-    return SweepRecord(
-        params=pt.p,
-        r=pt.r,
-        efficient=pt.report.efficient,
-        guaranteed=verdict.guaranteed_efficient,
-        exception=verdict.matched_exception,
-        sink_present=pt.sink_present,
-        sink_vertex=pt.sink_vertex,
-        agrees=pt.agrees,
-    )
-
-
 def _csv_cell(v) -> str:
     if v is None:
         return ""
@@ -211,21 +181,21 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def sweep_csv_row(rec: SweepRecord) -> str:
-    p = rec.params
-    cells = (p.n, p.x, p.y, p.z, p.a, rec.r, rec.efficient, rec.guaranteed,
-             rec.exception, rec.sink_present, rec.sink_vertex, rec.agrees)
-    return ",".join(_csv_cell(c) for c in cells)
+def sweep_csv_row(pt: ZPoint) -> str:
+    """The point's `SWEEP_CSV_HEADER` attributes: n..a of `pt.p`, the rest of `pt`."""
+    names = SWEEP_CSV_HEADER.split(",")
+    cells = [getattr(pt.p, k) for k in names[:5]] + [getattr(pt, k) for k in names[5:]]
+    return ",".join(map(_csv_cell, cells))
 
 
 def grid_sweep(
     n: int,
     axis_values=DEFAULT_AXES,
     eps_rel: float = DEFAULT_EPS_REL,
-) -> list[SweepRecord]:
+) -> list[ZPoint]:
     """Evaluate every (x,y,z,a) in the Cartesian grid, lexicographically.
 
-    `SWEEP_CSV_HEADER` and `sweep_csv_row` write the records as CSV.
+    `SWEEP_CSV_HEADER` and `sweep_csv_row` write the points as CSV.
     """
     if n < 5:
         raise ValueError("grid sweep requires n >= 5")
@@ -233,7 +203,7 @@ def grid_sweep(
     if not axes or any(not v > 0 for v in axes):
         raise ValueError("axis values must be positive")
     grid = [ZParams(n, *xyza) for xyza in itertools.product(axes, repeat=4)]
-    return [_sweep_record(pt) for pt in evaluate_z_stack(grid, eps_rel)]
+    return list(evaluate_z_stack(grid, eps_rel))
 
 
 # --- verification suite ----------------------------------------------------
@@ -333,13 +303,12 @@ def _grid_checks(eps_rel: float, certs: _Count) -> dict:
                 runs[cid].add(where, violations(pt))
             if n == 7:
                 continue
-            rec = _sweep_record(pt)
-            runs[f"sink_characterization.grid_n{n}"].add(where, not rec.agrees)
-            runs[f"region.soundness_n{n}"].add(where, rec.guaranteed and not rec.efficient)
-            if rec.exception is not None:
-                labeled[n, rec.efficient] += 1
-                seen.add(rec.exception)
-            if not rec.efficient:
+            runs[f"sink_characterization.grid_n{n}"].add(where, not pt.agrees)
+            runs[f"region.soundness_n{n}"].add(where, pt.guaranteed and not pt.efficient)
+            if pt.exception is not None:
+                labeled[n, pt.efficient] += 1
+                seen.add(pt.exception)
+            if not pt.efficient:
                 certs.add(where, _certificate_fails(pt.report))
     return runs
 

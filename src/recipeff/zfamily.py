@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from typing import Callable, Iterator, Sequence
 
@@ -257,7 +257,8 @@ class ZPoint:
     Built by `evaluate_z_stack` only.  `report` is the `analyze` record of the
     Perron vector of Z_n(x,y,z,a).  `quotient_sinks` are the sinks of the
     middle-class quotient digraph (see `middle_quotient_sinks`); a sink
-    vertex of 3 stands for the whole middle class.
+    vertex of 3 stands for the whole middle class.  `verdict` is the
+    region verdict of `guarantee_n5plus`, computed on first use.
     """
 
     p: ZParams
@@ -267,6 +268,22 @@ class ZPoint:
     @property
     def r(self) -> float:
         return self.report.perron.r
+
+    @property
+    def efficient(self) -> bool:
+        return self.report.efficient
+
+    @cached_property
+    def verdict(self) -> RegionVerdict:
+        return guarantee_n5plus(self.p)
+
+    @property
+    def guaranteed(self) -> bool:
+        return self.verdict.guaranteed_efficient
+
+    @property
+    def exception(self) -> str | None:
+        return self.verdict.matched_exception
 
     @property
     def sink_present(self) -> bool:
@@ -279,7 +296,7 @@ class ZPoint:
     @property
     def agrees(self) -> bool:
         """Inefficient exactly when the quotient digraph has a sink."""
-        return (not self.report.efficient) == self.sink_present
+        return (not self.efficient) == self.sink_present
 
     @cached_property
     def identities(self) -> IdentityResiduals:
@@ -331,11 +348,11 @@ class ZPoint:
         for m in table_oracle(self.p):
             cycle = [(u, v) for c in m.cycles for u, v in zip(c, c[1:] + c[:1])]
             for kind, edges in (("cycle", cycle), ("extra", m.extra_edges)):
-                out += [f"{m.row.relation}: {kind} edge ({u},{v}) absent"
+                out += [f"{m.relation}: {kind} edge ({u},{v}) absent"
                         for u, v in edges if not G.has_edge(u, v)]
-            if (m.kind == "sink" and not self.report.efficient
+            if (m.kind == "sink" and not self.efficient
                     and self.quotient_sinks != (m.vertex,)):
-                out.append(f"{m.row.relation}: expected sink {m.vertex}, "
+                out.append(f"{m.relation}: expected sink {m.vertex}, "
                            f"got {self.quotient_sinks}")
         return out
 
@@ -535,19 +552,10 @@ def _realize(n: int, codes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(n + 1 + c if c < 0 else c for c in codes)
 
 
-@dataclass(frozen=True)
-class CatalogMatch:
-    row: CatalogRow
-    cycles: tuple[tuple[int, ...], ...]
-    extra_edges: tuple[tuple[int, int], ...]
-    kind: str
-    vertex: int | None
-
-
 _CATALOG_RELATIONS = _compile(*((row, row.relation) for row in CYCLE_CATALOG))
 
 
-def table_oracle(p: ZParams) -> list[CatalogMatch]:
+def table_oracle(p: ZParams) -> list[CatalogRow]:
     """All catalog rows whose relation holds at p, with vertices realized.
 
     Returns an empty list when no row matches (the catalog does not tile
@@ -556,12 +564,9 @@ def table_oracle(p: ZParams) -> list[CatalogMatch]:
     if p.n < 5:
         raise ValueError("requires n >= 5")
     return [
-        CatalogMatch(
-            row=row,
-            cycles=tuple(_realize(p.n, cyc) for cyc in row.cycles),
-            extra_edges=tuple(_realize(p.n, edge) for edge in row.extra_edges),
-            kind=row.kind,
-            vertex=None if row.vertex is None else _realize(p.n, (row.vertex,))[0],
-        )
+        replace(row,
+                cycles=tuple(_realize(p.n, cyc) for cyc in row.cycles),
+                extra_edges=tuple(_realize(p.n, edge) for edge in row.extra_edges),
+                vertex=None if row.vertex is None else _realize(p.n, (row.vertex,))[0])
         for row in _CATALOG_RELATIONS.holding(p.xyza)
     ]

@@ -126,6 +126,18 @@ def test_constant_row_sum_extension_random(seed):
     assert is_extension(res.B, A)
 
 
+def test_constant_row_sum_extension_above_float_resolution():
+    # row sums past 512, where adjacent floats are more than 1e-13 apart: the
+    # bisection stops once its bracket holds no float strictly inside
+    wide = make_reciprocal(np.array([[1.0, 500.0, 500.0],
+                                     [0.002, 1.0, 1.0],
+                                     [0.002, 1.0, 1.0]]))
+    for A in (wide, random_reciprocal(520, seed=1)):
+        res = constant_row_sum_extension(A)
+        assert res.target_sum > float(np.max(row_sums(A))) >= 512
+        assert is_extension(res.B, A)
+
+
 def test_extension_result_invariant():
     bad = all_ones(3)
     with pytest.raises(ValueError, match="row sums"):
@@ -231,6 +243,44 @@ def test_order_preservation_requires_extension():
     B = constant_row_sum_extension(random_reciprocal(3, seed=2)).B
     with pytest.raises(ValueError, match="not an extension"):
         ranks_kept(random_reciprocal(3, seed=1), B)
+
+
+def dense_ranks_reference(w):
+    """`extensions._dense_ranks` as a loop over the sorted values, pair by pair."""
+    gap = extensions.RANK_TIE_TOL * float(np.max(w))
+    order = np.argsort(-w, kind="stable")
+    ranks = np.empty(w.size, dtype=int)
+    rank = 1
+    ranks[order[0]] = rank
+    for prev, cur in zip(order, order[1:]):
+        if w[prev] - w[cur] > gap:
+            rank += 1
+        ranks[cur] = rank
+    return tuple(int(v) for v in ranks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.1, 10.0), min_size=1, max_size=6),
+       st.lists(st.tuples(st.integers(0, 13),
+                          st.sampled_from([0.0, 0.4, 0.6, 0.99, 1.0, 1.01, 2.0])),
+                max_size=8))
+def test_dense_ranks_match_the_pairwise_loop(base, plants):
+    # planted near-ties: each copies an earlier value less `step` tie gaps, so
+    # chains of sub-gap steps, exact ties and steps at the gap all occur
+    gap = extensions.RANK_TIE_TOL * max(base)
+    w = list(base)
+    for i, step in plants:
+        w.append(w[i % len(w)] - step * gap)
+    w = np.array(w)
+    assert extensions._dense_ranks(w) == dense_ranks_reference(w)
+
+
+def test_dense_ranks_chain_ties_within_tolerance():
+    gap = extensions.RANK_TIE_TOL
+    w = np.array([1.0, 1.0 - 0.6 * gap, 1.0 - 1.2 * gap, 0.5, 1.0 - 5 * gap])
+    assert extensions._dense_ranks(w) == (1, 1, 1, 3, 2)
+    # at 1e8 the tie gap is exactly 1: a step of the gap itself ties
+    assert extensions._dense_ranks(np.array([1e8, 1e8 - 1, 1e8 - 2.5])) == (1, 1, 2)
 
 
 def test_extension_report_fields(conjugate_reference, perron_calls):

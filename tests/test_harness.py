@@ -16,7 +16,6 @@ from recipeff.core import make_reciprocal, perron_stack, random_reciprocal
 from recipeff.digraph import analyze
 from recipeff.harness import (
     SWEEP_CSV_HEADER,
-    SweepRecord,
     example_walkthrough,
     grid_sweep,
     sweep_csv_row,
@@ -257,43 +256,74 @@ def test_walkthrough_solves_each_matrix_once(perron_calls):
 
 
 def test_sweep_point_trivial():
-    (rec,) = grid_sweep(5, (1.0,))
-    assert rec.efficient and rec.guaranteed and not rec.sink_present
-    assert rec.exception is None and rec.sink_vertex is None and rec.agrees
-    assert rec.r >= 5.0
-
-
-def test_sweep_record_invariant_enforced():
-    p = ZParams(5, 1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError, match="agrees"):
-        SweepRecord(params=p, r=5.0, efficient=True, guaranteed=True,
-                    exception=None, sink_present=True, sink_vertex=3,
-                    agrees=True)
+    (pt,) = grid_sweep(5, (1.0,))
+    assert pt.efficient and pt.guaranteed and not pt.sink_present
+    assert pt.exception is None and pt.sink_vertex is None and pt.agrees
+    assert pt.r >= 5.0
 
 
 def test_grid_sweep_shape_and_order(tmp_path, capsys):
-    records = grid_sweep(5, (0.25, 4.0))
-    assert len(records) == 16
-    xs = [rec.params.x for rec in records]
+    points = grid_sweep(5, (0.25, 4.0))
+    assert len(points) == 16
+    xs = [pt.p.x for pt in points]
     assert xs == [0.25] * 8 + [4.0] * 8  # lexicographic in axis order
     out = tmp_path / "sweep.csv"
     code, stdout, _ = run_cli(capsys, "sweep", "--n", "5", "--axes", "0.25,4",
                               "--out", str(out))
     assert code == 0 and stdout == ""
     lines = out.read_text().splitlines()
-    assert lines == [SWEEP_CSV_HEADER, *map(sweep_csv_row, records)]
+    assert lines == [SWEEP_CSV_HEADER, *map(sweep_csv_row, points)]
     first = lines[1].split(",")
     assert first[0] == "5" and first[1] == "0.25"
     assert first[6] in ("true", "false")
 
 
 def test_sweep_csv_row_formats():
-    rec = harness._sweep_record(zfamily.evaluate_z(ZParams(5, 0.25, 2.0, 2.0, 0.5)))
-    row = sweep_csv_row(rec).split(",")
+    pt = zfamily.evaluate_z(ZParams(5, 0.25, 2.0, 2.0, 0.5))
+    row = sweep_csv_row(pt).split(",")
     assert row[:5] == ["5", "0.25", "2", "2", "0.5"]
     assert row[6] == "false" and row[9] == "true"  # inefficient, sink present
     assert row[8] == "T5(iii)" and row[10] == "3" and row[11] == "true"
-    assert float(row[5]) == rec.r
+    assert float(row[5]) == pt.r
+
+
+# (x, y, z, a) and the sweep's efficient, guaranteed, exception, sink_vertex cells
+SWEEP_Z_POINTS = {
+    (0.5, 4.0, 0.25, 2.0): ("true", "true", "", ""),
+    (0.25, 2.0, 2.0, 0.5): ("false", "false", "T5(iii)", "3"),
+    (2.0, 0.5, 0.25, 2.0): ("false", "false", "T7(iii)", "3"),
+    (0.25, 4.0, 0.5, 2.0): ("true", "false", "T5(i)", ""),
+}
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_sweep_row_and_z_payload_read_one_point(capsys, n):
+    code, out, _ = run_cli(capsys, "sweep", "--n", str(n), "--axes", "0.25,0.5,2,4")
+    assert code == 0
+    header, *lines = out.splitlines()
+    rows = {}
+    for line in lines:
+        row = dict(zip(header.split(","), line.split(",")))
+        rows[tuple(float(row[k]) for k in "xyza")] = row
+    for (x, y, z, a), kinds in SWEEP_Z_POINTS.items():
+        row = rows[x, y, z, a]
+        assert (row["efficient"], row["guaranteed"], row["exception"],
+                row["sink_vertex"]) == kinds
+        code, out, _ = run_cli(capsys, "z", "--n", str(n), "--x", str(x), "--y", str(y),
+                               "--z", str(z), "--a", str(a))
+        assert code == 0
+        payload = json.loads(out)
+        region, sink = payload["region"], payload["sink_check"]
+        z_cells = {
+            "r": payload["report"]["perron_value"],
+            "efficient": payload["report"]["efficient"],
+            "guaranteed": region["guaranteed_efficient"],
+            "exception": region["matched_exception"],
+            **sink,
+        }
+        assert sink["efficient"] == payload["report"]["efficient"]
+        assert {k: row[k] for k in z_cells} == {
+            k: harness._csv_cell(v) for k, v in z_cells.items()}
 
 
 def test_grid_sweep_validation():
@@ -628,16 +658,6 @@ def test_cli_extend_conjugate(tmp_path, capsys):
     w = payload["perron_vector"]
     closed = np.array([0.5, 1.0, 2.0, 1.0]) / 0.5
     assert np.max(np.abs(np.array(w) - closed)) <= 1e-9
-    code, _, err = run_cli(capsys, "extend", str(path), "--method",
-                           "conjugate-diag")
-    assert code == 2 and "requires --conjugate-diag" in err
-    code, out, err = run_cli(capsys, "extend", str(path), "--method",
-                             "constant-row-sum", "--conjugate-diag", "2,1,0.5")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "does not take --conjugate-diag" in err
-    code, out, _ = run_cli(capsys, "extend", str(path), "--method",
-                           "conjugate-diag", "--conjugate-diag", "2,1,0.5")
-    assert code == 0 and json.loads(out)["perron_vector"] == w
 
 
 @pytest.mark.parametrize("command", ["analyze", "z", "sweep", "extend", "example-ee1",

@@ -322,10 +322,10 @@ def test_catalog_covers_41_structures():
 
 def test_table_oracle_known_match():
     matches = table_oracle(ZParams(5, 0.2, 2.0, 0.5, 1.5))
-    assert [m.row.relation for m in matches] == ["x < z < 1 <= a < y"]
+    assert [m.relation for m in matches] == ["x < z < 1 <= a < y"]
     m = matches[0]
     assert m.cycles == ((1, 5, 3, 4),)
-    assert m.kind == "sink" and m.vertex == 2
+    assert m.kind == "sink" and m.vertex == 2 and m.group == 7
 
 
 def test_table_oracle_realizes_vertices_for_larger_n():
@@ -542,7 +542,7 @@ def complete_digraph(n):
 
 def assert_relations_match_reference(p):
     x, y, z, a = p.xyza
-    assert [m.row.relation for m in table_oracle(p)] == [
+    assert [m.relation for m in table_oracle(p)] == [
         rel for rel, holds in CATALOG_REFERENCE if holds(x, y, z, a)], p
     assert predicted_edges(p) == predicted_edges_reference(p), p
     assert guarantee_n5plus(p) == guarantee_n5plus_reference(p), p
