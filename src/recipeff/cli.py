@@ -114,12 +114,11 @@ def _cmd_extend(args: argparse.Namespace, eps: float) -> int:
     A = load_matrix(args.matrix, "symmetrize" if args.symmetrize else "validate")
     if args.conjugate_diag is not None:
         d = np.array(_parse_floats(args.conjugate_diag, "--conjugate-diag"))
-        ext = conjugated_extension(A, d)
-        payload = extension_report(A, ext, None, eps)
+        ext, target_sum = conjugated_extension(A, d), None
     else:
         res = constant_row_sum_extension(A)
-        payload = extension_report(A, res.B, res.target_sum, eps)
-    _emit(payload, args.out)
+        ext, target_sum = res.B, res.target_sum
+    _emit(extension_report(A, ext, target_sum, eps), args.out)
     return 0
 
 

@@ -4,9 +4,12 @@ An extension of A is a reciprocal matrix B of order n+1 whose leading n x n
 principal block is A.  The central construction appends a column that makes
 every row of B sum to the same value s, which forces the all-ones vector to
 be the Perron eigenvector of B — and a Perron eigenvector with all
-components equal is always efficient.  Conjugating by a positive diagonal
+components equal is always efficient.  s is found as its offset above the
+largest row sum, so each appended entry is a sum of nonnegative terms, not
+a difference of nearby row sums.  Conjugating by a positive diagonal
 transports that construction to an extension of the original matrix whose
-Perron vector is any prescribed positive direction.
+Perron vector is any prescribed positive direction; both pass the one
+row-sum check of `ExtensionResult`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import numpy as np
 from .core import ReciprocalMatrix, make_reciprocal, perron
 from .digraph import DEFAULT_EPS_REL, analyze, analyze_stack, has_no_source
 
-ROOT_ATOL = 1e-13
 ROW_SUM_RTOL = 1e-10
 APPENDED_SPAN = 9.0  # appended entries sampled log-uniformly in [1/9, 9]
 RANK_TIE_TOL = 1e-8
@@ -65,35 +67,40 @@ def well_behaved_type_I(A: ReciprocalMatrix) -> bool:
     return bool(r[0] - r[-1] > 1.0)
 
 
-def _solve_target_sum(r: np.ndarray) -> float:
-    """Unique root of f(s) = 1 + sum_i 1/(s - r_i) - s on (max r_i, inf).
+def _closing_column(r: np.ndarray) -> tuple[float, np.ndarray]:
+    """The common row sum s and the appended column s - r, for row sums r.
 
-    f is strictly decreasing there, tends to +inf at the left end and to
-    -inf as s grows, so a sign change brackets exactly one root.  Bracketed
-    bisection to 1e-13 absolute, or until the bracket holds no float
-    strictly inside (above 512, adjacent floats are more than 1e-13 apart).
+    With m = max r and d = m - r >= 0, s = m + u for the root u of
+    g(u) = 1 + sum_i 1/(u + d_i) - m - u on (0, inf), and the column is
+    u + d, so no entry is a difference of nearby row sums.  g is convex
+    and strictly decreasing: Newton's method from u = 1/(m + 1), where
+    g > 0, rises monotonically to the root, and stops at the first step
+    that does not increase u.  The step is multiplied through by u^2, so
+    nothing overflows when u is tiny.
     """
-    n = r.size
-    rmax = float(np.max(r))
+    m = float(np.max(r))
+    d = m - r
+    u = 1.0 / (m + 1.0)
+    while True:
+        t = u / (u + d)
+        step = u * (u * (1.0 - m - u) + t.sum()) / (t @ t + u * u)
+        if not u + step > u:
+            return m + u, u + d
+        u += step
 
-    def f(s: float) -> float:
-        return 1.0 + float(np.sum(1.0 / (s - r))) - s
 
-    lo = rmax + 1e-9
-    hi = rmax + n + 1.0
-    if not f(lo) > 0.0:
-        raise RuntimeError("left bracket endpoint not positive")
-    while f(hi) > 0.0:
-        hi = rmax + 2.0 * (hi - rmax)
-    while hi - lo > ROOT_ATOL:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _conjugate(A: ReciprocalMatrix, d: np.ndarray) -> ReciprocalMatrix:
+    """D A D^{-1} for the positive diagonal d (1-D), symmetrized to be reciprocal."""
+    if d.size != A.n:
+        raise ValueError(f"diagonal has {d.size} entries, expected {A.n}")
+    if not np.all(np.isfinite(d) & (d > 0)):
+        raise ValueError("diagonal entries must be positive and finite")
+    with np.errstate(over="ignore"):
+        conj = A.a * (d[:, None] / d[None, :])
+    if not np.all(np.isfinite(conj) & (conj > 0)):
+        raise ValueError("diagonal ratios overflow: D A D^-1 has entries that are not "
+                         "positive and finite")
+    return make_reciprocal(conj, mode="symmetrize")
 
 
 def _append_columns(A: ReciprocalMatrix, cols: np.ndarray) -> np.ndarray:
@@ -116,12 +123,11 @@ def constant_row_sum_extension(A: ReciprocalMatrix) -> ExtensionResult:
 
     With row sums r_i of A, appending b_{i,n+1} = s - r_i makes rows
     1..n sum to s; the closing reciprocal row sums to s exactly when s
-    solves 1 + sum 1/(s - r_i) = s.  The all-ones vector is then the
-    Perron eigenvector of the result with eigenvalue s.
+    solves 1 + sum 1/(s - r_i) = s (see `_closing_column`).  The all-ones
+    vector is then the Perron eigenvector of the result with eigenvalue s.
     """
-    r = row_sums(A)
-    s = _solve_target_sum(r)
-    B = _append_column(A, s - r)
+    s, col = _closing_column(row_sums(A))
+    B = _append_column(A, col)
     residual = float(np.max(np.abs(B.a.sum(axis=1) - s)))
     return ExtensionResult(B=B, target_sum=s, perron_check=residual)
 
@@ -131,25 +137,19 @@ def conjugated_extension(
 ) -> ReciprocalMatrix:
     """Extension of A_orig whose Perron direction is (1/D, 1).
 
-    Conjugate by D to B' = D A D^{-1}, extend B' to constant row sums, and
-    conjugate back with D^{-1} (+) [1].  The leading block of the result is
-    A_orig verbatim; the appended column is (s - r_i(B')) / d_i; the Perron
-    eigenvector is proportional to (1/d_1, ..., 1/d_n, 1).
+    Conjugate by D to B' = D A D^{-1}, take the constant-row-sum extension
+    of B', and conjugate back with D^{-1} (+) [1].  The leading block of the
+    result is A_orig verbatim; the appended column is that of B''s
+    extension divided by d_i; the Perron eigenvector is proportional to
+    (1/d_1, ..., 1/d_n, 1).
     """
     d = np.asarray(D, dtype=float).reshape(-1)
-    if d.size != A_orig.n:
-        raise ValueError(f"diagonal has {d.size} entries, expected {A_orig.n}")
-    if not np.all(np.isfinite(d) & (d > 0)):
-        raise ValueError("diagonal entries must be positive and finite")
+    ext = constant_row_sum_extension(_conjugate(A_orig, d))
     with np.errstate(over="ignore"):
-        conj = A_orig.a * (d[:, None] / d[None, :])
-    if not np.all(np.isfinite(conj) & (conj > 0)):
-        raise ValueError("diagonal ratios overflow: D A D^-1 has entries that are not "
-                         "positive and finite")
-    Bp = make_reciprocal(conj, mode="symmetrize")
-    r = row_sums(Bp)
-    s = _solve_target_sum(r)
-    return _append_column(A_orig, (s - r) / d)
+        col = ext.B.a[:-1, -1] / d
+    if not np.all(np.isfinite(col)):
+        raise ValueError("diagonal ratios overflow: the appended column is not finite")
+    return _append_column(A_orig, col)
 
 
 @dataclass(frozen=True)

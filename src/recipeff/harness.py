@@ -40,6 +40,7 @@ from .digraph import (
     has_no_source,
 )
 from .extensions import (
+    _conjugate,
     _ranks_kept,
     conjugated_extension,
     constant_row_sum_extension,
@@ -121,8 +122,7 @@ def example_walkthrough(eps_rel: float = DEFAULT_EPS_REL) -> list[WalkthroughSte
     step("example1.base_perron_matches", err <= 5e-4,
          f"max component deviation {err:.2e} (tol 5e-4)")
 
-    conj = make_reciprocal(B.a * (d[:, None] / d[None, :]), mode="symmetrize")
-    err = float(np.max(np.abs(conj.a - Bp_ref.a)))
+    err = float(np.max(np.abs(_conjugate(B, d).a - Bp_ref.a)))
     step("example1.conjugate_matches", err <= 1e-3,
          f"max entry deviation {err:.2e} (tol 1e-3)")
 
@@ -200,8 +200,8 @@ def grid_sweep(
     if n < 5:
         raise ValueError("grid sweep requires n >= 5")
     axes = tuple(float(v) for v in axis_values)
-    if not axes or any(not v > 0 for v in axes):
-        raise ValueError("axis values must be positive")
+    if not axes or not all(0 < v < np.inf for v in axes):
+        raise ValueError("axis values must be positive and finite")
     grid = [ZParams(n, *xyza) for xyza in itertools.product(axes, repeat=4)]
     return list(evaluate_z_stack(grid, eps_rel))
 

@@ -310,7 +310,6 @@ class ZPoint:
         """
         n, (x, y, z, a) = self.p.n, self.p.xyza
         r, w = self.r, self.report.w
-        rows_max = float(np.max(np.abs(self.report.A.a @ w - r * w)))
         w1, w2, w3 = w[0], w[1], w[2]
         wm, wn = w[n - 2], w[n - 1]
         k = n - 4
@@ -330,7 +329,7 @@ class ZPoint:
         mid_dev = float(np.max(np.abs(w[3 : n - 2] - w3))) if n > 5 else 0.0
         return IdentityResiduals(
             r=r,
-            rows_max=rows_max,
+            rows_max=self.report.perron.residual,
             identities=identities,
             identities_max=max(abs(v) for v in identities),
             middle_deviation_max=mid_dev,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,7 +130,7 @@ def test_constant_row_sum_extension_random(seed):
 
 def test_constant_row_sum_extension_above_float_resolution():
     # row sums past 512, where adjacent floats are more than 1e-13 apart: the
-    # bisection stops once its bracket holds no float strictly inside
+    # Newton solve stops at the first step that does not increase the offset
     wide = make_reciprocal(np.array([[1.0, 500.0, 500.0],
                                      [0.002, 1.0, 1.0],
                                      [0.002, 1.0, 1.0]]))
@@ -136,6 +138,66 @@ def test_constant_row_sum_extension_above_float_resolution():
         res = constant_row_sum_extension(A)
         assert res.target_sum > float(np.max(row_sums(A))) >= 512
         assert is_extension(res.B, A)
+
+
+@pytest.mark.parametrize("n", [500, 600, 800])
+def test_constant_row_sum_extension_wide_orders(n):
+    # forming each appended entry as s - r_i cancelled here: 24 of these 30
+    # matrices missed the row-sum check that ExtensionResult makes
+    for seed in range(10):
+        A = random_reciprocal(n, seed=seed)
+        res = constant_row_sum_extension(A)
+        assert res.target_sum > float(np.max(row_sums(A)))
+        assert is_extension(res.B, A)
+
+
+def test_constant_row_sum_extension_two_by_two_spreads():
+    # the offset u = s - (1 + b) solves 1/u + 1/(u + b - 1/b) = b + u, so
+    # u = 1/b to within 1/b^2 and the appended column is (1/b, b)
+    for e in range(4, 301):
+        b = 10.0 ** e
+        res = constant_row_sum_extension(make_reciprocal(np.array([[1.0, b], [1.0 / b, 1.0]])))
+        col = res.B.a[:2, 2]
+        assert col[0] == pytest.approx(1.0 / b, rel=1e-8), b
+        assert col[1] == pytest.approx(b, rel=1e-8), b
+
+
+def test_constant_row_sum_extension_tied_rows_at_1e200():
+    # two rows tie for the largest sum 1e200 + 2, so the offset is about
+    # 2e-200, and an unscaled Newton step would square its reciprocal
+    A = make_reciprocal(np.array([[1.0, 1e200, 1.0], [1e-200, 1.0, 1e-200],
+                                  [1.0, 1e200, 1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = constant_row_sum_extension(A)
+    assert res.target_sum == 1e200
+    assert res.B.a[:3, 3] == pytest.approx([2e-200, 1e200, 2e-200], rel=1e-12)
+
+
+def test_constant_row_sum_extension_exact_root():
+    # r = (3, 1.5): s = 3.5 solves 1 + 1/(s - 3) + 1/(s - 1.5) = s exactly
+    res = constant_row_sum_extension(make_reciprocal(np.array([[1.0, 2.0], [0.5, 1.0]])))
+    assert res.target_sum == 3.5
+    assert res.B.a[:2, 2].tolist() == [0.5, 2.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 60), st.integers(0, 10**6), st.floats(0.0, np.log(1e8)))
+def test_both_constructions_close_every_row(n, seed, log_scale):
+    A = random_reciprocal(n, seed=seed, log_scale=log_scale)
+    d = np.exp(np.random.default_rng(seed).uniform(-2.0, 2.0, size=n))
+    res = constant_row_sum_extension(A)
+    B = conjugated_extension(A, d)
+    # B conjugated by E = diag(d, 1) is the constant-row-sum extension of D A D^-1.
+    # Its rows summing to s is B (1/e) = s (1/e): the positive vector (1/d, 1) is
+    # an eigenvector of the positive B, so (Perron-Frobenius) its Perron vector
+    e = np.append(d, 1.0)
+    s = constant_row_sum_extension(extensions._conjugate(A, d)).target_sum
+    for sums, target in ((row_sums(res.B), res.target_sum),
+                         ((B.a * (e[:, None] / e[None, :])).sum(axis=1), s)):
+        assert np.max(np.abs(sums - target)) <= extensions.ROW_SUM_RTOL * target
+    if log_scale <= np.log(1e3):
+        assert np.max(np.abs(perron(res.B).w - 1.0)) <= 1e-8
 
 
 def test_extension_result_invariant():
@@ -151,6 +213,28 @@ def test_conjugated_extension_identity_diag_matches():
     assert np.array_equal(via_conj.a, direct.a)
 
 
+def test_conjugated_extension_runs_through_the_row_sum_check(monkeypatch):
+    A, d = random_reciprocal(5, seed=3), np.array([0.5, 2.0, 1.0, 4.0, 0.25])
+    ext = constant_row_sum_extension(extensions._conjugate(A, d))
+    B = conjugated_extension(A, d)
+    assert is_extension(B, A)
+    assert np.array_equal(B.a[:5, 5], ext.B.a[:5, 5] / d)
+    monkeypatch.setattr(extensions, "ROW_SUM_RTOL", -1.0)
+    with pytest.raises(ValueError, match="row sums deviate"):
+        conjugated_extension(A, d)
+
+
+def test_conjugated_extension_far_apart_diagonal():
+    A = make_reciprocal(np.array([[1.0, 2.0], [0.5, 1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        B = conjugated_extension(A, (1e-5, 1e5))
+        w = perron(B).w
+    assert is_extension(B, A)
+    # the direction (1/d, 1), scaled to w[0] = 1
+    assert np.max(np.abs(w / np.array([1.0, 1e-10, 1e-5]) - 1.0)) <= 1e-8
+
+
 def test_conjugated_extension_input_checks():
     A = random_reciprocal(3, seed=4)
     with pytest.raises(ValueError, match="expected 3"):
@@ -162,6 +246,11 @@ def test_conjugated_extension_input_checks():
             conjugated_extension(A, np.array([1.0, bad, 1.0]))
     with pytest.raises(ValueError, match="diagonal ratios overflow"):
         conjugated_extension(A, np.array([1.0, 1e-320, 1.0]))
+    # D A D^-1 is finite, but B''s appended entry 1e300 over d = 1e-300 is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="appended column is not finite"):
+            conjugated_extension(all_ones(2), (1e-300, 1.0))
 
 
 def test_conjugated_extension_reference_chain(

@@ -238,10 +238,10 @@ WALKTHROUGH_STEPS = [
     ("example1.ones_vector_efficient", True, "computed efficient=True"),
     ("example1.well_behaved", True, "first/last row-sum gap 5.79 (reference 5.79)"),
     ("example1.extension_unit_perron", True,
-     "row-sum residual 1.03e-12, all-ones efficient=True"),
+     "row-sum residual 1.78e-15, all-ones efficient=True"),
     ("example1.conjugated_restores_base", True, "leading block comparison is exact"),
     ("example1.conjugated_perron_matches", True,
-     "max component deviation 1.49e-13 (tol 1e-9)"),
+     "max component deviation 4.44e-16 (tol 1e-9)"),
     ("example1.conjugated_efficient", True, "computed on the order-6 digraph"),
     ("example1.ranking_changes", True,
      "base ranks (1, 4, 5, 2, 3), extension-prefix ranks (3, 3, 3, 2, 1)"),
@@ -548,6 +548,24 @@ def test_cli_extend_rejects_a_bad_conjugate_diagonal(tmp_path, capsys, diag):
     code, out, err = run_cli(capsys, "extend", str(path), "--conjugate-diag", diag)
     assert code == 2 and out == ""
     assert err.startswith("error: diagonal") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan", "0", "-1"])
+def test_cli_sweep_rejects_a_bad_axis_value(capsys, bad):
+    code, out, err = run_cli(capsys, "sweep", "--n", "5", "--axes", f"1,{bad}")
+    assert (code, out, err) == (2, "", "error: axis values must be positive and finite\n")
+
+
+def test_cli_extend_wide_order(tmp_path, capsys):
+    # random_reciprocal(500, seed=0) missed the row-sum check when each
+    # appended entry was formed as the difference s - r_i
+    path = tmp_path / "m.csv"
+    save_matrix(random_reciprocal(500, seed=0), path)
+    code, out, err = run_cli(capsys, "extend", str(path))
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["base_order"] == 500 and payload["efficient"] is True
+    assert payload["target_sum"] > 500
 
 
 def test_cli_sweep_to_file(tmp_path, capsys):
