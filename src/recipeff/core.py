@@ -100,7 +100,8 @@ def make_reciprocal(raw, mode: str = "validate") -> ReciprocalMatrix:
     mode="validate" rejects unit-diagonal or reciprocity violations
     (|a_ij * a_ji - 1| > 1e-12); mode="symmetrize" overwrites the diagonal
     with 1 and the lower triangle with reciprocals of the upper.  Both
-    modes store the canonical form, so a_ji == 1/a_ij exactly afterwards.
+    modes store the canonical form, so a_ji == 1/a_ij exactly afterwards,
+    and reject an upper entry whose reciprocal overflows (such as 1e-320).
     """
     a = _as_positive_square(raw)
     if mode == "validate":
@@ -113,11 +114,17 @@ def make_reciprocal(raw, mode: str = "validate") -> ReciprocalMatrix:
             i, j = np.argwhere(bad)[0]
             raise ValueError(
                 f"reciprocity violation at ({i + 1},{j + 1}): "
-                f"a_ij*a_ji = {prod[i, j]!r}"
+                f"a_ij*a_ji = {float(prod[i, j])!r}"
             )
     elif mode != "symmetrize":
         raise ValueError(f"unknown mode {mode!r}")
-    return ReciprocalMatrix(_canonicalize(a))
+    with np.errstate(over="ignore"):
+        out = _canonicalize(a)
+    if not np.all(np.isfinite(out)):
+        i, j = np.argwhere(~np.isfinite(out.T))[0]
+        raise ValueError(f"entry at row {i + 1}, column {j + 1} must have a finite "
+                         f"reciprocal, got {float(a[i, j])!r}")
+    return ReciprocalMatrix(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,31 +165,31 @@ def _squared_start(a: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray
     component 1, move by at most PERRON_SQUARE_TOL times their largest
     entry.  Settled rows are dropped from the stack, so a row's start never
     depends on the other rows.  A row whose row sums stop being finite and
-    positive starts from all-ones.
+    positive starts from all-ones; `perron_stack` runs this under the
+    errstate that silences their overflow.
     """
     B, n = a.shape[0], a.shape[-1]
     start = np.empty((B, n))
     squarings = np.empty(B, dtype=int)
     rows, m, k = np.arange(B), a, 0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    u = m.sum(axis=2)
+    s = u / u[:, :1]
+    while rows.size:
+        if k == max_iter:
+            raise _not_converged(a[rows[0]], s[0], int(rows[0]), max_iter)
+        m = m @ m
         u = m.sum(axis=2)
-        s = u / u[:, :1]
-        while rows.size:
-            if k == max_iter:
-                raise _not_converged(a[rows[0]], s[0], int(rows[0]), max_iter)
-            m = m @ m
-            u = m.sum(axis=2)
-            top = u.max(axis=1)
-            m /= top[:, None, None]
-            t = u / u[:, :1]
-            k += 1
-            # NaN never moves by less than the bound: it ends the row too
-            out = ~(np.abs(t - s).max(axis=1) > PERRON_SQUARE_TOL * (top / u[:, 0]))
-            if out.any():
-                start[rows[out]] = t[out]
-                squarings[rows[out]] = k
-                rows, m, t = rows[~out], m[~out], t[~out]
-            s = t
+        top = u.max(axis=1)
+        m /= top[:, None, None]
+        t = u / u[:, :1]
+        k += 1
+        # NaN never moves by less than the bound: it ends the row too
+        out = ~(np.abs(t - s).max(axis=1) > PERRON_SQUARE_TOL * (top / u[:, 0]))
+        if out.any():
+            start[rows[out]] = t[out]
+            squarings[rows[out]] = k
+            rows, m, t = rows[~out], m[~out], t[~out]
+        s = t
     start[~np.all(np.isfinite(start) & (start > 0), axis=1)] = 1.0
     return start, squarings
 
@@ -194,40 +201,43 @@ def perron_stack(a: np.ndarray, max_iter: int = PERRON_MAX_ITER) -> PerronStack:
     `_squared_start`); larger orders start from all-ones.  From there each
     pass takes one step v <- A v, renormalized to v[0] == 1, on every live
     row; a row stops at the first step whose iterate differs from the
-    previous one by less than PERRON_TOL in max norm, and is written out
-    and dropped from the stack.  r is (A w)[0] at that iterate.  A row's
-    `iterations` counts its squarings plus its power steps, and `max_iter`
-    caps that total.  PerronConvergenceError names the row when it reaches
-    the cap (the one with the least budget left, the first on ties), or
-    when it stops at a w or r that is not positive and finite, as when an
-    entry product underflows.  Every row equals its own one-matrix solve
-    bit for bit.
+    previous one by less than PERRON_TOL in max norm, or is NaN (a row sum
+    overflowed), and is written out and dropped from the stack.  r is
+    (A w)[0] at that iterate.  A row's `iterations` counts its squarings
+    plus its power steps, and `max_iter` caps that total.
+    PerronConvergenceError names the row when it reaches the cap (the one
+    with the least budget left, the first on ties), or when it stops at a w
+    or r that is not positive and finite, as when an entry product
+    underflows or a row sum overflows.  Every row equals its own one-matrix
+    solve bit for bit.
     """
     a = np.ascontiguousarray(a, dtype=float)
     B, n = a.shape[0], a.shape[-1]
-    if n <= PERRON_SQUARE_MAX_N:
-        start, squarings = _squared_start(a, max_iter)
-    else:
-        start, squarings = np.ones((B, n)), np.zeros(B, dtype=int)
     w = np.empty((B, n))
     iterations = np.empty(B, dtype=int)
-    rows, live, left = np.arange(B), a, max_iter - squarings
-    v, k, cap = start[..., None], 0, int(left.min(initial=max_iter))
-    while rows.size:
-        if k == cap:
-            j = int(left.argmin())
-            raise _not_converged(a[rows[j]], v[j, :, 0], int(rows[j]), max_iter)
-        u = live @ v
-        u /= u[:, :1]
-        k += 1
-        stop = np.abs(u - v).max(axis=1)[:, 0] < PERRON_TOL
-        if stop.any():
-            w[rows[stop]] = u[stop, :, 0]
-            iterations[rows[stop]] = squarings[rows[stop]] + k
-            rows, live, u, left = rows[~stop], live[~stop], u[~stop], left[~stop]
-            cap = int(left.min(initial=max_iter))
-        v = u
-    aw = np.matmul(a, w[..., None])[..., 0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if n <= PERRON_SQUARE_MAX_N:
+            start, squarings = _squared_start(a, max_iter)
+        else:
+            start, squarings = np.ones((B, n)), np.zeros(B, dtype=int)
+        rows, live, left = np.arange(B), a, max_iter - squarings
+        v, k, cap = start[..., None], 0, int(left.min(initial=max_iter))
+        while rows.size:
+            if k == cap:
+                j = int(left.argmin())
+                raise _not_converged(a[rows[j]], v[j, :, 0], int(rows[j]), max_iter)
+            u = live @ v
+            u /= u[:, :1]
+            k += 1
+            # written as ~(>=) so that a NaN iterate stops too
+            stop = ~(np.abs(u - v).max(axis=1)[:, 0] >= PERRON_TOL)
+            if stop.any():
+                w[rows[stop]] = u[stop, :, 0]
+                iterations[rows[stop]] = squarings[rows[stop]] + k
+                rows, live, u, left = rows[~stop], live[~stop], u[~stop], left[~stop]
+                cap = int(left.min(initial=max_iter))
+            v = u
+        aw = np.matmul(a, w[..., None])[..., 0]
     r = aw[:, 0]
     ok = np.all((w > 0) & np.isfinite(aw), axis=1)  # so w is finite and r >= w[0] = 1
     if not ok.all():

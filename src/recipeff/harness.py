@@ -202,6 +202,9 @@ def grid_sweep(
     axes = tuple(float(v) for v in axis_values)
     if not axes or not all(0 < v < np.inf for v in axes):
         raise ValueError("axis values must be positive and finite")
+    if any(1 / v == np.inf for v in axes):
+        raise ValueError("axis values must be positive and finite, and so must their "
+                         f"reciprocals; got {min(axes)!r}")
     grid = [ZParams(n, *xyza) for xyza in itertools.product(axes, repeat=4)]
     return list(evaluate_z_stack(grid, eps_rel))
 
@@ -226,31 +229,19 @@ ALL_EXCEPTION_LABELS = frozenset(
 )
 
 
-class _Count:
-    """A count-style check; calling it gives (passed, detail).
-
-    Instances come from `add(instance, number bad)` and, on the call, from
-    the lazy `outcomes` pairs.  A failing detail names the first bad
-    instance after the filled-in `template`, so the line alone replays it.
+def _tally(check_id: str, template: str, outcomes) -> WalkthroughStep:
+    """The record of a count check over its (instance, bad) pairs, where bad
+    is a flag or a number of violations.  The detail is `template` filled
+    with the bad and total counts; a failing one names the first bad
+    instance, so the line alone replays it.
     """
-
-    def __init__(self, template: str, outcomes=()) -> None:
-        self.template, self.outcomes = template, outcomes
-        self.total, self.bad, self.first = 0, 0, None
-
-    def add(self, instance: str, nb_bad: int | bool) -> None:
-        self.total += 1
-        self.bad += int(nb_bad)
-        if nb_bad and self.first is None:
-            self.first = instance
-
-    def __call__(self) -> tuple[bool, str]:
-        for instance, nb_bad in self.outcomes:
-            self.add(instance, nb_bad)
-        detail = self.template.format(bad=self.bad, total=self.total)
-        if self.bad:
-            detail += f"; first: {self.first}"
-        return self.bad == 0, detail
+    total, bad, first = 0, 0, None
+    for total, (instance, nb_bad) in enumerate(outcomes, 1):
+        bad += int(nb_bad)
+        if nb_bad and first is None:
+            first = instance
+    detail = template.format(bad=bad, total=total)
+    return WalkthroughStep(check_id, bad == 0, f"{detail}; first: {first}" if bad else detail)
 
 
 # per-point audits of the n = 5, 6, 7 grids: (check id, violations at a point)
@@ -271,46 +262,52 @@ def _certificate_fails(rep: EfficiencyReport) -> bool:
     return cert is None or not pareto_dominates(rep.A, rep.w, cert)
 
 
-def _grid_checks(eps_rel: float, certs: _Count) -> dict:
-    """One pass over the Z-family grids; the grid checks' runs by id, in order.
+def _grid_outcomes(ns, bad):
+    """(instance, bad) pairs over the grids of orders `ns`; only bad instances are named."""
+    points = itertools.product(ns, *[DEFAULT_AXES] * 4)
+    return ((f"ZParams{p}" if b else "", b) for p, b in zip(points, bad))
 
-    Each grid is evaluated as one stack; each point is read by every check
-    and dropped.  The n = 5 and 6 grids feed the sweep checks and the
-    inefficient points' certificates (`certs`); the n = 5, 6 and 7 grids
-    feed `_GRID_AUDITS`.
+
+def _grid_checks(eps_rel: float) -> tuple[list[WalkthroughStep], list]:
+    """One streamed pass over the n = 5, 6, 7 grids, each one stack: the grid
+    checks' records in report order and the inefficient points' certificate
+    outcomes.  Point i of grid g leaves flags[g, :, i] and is dropped: its
+    `_GRID_AUDITS` violations, then at n = 5 and 6 whether it disagrees, is
+    unsound, efficient or labeled, and whether its certificate fails.
     """
-    runs: dict = {}
-    labeled = {(n, eff): 0 for n in (5, 6) for eff in (True, False)}
-    seen: set[str] = set()
-    for n in (5, 6):
-        runs[f"sink_characterization.grid_n{n}"] = _Count(
-            "{bad} of {total} grid points disagree")
-        runs[f"region.soundness_n{n}"] = _Count("{bad} guaranteed-but-inefficient points")
-        runs[f"region.exceptions_one_sided_n{n}"] = lambda n=n: (
-            labeled[n, True] > 0 and labeled[n, False] > 0,
-            f"exception labels cover {labeled[n, False]} inefficient and "
-            f"{labeled[n, True]} efficient points (guarantee is one-way)",
-        )
-    runs["region.exception_labels_nonvacuous"] = lambda: (
-        seen == ALL_EXCEPTION_LABELS, f"labels hit: {sorted(seen)}")
-    for cid, _ in _GRID_AUDITS:
-        runs[cid] = _Count("{bad} violations")
-    for n in (5, 6, 7):
-        grid = [ZParams(n, *xyza) for xyza in itertools.product(DEFAULT_AXES, repeat=4)]
-        for pt in evaluate_z_stack(grid, eps_rel):
-            where = f"ZParams{(n, *pt.p.xyza)}"
-            for cid, violations in _GRID_AUDITS:
-                runs[cid].add(where, violations(pt))
-            if n == 7:
-                continue
-            runs[f"sink_characterization.grid_n{n}"].add(where, not pt.agrees)
-            runs[f"region.soundness_n{n}"].add(where, pt.guaranteed and not pt.efficient)
-            if pt.exception is not None:
-                labeled[n, pt.efficient] += 1
+    k = len(_GRID_AUDITS)
+    # int16 is enough: a count is at most 41 catalog rows x 13 edges each
+    flags, seen = np.zeros((3, k + 5, len(DEFAULT_AXES) ** 4), dtype=np.int16), set()
+    for g, n in enumerate((5, 6, 7)):
+        for i, pt in enumerate(evaluate_z_stack(
+                [ZParams(n, *xyza) for xyza in itertools.product(DEFAULT_AXES, repeat=4)], eps_rel)):
+            row = [violations(pt) for _, violations in _GRID_AUDITS]
+            if n < 7:
                 seen.add(pt.exception)
-            if not pt.efficient:
-                certs.add(where, _certificate_fails(pt.report))
-    return runs
+                row += [not pt.agrees, pt.guaranteed and not pt.efficient, pt.efficient,
+                        pt.exception is not None,
+                        not pt.efficient and _certificate_fails(pt.report)]
+            flags[g, :len(row), i] = row
+    records, certificates = [], []
+    for g, n in enumerate((5, 6)):
+        disagrees, unsound, efficient, labeled, cert = flags[g, k:]
+        eff, ineff = int(labeled @ efficient), int(labeled @ (1 - efficient))
+        records += [
+            _tally(f"sink_characterization.grid_n{n}", "{bad} of {total} grid points disagree",
+                   _grid_outcomes([n], disagrees)),
+            _tally(f"region.soundness_n{n}", "{bad} guaranteed-but-inefficient points",
+                   _grid_outcomes([n], unsound)),
+            WalkthroughStep(f"region.exceptions_one_sided_n{n}", eff > 0 and ineff > 0,
+                            f"exception labels cover {ineff} inefficient and "
+                            f"{eff} efficient points (guarantee is one-way)"),
+        ]
+        certificates += [o for o, e in zip(_grid_outcomes([n], cert), efficient) if not e]
+    seen.discard(None)
+    records.append(WalkthroughStep("region.exception_labels_nonvacuous",
+                                   seen == ALL_EXCEPTION_LABELS, f"labels hit: {sorted(seen)}"))
+    records += [_tally(cid, "{bad} violations", _grid_outcomes((5, 6, 7), flags[:, j].ravel()))
+                for j, (cid, _) in enumerate(_GRID_AUDITS)]
+    return records, certificates
 
 
 def _seeded(count: int, orders: int, seed: int, eps_rel: float, is_bad):
@@ -339,57 +336,45 @@ def _random_extensions(eps_rel: float):
                    k in scan.failures)
 
 
-def _hamiltonian_disagrees(rep: EfficiencyReport) -> bool:
-    return rep.efficient != (rep.hamiltonian is not None)
-
-
 def verify_paper_suite(eps_rel: float = DEFAULT_EPS_REL) -> VerificationSummary:
     """Run every bundled check; failures are reported, never thrown.
 
-    The suite is a table of (check_id, run) entries in report order; each
-    run returns (passed, detail).
+    The suite is one list of `WalkthroughStep(check_id, passed, detail)`
+    records, built in report order: the walkthrough's steps as they are,
+    one record per one-off check, and one per count check, tallied by
+    `_tally` from its (instance, bad) pairs.
     """
     t0 = time.perf_counter()
     rep3 = analyze(make_reciprocal(np.array(COUNTEREXAMPLE_3X3_ROWS), mode="validate"),
                    np.array(COUNTEREXAMPLE_3X3_W), eps_rel)
-    G3 = rep3.digraph
-    certificates = _Count("{bad} of {total} certificates failed")
-    certificates.add("the 3x3 counterexample", _certificate_fails(rep3))
     triples = np.exp(np.random.default_rng(5000).uniform(
         -np.log(9.0), np.log(9.0), size=(1000, 3))).tolist()
-    table = [
-        *((s.check_id, lambda s=s: (s.passed, s.detail))
-          for s in example_walkthrough(eps_rel)),
-        ("counterexample3x3.structure", lambda: (
-            G3.edges == {(2, 1), (3, 1), (3, 2)} and rep3.sources == (3,),
-            f"edges {sorted(G3.edges)}, sources {rep3.sources}")),
-        ("no_source.random_matrices", _Count(
-            "{bad} of {total} random matrices violated",
-            _seeded(1000, 6, 1000, eps_rel, lambda rep: not has_no_source(rep.digraph)))),
-        ("no_source.random_extensions", _Count(
-            "{bad} of {total} random extensions violated", _random_extensions(eps_rel))),
-        *_grid_checks(eps_rel, certificates).items(),
-        ("hamiltonian.equivalence", _Count(
-            "{bad} of {total} random digraphs disagree",
-            _seeded(200, 5, 4000, eps_rel, _hamiltonian_disagrees))),
-        ("n4.forms_agree", _Count(
-            "{bad} of {total} triples disagree",
-            ((f"(x, y, z) = {tuple(t)}", guarantee_n4(*t, "six_cases")
-              != guarantee_n4(*t, "region_complement")) for t in triples))),
-        ("a1.slice_equality", _Count(
-            "{bad} of {total} slice points disagree",
-            ((f"ZParams{(5, x, y, z, 1.0)}",
-              guarantee_a1(5, x, y, z).guaranteed_efficient
-              != guarantee_n5plus(ZParams(5, x, y, z, 1.0)).guaranteed_efficient)
-             for x, y, z in itertools.product(DEFAULT_AXES, repeat=3)))),
-        ("certificates.sound", certificates),
+    checks = [
+        *example_walkthrough(eps_rel),
+        WalkthroughStep("counterexample3x3.structure",
+                        rep3.digraph.edges == {(2, 1), (3, 1), (3, 2)} and rep3.sources == (3,),
+                        f"edges {sorted(rep3.digraph.edges)}, sources {rep3.sources}"),
+        _tally("no_source.random_matrices", "{bad} of {total} random matrices violated",
+               _seeded(1000, 6, 1000, eps_rel, lambda rep: not has_no_source(rep.digraph))),
+        _tally("no_source.random_extensions", "{bad} of {total} random extensions violated",
+               _random_extensions(eps_rel)),
     ]
-    results = [(cid, bool(passed), detail)
-               for cid, run in table for passed, detail in [run()]]
-    failures = tuple((cid, detail) for cid, ok, detail in results if not ok)
-    return VerificationSummary(
-        suite="verify",
-        checks=len(results),
-        failures=failures,
-        wall_time=time.perf_counter() - t0,
-    )
+    grid, certificates = _grid_checks(eps_rel)
+    checks += [
+        *grid,
+        _tally("hamiltonian.equivalence", "{bad} of {total} random digraphs disagree",
+               _seeded(200, 5, 4000, eps_rel,
+                       lambda rep: rep.efficient != (rep.hamiltonian is not None))),
+        _tally("n4.forms_agree", "{bad} of {total} triples disagree",
+               ((f"(x, y, z) = {tuple(t)}", guarantee_n4(*t, "six_cases")
+                 != guarantee_n4(*t, "region_complement")) for t in triples)),
+        _tally("a1.slice_equality", "{bad} of {total} slice points disagree",
+               ((f"ZParams{(5, x, y, z, 1.0)}",
+                 guarantee_a1(5, x, y, z).guaranteed_efficient
+                 != guarantee_n5plus(ZParams(5, x, y, z, 1.0)).guaranteed_efficient)
+                for x, y, z in itertools.product(DEFAULT_AXES, repeat=3))),
+        _tally("certificates.sound", "{bad} of {total} certificates failed",
+               [("the 3x3 counterexample", _certificate_fails(rep3)), *certificates]),
+    ]
+    failures = tuple((s.check_id, s.detail) for s in checks if not s.passed)
+    return VerificationSummary("verify", len(checks), failures, time.perf_counter() - t0)

@@ -40,10 +40,13 @@ from .digraph import (
 
 
 def _require_positive(**params: float) -> None:
-    """Reject a parameter that is not positive and finite (NaN included)."""
+    """Reject a parameter that is not positive and finite (NaN included), or
+    whose reciprocal overflows (such as 1e-320)."""
     for name, v in params.items():
         if not (v > 0 and math.isfinite(v)):
             raise ValueError(f"{name} must be positive and finite")
+        if 1 / v == math.inf:
+            raise ValueError(f"{name} must be positive and finite, and so must 1/{name}")
 
 
 @dataclass(frozen=True)

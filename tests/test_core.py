@@ -64,6 +64,16 @@ def test_make_reciprocal_rejects_nonsquare_and_tiny():
         make_reciprocal(np.ones((2, 2)), mode="repair")
 
 
+def test_make_reciprocal_rejects_an_entry_whose_reciprocal_overflows():
+    a = np.array([[1.0, 2.0, 3.0], [0.5, 1.0, 1e-320], [1 / 3, 1.0, 1.0]])
+    with pytest.raises(ValueError, match=r"^entry at row 2, column 3 must have a finite "
+                                         r"reciprocal, got 1e-320$"):
+        make_reciprocal(a, mode="symmetrize")
+    # symmetrize overwrites the lower triangle, so a tiny entry there is harmless
+    A = make_reciprocal(a.T, mode="symmetrize")
+    assert A.a[2, 1] == 1.0 and A.a[1, 2] == 1.0
+
+
 def test_symmetrize_overwrites_lower_triangle():
     a = np.array([[1.0, 3.0], [7.0, 5.0]])  # junk diagonal and lower entry
     A = make_reciprocal(a, mode="symmetrize")
@@ -384,6 +394,15 @@ def test_perron_stack_names_the_row_whose_solve_underflows():
         perron(a)
     with pytest.raises(PerronConvergenceError, match="not positive and finite at row 1$"):
         perron_stack(stack)
+
+
+def test_perron_stack_stops_a_row_whose_iterate_overflows():
+    # the first row sum of `big` overflows, so its iterate turns NaN on the
+    # first step; the row stops there, well inside the cap, and is named
+    big = make_reciprocal([[1, 1e308, 1e308], [1e-308, 1, 1], [1e-308, 1, 1]])
+    stack = np.array([random_reciprocal(3, seed=1).a, big.a])
+    with pytest.raises(PerronConvergenceError, match="not positive and finite at row 1$"):
+        perron_stack(stack, max_iter=50)
 
 
 def test_perron_stack_names_the_row_that_does_not_converge():

@@ -438,6 +438,26 @@ def test_seeded_instances_come_in_seed_order():
     assert got == want and 0 < sum(bad for _, bad in got) < 40
 
 
+def test_grid_check_records_in_report_order():
+    # the passing details carry the counts: 625 points per grid, and the 64
+    # inefficient n = 5 and 6 points whose certificates are checked
+    records, certificates = harness._grid_checks(1e-9)
+    one_sided = ("exception labels cover 32 inefficient and 24 efficient points "
+                 "(guarantee is one-way)")
+    labels = [f"T{k}{c}" for k in (5, 6, 7, 8) for c in ("(i)", "(ii)", "(iii)")]
+    assert [(r.check_id, r.passed, r.detail) for r in records] == [
+        ("sink_characterization.grid_n5", True, "0 of 625 grid points disagree"),
+        ("region.soundness_n5", True, "0 guaranteed-but-inefficient points"),
+        ("region.exceptions_one_sided_n5", True, one_sided),
+        ("sink_characterization.grid_n6", True, "0 of 625 grid points disagree"),
+        ("region.soundness_n6", True, "0 guaranteed-but-inefficient points"),
+        ("region.exceptions_one_sided_n6", True, one_sided),
+        ("region.exception_labels_nonvacuous", True, f"labels hit: {labels}"),
+        *((cid, True, "0 violations") for cid, _ in harness._GRID_AUDITS),
+    ]
+    assert len(certificates) == 64 and not any(bad for _, bad in certificates)
+
+
 # --- CLI -----------------------------------------------------------------
 
 
@@ -538,6 +558,47 @@ def test_cli_analyze_reports_a_solve_that_underflows(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: power iteration stopped at a w or r that is not "
                           "positive and finite at row 0")
+
+
+@pytest.mark.parametrize("argv", [
+    ("z", "--n", "5", "--x", "1e308", "--y", "1e308", "--z", "1", "--a", "1"),
+    ("analyze", "{csv}"),
+], ids=["z", "analyze"])
+def test_cli_reports_an_iterate_that_overflows(tmp_path, capsys, argv):
+    # row sums of 2e308 overflow, and the solve stops on its first NaN
+    # iterate in place of stalling at the iteration cap
+    path = tmp_path / "m.csv"
+    path.write_text("1,1e308,1e308\n1e-308,1,1\n1e-308,1,1\n")
+    code, out, err = run_cli(capsys, *(arg.format(csv=path) for arg in argv))
+    assert (code, out, err) == (2, "", "error: power iteration stopped at a w or r that "
+                                       "is not positive and finite at row 0\n")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("z", "--n", "5", "--x", "1e-320", "--y", "1", "--z", "1", "--a", "1"),
+     "x must be positive and finite, and so must 1/x"),
+    (("z", "--n", "4", "--x", "1", "--y", "1", "--z", "1e-320", "--a", "1"),
+     "z must be positive and finite, and so must 1/z"),
+    (("sweep", "--n", "5", "--axes", "1,1e-320"),
+     "axis values must be positive and finite, and so must their reciprocals; got 1e-320"),
+    (("analyze", "--symmetrize", "{csv}"),
+     "entry at row 1, column 2 must have a finite reciprocal, got 1e-320"),
+    (("extend", "--symmetrize", "{csv}"),
+     "entry at row 1, column 2 must have a finite reciprocal, got 1e-320"),
+], ids=["z", "z-n4", "sweep", "analyze", "extend"])
+def test_cli_rejects_a_value_whose_reciprocal_overflows(tmp_path, capsys, argv, line):
+    path = tmp_path / "m.csv"
+    path.write_text("1,1e-320\n1,1\n")
+    code, out, err = run_cli(capsys, *(arg.format(csv=path) for arg in argv))
+    assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+def test_cli_reciprocity_error_prints_a_plain_float(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_text("1,2\n1,1\n")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out, err) == (2, "", "error: reciprocity violation at (1,2): "
+                                       "a_ij*a_ji = 2.0\n")
 
 
 @pytest.mark.parametrize("diag", ["1,inf,1", "1,1e-320,1"])

@@ -569,7 +569,7 @@ def test_relations_reject_nan():
         guarantee_n4(nan, 1.0, 1.0)
 
 
-@pytest.mark.parametrize("bad", (-1.0, 0.0, math.inf, math.nan))
+@pytest.mark.parametrize("bad", (-1.0, 0.0, math.inf, math.nan, 1e-320))
 @pytest.mark.parametrize("slot", range(3))
 def test_guarantees_reject_parameters_that_zparams_rejects(bad, slot):
     xyz = [0.5, 2.0, 1.5]
@@ -597,6 +597,31 @@ def test_compiled_relations_match_reference_on_tied_grid(n):
     # boundary of every relation is hit with ties
     for xyza in itertools.product(ORACLE_AXES, repeat=4):
         assert_relations_match_reference(ZParams(n, *xyza))
+
+
+def weak_orders(k):
+    """The dense rank vectors of the weak orders of k terms."""
+    return [r for r in itertools.product(range(k), repeat=k) if set(r) == set(range(max(r) + 1))]
+
+
+@pytest.mark.parametrize("n", (5, 7))
+def test_compiled_relations_match_reference_on_every_order_cell(n):
+    # one point per weak order of (1, x, y, z, a), at levels 2**(rank - rank
+    # of 1); the relations read only that order, and the tied grid reaches
+    # 493 of the 541
+    cells = weak_orders(5)
+    assert len(cells) == 541
+    for one, *ranks in cells:
+        assert_relations_match_reference(ZParams(n, *(2.0 ** (r - one) for r in ranks)))
+
+
+def test_guarantee_n4_forms_agree_on_every_order_cell():
+    # the 75 weak orders of (1, x, y, z), ties included
+    cells = weak_orders(4)
+    assert len(cells) == 75
+    for one, *ranks in cells:
+        xyz = [2.0 ** (r - one) for r in ranks]
+        assert guarantee_n4(*xyz, "six_cases") == guarantee_n4(*xyz, "region_complement"), xyz
 
 
 log_uniform = st.floats(min_value=-3.0, max_value=3.0).map(math.exp)
