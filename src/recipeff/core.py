@@ -252,6 +252,19 @@ def perron(A: ReciprocalMatrix, max_iter: int = PERRON_MAX_ITER) -> PerronPair:
     return perron_stack(A.a[None], max_iter)[0]
 
 
+def _require_finite_ratios(w: np.ndarray) -> None:
+    """Reject vectors (along the last axis) not positive and finite, or whose
+    max/min overflows.  All pass when the whole stack's max/min is finite;
+    else each is tested as min/max >= 1/DBL_MAX, which cannot overflow."""
+    lo, hi = float(w.min(initial=np.inf)), float(w.max(initial=0.0))
+    if lo > 0 and hi / lo < np.inf:
+        return
+    lo, hi = w.min(axis=-1), w.max(axis=-1)
+    if not ((lo > 0).all() and (lo / hi >= 1 / np.finfo(float).max).all()):
+        raise ValueError("vector entries must be positive and finite, "
+                         "with a finite ratio max(w)/min(w)")
+
+
 def pareto_dominates(A: ReciprocalMatrix, w, w2) -> bool:
     """True iff w2 fits A at least as well as w entrywise, strictly somewhere.
 
@@ -259,12 +272,14 @@ def pareto_dominates(A: ReciprocalMatrix, w, w2) -> bool:
     deviation to grow by more than PARETO_MARGIN and at least one to shrink
     by more than PARETO_MARGIN.  The slack on the growth side absorbs the
     ulp-level ratio drift introduced when a block of w2 is a rescaled copy
-    of the corresponding block of w.
+    of the corresponding block of w.  A vector that is not positive and
+    finite, or whose ratio max/min overflows, raises ValueError.
     """
     w = np.asarray(w, dtype=float)
     w2 = np.asarray(w2, dtype=float)
     if w.shape != (A.n,) or w2.shape != (A.n,):
         raise ValueError("vector length mismatch")
+    _require_finite_ratios(np.array([w, w2]))
     dev = np.abs(A.a - w[:, None] / w[None, :])
     dev2 = np.abs(A.a - w2[:, None] / w2[None, :])
     off = ~np.eye(A.n, dtype=bool)

@@ -18,8 +18,9 @@ Perron vectors (unless given), the digraphs as one boolean tensor, their
 SCCs and, for each digraph that is not strongly connected, an explicit
 better vector, made by scaling the source component of the condensation
 down by the tightest crossing ratio.  Its `EfficiencyReport`s, one per
-matrix, are what every other consumer reads; `analyze` is the one-matrix
-case.
+matrix, are what per-instance consumers read; `analyze` is the one-matrix
+case.  Audits of whole stacks call its array steps and
+`has_no_source_stack` directly.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 from .core import (
     PerronPair,
     ReciprocalMatrix,
+    _require_finite_ratios,
     pareto_dominates,
     perron,
     perron_stack,
@@ -103,8 +105,7 @@ def _adjacency(a: np.ndarray, w: np.ndarray, eps_rel: float) -> np.ndarray:
             else f"vector length mismatch: vectors of shape {w.shape} "
             f"for matrices of shape {a.shape}"
         )
-    if not np.all(np.isfinite(w) & (w > 0)):
-        raise ValueError("vector entries must be positive and finite")
+    _require_finite_ratios(w)
     if not 0.0 <= eps_rel < 1.0:
         raise ValueError("eps_rel must be nonnegative and below 1")
     adj = w[:, :, None] / w[:, None, :] >= a * (1.0 - eps_rel)
@@ -166,17 +167,22 @@ def sinks(G: EfficiencyDigraph) -> tuple[int, ...]:
     return tuple((np.flatnonzero(~G.adj.any(axis=1)) + 1).tolist())
 
 
+def has_no_source_stack(adj: np.ndarray) -> np.ndarray:
+    """`has_no_source` of each digraph of a (B, n, n) edge tensor, as (B,) flags."""
+    into = adj.swapaxes(1, 2)  # into[b, i, j]: edge (j, i)
+    missing_in = (~into & ~np.eye(adj.shape[-1], dtype=bool)).any(axis=2)
+    witness = (into & ~adj).any(axis=2)
+    return adj.any(axis=1).all(axis=1) & (witness | ~missing_in).all(axis=1)
+
+
 def has_no_source(G: EfficiencyDigraph) -> bool:
     """The structural no-source property of a Perron digraph.
 
     G has no source, and the sharper witness form holds: whenever a vertex
     i misses some incoming edge, there is a j with (j,i) present and (i,j)
-    absent.
+    absent.  The one-digraph case of `has_no_source_stack`.
     """
-    adj = G.adj
-    missing_in = (~adj.T & ~np.eye(G.n, dtype=bool)).any(axis=1)
-    witness = (adj.T & ~adj).any(axis=1)
-    return bool(adj.any(axis=0).all() and np.all(witness | ~missing_in))
+    return bool(has_no_source_stack(G.adj[None])[0])
 
 
 def no_source_theorem_check(

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ReciprocalMatrix, make_reciprocal, perron
-from .digraph import DEFAULT_EPS_REL, analyze, analyze_stack, has_no_source
+from .core import ReciprocalMatrix, make_reciprocal, perron, perron_stack
+from .digraph import DEFAULT_EPS_REL, _adjacency, analyze, has_no_source_stack
 
 ROW_SUM_RTOL = 1e-10
 APPENDED_SPAN = 9.0  # appended entries sampled log-uniformly in [1/9, 9]
@@ -173,16 +173,16 @@ def extension_source_scan(
 
     Appends log-uniform columns in [1/9, 9], evaluates the extensions as
     one stack, and checks both the absence of sources and the
-    incoming-edge witness condition (`has_no_source`).  Failures (expected
-    none) are reported by sample index.
+    incoming-edge witness condition (`has_no_source_stack`).  Failures
+    (expected none) are reported by sample index.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     span = np.log(APPENDED_SPAN)
     cols = np.exp(np.random.default_rng(seed).uniform(-span, span, size=(samples, A.n)))
-    reports = analyze_stack(_append_columns(A, cols), eps_rel=eps_rel)
-    failures = tuple(k for k, rep in enumerate(reports) if not has_no_source(rep.digraph))
-    return SourceScanReport(samples=samples, seed=seed, failures=failures)
+    As = _append_columns(A, cols)
+    ok = has_no_source_stack(_adjacency(As, perron_stack(As).w, eps_rel))
+    return SourceScanReport(samples, seed, tuple(np.flatnonzero(~ok).tolist()))
 
 
 def _dense_ranks(w: np.ndarray) -> tuple[int, ...]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,15 +30,18 @@ from .core import (
     make_reciprocal,
     pareto_dominates,
     perron,
+    perron_stack,
     random_reciprocal,
     random_reciprocal_stack,
 )
 from .digraph import (
     DEFAULT_EPS_REL,
-    EfficiencyReport,
+    _adjacency,
+    _scale_source,
+    _scc_labels,
     analyze,
     analyze_stack,
-    has_no_source,
+    has_no_source_stack,
 )
 from .extensions import (
     _conjugate,
@@ -52,12 +56,14 @@ from .extensions import (
 from .zfamily import (
     ZParams,
     ZPoint,
+    cell_tables,
     evaluate_z_stack,
-    forbidden_reverse_edges,
     guarantee_a1,
     guarantee_n4,
     guarantee_n5plus,
-    predicted_edges,
+    identity_stack,
+    quotient_sink_stack,
+    z_stack,
 )
 
 DEFAULT_AXES = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -244,22 +250,24 @@ def _tally(check_id: str, template: str, outcomes) -> WalkthroughStep:
     return WalkthroughStep(check_id, bad == 0, f"{detail}; first: {first}" if bad else detail)
 
 
-# per-point audits of the n = 5, 6, 7 grids: (check id, violations at a point)
+_GRID = np.array(list(itertools.product(DEFAULT_AXES, repeat=4)))
+
+# audits of the n = 5, 6, 7 grids: (check id, violations per point of a grid's stack)
 _GRID_AUDITS = (
-    ("edges.guaranteed_present", lambda pt: not all(
-        pt.report.digraph.has_edge(i, j) for i, j in predicted_edges(pt.p))),
+    ("edges.guaranteed_present", lambda s: (s.predicted & ~s.adj).any(axis=(1, 2))),
     ("edges.no_forbidden_reverse",
-     lambda pt: len(forbidden_reverse_edges(pt.p, pt.report.digraph))),
-    ("identities.residuals", lambda pt: pt.identities.identities_max > 1e-9 * pt.r),
-    ("identities.middle_collapse",
-     lambda pt: pt.identities.middle_deviation_max > 1e-10 * pt.report.w[2]),
-    ("tables.claims", lambda pt: len(pt.table_violations)),
+     lambda s: (s.forbidden * (s.adj & s.adj.swapaxes(1, 2))).sum(axis=(1, 2))),
+    ("identities.residuals", lambda s: np.abs(s.identities).max(axis=1) > 1e-9 * s.r),
+    ("identities.middle_collapse", lambda s: s.middle_deviation > 1e-10 * s.w[:, 2]),
+    # absent claimed edges, and on inefficient points the sink rows whose
+    # vertex is not the lone quotient sink
+    ("tables.claims", lambda s: (s.claimed * ~s.adj).sum(axis=(1, 2)) + ~s.efficient * (
+        s.sink_rows * ~(s.sinks & (s.sinks.sum(axis=1, keepdims=True) == 1))).sum(axis=1)),
 )
 
 
-def _certificate_fails(rep: EfficiencyReport) -> bool:
-    cert = rep.certificate
-    return cert is None or not pareto_dominates(rep.A, rep.w, cert)
+def _certificate_fails(A: ReciprocalMatrix, w: np.ndarray, cert: np.ndarray | None) -> bool:
+    return cert is None or not pareto_dominates(A, w, cert)
 
 
 def _grid_outcomes(ns, bad):
@@ -268,26 +276,49 @@ def _grid_outcomes(ns, bad):
     return ((f"ZParams{p}" if b else "", b) for p, b in zip(points, bad))
 
 
+def _grid_flags(n: int, eps_rel: float) -> tuple[list, set]:
+    """The flag rows of the grid of order n, evaluated as one stack `s`, and
+    at n = 5 and 6 the exception labels it reaches.
+
+    Row i of `s` is point i of `_GRID`: its Perron `adj`, `w` and `r`,
+    `efficient`, quotient `sinks`, `identities`, `middle_deviation` and
+    `cell_tables`.  The rows are the `_GRID_AUDITS` violations, then at
+    n = 5 and 6 whether a point disagrees, is unsound, efficient or
+    labeled, and whether its certificate fails.
+    """
+    a = z_stack(n, _GRID)
+    pps = perron_stack(a)
+    adj = _adjacency(a, pps.w, eps_rel)
+    labels, counts = _scc_labels(adj)
+    ids, mid_dev = identity_stack(n, _GRID, pps.r, pps.w)
+    s = SimpleNamespace(**cell_tables(n, _GRID), adj=adj, w=pps.w, r=pps.r,
+                        efficient=counts == 1, sinks=quotient_sink_stack(adj),
+                        identities=ids, middle_deviation=mid_dev)
+    row, seen = [audit(s) for _, audit in _GRID_AUDITS], set()
+    if n < 7:
+        seen = set(s.exception.tolist())
+        cert = np.zeros(len(_GRID), dtype=bool)
+        for i in np.flatnonzero(~s.efficient):
+            A = ReciprocalMatrix(a[i])
+            cert[i] = _certificate_fails(A, s.w[i], _scale_source(A, s.w[i], labels[i]))
+        row += [s.efficient == s.sinks.any(axis=1), s.guaranteed & ~s.efficient,
+                s.efficient, ~s.guaranteed, cert]
+    return row, seen
+
+
 def _grid_checks(eps_rel: float) -> tuple[list[WalkthroughStep], list]:
-    """One streamed pass over the n = 5, 6, 7 grids, each one stack: the grid
-    checks' records in report order and the inefficient points' certificate
-    outcomes.  Point i of grid g leaves flags[g, :, i] and is dropped: its
-    `_GRID_AUDITS` violations, then at n = 5 and 6 whether it disagrees, is
-    unsound, efficient or labeled, and whether its certificate fails.
+    """The n = 5, 6, 7 grids, each one stack: the grid checks' records in
+    report order and the inefficient points' certificate outcomes.
+
+    Point i of grid g leaves flags[g, :, i] (see `_grid_flags`).
     """
     k = len(_GRID_AUDITS)
     # int16 is enough: a count is at most 41 catalog rows x 13 edges each
-    flags, seen = np.zeros((3, k + 5, len(DEFAULT_AXES) ** 4), dtype=np.int16), set()
+    flags, seen = np.zeros((3, k + 5, len(_GRID)), dtype=np.int16), set()
     for g, n in enumerate((5, 6, 7)):
-        for i, pt in enumerate(evaluate_z_stack(
-                [ZParams(n, *xyza) for xyza in itertools.product(DEFAULT_AXES, repeat=4)], eps_rel)):
-            row = [violations(pt) for _, violations in _GRID_AUDITS]
-            if n < 7:
-                seen.add(pt.exception)
-                row += [not pt.agrees, pt.guaranteed and not pt.efficient, pt.efficient,
-                        pt.exception is not None,
-                        not pt.efficient and _certificate_fails(pt.report)]
-            flags[g, :len(row), i] = row
+        row, labels = _grid_flags(n, eps_rel)
+        flags[g, :len(row)] = row
+        seen |= labels
     records, certificates = [], []
     for g, n in enumerate((5, 6)):
         disagrees, unsound, efficient, labeled, cert = flags[g, k:]
@@ -310,18 +341,17 @@ def _grid_checks(eps_rel: float) -> tuple[list[WalkthroughStep], list]:
     return records, certificates
 
 
-def _seeded(count: int, orders: int, seed: int, eps_rel: float, is_bad):
+def _seeded(count: int, orders: int, seed: int, is_bad):
     """(replay call, bad) for random_reciprocal(3 + k % orders, seed + k), k < count.
 
-    `is_bad` reads the matrix's Perron `analyze` report.  The matrices of
-    each order are evaluated as one stack; the pairs come in k order.
+    The matrices of each order are one (B, n, n) stack, which `is_bad`
+    maps to B flags; the pairs come in k order.
     """
     bad = [False] * count
     for n in range(3, 3 + orders):
         ks = range(n - 3, count, orders)
-        stack = random_reciprocal_stack(n, [seed + k for k in ks])
-        for k, rep in zip(ks, analyze_stack(stack, eps_rel=eps_rel)):
-            bad[k] = is_bad(rep)
+        for k, b in zip(ks, is_bad(random_reciprocal_stack(n, [seed + k for k in ks]))):
+            bad[k] = bool(b)
     for k in range(count):
         yield f"random_reciprocal({3 + k % orders}, seed={seed + k})", bad[k]
 
@@ -355,7 +385,8 @@ def verify_paper_suite(eps_rel: float = DEFAULT_EPS_REL) -> VerificationSummary:
                         rep3.digraph.edges == {(2, 1), (3, 1), (3, 2)} and rep3.sources == (3,),
                         f"edges {sorted(rep3.digraph.edges)}, sources {rep3.sources}"),
         _tally("no_source.random_matrices", "{bad} of {total} random matrices violated",
-               _seeded(1000, 6, 1000, eps_rel, lambda rep: not has_no_source(rep.digraph))),
+               _seeded(1000, 6, 1000, lambda a: ~has_no_source_stack(
+                   _adjacency(a, perron_stack(a).w, eps_rel)))),
         _tally("no_source.random_extensions", "{bad} of {total} random extensions violated",
                _random_extensions(eps_rel)),
     ]
@@ -363,8 +394,9 @@ def verify_paper_suite(eps_rel: float = DEFAULT_EPS_REL) -> VerificationSummary:
     checks += [
         *grid,
         _tally("hamiltonian.equivalence", "{bad} of {total} random digraphs disagree",
-               _seeded(200, 5, 4000, eps_rel,
-                       lambda rep: rep.efficient != (rep.hamiltonian is not None))),
+               _seeded(200, 5, 4000, lambda a: [
+                   rep.efficient != (rep.hamiltonian is not None)
+                   for rep in analyze_stack(a, eps_rel=eps_rel)])),
         _tally("n4.forms_agree", "{bad} of {total} triples disagree",
                ((f"(x, y, z) = {tuple(t)}", guarantee_n4(*t, "six_cases")
                  != guarantee_n4(*t, "region_complement")) for t in triples)),
@@ -374,7 +406,8 @@ def verify_paper_suite(eps_rel: float = DEFAULT_EPS_REL) -> VerificationSummary:
                  != guarantee_n5plus(ZParams(5, x, y, z, 1.0)).guaranteed_efficient)
                 for x, y, z in itertools.product(DEFAULT_AXES, repeat=3))),
         _tally("certificates.sound", "{bad} of {total} certificates failed",
-               [("the 3x3 counterexample", _certificate_fails(rep3)), *certificates]),
+               [("the 3x3 counterexample",
+                 _certificate_fails(rep3.A, rep3.w, rep3.certificate)), *certificates]),
     ]
     failures = tuple((s.check_id, s.detail) for s in checks if not s.passed)
     return VerificationSummary("verify", len(checks), failures, time.perf_counter() - t0)

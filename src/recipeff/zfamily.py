@@ -17,6 +17,11 @@ components are exactly equal and every middle vertex is interchangeable
 with vertex 3.  Sink detection for this family therefore works on the
 quotient digraph with the middle class contracted to one vertex; for n = 5
 that is the digraph itself.
+
+Every parameter predicate reads only the point's order cell, the weak order
+of (1, x, y, z, a): a stack of points reads one cached table per cell and
+order (`cell_tables`).  `identity_stack` and `quotient_sink_stack` are the
+stacked forms of `ZPoint.identities` and `middle_quotient_sinks`.
 """
 
 from __future__ import annotations
@@ -78,19 +83,17 @@ class RegionVerdict:
             raise ValueError("verdict and exception label must agree")
 
 
-def _z_stack(ps: Sequence[ZParams]) -> np.ndarray:
-    """(len(ps), n, n) stack of the canonical Z_n matrices of points of one order n."""
-    n = ps[0].n
-    out = np.ones((len(ps), n, n))
-    for (i, j), v in zip(((0, n - 1), (0, n - 2), (1, n - 1), (1, n - 2)),
-                         np.array([p.xyza for p in ps], dtype=float).T):
+def z_stack(n: int, xyza: np.ndarray) -> np.ndarray:
+    """(B, n, n) stack of the canonical Z_n matrices of a (B, 4) stack of (x, y, z, a)."""
+    out = np.ones((len(xyza), n, n))
+    for (i, j), v in zip(((0, n - 1), (0, n - 2), (1, n - 1), (1, n - 2)), xyza.T):
         out[:, i, j] = v
         out[:, j, i] = 1.0 / v
     return out
 
 
 def z_matrix(p: ZParams) -> ReciprocalMatrix:
-    return ReciprocalMatrix(_z_stack([p])[0])
+    return ReciprocalMatrix(z_stack(p.n, np.array([p.xyza]))[0])
 
 
 # The three nontrivial monomial symmetries of the family, as parameter maps:
@@ -127,6 +130,17 @@ def reduce_to_min_first(
 _TERMS = ("1", "x", "y", "z", "a")
 
 
+# one tuple per order cell, shared by every per-cell cache
+_CELLS: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
+def _order_cell(xyza: Sequence[float]) -> tuple[int, ...]:
+    """The dense ranks of (1, x, y, z, a): the weak order, or cell, of the point."""
+    v = (1.0, *xyza)
+    ranks = tuple(map(sorted(set(v)).index, v))
+    return _CELLS.setdefault(ranks, ranks)
+
+
 def _relation(text: str) -> np.ndarray:
     """The requirement matrix R of a relation over the terms (1, x, y, z, a).
 
@@ -158,8 +172,7 @@ class _Relations:
 
     def holding(self, xyza: Sequence[float]) -> tuple:
         """The labels of the rows that hold at (x, y, z, a), in row order."""
-        v = (1.0, *xyza)
-        ranks = tuple(map(sorted(set(v)).index, v))
+        ranks = _order_cell(xyza)
         if ranks not in self._hits:
             r = np.array(ranks)
             order = (r[:, None] <= r).astype(np.int8) + (r[:, None] < r)
@@ -311,32 +324,11 @@ class ZPoint:
         |w_j - w_3| over middle indices (exactly 0 is expected: middle rows
         are identical, so power iteration keeps their components equal).
         """
-        n, (x, y, z, a) = self.p.n, self.p.xyza
-        r, w = self.r, self.report.w
-        w1, w2, w3 = w[0], w[1], w[2]
-        wm, wn = w[n - 2], w[n - 1]
-        k = n - 4
-        identities = (
-            r * (w2 - w1) + (y - a) * wm + (x - z) * wn,
-            r * (w3 - w1) + (y - 1) * wm + (x - 1) * wn,
-            r * (y * wm - w1) + (1 - y / a) * w2 + (1 - y) * k * w3 + (x - y) * wn,
-            r * (x * wn - w1) + (1 - x / z) * w2 + (1 - x) * k * w3 + (y - x) * wm,
-            r * (w3 - w2) + (a - 1) * wm + (z - 1) * wn,
-            r * (a * wm - w2) + (1 - a / y) * w1 + (1 - a) * k * w3 + (z - a) * wn,
-            r * (z * wn - w2) + (1 - z / x) * w1 + (1 - z) * k * w3 + (a - z) * wm,
-            r * (wm - w3) + (1 - 1 / y) * w1 + (1 - 1 / a) * w2,
-            r * (wn - w3) + (1 - 1 / x) * w1 + (1 - 1 / z) * w2,
-            r * (wn - wm) + (1 / y - 1 / x) * w1 + (1 / a - 1 / z) * w2,
-        )
-        identities = tuple(float(v) for v in identities)
-        mid_dev = float(np.max(np.abs(w[3 : n - 2] - w3))) if n > 5 else 0.0
-        return IdentityResiduals(
-            r=r,
-            rows_max=self.report.perron.residual,
-            identities=identities,
-            identities_max=max(abs(v) for v in identities),
-            middle_deviation_max=mid_dev,
-        )
+        ids, mid_dev = identity_stack(self.p.n, np.array([self.p.xyza], dtype=float),
+                                      np.array([self.r]), self.report.w[None])
+        identities = tuple(ids[0].tolist())
+        return IdentityResiduals(self.r, self.report.perron.residual, identities,
+                                 max(map(abs, identities)), float(mid_dev[0]))
 
     @property
     def table_violations(self) -> list[str]:
@@ -348,10 +340,8 @@ class ZPoint:
         """
         G, out = self.report.digraph, []
         for m in table_oracle(self.p):
-            cycle = [(u, v) for c in m.cycles for u, v in zip(c, c[1:] + c[:1])]
-            for kind, edges in (("cycle", cycle), ("extra", m.extra_edges)):
-                out += [f"{m.relation}: {kind} edge ({u},{v}) absent"
-                        for u, v in edges if not G.has_edge(u, v)]
+            out += [f"{m.relation}: {kind} edge ({u},{v}) absent"
+                    for kind, (u, v) in _claims(m) if not G.has_edge(u, v)]
             if (m.kind == "sink" and not self.efficient
                     and self.quotient_sinks != (m.vertex,)):
                 out.append(f"{m.relation}: expected sink {m.vertex}, "
@@ -372,7 +362,8 @@ def evaluate_z_stack(
         raise ValueError("requires n >= 5")
     if any(p.n != n for p in ps):
         raise ValueError("points must share one order")
-    for p, rep in zip(ps, analyze_stack(_z_stack(ps), eps_rel=eps_rel)):
+    xyza = np.array([p.xyza for p in ps], dtype=float)
+    for p, rep in zip(ps, analyze_stack(z_stack(n, xyza), eps_rel=eps_rel)):
         yield ZPoint(p, rep, middle_quotient_sinks(rep.digraph, n))
 
 
@@ -384,6 +375,27 @@ def evaluate_z(p: ZParams, eps_rel: float = DEFAULT_EPS_REL) -> ZPoint:
 def eigen_identity_residuals(p: ZParams) -> IdentityResiduals:
     """The eigenvector identities at p (see `ZPoint.identities`)."""
     return evaluate_z(p).identities
+
+
+def identity_stack(n: int, xyza: np.ndarray, r: np.ndarray, w: np.ndarray) -> tuple:
+    """The (B, 10) identities and (B,) middle deviations of `ZPoint.identities`
+    for Perron pairs (r, w) of a (B, 4) stack of (x, y, z, a) at order n."""
+    x, y, z, a = xyza.T
+    w1, w2, w3, wm, wn = w[:, [0, 1, 2, n - 2, n - 1]].T
+    k = n - 4
+    identities = np.stack([
+        r * (w2 - w1) + (y - a) * wm + (x - z) * wn,
+        r * (w3 - w1) + (y - 1) * wm + (x - 1) * wn,
+        r * (y * wm - w1) + (1 - y / a) * w2 + (1 - y) * k * w3 + (x - y) * wn,
+        r * (x * wn - w1) + (1 - x / z) * w2 + (1 - x) * k * w3 + (y - x) * wm,
+        r * (w3 - w2) + (a - 1) * wm + (z - 1) * wn,
+        r * (a * wm - w2) + (1 - a / y) * w1 + (1 - a) * k * w3 + (z - a) * wn,
+        r * (z * wn - w2) + (1 - z / x) * w1 + (1 - z) * k * w3 + (a - z) * wm,
+        r * (wm - w3) + (1 - 1 / y) * w1 + (1 - 1 / a) * w2,
+        r * (wn - w3) + (1 - 1 / x) * w1 + (1 - 1 / z) * w2,
+        r * (wn - wm) + (1 / y - 1 / x) * w1 + (1 / a - 1 / z) * w2,
+    ], axis=1)
+    return identities, np.abs(w[:, 3 : n - 2] - w3[:, None]).max(axis=1, initial=0.0)
 
 
 # Edge rules read off the two-/three-term identities, as (edge, relation).
@@ -464,18 +476,25 @@ def forbidden_reverse_edges(p: ZParams, G: EfficiencyDigraph) -> list[str]:
             for v in corners if G.has_edge(3, v) and G.has_edge(v, 3)]
 
 
+def quotient_sink_stack(adj: np.ndarray) -> np.ndarray:
+    """(B, 5) sinks of `middle_quotient_sinks` over (1, 2, middle, n-1, n) for
+    a (B, n, n) digraph stack; at n = 4 the middle class is empty, no sink."""
+    n = adj.shape[-1]
+    out = adj.copy()
+    out[:, 2 : n - 2, 2 : n - 2] = False  # edges inside the middle class
+    out = out.any(axis=2)
+    return ~np.column_stack([out[:, :2], out[:, 2 : n - 2].any(axis=1) | (n == 4), out[:, -2:]])
+
+
 def middle_quotient_sinks(G: EfficiencyDigraph, n: int) -> tuple[int, ...]:
     """Sinks of the digraph with the middle class {3..n-2} contracted.
 
     Valid for Z-family Perron digraphs, where the middle components are
     exactly equal and mutually tied.  For n = 5 this is just the sinks of G.
+    The one-digraph case of `quotient_sink_stack`.
     """
-    has_out = G.adj.copy()
-    has_out[2 : n - 2, 2 : n - 2] = False  # edges inside the middle class
-    has_out = has_out.any(axis=1)
-    reps = {1: has_out[0], 2: has_out[1], 3: has_out[2 : n - 2].any(),
-            n - 1: has_out[n - 2], n: has_out[n - 1]}
-    return tuple(v for v, out in reps.items() if not out)
+    sinks = quotient_sink_stack(G.adj[None])[0].tolist()
+    return tuple(v for v, sink in zip((1, 2, 3, n - 1, n), sinks) if sink)
 
 
 # --- catalog of known digraph structures per parameter region -------------
@@ -572,3 +591,68 @@ def table_oracle(p: ZParams) -> list[CatalogRow]:
                 vertex=None if row.vertex is None else _realize(p.n, (row.vertex,))[0])
         for row in _CATALOG_RELATIONS.holding(p.xyza)
     ]
+
+
+def _claims(m: CatalogRow) -> list[tuple[str, tuple[int, int]]]:
+    """(kind, edge) for each edge the row claims: its cycle edges, then its extra edges."""
+    return [*(("cycle", (u, v)) for c in m.cycles for u, v in zip(c, c[1:] + c[:1])),
+            *(("extra", edge) for edge in m.extra_edges)]
+
+
+# --- per-cell audit tables ---------------------------------------------------
+
+
+def _cell_table(n: int, cell: tuple[int, ...]) -> tuple[np.ndarray, str | None]:
+    """An order cell's tables at order n, read at its point at levels 2 **
+    (rank - rank of 1): (4, 5, 5) counts over the quotient vertices (1, 2,
+    3 for the middle class, n-1, n) of the predicted, forbidden and claimed
+    edges and, in row [3, 0], the sink rows; and the exception label."""
+    p = ZParams(n, *(2.0 ** (r - cell[0]) for r in cell[1:]))
+    quotient = {1: 0, 2: 1, 3: 2, n - 1: 3, n: 4}
+    rows = table_oracle(p)
+    table = np.zeros((4, 5, 5), dtype=np.int8)
+    for k, pairs in enumerate((predicted_edges(p),
+                               [(3, v) for v in _realize(n, _FORBIDDEN_REVERSE.holding(p.xyza))],
+                               [edge for m in rows for _, edge in _claims(m)],
+                               [(1, m.vertex) for m in rows if m.kind == "sink"])):
+        for u, v in pairs:
+            if u in quotient and v in quotient:
+                table[k, quotient[u], quotient[v]] += 1
+    return table, guarantee_n5plus(p).matched_exception
+
+
+@cache
+def _order_tables(n: int) -> tuple[dict[tuple[int, ...], int], np.ndarray, np.ndarray]:
+    """The tables of order n, filled as cells are reached: each reached cell's
+    row, and the (541, 4, 5, 5) counts and (541,) labels of `_cell_table`."""
+    return {}, np.zeros((541, 4, 5, 5), dtype=np.int8), np.empty(541, dtype=object)
+
+
+def cell_tables(n: int, xyza: np.ndarray) -> dict[str, np.ndarray]:
+    """Each point's order-cell tables, for a (B, 4) stack of (x, y, z, a) at order n >= 5.
+
+    `predicted` (B, n, n) masks `predicted_edges`; `forbidden` counts the
+    `_FORBIDDEN_REVERSE` pairs (3, v) that hold; `claimed` counts the edges
+    the matching `table_oracle` rows claim; `sink_rows` (B, 5) counts their
+    sink rows by vertex, as in `quotient_sink_stack`; `guaranteed` and
+    `exception` are `guarantee_n5plus`'s.  These read only the cell, and
+    every middle vertex as vertex 3, so a cell's tables are read once per
+    order and kept: at most 541 per order.
+    """
+    rows, tables, exceptions = _order_tables(n)
+    index = []
+    for v in xyza.tolist():
+        cell = _order_cell(v)
+        if cell not in rows:
+            rows[cell] = len(rows)
+            tables[rows[cell]], exceptions[rows[cell]] = _cell_table(n, cell)
+        index.append(rows[cell])
+    t, exception = tables[index], exceptions[index]
+    # (5, n) maps from the quotient vertices: to vertices 1, 2, 3, n-1, n,
+    # and to every member of their class
+    literal = np.eye(n, dtype=np.int8)[[0, 1, 2, n - 2, n - 1]]
+    members = np.eye(5, dtype=np.int8)[[0, 1, *[2] * (n - 4), 3, 4]].T
+    return {"predicted": members.T @ t[:, 0] @ members > 0,
+            "forbidden": literal.T @ t[:, 1] @ literal, "claimed": literal.T @ t[:, 2] @ literal,
+            "sink_rows": t[:, 3, 0], "exception": exception,
+            "guaranteed": np.equal(exception, None)}

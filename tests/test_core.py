@@ -143,6 +143,14 @@ def test_pareto_dominates_known_instance():
     assert not pareto_dominates(A, np.array([1.0, 2.0, 2.0]), w)
 
 
+@pytest.mark.parametrize("w", [(1e-320, 1.0, 1.0), (1e308, 1.0, 1e-308)])
+def test_pareto_dominates_rejects_a_vector_whose_ratio_overflows(w):
+    A = make_reciprocal(np.ones((3, 3)))
+    for args in ((w, np.ones(3)), (np.ones(3), w)):
+        with pytest.raises(ValueError, match=r"finite ratio max\(w\)/min\(w\)"):
+            pareto_dominates(A, *args)
+
+
 def test_pareto_dominates_shape_check():
     A = random_reciprocal(3, seed=5)
     with pytest.raises(ValueError, match="length"):

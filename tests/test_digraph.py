@@ -242,6 +242,28 @@ def test_no_source_check_matches_loop_reference():
     assert min(seen.values()) > 0
 
 
+def test_has_no_source_stack_matches_the_loop_reference():
+    # random digraphs of orders 2 to 12, a third of them semicomplete
+    seen = {True: 0, False: 0}
+    for n in range(2, 13):
+        rng = np.random.default_rng(n)
+        adj = rng.random((60, n, n)) < rng.uniform(0.3, 1.0, size=(60, 1, 1))
+        missing = ~adj[:20] & ~adj[:20].swapaxes(1, 2)
+        adj[:20] |= missing & np.triu(np.ones((n, n), dtype=bool), 1)
+        adj[:, range(n), range(n)] = False
+        got = dg.has_no_source_stack(adj).tolist()
+        for g, flag in zip(adj, got):
+            G = dg.EfficiencyDigraph(g, 1e-9)
+            E, V = G.edges, range(1, n + 1)
+            ref = all(any((k, i) in E for k in V) for i in V) and all(
+                all((k, i) in E for k in V if k != i)
+                or any((j, i) in E and (i, j) not in E for j in V if j != i)
+                for i in V)
+            assert flag == dg.has_no_source(G) == ref
+            seen[ref] += 1
+    assert min(seen.values()) > 50
+
+
 def test_no_source_check_rejects_tiny_order():
     with pytest.raises(ValueError, match="order >= 3"):
         no_source_theorem_check(random_reciprocal(2, seed=0))

@@ -282,11 +282,11 @@ def test_extension_source_scan_clean():
 def test_extension_source_scan_stacks_the_sequential_samples(monkeypatch):
     """The scan's stack holds, bit for bit, the extensions that drawing one
     column at a time gives, and flags the samples the one-matrix check does."""
-    stacks, real = [], extensions.analyze_stack
-    monkeypatch.setattr(extensions, "analyze_stack",
-                        lambda As, **kw: stacks.append(As) or real(As, **kw))
+    stacks, real = [], extensions.perron_stack
+    monkeypatch.setattr(extensions, "perron_stack", lambda As: stacks.append(As) or real(As))
     # a check that fails exactly when the appended vertex has out-degree 2
-    monkeypatch.setattr(extensions, "has_no_source", lambda G: G.adj[-1].sum() != 2)
+    monkeypatch.setattr(extensions, "has_no_source_stack",
+                        lambda adj: adj[:, -1].sum(axis=1) != 2)
     for n, seed in ((3, 3000), (6, 3005), (8, 3019)):
         A = random_reciprocal(n, seed=seed - 1000)
         rep = extension_source_scan(A, 50, seed=seed)

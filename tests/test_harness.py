@@ -2,7 +2,6 @@ import ast
 import hashlib
 import json
 import re
-import weakref
 from collections import Counter
 
 import numpy as np
@@ -339,41 +338,40 @@ def test_grid_sweep_validation():
 @pytest.fixture(scope="module")
 def counted_suite():
     """One suite run; the orders of the rows that pass through `perron_stack`
-    and `analyze_stack` while grid points are evaluated, and the most
-    evaluated grid points alive at once."""
-    solves, builds, live, peak, inside = [], [], weakref.WeakSet(), [0], [False]
+    and `_adjacency` in the grid pass, and the `ZPoint`s built there."""
+    solves, builds, points, inside = [], [], [0], [False]
 
     def counted_solves(a, *args, **kwargs):
         if inside[0]:
             solves.extend([a.shape[-1]] * len(a))
         return perron_stack(a, *args, **kwargs)
 
-    def counted_reports(As, *args, **kwargs):
-        for rep in digraph.analyze_stack(As, *args, **kwargs):
-            if inside[0]:
-                builds.append(rep.digraph.n)
-            yield rep
+    def counted_builds(a, w, eps_rel):
+        if inside[0]:
+            builds.extend([a.shape[-1]] * len(a))
+        return adjacency(a, w, eps_rel)
 
-    def tracked(ps, eps_rel):
-        points = zfamily.evaluate_z_stack(ps, eps_rel)
-        while True:
-            inside[0] = True
-            try:
-                pt = next(points)
-            except StopIteration:
-                return
-            finally:
-                inside[0] = False
-            live.add(pt)
-            peak[0] = max(peak[0], len(live))
-            yield pt
+    def counted_points(self, *args, **kwargs):
+        points[0] += inside[0]
+        zpoint_init(self, *args, **kwargs)
 
+    def grid_pass(eps_rel):
+        inside[0] = True
+        try:
+            return grid_checks(eps_rel)
+        finally:
+            inside[0] = False
+
+    adjacency, zpoint_init, grid_checks = (
+        digraph._adjacency, zfamily.ZPoint.__init__, harness._grid_checks)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(digraph, "perron_stack", counted_solves)
-        mp.setattr(zfamily, "analyze_stack", counted_reports)
-        mp.setattr(harness, "evaluate_z_stack", tracked)
+        for module in (digraph, harness):
+            mp.setattr(module, "perron_stack", counted_solves)
+            mp.setattr(module, "_adjacency", counted_builds)
+        mp.setattr(zfamily.ZPoint, "__init__", counted_points)
+        mp.setattr(harness, "_grid_checks", grid_pass)
         summary = verify_paper_suite()
-    return summary, solves, builds, peak[0]
+    return summary, solves, builds, points[0]
 
 
 @pytest.fixture(scope="module")
@@ -396,18 +394,30 @@ def test_suite_solves_each_grid_point_once(counted_suite):
     assert Counter(builds) == {5: 625, 6: 625, 7: 625}
 
 
-def test_suite_streams_grid_points(counted_suite):
-    # the point being read and the one just evaluated, never the grid
-    _, _, _, peak = counted_suite
-    assert peak <= 2
+def test_suite_builds_no_zpoint_in_the_grid_pass(counted_suite):
+    # the grid audits read the grids' stacks and their cells' tables
+    _, _, _, points = counted_suite
+    assert points == 0
 
 
 def test_failing_details_name_the_instance_to_replay(monkeypatch):
-    bad_point = ZParams(6, 0.5, 1.0, 2.0, 4.0)
-    forbidden = zfamily.forbidden_reverse_edges
-    monkeypatch.setattr(harness, "has_no_source", lambda G: G.n != 5)
-    monkeypatch.setattr(harness, "forbidden_reverse_edges", lambda p, G: (
-        ["injected"] if p == bad_point else forbidden(p, G)))
+    # one bad point in the n = 6 grid and one in the n = 5 grid, which is
+    # tallied first
+    bad_points = (ZParams(5, 4.0, 0.25, 1.0, 2.0), ZParams(6, 0.5, 1.0, 2.0, 4.0))
+    forbidden = dict(harness._GRID_AUDITS)["edges.no_forbidden_reverse"]
+
+    def injected(s):
+        out = forbidden(s)
+        for p in bad_points:
+            if p.n == s.adj.shape[-1]:
+                out[harness._GRID.tolist().index(list(p.xyza))] += 1
+        return out
+
+    monkeypatch.setattr(harness, "_GRID_AUDITS", tuple(
+        (cid, injected if cid == "edges.no_forbidden_reverse" else audit)
+        for cid, audit in harness._GRID_AUDITS))
+    monkeypatch.setattr(harness, "has_no_source_stack",
+                        lambda adj: np.full(len(adj), adj.shape[-1] != 5))
     monkeypatch.setattr(harness, "guarantee_n4",
                         lambda x, y, z, form: form == "six_cases" and x > 8)
     details = dict(verify_paper_suite().failures)
@@ -421,8 +431,8 @@ def test_failing_details_name_the_instance_to_replay(monkeypatch):
     assert details["no_source.random_matrices"] == (
         "167 of 1000 random matrices violated; first: random_reciprocal(5, seed=1002)")
     head, first = details["edges.no_forbidden_reverse"].split("; first: ")
-    assert head == "1 violations"
-    assert eval(first, {"ZParams": ZParams}) == bad_point
+    assert head == "2 violations"
+    assert eval(first, {"ZParams": ZParams}) == bad_points[0]
     head, first = details["n4.forms_agree"].split("; first: (x, y, z) = ")
     assert head.endswith("of 1000 triples disagree") and not head.startswith("0 ")
     assert ast.literal_eval(first)[0] > 8
@@ -431,11 +441,27 @@ def test_failing_details_name_the_instance_to_replay(monkeypatch):
 def test_seeded_instances_come_in_seed_order():
     # stacks are evaluated order by order, but the pairs (and so a count
     # check's first failing instance) follow k, as one-at-a-time evaluation
-    got = list(harness._seeded(40, 6, 1000, 1e-9, lambda rep: rep.A.a[0, 1] > 2.0))
+    got = list(harness._seeded(40, 6, 1000, lambda a: a[:, 0, 1] > 2.0))
     want = [(f"random_reciprocal({3 + k % 6}, seed={1000 + k})",
              bool(random_reciprocal(3 + k % 6, seed=1000 + k).a[0, 1] > 2.0))
             for k in range(40)]
     assert got == want and 0 < sum(bad for _, bad in got) < 40
+
+
+def test_grid_checks_every_inefficient_point_certificate(monkeypatch):
+    monkeypatch.setattr(harness, "pareto_dominates", lambda A, w, w2: False)
+    _, certificates = harness._grid_checks(1e-9)
+    assert len(certificates) == 64 and all(bad for _, bad in certificates)
+
+
+def test_cell_table_cache_holds_each_grid_cell_once():
+    zfamily._order_tables.cache_clear()
+    verify_paper_suite()
+    rows = {n: dict(zfamily._order_tables(n)[0]) for n in (5, 6, 7)}
+    assert {n: len(r) for n, r in rows.items()} == {5: 325, 6: 325, 7: 325}
+    assert zfamily._order_tables.cache_info().currsize == 3
+    verify_paper_suite()
+    assert {n: zfamily._order_tables(n)[0] for n in (5, 6, 7)} == rows
 
 
 def test_grid_check_records_in_report_order():
@@ -591,6 +617,17 @@ def test_cli_rejects_a_value_whose_reciprocal_overflows(tmp_path, capsys, argv, 
     path.write_text("1,1e-320\n1,1\n")
     code, out, err = run_cli(capsys, *(arg.format(csv=path) for arg in argv))
     assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize("vector", ["1e-320,1,1", "1e308,1,1e-308"])
+def test_cli_rejects_a_vector_whose_ratio_overflows(tmp_path, capsys, vector):
+    # a numpy RuntimeWarning fails the test: pyproject.toml makes it an error
+    mat, vec = tmp_path / "M.csv", tmp_path / "w.csv"
+    mat.write_text("1,2,0.5\n0.5,1,3\n2,0.3333,1\n")
+    vec.write_text(vector + "\n")
+    code, out, err = run_cli(capsys, "analyze", "--symmetrize", str(mat), "--vector", str(vec))
+    assert (code, out, err) == (2, "", "error: vector entries must be positive and finite, "
+                                       "with a finite ratio max(w)/min(w)\n")
 
 
 def test_cli_reciprocity_error_prints_a_plain_float(tmp_path, capsys):

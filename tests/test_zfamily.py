@@ -1,14 +1,17 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recipeff.core import make_reciprocal, perron
+from recipeff import harness, zfamily
+from recipeff.core import make_reciprocal, perron, perron_stack
 from recipeff.digraph import (
     EfficiencyDigraph,
+    EfficiencyReport,
     analyze,
     build_digraph,
     sinks,
@@ -19,6 +22,7 @@ from recipeff.zfamily import (
     SYMMETRY_IMAGES,
     RegionVerdict,
     ZParams,
+    ZPoint,
     eigen_identity_residuals,
     evaluate_z,
     evaluate_z_stack,
@@ -31,6 +35,7 @@ from recipeff.zfamily import (
     reduce_to_min_first,
     table_oracle,
     z_matrix,
+    z_stack,
 )
 
 param_value = st.floats(min_value=1.0 / 9.0, max_value=9.0)
@@ -622,6 +627,79 @@ def test_guarantee_n4_forms_agree_on_every_order_cell():
     for one, *ranks in cells:
         xyz = [2.0 ** (r - one) for r in ranks]
         assert guarantee_n4(*xyz, "six_cases") == guarantee_n4(*xyz, "region_complement"), xyz
+
+
+@pytest.mark.parametrize("n", (5, 7))
+def test_cell_tables_and_grid_audits_match_the_point_audits(n):
+    # two points per weak order of (1, x, y, z, a), at levels 3**d and
+    # 0.5**d for rank gaps d, where the tables come from the 2**d point;
+    # random digraphs whose middle class is interchangeable and mutually
+    # tied, as in a Z-family Perron digraph
+    cells = weak_orders(5)
+    xyza = np.array([[b ** (r - one) for r in ranks] for b in (3.0, 0.5) for one, *ranks in cells])
+    rng = np.random.default_rng(n)
+    quotient = rng.random((len(xyza), 5, 5)) < rng.uniform(0.3, 0.9, size=(len(xyza), 1, 1))
+    quotient[:, 2, 2] = True
+    members = [0, 1, *[2] * (n - 4), 3, 4]
+    adj = quotient[:, members][:, :, members]
+    adj[:, range(n), range(n)] = False
+    efficient = rng.random(len(xyza)) < 0.5
+    s = SimpleNamespace(**zfamily.cell_tables(n, xyza), adj=adj, efficient=efficient,
+                        sinks=zfamily.quotient_sink_stack(adj))
+    audits = {cid: audit(s).tolist() for cid, audit in harness._GRID_AUDITS
+              if cid.startswith(("edges.", "tables."))}
+    want = {cid: [] for cid in audits}
+    for i, v in enumerate(xyza.tolist()):
+        p, G = ZParams(n, *v), EfficiencyDigraph(adj[i], 1e-9)
+        predicted = {(u + 1, v + 1) for u, v in np.argwhere(s.predicted[i]).tolist()}
+        assert predicted == predicted_edges(p)
+        verdict = guarantee_n5plus(p)
+        assert (s.guaranteed[i], s.exception[i]) == (
+            verdict.guaranteed_efficient, verdict.matched_exception)
+        sinks = quotient_sinks_reference(G, n)
+        assert tuple(np.array([1, 2, 3, n - 1, n])[s.sinks[i]].tolist()) == sinks
+        assert middle_quotient_sinks(G, n) == sinks
+        rep = EfficiencyReport(None, None, None, G, bool(efficient[i]), 0, None)
+        want["edges.guaranteed_present"].append(not predicted_edges(p) <= G.edges)
+        want["edges.no_forbidden_reverse"].append(len(forbidden_reverse_edges(p, G)))
+        want["tables.claims"].append(len(ZPoint(p, rep, sinks).table_violations))
+    assert audits == want
+    assert all(0 < sum(map(bool, bad)) < len(bad) for bad in want.values()), {c: sum(map(bool, b)) for c, b in want.items()}
+
+
+def identities_reference(p, r, w):
+    """Scalar form of the ten identities (see `identity_stack`)."""
+    n, (x, y, z, a) = p.n, p.xyza
+    w1, w2, w3, wm, wn = w[0], w[1], w[2], w[n - 2], w[n - 1]
+    k = n - 4
+    return [float(v) for v in (
+        r * (w2 - w1) + (y - a) * wm + (x - z) * wn,
+        r * (w3 - w1) + (y - 1) * wm + (x - 1) * wn,
+        r * (y * wm - w1) + (1 - y / a) * w2 + (1 - y) * k * w3 + (x - y) * wn,
+        r * (x * wn - w1) + (1 - x / z) * w2 + (1 - x) * k * w3 + (y - x) * wm,
+        r * (w3 - w2) + (a - 1) * wm + (z - 1) * wn,
+        r * (a * wm - w2) + (1 - a / y) * w1 + (1 - a) * k * w3 + (z - a) * wn,
+        r * (z * wn - w2) + (1 - z / x) * w1 + (1 - z) * k * w3 + (a - z) * wm,
+        r * (wm - w3) + (1 - 1 / y) * w1 + (1 - 1 / a) * w2,
+        r * (wn - w3) + (1 - 1 / x) * w1 + (1 - 1 / z) * w2,
+        r * (wn - wm) + (1 / y - 1 / x) * w1 + (1 / a - 1 / z) * w2,
+    )]
+
+
+@pytest.mark.parametrize("n", (5, 6, 7))
+def test_identity_stack_equals_the_point_identities_bit_for_bit(n):
+    # the grid's stacked solve, as the suite reads it, against each point's
+    # own evaluation and the scalar formula
+    pps = perron_stack(z_stack(n, harness._GRID))
+    ids, mid_dev = zfamily.identity_stack(n, harness._GRID, pps.r, pps.w)
+    points = evaluate_z_stack([ZParams(n, *v) for v in harness._GRID.tolist()])
+    for i, pt in enumerate(points):
+        res = pt.identities
+        assert ids[i].tolist() == list(res.identities) == identities_reference(
+            pt.p, float(pps.r[i]), pps.w[i])
+        want_mid = float(np.max(np.abs(pps.w[i, 3 : n - 2] - pps.w[i, 2]))) if n > 5 else 0.0
+        assert mid_dev[i] == res.middle_deviation_max == want_mid
+        assert res.identities_max == max(map(abs, res.identities))
 
 
 log_uniform = st.floats(min_value=-3.0, max_value=3.0).map(math.exp)
