@@ -74,6 +74,7 @@ from .zfamily import (
     RegionVerdict,
     ZParams,
     ZPoint,
+    ZStack,
     eigen_identity_residuals,
     evaluate_z,
     evaluate_z_stack,
@@ -81,7 +82,6 @@ from .zfamily import (
     guarantee_a1,
     guarantee_n4,
     guarantee_n5plus,
-    middle_quotient_sinks,
     predicted_edges,
     reduce_to_min_first,
     table_oracle,

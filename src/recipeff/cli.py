@@ -32,14 +32,13 @@ from .extensions import (
 )
 from .harness import (
     DEFAULT_AXES,
-    SWEEP_CSV_HEADER,
     example_walkthrough,
     grid_sweep,
-    sweep_csv_row,
+    sweep_csv,
     verify_paper_suite,
 )
 from .matio import load_matrix, load_vector, report_json, report_to_dict, save_report
-from .zfamily import ZParams, evaluate_z, guarantee_n4, z_matrix
+from .zfamily import ZParams, evaluate_z, guarantee_n4, guarantee_n5plus, z_matrix
 
 
 def _resolve_eps(flag_value: float | None) -> float:
@@ -88,7 +87,7 @@ def _cmd_z(args: argparse.Namespace, eps: float) -> int:
         "report": report_to_dict(rep),
     }
     if pt:
-        payload["region"] = asdict(pt.verdict)
+        payload["region"] = asdict(guarantee_n5plus(p))
         payload["sink_check"] = {k: getattr(pt, k)
                                  for k in ("efficient", "sink_present", "sink_vertex", "agrees")}
     elif p.a == 1.0:
@@ -105,8 +104,7 @@ def _cmd_z(args: argparse.Namespace, eps: float) -> int:
 
 def _cmd_sweep(args: argparse.Namespace, eps: float) -> int:
     axes = _parse_floats(args.axes, "--axes") if args.axes else DEFAULT_AXES
-    points = grid_sweep(args.n, axes, eps_rel=eps)
-    _emit([SWEEP_CSV_HEADER, *map(sweep_csv_row, points)], args.out)
+    _emit(sweep_csv(grid_sweep(args.n, axes, eps_rel=eps)), args.out)
     return 0
 
 

@@ -13,14 +13,14 @@ total order, sorting the vertices by out-degree lists its blocks in that
 order, the block ends follow from the degrees alone, and a strong G has a
 Hamiltonian cycle (Camion 1959) that insertion builds for every n.
 
-`analyze_stack` is the one evaluation path: for a (B, n, n) stack, the
-Perron vectors (unless given), the digraphs as one boolean tensor, their
-SCCs and, for each digraph that is not strongly connected, an explicit
-better vector, made by scaling the source component of the condensation
-down by the tightest crossing ratio.  Its `EfficiencyReport`s, one per
-matrix, are what per-instance consumers read; `analyze` is the one-matrix
-case.  Audits of whole stacks call its array steps and
-`has_no_source_stack` directly.
+`DigraphStack` is the one array step: for a (B, n, n) stack, the Perron
+vectors (unless given), the digraphs as one boolean tensor and their SCCs.
+Its `report(i)` is row i's `EfficiencyReport`, which for a digraph that is
+not strongly connected carries an explicit better vector, made by scaling
+the source component of the condensation down by the tightest crossing
+ratio.  `analyze_stack` yields every row's report and `analyze` is its
+one-matrix case; audits of whole stacks, the Z-family record among them,
+read the stack's arrays.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class EfficiencyDigraph:
 
 @dataclass(frozen=True, eq=False)
 class EfficiencyReport:
-    """One evaluation of (A, w), filled by `analyze_stack` only.
+    """One evaluation of (A, w), filled by `DigraphStack.report` only.
 
     `perron` is the Perron pair when w was computed, else None;
     `certificate` is a vector dominating w, or None when w is efficient.
@@ -262,6 +262,40 @@ def dominating_vector(
     return analyze(A, w, eps_rel).certificate
 
 
+class DigraphStack:
+    """The array step of `analyze_stack` for a (B, n, n) stack of canonical
+    reciprocal matrices `a`: `perron`, the Perron pairs, or None when the
+    vectors `w` are given; the (B, n, n) edge tensor `adj`; and the SCC
+    `labels` and `counts` of `_scc_labels`, computed on first read, since
+    the no-source scans read `adj` alone.
+    """
+
+    def __init__(self, As, ws=None, eps_rel: float = DEFAULT_EPS_REL) -> None:
+        self.a = np.asarray(As, dtype=float)
+        self.perron = None if ws is not None else perron_stack(self.a)
+        self.w = self.perron.w if ws is None else np.asarray(ws, dtype=float)
+        self.adj = _adjacency(self.a, self.w, eps_rel)
+        self.eps_rel = float(eps_rel)
+
+    def __getattr__(self, name: str):
+        if name not in ("labels", "counts"):
+            raise AttributeError(name)
+        self.labels, self.counts = _scc_labels(self.adj)
+        return getattr(self, name)
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def report(self, i: int) -> EfficiencyReport:
+        """Row i's report; its certificate is built, and checked, here."""
+        A, w, k = ReciprocalMatrix(self.a[i]), self.w[i], int(self.counts[i])
+        cert = None if k == 1 else _scale_source(A, w, self.labels[i])
+        if cert is not None and not pareto_dominates(A, w, cert):
+            raise AssertionError("certificate failed the dominance definition")
+        return EfficiencyReport(A, w, None if self.perron is None else self.perron[i],
+                                EfficiencyDigraph(self.adj[i], self.eps_rel), k == 1, k, cert)
+
+
 def analyze_stack(
     As: np.ndarray,
     ws: np.ndarray | None = None,
@@ -270,26 +304,13 @@ def analyze_stack(
     """Efficiency reports for a (B, n, n) stack of canonical reciprocal matrices.
 
     `ws` is a (B, n) stack of vectors, or None for the Perron vectors.  The
-    Perron solves, the digraphs and their SCCs run along the whole stack;
-    the reports come one at a time, in stack order, and a certificate is
-    built only for an inefficient row, when its report is made.
+    Perron solves, the digraphs and their SCCs run along the whole stack
+    (`DigraphStack`); the reports come one at a time, in stack order, and a
+    certificate is built only for an inefficient row, when its report is made.
     """
-    As = np.asarray(As, dtype=float)
-    pps = None
-    if ws is None:
-        pps = perron_stack(As)
-        ws = pps.w
-    ws = np.asarray(ws, dtype=float)
-    adj = _adjacency(As, ws, eps_rel)
-    labels, counts = _scc_labels(adj)
-    eps_rel = float(eps_rel)
-    for i, (a, w, k) in enumerate(zip(As, ws, counts.tolist())):
-        A = ReciprocalMatrix(a)
-        cert = None if k == 1 else _scale_source(A, w, labels[i])
-        if cert is not None and not pareto_dominates(A, w, cert):
-            raise AssertionError("certificate failed the dominance definition")
-        yield EfficiencyReport(A, w, None if pps is None else pps[i],
-                               EfficiencyDigraph(adj[i], eps_rel), k == 1, k, cert)
+    s = DigraphStack(As, ws, eps_rel)
+    for i in range(len(s)):
+        yield s.report(i)
 
 
 def analyze(
@@ -299,4 +320,4 @@ def analyze(
 ) -> EfficiencyReport:
     """Full efficiency report for (A, w); w defaults to the Perron vector."""
     ws = None if w is None else np.asarray(w, dtype=float)[None]
-    return next(analyze_stack(A.a[None], ws, eps_rel))
+    return DigraphStack(A.a[None], ws, eps_rel).report(0)

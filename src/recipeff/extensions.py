@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ReciprocalMatrix, make_reciprocal, perron, perron_stack
-from .digraph import DEFAULT_EPS_REL, _adjacency, analyze, has_no_source_stack
+from .core import ReciprocalMatrix, make_reciprocal, perron
+from .digraph import DEFAULT_EPS_REL, DigraphStack, analyze, has_no_source_stack
 
 ROW_SUM_RTOL = 1e-10
 APPENDED_SPAN = 9.0  # appended entries sampled log-uniformly in [1/9, 9]
@@ -181,7 +181,7 @@ def extension_source_scan(
     span = np.log(APPENDED_SPAN)
     cols = np.exp(np.random.default_rng(seed).uniform(-span, span, size=(samples, A.n)))
     As = _append_columns(A, cols)
-    ok = has_no_source_stack(_adjacency(As, perron_stack(As).w, eps_rel))
+    ok = has_no_source_stack(DigraphStack(As, eps_rel=eps_rel).adj)
     return SourceScanReport(samples, seed, tuple(np.flatnonzero(~ok).tolist()))
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,15 +29,13 @@ from .core import (
     make_reciprocal,
     pareto_dominates,
     perron,
-    perron_stack,
     random_reciprocal,
     random_reciprocal_stack,
 )
 from .digraph import (
     DEFAULT_EPS_REL,
-    _adjacency,
+    DigraphStack,
     _scale_source,
-    _scc_labels,
     analyze,
     analyze_stack,
     has_no_source_stack,
@@ -55,15 +52,10 @@ from .extensions import (
 )
 from .zfamily import (
     ZParams,
-    ZPoint,
-    cell_tables,
-    evaluate_z_stack,
+    ZStack,
     guarantee_a1,
     guarantee_n4,
     guarantee_n5plus,
-    identity_stack,
-    quotient_sink_stack,
-    z_stack,
 )
 
 DEFAULT_AXES = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -187,22 +179,22 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def sweep_csv_row(pt: ZPoint) -> str:
-    """The point's `SWEEP_CSV_HEADER` attributes: n..a of `pt.p`, the rest of `pt`."""
-    names = SWEEP_CSV_HEADER.split(",")
-    cells = [getattr(pt.p, k) for k in names[:5]] + [getattr(pt, k) for k in names[5:]]
-    return ",".join(map(_csv_cell, cells))
+def sweep_csv(s: ZStack) -> list[str]:
+    """The `SWEEP_CSV_HEADER` line and one line per point, written column by column."""
+    columns = [np.full(len(s), s.n), *s.xyza.T,
+               *(getattr(s, k) for k in SWEEP_CSV_HEADER.split(",")[5:])]
+    cells = [np.where(c, "true", "false").tolist() if c.dtype == bool
+             else list(map(_csv_cell, c.tolist())) for c in columns]
+    return [SWEEP_CSV_HEADER, *map(",".join, zip(*cells))]
 
 
 def grid_sweep(
     n: int,
     axis_values=DEFAULT_AXES,
     eps_rel: float = DEFAULT_EPS_REL,
-) -> list[ZPoint]:
-    """Evaluate every (x,y,z,a) in the Cartesian grid, lexicographically.
-
-    `SWEEP_CSV_HEADER` and `sweep_csv_row` write the points as CSV.
-    """
+) -> ZStack:
+    """Evaluate every (x,y,z,a) in the Cartesian grid, lexicographically, as
+    one stack; `sweep_csv` writes it as CSV."""
     if n < 5:
         raise ValueError("grid sweep requires n >= 5")
     axes = tuple(float(v) for v in axis_values)
@@ -211,8 +203,7 @@ def grid_sweep(
     if any(1 / v == np.inf for v in axes):
         raise ValueError("axis values must be positive and finite, and so must their "
                          f"reciprocals; got {min(axes)!r}")
-    grid = [ZParams(n, *xyza) for xyza in itertools.product(axes, repeat=4)]
-    return list(evaluate_z_stack(grid, eps_rel))
+    return ZStack(n, list(itertools.product(axes, repeat=4)), eps_rel)
 
 
 # --- verification suite ----------------------------------------------------
@@ -277,32 +268,23 @@ def _grid_outcomes(ns, bad):
 
 
 def _grid_flags(n: int, eps_rel: float) -> tuple[list, set]:
-    """The flag rows of the grid of order n, evaluated as one stack `s`, and
+    """The flag rows of the grid of order n, read from its `ZStack` `s`, and
     at n = 5 and 6 the exception labels it reaches.
 
-    Row i of `s` is point i of `_GRID`: its Perron `adj`, `w` and `r`,
-    `efficient`, quotient `sinks`, `identities`, `middle_deviation` and
-    `cell_tables`.  The rows are the `_GRID_AUDITS` violations, then at
-    n = 5 and 6 whether a point disagrees, is unsound, efficient or
-    labeled, and whether its certificate fails.
+    The rows are the `_GRID_AUDITS` violations, then at n = 5 and 6 whether
+    a point disagrees, is unsound, efficient or labeled, and whether its
+    certificate fails.  The certificate is checked here, not by
+    `s.report`, so a failing one is counted, not raised.
     """
-    a = z_stack(n, _GRID)
-    pps = perron_stack(a)
-    adj = _adjacency(a, pps.w, eps_rel)
-    labels, counts = _scc_labels(adj)
-    ids, mid_dev = identity_stack(n, _GRID, pps.r, pps.w)
-    s = SimpleNamespace(**cell_tables(n, _GRID), adj=adj, w=pps.w, r=pps.r,
-                        efficient=counts == 1, sinks=quotient_sink_stack(adj),
-                        identities=ids, middle_deviation=mid_dev)
+    s = ZStack(n, _GRID, eps_rel)
     row, seen = [audit(s) for _, audit in _GRID_AUDITS], set()
     if n < 7:
         seen = set(s.exception.tolist())
         cert = np.zeros(len(_GRID), dtype=bool)
         for i in np.flatnonzero(~s.efficient):
-            A = ReciprocalMatrix(a[i])
-            cert[i] = _certificate_fails(A, s.w[i], _scale_source(A, s.w[i], labels[i]))
-        row += [s.efficient == s.sinks.any(axis=1), s.guaranteed & ~s.efficient,
-                s.efficient, ~s.guaranteed, cert]
+            A = ReciprocalMatrix(s.a[i])
+            cert[i] = _certificate_fails(A, s.w[i], _scale_source(A, s.w[i], s.labels[i]))
+        row += [~s.agrees, s.guaranteed & ~s.efficient, s.efficient, ~s.guaranteed, cert]
     return row, seen
 
 
@@ -386,7 +368,7 @@ def verify_paper_suite(eps_rel: float = DEFAULT_EPS_REL) -> VerificationSummary:
                         f"edges {sorted(rep3.digraph.edges)}, sources {rep3.sources}"),
         _tally("no_source.random_matrices", "{bad} of {total} random matrices violated",
                _seeded(1000, 6, 1000, lambda a: ~has_no_source_stack(
-                   _adjacency(a, perron_stack(a).w, eps_rel)))),
+                   DigraphStack(a, eps_rel=eps_rel).adj))),
         _tally("no_source.random_extensions", "{bad} of {total} random extensions violated",
                _random_extensions(eps_rel)),
     ]

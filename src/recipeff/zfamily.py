@@ -20,8 +20,9 @@ that is the digraph itself.
 
 Every parameter predicate reads only the point's order cell, the weak order
 of (1, x, y, z, a): a stack of points reads one cached table per cell and
-order (`cell_tables`).  `identity_stack` and `quotient_sink_stack` are the
-stacked forms of `ZPoint.identities` and `middle_quotient_sinks`.
+order (`cell_tables`).  A `ZStack` evaluates a stack of points of one order
+once, as arrays, and every consumer reads it: the CLI's `z` is its one-row
+case, `sweep` writes its columns and `verify` audits them.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ import numpy as np
 from .core import ReciprocalMatrix
 from .digraph import (
     DEFAULT_EPS_REL,
+    DigraphStack,
     EfficiencyDigraph,
     EfficiencyReport,
-    analyze_stack,
 )
 
 
@@ -266,120 +267,93 @@ class IdentityResiduals:
     middle_deviation_max: float
 
 
+class ZStack(DigraphStack):
+    """Z_n(x,y,z,a) evaluated for a (B, 4) stack `xyza` at one order n >= 5;
+    every Z-family consumer reads its columns.
+
+    Beside `DigraphStack`'s (`w`, `adj`, `labels`, `counts` and `report(i)`,
+    whose certificate is built on that read): `r`, `efficient`; the
+    middle-class quotient `sinks` (see `quotient_sink_stack`) and the
+    `sink_present`, `sink_vertex` (a sink vertex of 3 stands for the whole
+    middle class) and `agrees` columns of the sink characterization;
+    `identities` and `middle_deviation` (see `identity_stack`); and the
+    `cell_tables` columns `predicted`, `forbidden`, `claimed`, `sink_rows`,
+    `guaranteed` and `exception`.  Iterating gives one `ZPoint` per row.
+    """
+
+    def __init__(self, n: int, xyza, eps_rel: float = DEFAULT_EPS_REL) -> None:
+        if n < 5:
+            raise ValueError("requires n >= 5")
+        self.n, self.xyza = n, np.asarray(xyza, dtype=float)
+        super().__init__(z_stack(n, self.xyza), eps_rel=eps_rel)
+        self.r = self.perron.r
+        self.sinks = quotient_sink_stack(self.adj)
+        self.sink_present = self.sinks.any(axis=1)
+        self.sink_vertex = np.where(self.sink_present, np.array(
+            [1, 2, 3, n - 1, n], dtype=object)[self.sinks.argmax(axis=1)], None)
+        self.efficient = self.counts == 1
+        self.agrees = self.efficient != self.sink_present
+        self.identities, self.middle_deviation = identity_stack(n, self.xyza, self.r, self.w)
+        self.__dict__.update(cell_tables(n, self.xyza))  # predicted .. exception
+
+    def __iter__(self) -> Iterator[ZPoint]:
+        return (ZPoint(self, i) for i in range(len(self)))
+
+
+def _column(name: str) -> property:
+    return property(lambda pt: getattr(pt.stack, name).item(pt.i), doc=f"`ZStack.{name}[i]`")
+
+
 @dataclass(frozen=True, eq=False)
 class ZPoint:
-    """One evaluated parameter point; every check on the point reads it.
+    """Row i of a `ZStack`: each attribute reads the stack's column i."""
 
-    Built by `evaluate_z_stack` only.  `report` is the `analyze` record of the
-    Perron vector of Z_n(x,y,z,a).  `quotient_sinks` are the sinks of the
-    middle-class quotient digraph (see `middle_quotient_sinks`); a sink
-    vertex of 3 stands for the whole middle class.  `verdict` is the
-    region verdict of `guarantee_n5plus`, computed on first use.
-    """
+    stack: ZStack
+    i: int
 
-    p: ZParams
-    report: EfficiencyReport
-    quotient_sinks: tuple[int, ...]
+    r, efficient, guaranteed, exception, sink_present, sink_vertex, agrees = map(_column, (
+        "r", "efficient", "guaranteed", "exception", "sink_present", "sink_vertex", "agrees"))
 
     @property
-    def r(self) -> float:
-        return self.report.perron.r
-
-    @property
-    def efficient(self) -> bool:
-        return self.report.efficient
+    def p(self) -> ZParams:
+        return ZParams(self.stack.n, *self.stack.xyza[self.i].tolist())
 
     @cached_property
-    def verdict(self) -> RegionVerdict:
-        return guarantee_n5plus(self.p)
-
-    @property
-    def guaranteed(self) -> bool:
-        return self.verdict.guaranteed_efficient
-
-    @property
-    def exception(self) -> str | None:
-        return self.verdict.matched_exception
-
-    @property
-    def sink_present(self) -> bool:
-        return bool(self.quotient_sinks)
-
-    @property
-    def sink_vertex(self) -> int | None:
-        return self.quotient_sinks[0] if self.quotient_sinks else None
-
-    @property
-    def agrees(self) -> bool:
-        """Inefficient exactly when the quotient digraph has a sink."""
-        return (not self.efficient) == self.sink_present
-
-    @cached_property
-    def identities(self) -> IdentityResiduals:
-        """The eigenvector identities of the family at the Perron pair.
-
-        The max residual of the n row equations of (Z - rI)w = 0, the ten
-        two-or-three-term identities obtained by differencing those rows
-        (each vanishes for an exact eigenpair), and the maximal deviation
-        |w_j - w_3| over middle indices (exactly 0 is expected: middle rows
-        are identical, so power iteration keeps their components equal).
-        """
-        ids, mid_dev = identity_stack(self.p.n, np.array([self.p.xyza], dtype=float),
-                                      np.array([self.r]), self.report.w[None])
-        identities = tuple(ids[0].tolist())
-        return IdentityResiduals(self.r, self.report.perron.residual, identities,
-                                 max(map(abs, identities)), float(mid_dev[0]))
-
-    @property
-    def table_violations(self) -> list[str]:
-        """Every matching catalog row checked against the digraph.
-
-        For each match: the claimed cycle edges and extra edges must be
-        present; for inefficient points the quotient sink must be the row's
-        sink vertex.  Returns violation descriptions (expected empty).
-        """
-        G, out = self.report.digraph, []
-        for m in table_oracle(self.p):
-            out += [f"{m.relation}: {kind} edge ({u},{v}) absent"
-                    for kind, (u, v) in _claims(m) if not G.has_edge(u, v)]
-            if (m.kind == "sink" and not self.efficient
-                    and self.quotient_sinks != (m.vertex,)):
-                out.append(f"{m.relation}: expected sink {m.vertex}, "
-                           f"got {self.quotient_sinks}")
-        return out
+    def report(self) -> EfficiencyReport:
+        return self.stack.report(self.i)
 
 
-def evaluate_z_stack(
-    ps: Sequence[ZParams], eps_rel: float = DEFAULT_EPS_REL
-) -> Iterator[ZPoint]:
-    """`evaluate_z` for points of one order n >= 5, evaluated as one stack.
-
-    The points come one at a time, in order, so a caller that drops each
-    one holds a single record.
-    """
-    n = ps[0].n
-    if n < 5:
-        raise ValueError("requires n >= 5")
-    if any(p.n != n for p in ps):
+def evaluate_z_stack(ps: Sequence[ZParams], eps_rel: float = DEFAULT_EPS_REL) -> ZStack:
+    """The `ZStack` of points of one order n >= 5."""
+    if any(p.n != ps[0].n for p in ps):
         raise ValueError("points must share one order")
-    xyza = np.array([p.xyza for p in ps], dtype=float)
-    for p, rep in zip(ps, analyze_stack(z_stack(n, xyza), eps_rel=eps_rel)):
-        yield ZPoint(p, rep, middle_quotient_sinks(rep.digraph, n))
+    return ZStack(ps[0].n, [p.xyza for p in ps], eps_rel)
 
 
 def evaluate_z(p: ZParams, eps_rel: float = DEFAULT_EPS_REL) -> ZPoint:
-    """Evaluate Z_n(x,y,z,a), n >= 5: its `analyze` report and quotient sinks."""
-    return next(evaluate_z_stack([p], eps_rel))
+    """Z_n(x,y,z,a), n >= 5, as the one row of its `ZStack`."""
+    return ZPoint(evaluate_z_stack([p], eps_rel), 0)
 
 
 def eigen_identity_residuals(p: ZParams) -> IdentityResiduals:
-    """The eigenvector identities at p (see `ZPoint.identities`)."""
-    return evaluate_z(p).identities
+    """The eigenvector identities of the family at the Perron pair of p.
+
+    The max residual of the n row equations of (Z - rI)w = 0, the ten
+    two-or-three-term identities obtained by differencing those rows
+    (each vanishes for an exact eigenpair), and the maximal deviation
+    |w_j - w_3| over middle indices (exactly 0 is expected: middle rows
+    are identical, so power iteration keeps their components equal).
+    """
+    s = ZStack(p.n, [p.xyza])
+    identities = tuple(s.identities[0].tolist())
+    return IdentityResiduals(s.r.item(0), s.perron.residual.item(0), identities,
+                             max(map(abs, identities)), s.middle_deviation.item(0))
 
 
 def identity_stack(n: int, xyza: np.ndarray, r: np.ndarray, w: np.ndarray) -> tuple:
-    """The (B, 10) identities and (B,) middle deviations of `ZPoint.identities`
-    for Perron pairs (r, w) of a (B, 4) stack of (x, y, z, a) at order n."""
+    """The (B, 10) identities and (B,) middle deviations of
+    `eigen_identity_residuals` for Perron pairs (r, w) of a (B, 4) stack of
+    (x, y, z, a) at order n."""
     x, y, z, a = xyza.T
     w1, w2, w3, wm, wn = w[:, [0, 1, 2, n - 2, n - 1]].T
     k = n - 4
@@ -477,24 +451,18 @@ def forbidden_reverse_edges(p: ZParams, G: EfficiencyDigraph) -> list[str]:
 
 
 def quotient_sink_stack(adj: np.ndarray) -> np.ndarray:
-    """(B, 5) sinks of `middle_quotient_sinks` over (1, 2, middle, n-1, n) for
-    a (B, n, n) digraph stack; at n = 4 the middle class is empty, no sink."""
+    """(B, 5) sinks over (1, 2, middle, n-1, n) of the digraphs of a (B, n, n)
+    stack with the middle class {3..n-2} contracted.
+
+    Valid for Z-family Perron digraphs, where the middle components are
+    exactly equal and mutually tied; for n = 5 these are just the sinks.
+    At n = 4 the middle class is empty and never a sink.
+    """
     n = adj.shape[-1]
     out = adj.copy()
     out[:, 2 : n - 2, 2 : n - 2] = False  # edges inside the middle class
     out = out.any(axis=2)
     return ~np.column_stack([out[:, :2], out[:, 2 : n - 2].any(axis=1) | (n == 4), out[:, -2:]])
-
-
-def middle_quotient_sinks(G: EfficiencyDigraph, n: int) -> tuple[int, ...]:
-    """Sinks of the digraph with the middle class {3..n-2} contracted.
-
-    Valid for Z-family Perron digraphs, where the middle components are
-    exactly equal and mutually tied.  For n = 5 this is just the sinks of G.
-    The one-digraph case of `quotient_sink_stack`.
-    """
-    sinks = quotient_sink_stack(G.adj[None])[0].tolist()
-    return tuple(v for v, sink in zip((1, 2, 3, n - 1, n), sinks) if sink)
 
 
 # --- catalog of known digraph structures per parameter region -------------

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 
 from recipeff.core import ReciprocalMatrix, make_reciprocal
+from recipeff.zfamily import _claims, table_oracle
 
 FLOAT_FMT = "%.17g"  # 17 significant digits: a write/read round trip is bit-exact
 
@@ -23,3 +24,35 @@ def save_matrix(A: ReciprocalMatrix, path) -> None:
 def save_vector(w, path) -> None:
     w = np.asarray(w, dtype=float)
     Path(path).write_text(",".join(FLOAT_FMT % v for v in w) + "\n", encoding="utf-8")
+
+
+def table_violations(p, G, efficient, quotient_sinks) -> list[str]:
+    """Every catalog row matching p checked against its digraph G, the loop
+    reference of the `tables.claims` audit.
+
+    For each match: the claimed cycle edges and extra edges must be present;
+    for inefficient points the quotient sinks must be the row's sink vertex
+    alone.  Returns violation descriptions (expected empty).
+    """
+    out = []
+    for m in table_oracle(p):
+        out += [f"{m.relation}: {kind} edge ({u},{v}) absent"
+                for kind, (u, v) in _claims(m) if not G.has_edge(u, v)]
+        if m.kind == "sink" and not efficient and quotient_sinks != (m.vertex,):
+            out.append(f"{m.relation}: expected sink {m.vertex}, got {quotient_sinks}")
+    return out
+
+
+def same_report(rep, one) -> bool:
+    """Equal reports, bit for bit: vectors, Perron pairs, digraphs, SCCs and certificates."""
+    cert_same = (rep.certificate is None and one.certificate is None) or (
+        rep.certificate is not None and one.certificate is not None
+        and rep.certificate.tobytes() == one.certificate.tobytes())
+    perron_same = (rep.perron is None and one.perron is None) or (
+        (rep.perron.r, rep.perron.residual, rep.perron.iterations)
+        == (one.perron.r, one.perron.residual, one.perron.iterations))
+    return (rep.w.tobytes() == one.w.tobytes() and rep.A.a.tobytes() == one.A.a.tobytes()
+            and np.array_equal(rep.digraph.adj, one.digraph.adj)
+            and rep.digraph.eps_rel == one.digraph.eps_rel
+            and rep.scc_count == one.scc_count and rep.efficient == one.efficient
+            and cert_same and perron_same)

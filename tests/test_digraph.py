@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import consistent_from_vector
+from helpers import consistent_from_vector, same_report
 
 from recipeff.core import (
     make_reciprocal,
@@ -363,20 +363,6 @@ def test_analyze_builds_views_only_when_read(monkeypatch):
     assert calls == [] and not {"sources", "sinks", "hamiltonian"} & set(vars(rep))
     cycle = rep.hamiltonian
     assert cycle is not None and rep.hamiltonian is cycle and calls == [7]
-
-
-def same_report(rep, one) -> bool:
-    cert_same = (rep.certificate is None and one.certificate is None) or (
-        rep.certificate is not None and one.certificate is not None
-        and rep.certificate.tobytes() == one.certificate.tobytes())
-    perron_same = (rep.perron is None and one.perron is None) or (
-        (rep.perron.r, rep.perron.residual, rep.perron.iterations)
-        == (one.perron.r, one.perron.residual, one.perron.iterations))
-    return (rep.w.tobytes() == one.w.tobytes() and rep.A.a.tobytes() == one.A.a.tobytes()
-            and np.array_equal(rep.digraph.adj, one.digraph.adj)
-            and rep.digraph.eps_rel == one.digraph.eps_rel
-            and rep.scc_count == one.scc_count and rep.efficient == one.efficient
-            and cert_same and perron_same)
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,7 +12,7 @@ from recipeff.core import (
     perron,
     random_reciprocal,
 )
-from recipeff import extensions
+from recipeff import digraph, extensions
 from recipeff.digraph import analyze
 from recipeff.extensions import (
     ExtensionResult,
@@ -282,8 +282,8 @@ def test_extension_source_scan_clean():
 def test_extension_source_scan_stacks_the_sequential_samples(monkeypatch):
     """The scan's stack holds, bit for bit, the extensions that drawing one
     column at a time gives, and flags the samples the one-matrix check does."""
-    stacks, real = [], extensions.perron_stack
-    monkeypatch.setattr(extensions, "perron_stack", lambda As: stacks.append(As) or real(As))
+    stacks, real = [], digraph.perron_stack
+    monkeypatch.setattr(digraph, "perron_stack", lambda As: stacks.append(As) or real(As))
     # a check that fails exactly when the appended vertex has out-degree 2
     monkeypatch.setattr(extensions, "has_no_source_stack",
                         lambda adj: adj[:, -1].sum(axis=1) != 2)

@@ -17,7 +17,7 @@ from recipeff.harness import (
     SWEEP_CSV_HEADER,
     example_walkthrough,
     grid_sweep,
-    sweep_csv_row,
+    sweep_csv,
     verify_paper_suite,
 )
 from recipeff.matio import (
@@ -28,7 +28,7 @@ from recipeff.matio import (
     report_to_dict,
     save_report,
 )
-from recipeff.zfamily import ZParams
+from recipeff.zfamily import ZParams, evaluate_z
 
 
 # --- matio ---------------------------------------------------------------
@@ -271,15 +271,17 @@ def test_grid_sweep_shape_and_order(tmp_path, capsys):
                               "--out", str(out))
     assert code == 0 and stdout == ""
     lines = out.read_text().splitlines()
-    assert lines == [SWEEP_CSV_HEADER, *map(sweep_csv_row, points)]
+    assert lines == sweep_csv(points)
     first = lines[1].split(",")
     assert first[0] == "5" and first[1] == "0.25"
     assert first[6] in ("true", "false")
 
 
 def test_sweep_csv_row_formats():
-    pt = zfamily.evaluate_z(ZParams(5, 0.25, 2.0, 2.0, 0.5))
-    row = sweep_csv_row(pt).split(",")
+    (pt,) = points = zfamily.evaluate_z_stack([ZParams(5, 0.25, 2.0, 2.0, 0.5)])
+    header, line = sweep_csv(points)
+    row = line.split(",")
+    assert header == SWEEP_CSV_HEADER
     assert row[:5] == ["5", "0.25", "2", "2", "0.5"]
     assert row[6] == "false" and row[9] == "true"  # inefficient, sink present
     assert row[8] == "T5(iii)" and row[10] == "3" and row[11] == "true"
@@ -338,7 +340,8 @@ def test_grid_sweep_validation():
 @pytest.fixture(scope="module")
 def counted_suite():
     """One suite run; the orders of the rows that pass through `perron_stack`
-    and `_adjacency` in the grid pass, and the `ZPoint`s built there."""
+    and `_adjacency` in the grid pass, where `DigraphStack` calls them, and
+    the `ZPoint`s built there."""
     solves, builds, points, inside = [], [], [0], [False]
 
     def counted_solves(a, *args, **kwargs):
@@ -365,9 +368,8 @@ def counted_suite():
     adjacency, zpoint_init, grid_checks = (
         digraph._adjacency, zfamily.ZPoint.__init__, harness._grid_checks)
     with pytest.MonkeyPatch.context() as mp:
-        for module in (digraph, harness):
-            mp.setattr(module, "perron_stack", counted_solves)
-            mp.setattr(module, "_adjacency", counted_builds)
+        mp.setattr(digraph, "perron_stack", counted_solves)
+        mp.setattr(digraph, "_adjacency", counted_builds)
         mp.setattr(zfamily.ZPoint, "__init__", counted_points)
         mp.setattr(harness, "_grid_checks", grid_pass)
         summary = verify_paper_suite()
@@ -452,6 +454,18 @@ def test_grid_checks_every_inefficient_point_certificate(monkeypatch):
     monkeypatch.setattr(harness, "pareto_dominates", lambda A, w, w2: False)
     _, certificates = harness._grid_checks(1e-9)
     assert len(certificates) == 64 and all(bad for _, bad in certificates)
+
+
+def test_grid_checks_count_the_points_whose_sink_disagrees(monkeypatch):
+    # with no quotient sink anywhere, each grid's 32 inefficient points disagree
+    monkeypatch.setattr(zfamily, "quotient_sink_stack",
+                        lambda adj: np.zeros((len(adj), 5), dtype=bool))
+    records, _ = harness._grid_checks(1e-9)
+    details = {r.check_id: r.detail for r in records if not r.passed}
+    for n in (5, 6):
+        head, first = details[f"sink_characterization.grid_n{n}"].split("; first: ")
+        assert head == "32 of 625 grid points disagree"
+        assert not evaluate_z(eval(first, {"ZParams": ZParams})).efficient
 
 
 def test_cell_table_cache_holds_each_grid_cell_once():
@@ -556,6 +570,14 @@ def test_cli_z_region_payload(capsys, perron_calls):
     # the report and the sink check read one evaluation
     assert payload["sink_check"]["efficient"] is True
     assert perron_calls == [5]
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_cli_z_solves_one_perron_row(capsys, perron_calls, n):
+    # the report, the sink check and the region read one solve of Z_n
+    code, _, _ = run_cli(capsys, "z", "--n", str(n), "--x", "0.25", "--y", "2",
+                         "--z", "2", "--a", "0.5")
+    assert code == 0 and perron_calls == [n]
 
 
 def test_cli_z_n4(capsys):

@@ -4,14 +4,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import same_report, table_violations
 from recipeff import harness, zfamily
 from recipeff.core import make_reciprocal, perron, perron_stack
 from recipeff.digraph import (
     EfficiencyDigraph,
-    EfficiencyReport,
     analyze,
     build_digraph,
     sinks,
@@ -22,7 +22,6 @@ from recipeff.zfamily import (
     SYMMETRY_IMAGES,
     RegionVerdict,
     ZParams,
-    ZPoint,
     eigen_identity_residuals,
     evaluate_z,
     evaluate_z_stack,
@@ -30,8 +29,8 @@ from recipeff.zfamily import (
     guarantee_a1,
     guarantee_n4,
     guarantee_n5plus,
-    middle_quotient_sinks,
     predicted_edges,
+    quotient_sink_stack,
     reduce_to_min_first,
     table_oracle,
     z_matrix,
@@ -39,6 +38,7 @@ from recipeff.zfamily import (
 )
 
 param_value = st.floats(min_value=1.0 / 9.0, max_value=9.0)
+log_uniform = st.floats(min_value=-3.0, max_value=3.0).map(math.exp)
 SMALL_AXES = (0.25, 1.0, 4.0)
 
 
@@ -259,9 +259,14 @@ def test_quotient_sink_differs_from_literal_sinks_for_n6():
     G = build_digraph(A, perron(A).w)
     assert not strongly_connected(G)[0]
     assert sinks(G) == ()
-    assert middle_quotient_sinks(G, 6) == (3,)
+    assert quotient_sink_vertices(quotient_sink_stack(G.adj[None])[0], 6) == (3,)
     sc = evaluate_z(p)
     assert sc.sink_present and sc.agrees and sc.sink_vertex == 3
+
+
+def quotient_sink_vertices(row, n):
+    """The vertices (1, 2, 3 for the middle class, n-1, n) of a `quotient_sink_stack` row."""
+    return tuple(v for v, sink in zip((1, 2, 3, n - 1, n), row.tolist()) if sink)
 
 
 def quotient_sinks_reference(G, n):
@@ -280,35 +285,19 @@ def quotient_sinks_reference(G, n):
        density=st.floats(0.02, 0.6))
 def test_middle_quotient_sinks_matches_loop_reference(n, seed, density):
     rng = np.random.default_rng(seed)
-    adj = rng.random((n, n)) < density
-    np.fill_diagonal(adj, False)
-    G = EfficiencyDigraph(adj, 1e-9)
-    assert middle_quotient_sinks(G, n) == quotient_sinks_reference(G, n)
+    adj = rng.random((8, n, n)) < density
+    adj[:, range(n), range(n)] = False
+    for row, a in zip(quotient_sink_stack(adj), adj):
+        assert quotient_sink_vertices(row, n) == quotient_sinks_reference(
+            EfficiencyDigraph(a, 1e-9), n)
 
 
 def test_middle_quotient_sinks_reference_on_grid():
     for n in (5, 6, 7):
-        for p in small_grid(n):
-            G = evaluate_z(p).report.digraph
-            assert middle_quotient_sinks(G, n) == quotient_sinks_reference(G, n), p
-
-
-def test_evaluate_z_is_read_by_the_point_functions():
-    p = ZParams(6, 0.25, 2.0, 2.0, 0.5)
-    pt = evaluate_z(p)
-    rep = analyze(z_matrix(p))
-    assert pt.p == p and pt.report.digraph.n == 6 and pt.r == pt.report.perron.r
-    assert pt.r == rep.perron.r and np.array_equal(pt.report.w, rep.w)
-    assert np.array_equal(pt.report.digraph.adj, rep.digraph.adj)
-    assert np.array_equal(pt.report.certificate, rep.certificate)
-    assert not pt.report.efficient and pt.quotient_sinks == (3,) and pt.sink_vertex == 3
-    assert pt.identities == eigen_identity_residuals(p)
-    assert pt.table_violations == evaluate_z(p).table_violations == []
-    sc = evaluate_z(p)
-    assert (sc.report.efficient, sc.sink_present, sc.sink_vertex, sc.agrees, sc.r) == (
-        pt.report.efficient, pt.sink_present, pt.sink_vertex, pt.agrees, pt.r)
-    with pytest.raises(ValueError, match="n >= 5"):
-        evaluate_z(ZParams(4, 1.0, 1.0, 1.0, 1.0))
+        s = evaluate_z_stack(list(small_grid(n)))
+        for pt in s:
+            got = quotient_sink_vertices(s.sinks[pt.i], n)
+            assert got == quotient_sinks_reference(pt.report.digraph, n), pt.p
 
 
 def test_sink_characterization_grid_agreement():
@@ -340,8 +329,10 @@ def test_table_oracle_realizes_vertices_for_larger_n():
 
 def test_table_claims_hold_on_grid():
     for n in (5, 6):
-        for p in small_grid(n):
-            assert evaluate_z(p).table_violations == [], p
+        s = evaluate_z_stack(list(small_grid(n)))
+        for pt in s:
+            sinks = quotient_sink_vertices(s.sinks[pt.i], n)
+            assert table_violations(pt.p, pt.report.digraph, pt.efficient, sinks) == [], pt.p
 
 
 def test_table_oracle_gaps_and_overlaps():
@@ -367,22 +358,45 @@ def test_z_matrix_is_the_canonical_family_member(n, x, y, z, a):
     assert z_matrix(p).a.tobytes() == z_matrix_reference(p).a.tobytes()
 
 
-def test_evaluate_z_stack_points_equal_one_point_evaluations():
-    for n in (5, 6):
-        grid = list(small_grid(n))
-        points = list(evaluate_z_stack(grid))
-        assert [pt.p for pt in points] == grid
-        for pt in points:
-            one = evaluate_z(pt.p)
-            assert pt.report.w.tobytes() == one.report.w.tobytes()
-            assert pt.r == one.r and pt.report.perron.iterations == one.report.perron.iterations
-            assert np.array_equal(pt.report.digraph.adj, one.report.digraph.adj)
-            assert pt.report.efficient == one.report.efficient
-            assert pt.quotient_sinks == one.quotient_sinks
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=5, max_value=9).flatmap(lambda n: st.lists(
+    st.tuples(log_uniform, log_uniform, log_uniform, log_uniform), min_size=1, max_size=12,
+).map(lambda xyzas: [ZParams(n, *v) for v in xyzas])))
+@example(list(small_grid(5)))
+@example(list(small_grid(6)))
+# the lone quotient sink of each point is vertex 1, 2, n-1 and n in turn
+@example([ZParams(6, 0.5, 1.0, 0.125, 2.0), ZParams(6, 0.125, 2.0, 0.5, 1.0),
+          ZParams(6, 0.125, 0.5, 8.0, 2.0), ZParams(6, 0.5, 0.125, 2.0, 8.0)])
+def test_evaluate_z_stack_columns_equal_the_point_functions(ps):
+    # every column of row i is what the one-point functions give for point i
+    s, n = evaluate_z_stack(ps), ps[0].n
+    assert [pt.p for pt in s] == ps
+    for i, (p, pt) in enumerate(zip(ps, s)):
+        one = analyze(z_matrix(p))
+        for rep in (s.report(i), pt.report):
+            assert same_report(rep, one), p
+        assert s.w[i].tobytes() == one.w.tobytes() and s.r[i] == pt.r == one.perron.r
+        assert np.array_equal(s.adj[i], one.digraph.adj)
+        assert s.labels[i].tolist() == strongly_connected(one.digraph)[2]
+        assert s.counts[i] == one.scc_count and s.efficient[i] == pt.efficient == one.efficient
+        verdict = guarantee_n5plus(p)
+        assert s.guaranteed[i] == pt.guaranteed == verdict.guaranteed_efficient
+        assert s.exception[i] == pt.exception == verdict.matched_exception
+        sinks = quotient_sinks_reference(one.digraph, n)
+        assert quotient_sink_vertices(s.sinks[i], n) == sinks
+        assert (s.sink_present[i], s.sink_vertex[i], s.agrees[i]) == (
+            pt.sink_present, pt.sink_vertex, pt.agrees) == (
+            bool(sinks), sinks[0] if sinks else None, one.efficient != bool(sinks))
+        assert s.identities[i].tolist() == identities_reference(p, one.perron.r, one.w)
+        assert s.middle_deviation[i] == middle_deviation_reference(n, one.w)
+        for key, column in zfamily.cell_tables(n, np.array([p.xyza])).items():
+            assert np.array_equal(getattr(s, key)[i], column[0]), (p, key)
     with pytest.raises(ValueError, match="one order"):
-        next(evaluate_z_stack([ZParams(5, 1.0, 1.0, 1.0, 1.0), ZParams(6, 1.0, 1.0, 1.0, 1.0)]))
+        evaluate_z_stack([ZParams(5, 1.0, 1.0, 1.0, 1.0), ZParams(6, 1.0, 1.0, 1.0, 1.0)])
     with pytest.raises(ValueError, match="n >= 5"):
-        next(evaluate_z_stack([ZParams(4, 1.0, 1.0, 1.0, 1.0)]))
+        evaluate_z_stack([ZParams(4, 1.0, 1.0, 1.0, 1.0)])
+    with pytest.raises(ValueError, match="n >= 5"):
+        evaluate_z(ZParams(4, 1.0, 1.0, 1.0, 1.0))
 
 
 # --- compiled relations against the written-out predicates -----------------
@@ -657,12 +671,10 @@ def test_cell_tables_and_grid_audits_match_the_point_audits(n):
         assert (s.guaranteed[i], s.exception[i]) == (
             verdict.guaranteed_efficient, verdict.matched_exception)
         sinks = quotient_sinks_reference(G, n)
-        assert tuple(np.array([1, 2, 3, n - 1, n])[s.sinks[i]].tolist()) == sinks
-        assert middle_quotient_sinks(G, n) == sinks
-        rep = EfficiencyReport(None, None, None, G, bool(efficient[i]), 0, None)
+        assert quotient_sink_vertices(s.sinks[i], n) == sinks
         want["edges.guaranteed_present"].append(not predicted_edges(p) <= G.edges)
         want["edges.no_forbidden_reverse"].append(len(forbidden_reverse_edges(p, G)))
-        want["tables.claims"].append(len(ZPoint(p, rep, sinks).table_violations))
+        want["tables.claims"].append(len(table_violations(p, G, efficient[i], sinks)))
     assert audits == want
     assert all(0 < sum(map(bool, bad)) < len(bad) for bad in want.values()), {c: sum(map(bool, b)) for c, b in want.items()}
 
@@ -686,23 +698,27 @@ def identities_reference(p, r, w):
     )]
 
 
+def middle_deviation_reference(n, w):
+    return float(np.max(np.abs(w[3 : n - 2] - w[2]))) if n > 5 else 0.0
+
+
 @pytest.mark.parametrize("n", (5, 6, 7))
 def test_identity_stack_equals_the_point_identities_bit_for_bit(n):
     # the grid's stacked solve, as the suite reads it, against each point's
-    # own evaluation and the scalar formula
+    # own residuals and the scalar formula
     pps = perron_stack(z_stack(n, harness._GRID))
     ids, mid_dev = zfamily.identity_stack(n, harness._GRID, pps.r, pps.w)
-    points = evaluate_z_stack([ZParams(n, *v) for v in harness._GRID.tolist()])
-    for i, pt in enumerate(points):
-        res = pt.identities
+    s = zfamily.ZStack(n, harness._GRID)
+    assert s.identities.tobytes() == ids.tobytes()
+    assert s.middle_deviation.tobytes() == mid_dev.tobytes()
+    for i, v in enumerate(harness._GRID.tolist()):
+        p = ZParams(n, *v)
+        res = eigen_identity_residuals(p)
         assert ids[i].tolist() == list(res.identities) == identities_reference(
-            pt.p, float(pps.r[i]), pps.w[i])
-        want_mid = float(np.max(np.abs(pps.w[i, 3 : n - 2] - pps.w[i, 2]))) if n > 5 else 0.0
-        assert mid_dev[i] == res.middle_deviation_max == want_mid
+            p, float(pps.r[i]), pps.w[i])
+        assert mid_dev[i] == res.middle_deviation_max == middle_deviation_reference(n, pps.w[i])
         assert res.identities_max == max(map(abs, res.identities))
-
-
-log_uniform = st.floats(min_value=-3.0, max_value=3.0).map(math.exp)
+        assert (res.r, res.rows_max) == (pps.r[i], pps.residual[i])
 
 
 @settings(max_examples=300, deadline=None)
