@@ -172,8 +172,6 @@ SWEEP_CSV_HEADER = "n,x,y,z,a,r,efficient,guaranteed,exception,sink_present,sink
 def _csv_cell(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return "%.17g" % v
     return str(v)

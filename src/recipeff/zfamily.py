@@ -19,10 +19,12 @@ quotient digraph with the middle class contracted to one vertex; for n = 5
 that is the digraph itself.
 
 Every parameter predicate reads only the point's order cell, the weak order
-of (1, x, y, z, a): a stack of points reads one cached table per cell and
-order (`cell_tables`).  A `ZStack` evaluates a stack of points of one order
-once, as arrays, and every consumer reads it: the CLI's `z` is its one-row
-case, `sweep` writes its columns and `verify` audits them.
+of (1, x, y, z, a), one of the 541 in `order_cells()`: the relations are
+tested on every cell at once, and a stack of points at any order n >= 5
+reads one table of all cells, built on first use (`cell_tables`).  A
+`ZStack` evaluates a stack of points of one order once, as arrays, and
+every consumer reads it: the CLI's `z` is its one-row case, `sweep` writes
+its columns and `verify` audits them.
 """
 
 from __future__ import annotations
@@ -131,15 +133,18 @@ def reduce_to_min_first(
 _TERMS = ("1", "x", "y", "z", "a")
 
 
-# one tuple per order cell, shared by every per-cell cache
-_CELLS: dict[tuple[int, ...], tuple[int, ...]] = {}
+@cache
+def order_cells() -> dict[tuple[int, ...], int]:
+    """The 541 weak orders, or order cells, of (1, x, y, z, a) as dense-rank
+    tuples in lexicographic order, each mapped to its row in every cell table."""
+    cells = (r for r in itertools.product(range(5), repeat=5) if len(set(r)) == max(r) + 1)
+    return {cell: row for row, cell in enumerate(cells)}
 
 
-def _order_cell(xyza: Sequence[float]) -> tuple[int, ...]:
-    """The dense ranks of (1, x, y, z, a): the weak order, or cell, of the point."""
+def _cell_row(xyza: Sequence[float]) -> int:
+    """The `order_cells()` row of the point's cell: the dense ranks of (1, x, y, z, a)."""
     v = (1.0, *xyza)
-    ranks = tuple(map(sorted(set(v)).index, v))
-    return _CELLS.setdefault(ranks, ranks)
+    return order_cells()[tuple(map(sorted(set(v)).index, v))]
 
 
 def _relation(text: str) -> np.ndarray:
@@ -160,26 +165,29 @@ def _relation(text: str) -> np.ndarray:
 
 
 class _Relations:
-    """Labeled requirement matrices, compiled once and tested as one stack.
+    """Labeled requirement matrices, tested on every order cell at once.
 
-    A point's order matrix holds 2, 1 or 0 where term i is <, == or > term
-    j, and a relation holds iff that matrix is >= its R everywhere.  The
-    dense ranks of the terms fix the order matrix, so the labels that hold
-    are cached per ranks; five terms have 541 orders.
+    A cell's order matrix holds 2, 1 or 0 where term i is <, == or > term
+    j, and a relation holds iff that matrix is >= its R everywhere.
     """
 
     def __init__(self, labels, reqs) -> None:
-        self.labels, self.reqs, self._hits = tuple(labels), np.stack(reqs), {}
+        self.labels, self.reqs = tuple(labels), np.stack(reqs)
+
+    @cached_property
+    def hits(self) -> np.ndarray:
+        """(541, R): whether each relation holds in each `order_cells()` cell."""
+        r = np.array(list(order_cells()))
+        order = (r[:, :, None] <= r[:, None]).astype(np.int8) + (r[:, :, None] < r[:, None])
+        return (order[:, None] >= self.reqs).all(axis=(2, 3))
+
+    @cached_property
+    def _holding(self) -> list[tuple]:
+        return [tuple(itertools.compress(self.labels, h)) for h in self.hits.tolist()]
 
     def holding(self, xyza: Sequence[float]) -> tuple:
         """The labels of the rows that hold at (x, y, z, a), in row order."""
-        ranks = _order_cell(xyza)
-        if ranks not in self._hits:
-            r = np.array(ranks)
-            order = (r[:, None] <= r).astype(np.int8) + (r[:, None] < r)
-            hit = (order >= self.reqs).all(axis=(1, 2))
-            self._hits[ranks] = tuple(lab for lab, h in zip(self.labels, hit) if h)
-        return self._hits[ranks]
+        return self._holding[_cell_row(xyza)]
 
 
 def _compile(*rows: tuple[object, str]) -> _Relations:
@@ -285,6 +293,13 @@ class ZStack(DigraphStack):
         if n < 5:
             raise ValueError("requires n >= 5")
         self.n, self.xyza = n, np.asarray(xyza, dtype=float)
+        if self.xyza.shape[1:] != (4,) or not len(self.xyza):
+            raise ValueError(f"xyza must be a non-empty (B, 4) stack, not {self.xyza.shape}")
+        with np.errstate(divide="ignore", over="ignore"):
+            bad = ~((self.xyza > 0) & (self.xyza < np.inf) & (1 / self.xyza < np.inf)).all(axis=1)
+        if bad.any():
+            raise ValueError("x, y, z and a must be positive and finite, and so must their "
+                             f"reciprocals; got {self.xyza[bad.argmax()].tolist()}")
         super().__init__(z_stack(n, self.xyza), eps_rel=eps_rel)
         self.r = self.perron.r
         self.sinks = quotient_sink_stack(self.adj)
@@ -325,8 +340,8 @@ class ZPoint:
 
 def evaluate_z_stack(ps: Sequence[ZParams], eps_rel: float = DEFAULT_EPS_REL) -> ZStack:
     """The `ZStack` of points of one order n >= 5."""
-    if any(p.n != ps[0].n for p in ps):
-        raise ValueError("points must share one order")
+    if len({p.n for p in ps}) != 1:
+        raise ValueError("points must be at least one, and share one order")
     return ZStack(ps[0].n, [p.xyza for p in ps], eps_rel)
 
 
@@ -406,14 +421,6 @@ def _edge_relations() -> _Relations:
 _EDGE_RELATIONS = _edge_relations()
 
 
-@cache
-def _rule_edges(n: int, u: int, v: int) -> frozenset[tuple[int, int]]:
-    """The edges of rule (u, v) at order n."""
-    mids = range(3, n - 1)
-    return frozenset(itertools.product(mids if u == 3 else _realize(n, (u,)),
-                                       mids if v == 3 else _realize(n, (v,))))
-
-
 def predicted_edges(p: ZParams) -> set[tuple[int, int]]:
     """Edges guaranteed by the parameter order relations alone (`_EDGE_RULES`).
 
@@ -422,7 +429,8 @@ def predicted_edges(p: ZParams) -> set[tuple[int, int]]:
     """
     if p.n < 5:
         raise ValueError("requires n >= 5")
-    return set().union(*(_rule_edges(p.n, *e) for e in _EDGE_RELATIONS.holding(p.xyza)))
+    predicted = cell_tables(p.n, np.array([p.xyza]))["predicted"][0]
+    return {(u + 1, v + 1) for u, v in np.argwhere(predicted).tolist()}
 
 
 # (v, relation): with the relation, edge (3, v) forbids edge (v, 3).  A
@@ -570,30 +578,27 @@ def _claims(m: CatalogRow) -> list[tuple[str, tuple[int, int]]]:
 # --- per-cell audit tables ---------------------------------------------------
 
 
-def _cell_table(n: int, cell: tuple[int, ...]) -> tuple[np.ndarray, str | None]:
-    """An order cell's tables at order n, read at its point at levels 2 **
-    (rank - rank of 1): (4, 5, 5) counts over the quotient vertices (1, 2,
-    3 for the middle class, n-1, n) of the predicted, forbidden and claimed
-    edges and, in row [3, 0], the sink rows; and the exception label."""
-    p = ZParams(n, *(2.0 ** (r - cell[0]) for r in cell[1:]))
-    quotient = {1: 0, 2: 1, 3: 2, n - 1: 3, n: 4}
-    rows = table_oracle(p)
-    table = np.zeros((4, 5, 5), dtype=np.int8)
-    for k, pairs in enumerate((predicted_edges(p),
-                               [(3, v) for v in _realize(n, _FORBIDDEN_REVERSE.holding(p.xyza))],
-                               [edge for m in rows for _, edge in _claims(m)],
-                               [(1, m.vertex) for m in rows if m.kind == "sink"])):
-        for u, v in pairs:
-            if u in quotient and v in quotient:
-                table[k, quotient[u], quotient[v]] += 1
-    return table, guarantee_n5plus(p).matched_exception
-
-
 @cache
-def _order_tables(n: int) -> tuple[dict[tuple[int, ...], int], np.ndarray, np.ndarray]:
-    """The tables of order n, filled as cells are reached: each reached cell's
-    row, and the (541, 4, 5, 5) counts and (541,) labels of `_cell_table`."""
-    return {}, np.zeros((541, 4, 5, 5), dtype=np.int8), np.empty(541, dtype=object)
+def _cell_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Every order cell's tables, the same at every order n >= 5: the (541,
+    4, 5, 5) counts over the quotient vertices (1, 2, middle, n-1, n) of the
+    rules giving each predicted edge, the forbidden-reverse pairs, the
+    claimed edges and, in row [3, 0], the sink rows; and the (541,) exception
+    labels, read at each cell's point at levels 2 ** (rank - rank of 1)."""
+    quotient = {1: 0, 2: 1, 3: 2, -2: 3, -1: 4}  # from vertex codes
+    tables = np.zeros((541, 4, 5, 5), dtype=np.int8)
+    for k, (relations, pairs) in enumerate((
+        (_EDGE_RELATIONS, [[edge] for edge in _EDGE_RELATIONS.labels]),
+        (_FORBIDDEN_REVERSE, [[(3, v)] for v in _FORBIDDEN_REVERSE.labels]),
+        (_CATALOG_RELATIONS, [[edge for _, edge in _claims(m)] for m in CYCLE_CATALOG]),
+        (_CATALOG_RELATIONS, [[(1, m.vertex)] * (m.kind == "sink") for m in CYCLE_CATALOG]),
+    )):
+        for hit, row_pairs in zip(relations.hits.T, pairs):  # each relation row
+            for u, v in row_pairs:
+                tables[hit, k, quotient[u], quotient[v]] += 1
+    exception = np.array([guarantee_n5plus(ZParams(5, *(2.0 ** (r - cell[0]) for r in cell[1:])))
+                          .matched_exception for cell in order_cells()], dtype=object)
+    return tables, exception
 
 
 def cell_tables(n: int, xyza: np.ndarray) -> dict[str, np.ndarray]:
@@ -604,17 +609,11 @@ def cell_tables(n: int, xyza: np.ndarray) -> dict[str, np.ndarray]:
     the matching `table_oracle` rows claim; `sink_rows` (B, 5) counts their
     sink rows by vertex, as in `quotient_sink_stack`; `guaranteed` and
     `exception` are `guarantee_n5plus`'s.  These read only the cell, and
-    every middle vertex as vertex 3, so a cell's tables are read once per
-    order and kept: at most 541 per order.
+    every middle vertex as vertex 3: each point reads its cell's row of the
+    one table of all 541 cells.
     """
-    rows, tables, exceptions = _order_tables(n)
-    index = []
-    for v in xyza.tolist():
-        cell = _order_cell(v)
-        if cell not in rows:
-            rows[cell] = len(rows)
-            tables[rows[cell]], exceptions[rows[cell]] = _cell_table(n, cell)
-        index.append(rows[cell])
+    tables, exceptions = _cell_tables()
+    index = [_cell_row(v) for v in xyza.tolist()]
     t, exception = tables[index], exceptions[index]
     # (5, n) maps from the quotient vertices: to vertices 1, 2, 3, n-1, n,
     # and to every member of their class

@@ -1,8 +1,13 @@
 import ast
 import hashlib
+import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,8 +328,10 @@ def test_sweep_row_and_z_payload_read_one_point(capsys, n):
             **sink,
         }
         assert sink["efficient"] == payload["report"]["efficient"]
+        # the CSV writes bool columns as true/false, and every other cell with `_csv_cell`
         assert {k: row[k] for k in z_cells} == {
-            k: harness._csv_cell(v) for k, v in z_cells.items()}
+            k: json.dumps(v) if isinstance(v, bool) else harness._csv_cell(v)
+            for k, v in z_cells.items()}
 
 
 def test_grid_sweep_validation():
@@ -468,14 +475,32 @@ def test_grid_checks_count_the_points_whose_sink_disagrees(monkeypatch):
         assert not evaluate_z(eval(first, {"ZParams": ZParams})).efficient
 
 
-def test_cell_table_cache_holds_each_grid_cell_once():
-    zfamily._order_tables.cache_clear()
+def test_one_cell_table_is_built_on_first_use_and_read_at_every_order():
+    # importing builds nothing; the suite's three grid orders read one table
+    code = ("from recipeff import zfamily as z; "
+            "print(z._cell_tables.cache_info().currsize, z.order_cells.cache_info().currsize)")
+    src = str(Path(zfamily.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["0", "0"]
+    zfamily._cell_tables.cache_clear()
     verify_paper_suite()
-    rows = {n: dict(zfamily._order_tables(n)[0]) for n in (5, 6, 7)}
-    assert {n: len(r) for n, r in rows.items()} == {5: 325, 6: 325, 7: 325}
-    assert zfamily._order_tables.cache_info().currsize == 3
+    tables = zfamily._cell_tables()
+    assert [t.shape for t in tables] == [(541, 4, 5, 5), (541,)]
     verify_paper_suite()
-    assert {n: zfamily._order_tables(n)[0] for n in (5, 6, 7)} == rows
+    assert zfamily._cell_tables() is tables
+    assert zfamily._cell_tables.cache_info().misses == 1
+
+
+def test_corner_sinks_agree_and_pass_the_grid_audits():
+    # the verify grid reaches no quotient sink at a corner vertex; these axes
+    # reach each of 1, 2, n-1 and n as the lone sink of six points at n = 6
+    s = zfamily.ZStack(6, list(itertools.product((0.05, 0.2, 1.0, 5.0, 20.0), repeat=4)))
+    counts = Counter(s.sink_vertex.tolist())
+    assert {v: counts[v] for v in (1, 2, 5, 6)} == {1: 6, 2: 6, 5: 6, 6: 6}
+    assert s.agrees.all()
+    assert {cid: int(audit(s).sum()) for cid, audit in harness._GRID_AUDITS} == {
+        cid: 0 for cid, _ in harness._GRID_AUDITS}
 
 
 def test_grid_check_records_in_report_order():

@@ -399,6 +399,31 @@ def test_evaluate_z_stack_columns_equal_the_point_functions(ps):
         evaluate_z(ZParams(4, 1.0, 1.0, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("bad", (-1.0, 0.0, math.inf, math.nan, 1e-320))
+@pytest.mark.parametrize("slot", range(4))
+def test_zstack_rejects_parameters_that_zparams_rejects(bad, slot):
+    # a RuntimeWarning is an error under pytest here, so none may come first
+    row = [0.5, 2.0, 1.5, 1.0]
+    row[slot] = bad
+    with pytest.raises(ValueError, match="positive and finite"):
+        ZParams(6, *row)
+    with pytest.raises(ValueError, match="positive and finite") as err:
+        zfamily.ZStack(6, [[1.0] * 4, row, [2.0] * 4])
+    assert str(err.value).endswith(f"reciprocals; got {row}")
+
+
+@pytest.mark.parametrize("xyza", ([[0.5, 2.0, 1.5]], [0.5, 2.0, 1.5, 1.0], [[[1.0] * 4]], [],
+                                  np.empty((0, 4))))
+def test_zstack_rejects_a_stack_not_of_shape_b_by_4(xyza):
+    with pytest.raises(ValueError, match=r"non-empty \(B, 4\) stack"):
+        zfamily.ZStack(6, xyza)
+
+
+def test_evaluate_z_stack_rejects_no_points():
+    with pytest.raises(ValueError, match="at least one"):
+        evaluate_z_stack([])
+
+
 # --- compiled relations against the written-out predicates -----------------
 #
 # Each relation string in `zfamily` is compiled into a requirement matrix.
@@ -621,6 +646,35 @@ def test_compiled_relations_match_reference_on_tied_grid(n):
 def weak_orders(k):
     """The dense rank vectors of the weak orders of k terms."""
     return [r for r in itertools.product(range(k), repeat=k) if set(r) == set(range(max(r) + 1))]
+
+
+def test_order_cells_are_the_weak_orders_with_their_rows():
+    cells = weak_orders(5)
+    assert list(zfamily.order_cells()) == cells
+    assert list(zfamily.order_cells().values()) == list(range(541))
+    # a point's row is its cell's, at any levels with the cell's order
+    for b in (2.0, 10.0):
+        assert [zfamily._cell_row([b ** (r - one) for r in ranks]) for one, *ranks in cells] == (
+            list(range(541)))
+
+
+def test_cell_tables_read_one_quotient_table_at_every_order():
+    # the 541 cell points give the same tables on the quotient vertices (1,
+    # 2, 3, n-1, n) at every order; every middle vertex is vertex 3 in
+    # `predicted`, and only vertex 3 carries forbidden or claimed pairs
+    xyza = np.array([[2.0 ** (r - one) for r in ranks] for one, *ranks in weak_orders(5)])
+    base = zfamily.cell_tables(5, xyza)
+    for n in (6, 7, 12):
+        t, q = zfamily.cell_tables(n, xyza), [0, 1, 2, n - 2, n - 1]
+        for key in ("predicted", "forbidden", "claimed"):
+            assert np.array_equal(t[key][:, q][:, :, q], base[key]), (n, key)
+        for key in ("sink_rows", "exception", "guaranteed"):
+            assert np.array_equal(t[key], base[key]), (n, key)
+        mids = range(3, n - 2)
+        assert (t["predicted"][:, mids] == t["predicted"][:, 2:3]).all()
+        assert (t["predicted"][:, :, mids] == t["predicted"][:, :, 2:3]).all()
+        for key in ("forbidden", "claimed"):
+            assert not t[key][:, mids].any() and not t[key][:, :, mids].any(), (n, key)
 
 
 @pytest.mark.parametrize("n", (5, 7))
