@@ -46,6 +46,7 @@ from .extensions import (
     constant_row_sum_extension,
     extension_report,
     extension_source_scan,
+    extension_source_scan_stack,
     is_extension,
     remove_index,
     row_sums,

@@ -10,10 +10,15 @@ rounding ulp.  Perron pairs are computed by power iteration, from a start
 found by repeated squaring at small orders, and normalized to have first
 component 1.  The solve runs on (B, n, n) stacks (`perron_stack`); `perron`
 is its one-matrix case.
+
+Seeded random matrices draw numpy's own `default_rng(seed)` stream
+(SeedSequence, then PCG64) for all seeds as one array, bit for bit
+(`random_reciprocal_stack`); `random_reciprocal` is its one-seed case.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cache
 
@@ -289,20 +294,133 @@ def pareto_dominates(A: ReciprocalMatrix, w, w2) -> bool:
 
 
 def random_reciprocal(n: int, seed: int, log_scale: float = np.log(9.0)) -> ReciprocalMatrix:
-    """Seeded random matrix: upper entries exp(U[-log_scale, log_scale])."""
+    """Seeded random matrix: upper entries exp(U[-log_scale, log_scale]); the
+    one-row case of `random_reciprocal_stack`."""
     return ReciprocalMatrix(random_reciprocal_stack(n, [seed], log_scale)[0])
 
 
+# numpy's SeedSequence hash (pool of four 32-bit words) and PCG64 multiplier
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_POOL_HASH = (0x43B0D7E5, 0x931E8875)
+_STATE_HASH = (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+@cache
+def _hash_constants() -> tuple[np.ndarray, np.ndarray]:
+    """(2, k) uint32 (xor, multiply) constants of SeedSequence's successive
+    hash calls, read-only: the 16 that fill and mix the pool, and the 8 that
+    generate PCG64's four 64-bit state words from it."""
+    def run(h: int, mult: int, k: int) -> np.ndarray:
+        hs = [h * pow(mult, i, 2**32) & _M32 for i in range(k + 1)]
+        c = np.array([hs[:-1], hs[1:]], dtype=np.uint32)
+        c.flags.writeable = False
+        return c
+
+    return run(*_POOL_HASH, 16), run(*_STATE_HASH, 8)
+
+
+def _hashmix(v: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of the uint32 words v with (xor, multiply) constants c."""
+    v = (v ^ c[0]) * c[1]
+    return v ^ (v >> 16)
+
+
+def _mul128(xh, xl, yh, yl) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) uint64 words of x * y mod 2**128, broadcast; the low
+    words' full 128-bit product is taken in 32-bit halves."""
+    x0, x1, y0, y1 = xl & _M32, xl >> 32, yl & _M32, yl >> 32
+    t = x0 * y0
+    u = x1 * y0 + (t >> 32)
+    v = x0 * y1 + (u & _M32)
+    return x1 * y1 + (u >> 32) + (v >> 32) + xh * yl + xl * yh, xl * yl
+
+
+def _add128(xh, xl, yh, yl) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) uint64 words of x + y mod 2**128, broadcast."""
+    low = xl + yl
+    return xh + yh + (low < xl), low
+
+
+@cache
+def _jump_table(m: int) -> np.ndarray:
+    """(4, m) uint64 rows, read-only: the words (high, low) of M^j and of
+    G_j = sum_{i<j} M^i mod 2**128, j = 2 .. m + 1, for PCG64's multiplier
+    M: j steps take the state x to M^j x + G_j inc.  The table doubles from
+    j = 0, 1, since M^(K+j) = M^K M^j and G_(K+j) = G_K + M^K G_j."""
+    a = np.array([[0, _PCG_MULT >> 64], [1, _PCG_MULT & _M64]], np.uint64)  # rows high, low
+    g = np.array([[0, 0], [0, 1]], np.uint64)
+    p, q = _PCG_MULT**2 & _M128, 1 + _PCG_MULT  # M^K and G_K for the table's length K
+    while a.shape[1] < m + 2:
+        pk = np.uint64(p >> 64), np.uint64(p & _M64)
+        a = np.hstack([a, _mul128(*a, *pk)])
+        g = np.hstack([g, _add128(*_mul128(*g, *pk), q >> 64, q & _M64)])
+        p, q = p * p & _M128, q * (1 + p) & _M128
+    table = np.vstack([a, g])[:, 2:m + 2]
+    table.flags.writeable = False
+    return table
+
+
+def _uniform01(seeds, m: int) -> np.ndarray:
+    """(len(seeds), m): the first m doubles of `np.random.default_rng(seed)`
+    for each seed, bit for bit, drawn as one array.
+
+    SeedSequence hashes a seed's 32-bit words into a pool of four words;
+    a seed below 2**128 has at most four, and padding it with zero words
+    gives the pool that SeedSequence's own padding gives.  The pool yields
+    PCG64's start s and stream inc.  Seeding leaves the state at M x + inc
+    for x = s + inc, so output k is the XSL-RR of M^(k+2) x + G_(k+2) inc
+    (`_jump_table`), of which a double keeps the top 53 bits.
+    """
+    try:
+        ints = [operator.index(s) for s in seeds]
+    except TypeError as e:
+        raise TypeError(f"seeds must be integers: {e}") from None
+    bad = [s for s in ints if not 0 <= s <= _M128]
+    if bad:
+        raise ValueError(f"seed must be in [0, 2**128), got {bad[0]}")
+    low = np.array([s & _M64 for s in ints], dtype=np.uint64)
+    high = np.array([s >> 64 for s in ints], dtype=np.uint64)
+    words = (np.stack([low, low >> 32, high, high >> 32], axis=1) & _M32).astype(np.uint32)
+    pool_hash, state_hash = _hash_constants()
+    pool = _hashmix(words, pool_hash[:, :4])
+    for src in range(4):  # mix each word into the other three, in turn
+        dst = [d for d in range(4) if d != src]
+        h = _hashmix(pool[:, src, None], pool_hash[:, 4 + 3 * src:7 + 3 * src])
+        mixed = _MIX_L * pool[:, dst] - _MIX_R * h
+        pool[:, dst] = mixed ^ (mixed >> 16)
+    state = _hashmix(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], state_hash).astype(np.uint64)
+    sh, sl, qh, ql = (state[:, 0::2] | (state[:, 1::2] << 32)).T[..., None]
+    inc = (qh << 1) | (ql >> 63), (ql << 1) | 1
+    ah, al, gh, gl = _jump_table(m)
+    hi, lo = _add128(*_mul128(ah, al, *_add128(sh, sl, *inc)), *_mul128(gh, gl, *inc))
+    v, rot = hi ^ lo, hi >> 58
+    return (((v >> rot) | (v << ((64 - rot) & 63))) >> 11) * 2.0**-53
+
+
 def random_reciprocal_stack(n: int, seeds, log_scale: float = np.log(9.0)) -> np.ndarray:
-    """(len(seeds), n, n) stack; row k is random_reciprocal(n, seeds[k], log_scale).a."""
+    """(len(seeds), n, n) stack; row k is random_reciprocal(n, seeds[k], log_scale).a.
+
+    Its upper triangle, row by row, is exp(np.random.default_rng(seed).uniform(
+    -log_scale, log_scale, n(n-1)/2)) bit for bit, drawn for all seeds as one
+    array (`_uniform01`).  A seed must be an integer in [0, 2**128), and
+    log_scale finite and nonnegative; an entry or reciprocal that is not
+    finite raises ValueError naming the seed.
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if log_scale < 0:
-        raise ValueError("log_scale must be nonnegative")
-    a = np.ones((len(seeds), n, n))
-    for row, seed in zip(a, seeds):
-        rng = np.random.default_rng(seed)
-        row[_upper(n)] = np.exp(rng.uniform(-log_scale, log_scale, size=n * (n - 1) // 2))
-    if not np.all(np.isfinite(a) & (a > 0)):
-        raise ValueError("log_scale too large: entries overflow")
-    return _canonicalize(a)
+    high = float(log_scale)
+    if not 0 <= high < np.inf:
+        raise ValueError(f"log_scale must be finite and nonnegative, got {log_scale!r}")
+    low, (iu, ju) = -high, _upper(n)
+    u = _uniform01(seeds, len(iu))
+    a = np.ones((len(u), n, n))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a[:, iu, ju] = np.exp(low + (high - low) * u)  # as Generator.uniform computes it
+        out = _canonicalize(a)
+    ok = np.isfinite(out).all(axis=(1, 2))
+    if not ok.all():
+        raise ValueError(f"log_scale {log_scale!r} too large: entries of the matrix of seed "
+                         f"{seeds[int(ok.argmin())]} or their reciprocals overflow")
+    return out

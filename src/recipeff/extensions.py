@@ -103,19 +103,20 @@ def _conjugate(A: ReciprocalMatrix, d: np.ndarray) -> ReciprocalMatrix:
     return make_reciprocal(conj, mode="symmetrize")
 
 
-def _append_columns(A: ReciprocalMatrix, cols: np.ndarray) -> np.ndarray:
-    """(B, n+1, n+1) stack of extensions of A by the rows of cols, canonical as A is."""
-    n = A.n
-    b = np.ones((len(cols), n + 1, n + 1))
-    b[:, :n, :n] = A.a
-    b[:, :n, n] = cols
-    b[:, n, :n] = 1.0 / cols
+def _append_columns(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(..., n+1, n+1) extensions of the (..., n, n) matrices a by the (..., n)
+    columns cols, broadcast, canonical as a is."""
+    n = a.shape[-1]
+    b = np.ones((*np.broadcast_shapes(a.shape[:-2], cols.shape[:-1]), n + 1, n + 1))
+    b[..., :n, :n] = a
+    b[..., :n, n] = cols
+    b[..., n, :n] = 1.0 / cols
     return b
 
 
 def _append_column(A: ReciprocalMatrix, col: np.ndarray) -> ReciprocalMatrix:
     """Extension with appended column col; leading block is A verbatim."""
-    return make_reciprocal(_append_columns(A, col[None])[0], mode="validate")
+    return make_reciprocal(_append_columns(A.a, col), mode="validate")
 
 
 def constant_row_sum_extension(A: ReciprocalMatrix) -> ExtensionResult:
@@ -163,6 +164,28 @@ class SourceScanReport:
         return not self.failures
 
 
+def extension_source_scan_stack(
+    As: np.ndarray,
+    samples: int,
+    seeds,
+    eps_rel: float = DEFAULT_EPS_REL,
+) -> list[SourceScanReport]:
+    """`extension_source_scan` of each base of a (B, n, n) stack, base i with
+    seeds[i]: all B * samples extensions are one digraph stack."""
+    As = np.asarray(As, dtype=float)
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if len(seeds) != len(As):
+        raise ValueError(f"{len(seeds)} seeds for {len(As)} bases")
+    n, span = As.shape[-1], np.log(APPENDED_SPAN)
+    draws = [np.random.default_rng(seed).uniform(-span, span, size=(samples, n)) for seed in seeds]
+    ext = _append_columns(As[:, None], np.exp(np.reshape(draws, (len(As), samples, n))))
+    adj = DigraphStack(ext.reshape(-1, n + 1, n + 1), eps_rel=eps_rel).adj
+    ok = has_no_source_stack(adj).reshape(len(As), samples)
+    return [SourceScanReport(samples, seed, tuple(np.flatnonzero(~row).tolist()))
+            for seed, row in zip(seeds, ok)]
+
+
 def extension_source_scan(
     A: ReciprocalMatrix,
     samples: int,
@@ -171,18 +194,14 @@ def extension_source_scan(
 ) -> SourceScanReport:
     """Random extensions of A never yield a source under the Perron vector.
 
-    Appends log-uniform columns in [1/9, 9], evaluates the extensions as
-    one stack, and checks both the absence of sources and the
-    incoming-edge witness condition (`has_no_source_stack`).  Failures
-    (expected none) are reported by sample index.
+    Appends log-uniform columns in [1/9, 9], drawn from
+    `np.random.default_rng(seed)`, evaluates the extensions as one stack,
+    and checks both the absence of sources and the incoming-edge witness
+    condition (`has_no_source_stack`).  Failures (expected none) are
+    reported by sample index.  The one-base case of
+    `extension_source_scan_stack`.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    span = np.log(APPENDED_SPAN)
-    cols = np.exp(np.random.default_rng(seed).uniform(-span, span, size=(samples, A.n)))
-    As = _append_columns(A, cols)
-    ok = has_no_source_stack(DigraphStack(As, eps_rel=eps_rel).adj)
-    return SourceScanReport(samples, seed, tuple(np.flatnonzero(~ok).tolist()))
+    return extension_source_scan_stack(A.a[None], samples, [seed], eps_rel)[0]
 
 
 def _dense_ranks(w: np.ndarray) -> tuple[int, ...]:

@@ -29,15 +29,15 @@ from .core import (
     make_reciprocal,
     pareto_dominates,
     perron,
-    random_reciprocal,
     random_reciprocal_stack,
 )
 from .digraph import (
     DEFAULT_EPS_REL,
     DigraphStack,
+    EfficiencyDigraph,
     _scale_source,
     analyze,
-    analyze_stack,
+    hamiltonian_cycle,
     has_no_source_stack,
 )
 from .extensions import (
@@ -45,7 +45,7 @@ from .extensions import (
     _ranks_kept,
     conjugated_extension,
     constant_row_sum_extension,
-    extension_source_scan,
+    extension_source_scan_stack,
     is_extension,
     row_sums,
     well_behaved_type_I,
@@ -337,24 +337,38 @@ def _seeded(count: int, orders: int, seed: int, is_bad):
 
 
 def _random_extensions(eps_rel: float):
-    for b in range(20):
-        base = f"random_reciprocal({3 + b % 6}, seed={2000 + b})"
-        scan = extension_source_scan(random_reciprocal(3 + b % 6, seed=2000 + b),
-                                     50, seed=3000 + b, eps_rel=eps_rel)
-        for k in range(scan.samples):
-            yield (f"sample {k} of extension_source_scan({base}, 50, seed={3000 + b})",
-                   k in scan.failures)
+    """(replay call, bad) per sample of extension_source_scan(random_reciprocal(
+    3 + b % 6, seed=2000 + b), 50, seed=3000 + b), b < 20, in b order.
 
-
-def verify_paper_suite(eps_rel: float = DEFAULT_EPS_REL) -> VerificationSummary:
-    """Run every bundled check; failures are reported, never thrown.
-
-    The suite is one list of `WalkthroughStep(check_id, passed, detail)`
-    records, built in report order: the walkthrough's steps as they are,
-    one record per one-off check, and one per count check, tallied by
-    `_tally` from its (instance, bad) pairs.
+    The bases of each order are one stack, and one `extension_source_scan_stack`.
     """
-    t0 = time.perf_counter()
+    scans = {}
+    for n in range(3, 9):
+        bs = range(n - 3, 20, 6)
+        bases = random_reciprocal_stack(n, [2000 + b for b in bs])
+        scans.update(zip(bs, extension_source_scan_stack(bases, 50, [3000 + b for b in bs],
+                                                         eps_rel)))
+    for b in range(20):
+        call = (f"extension_source_scan(random_reciprocal({3 + b % 6}, seed={2000 + b}), "
+                f"50, seed={3000 + b})")
+        for k in range(50):
+            yield f"sample {k} of {call}", k in scans[b].failures
+
+
+def _hamiltonian_disagrees(a: np.ndarray, eps_rel: float) -> list[bool]:
+    """Per Perron digraph of the stack a: does strong connectivity disagree
+    with finding a Hamiltonian cycle?"""
+    s = DigraphStack(a, eps_rel=eps_rel)
+    return [(k == 1) != (hamiltonian_cycle(EfficiencyDigraph(adj, s.eps_rel)) is not None)
+            for adj, k in zip(s.adj, s.counts.tolist())]
+
+
+def _suite_records(eps_rel: float) -> list[WalkthroughStep]:
+    """The suite's `WalkthroughStep(check_id, passed, detail)` records, built
+    in report order: the walkthrough's steps as they are, one record per
+    one-off check, and one per count check, tallied by `_tally` from its
+    (instance, bad) pairs.
+    """
     rep3 = analyze(make_reciprocal(np.array(COUNTEREXAMPLE_3X3_ROWS), mode="validate"),
                    np.array(COUNTEREXAMPLE_3X3_W), eps_rel)
     triples = np.exp(np.random.default_rng(5000).uniform(
@@ -374,9 +388,7 @@ def verify_paper_suite(eps_rel: float = DEFAULT_EPS_REL) -> VerificationSummary:
     checks += [
         *grid,
         _tally("hamiltonian.equivalence", "{bad} of {total} random digraphs disagree",
-               _seeded(200, 5, 4000, lambda a: [
-                   rep.efficient != (rep.hamiltonian is not None)
-                   for rep in analyze_stack(a, eps_rel=eps_rel)])),
+               _seeded(200, 5, 4000, lambda a: _hamiltonian_disagrees(a, eps_rel))),
         _tally("n4.forms_agree", "{bad} of {total} triples disagree",
                ((f"(x, y, z) = {tuple(t)}", guarantee_n4(*t, "six_cases")
                  != guarantee_n4(*t, "region_complement")) for t in triples)),
@@ -389,5 +401,12 @@ def verify_paper_suite(eps_rel: float = DEFAULT_EPS_REL) -> VerificationSummary:
                [("the 3x3 counterexample",
                  _certificate_fails(rep3.A, rep3.w, rep3.certificate)), *certificates]),
     ]
+    return checks
+
+
+def verify_paper_suite(eps_rel: float = DEFAULT_EPS_REL) -> VerificationSummary:
+    """Run every bundled check (`_suite_records`); failures are reported, never thrown."""
+    t0 = time.perf_counter()
+    checks = _suite_records(eps_rel)
     failures = tuple((s.check_id, s.detail) for s in checks if not s.passed)
     return VerificationSummary("verify", len(checks), failures, time.perf_counter() - t0)

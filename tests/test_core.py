@@ -1,8 +1,13 @@
 import itertools
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import recipeff.core as core
@@ -463,3 +468,66 @@ def test_random_reciprocal_stack_rows_are_the_matrices():
         random_reciprocal_stack(1, [0])
     with pytest.raises(ValueError, match="overflow"), np.errstate(over="ignore"):
         random_reciprocal_stack(3, [0], log_scale=1e4)
+
+
+SEED_EDGES = (0, 2**32 - 1, 2**32, 2**64, 2**128 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=12),
+       st.lists(st.one_of(st.sampled_from(SEED_EDGES), st.integers(0, 2**128 - 1)), max_size=5),
+       st.sampled_from([0.0, float(np.log(9.0)), 50.0]))
+@example(12, list(SEED_EDGES), 50.0)
+@example(2, list(SEED_EDGES), 0.0)
+def test_random_reciprocal_stack_is_default_rng_bit_for_bit(n, seeds, log_scale):
+    # the array draw against the installed numpy's own generator, so a
+    # change of numpy's stream fails here
+    stack = random_reciprocal_stack(n, seeds, log_scale)
+    assert stack.shape == (len(seeds), n, n)
+    iu, ju = np.triu_indices(n, k=1)
+    for row, seed in zip(stack, seeds):
+        want = np.exp(np.random.default_rng(seed).uniform(-log_scale, log_scale, n * (n - 1) // 2))
+        assert row[iu, ju].tobytes() == want.tobytes()
+
+
+def test_random_reciprocal_stack_seed_domain():
+    assert random_reciprocal_stack(4, []).shape == (0, 4, 4)
+    same = random_reciprocal_stack(3, [7, 7, 1, 0])
+    assert random_reciprocal_stack(3, [np.int64(7), np.uint32(7), True, False]).tobytes() == (
+        same.tobytes())
+    for seed in (-1, 2**128, 2**200):
+        with pytest.raises(ValueError, match=f"got {seed}"):
+            random_reciprocal_stack(3, [1, seed])
+    for seed in (1.5, np.float64(2.0), None, "5", [1, 2]):
+        with pytest.raises(TypeError, match="integers"):
+            random_reciprocal(3, seed=seed)
+
+
+def test_random_reciprocal_rejects_what_overflows_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # exp(-712) is subnormal and its reciprocal overflows: a_31 was inf
+        with pytest.raises(ValueError, match="overflow"):
+            random_reciprocal(3, seed=25, log_scale=712.0)
+        with pytest.raises(ValueError, match="seed 25 or"):
+            random_reciprocal_stack(3, [0, 1, 25, 2], log_scale=712.0)
+        for bad in (np.nan, np.inf, -np.inf, -1.0):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                random_reciprocal_stack(3, [0], log_scale=bad)
+        a = random_reciprocal(3, seed=25, log_scale=700.0).a
+    assert np.isfinite(a).all() and a.max() > 1e300
+
+
+def test_importing_recipeff_builds_no_draw_table():
+    # the hash constants and jump tables are built on first use, once per size
+    code = ("import recipeff; from recipeff import core as c; "
+            "sizes = lambda: (c._hash_constants.cache_info().currsize, "
+            "c._jump_table.cache_info().currsize); "
+            "print(*sizes()); c.random_reciprocal(4, seed=1); c.random_reciprocal_stack(4, [2, 3]); "
+            "print(*sizes())")
+    src = str(Path(core.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["0", "0", "1", "1"]
+    assert not core._jump_table(6).flags.writeable
+    assert not any(c.flags.writeable for c in core._hash_constants())

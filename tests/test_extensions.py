@@ -11,6 +11,7 @@ from recipeff.core import (
     make_reciprocal,
     perron,
     random_reciprocal,
+    random_reciprocal_stack,
 )
 from recipeff import digraph, extensions
 from recipeff.digraph import analyze
@@ -20,6 +21,7 @@ from recipeff.extensions import (
     constant_row_sum_extension,
     extension_report,
     extension_source_scan,
+    extension_source_scan_stack,
     is_extension,
     remove_index,
     row_sums,
@@ -304,6 +306,28 @@ def test_extension_source_scan_stacks_the_sequential_samples(monkeypatch):
 def test_extension_source_scan_validates_samples():
     with pytest.raises(ValueError, match="samples"):
         extension_source_scan(all_ones(3), samples=0, seed=0)
+    with pytest.raises(ValueError, match="2 seeds for 1 bases"):
+        extension_source_scan_stack(all_ones(3).a[None], 5, [0, 1])
+
+
+@pytest.mark.parametrize("flag_out_degree", [False, True])
+def test_stacked_scan_failures_are_the_one_base_scans(monkeypatch, flag_out_degree):
+    # verify's 20 bases, grouped by order; with the real check no sample
+    # fails, so a second run flags the samples whose appended vertex has
+    # out-degree 2
+    if flag_out_degree:
+        monkeypatch.setattr(extensions, "has_no_source_stack",
+                            lambda adj: adj[:, -1].sum(axis=1) != 2)
+    flagged = 0
+    for n in range(3, 9):
+        bs = range(n - 3, 20, 6)
+        stacked = extension_source_scan_stack(random_reciprocal_stack(n, [2000 + b for b in bs]),
+                                              50, [3000 + b for b in bs])
+        for b, rep in zip(bs, stacked):
+            one = extension_source_scan(random_reciprocal(n, seed=2000 + b), 50, seed=3000 + b)
+            assert rep == one and rep.seed == 3000 + b
+            flagged += len(rep.failures)
+    assert (flagged > 0) == flag_out_degree
 
 
 def test_order_preservation_reference(base_matrix, diag):

@@ -447,6 +447,21 @@ def test_failing_details_name_the_instance_to_replay(monkeypatch):
     assert ast.literal_eval(first)[0] > 8
 
 
+def test_suite_records_and_instances_are_pinned():
+    # the 29 (check_id, passed, detail) records, which hold no wall time, and
+    # the bytes of every seeded matrix the suite draws: a change to either
+    # shows up here as a new digest
+    records = [(r.check_id, r.passed, r.detail) for r in harness._suite_records(1e-9)]
+    assert len(records) == 29
+    assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == (
+        "10dfe13bfdb92819dd3d65fe5b12a1349653fcab59f865d63231ecc6d3dbf488")
+    drawn = hashlib.sha256()
+    for start, count, orders in ((1000, 1000, 6), (2000, 20, 6), (4000, 200, 5)):
+        for k in range(count):
+            drawn.update(random_reciprocal(3 + k % orders, seed=start + k).a.tobytes())
+    assert drawn.hexdigest() == "0c19b9bbf988f7e37987eedbcd7631358c57fb7e05108ad5a6d8a74e48d7b593"
+
+
 def test_seeded_instances_come_in_seed_order():
     # stacks are evaluated order by order, but the pairs (and so a count
     # check's first failing instance) follow k, as one-at-a-time evaluation
