@@ -51,11 +51,10 @@ from .extensions import (
     well_behaved_type_I,
 )
 from .zfamily import (
-    ZParams,
     ZStack,
-    guarantee_a1,
-    guarantee_n4,
-    guarantee_n5plus,
+    cell_tables,
+    guarantee_a1_stack,
+    guarantee_n4_stack,
 )
 
 DEFAULT_AXES = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -224,19 +223,13 @@ ALL_EXCEPTION_LABELS = frozenset(
 )
 
 
-def _tally(check_id: str, template: str, outcomes) -> WalkthroughStep:
-    """The record of a count check over its (instance, bad) pairs, where bad
-    is a flag or a number of violations.  The detail is `template` filled
-    with the bad and total counts; a failing one names the first bad
-    instance, so the line alone replays it.
-    """
-    total, bad, first = 0, 0, None
-    for total, (instance, nb_bad) in enumerate(outcomes, 1):
-        bad += int(nb_bad)
-        if nb_bad and first is None:
-            first = instance
-    detail = template.format(bad=bad, total=total)
-    return WalkthroughStep(check_id, bad == 0, f"{detail}; first: {first}" if bad else detail)
+def _tally(check_id: str, template: str, bad: np.ndarray, name) -> WalkthroughStep:
+    """The record of a count check whose instance i has bad[i] violations (or a
+    flag): `template` filled with the bad and total counts, and on a failure
+    the first bad instance's `name(i)`, so the line alone replays it."""
+    detail, first = template.format(bad=int(bad.sum()), total=len(bad)), np.flatnonzero(bad)
+    return WalkthroughStep(check_id, not first.size,
+                           f"{detail}; first: {name(int(first[0]))}" if first.size else detail)
 
 
 _GRID = np.array(list(itertools.product(DEFAULT_AXES, repeat=4)))
@@ -259,10 +252,9 @@ def _certificate_fails(A: ReciprocalMatrix, w: np.ndarray, cert: np.ndarray | No
     return cert is None or not pareto_dominates(A, w, cert)
 
 
-def _grid_outcomes(ns, bad):
-    """(instance, bad) pairs over the grids of orders `ns`; only bad instances are named."""
-    points = itertools.product(ns, *[DEFAULT_AXES] * 4)
-    return ((f"ZParams{p}" if b else "", b) for p, b in zip(points, bad))
+def _grid_point(ns):
+    """The namer of point i of the grids of orders `ns`, laid end to end."""
+    return lambda i: f"ZParams{(ns[i // len(_GRID)], *_GRID[i % len(_GRID)].tolist())}"
 
 
 def _grid_flags(n: int, eps_rel: float) -> tuple[list, set]:
@@ -288,7 +280,7 @@ def _grid_flags(n: int, eps_rel: float) -> tuple[list, set]:
 
 def _grid_checks(eps_rel: float) -> tuple[list[WalkthroughStep], list]:
     """The n = 5, 6, 7 grids, each one stack: the grid checks' records in
-    report order and the inefficient points' certificate outcomes.
+    report order, and a (point, certificate fails) pair per inefficient point.
 
     Point i of grid g leaves flags[g, :, i] (see `_grid_flags`).
     """
@@ -305,54 +297,47 @@ def _grid_checks(eps_rel: float) -> tuple[list[WalkthroughStep], list]:
         eff, ineff = int(labeled @ efficient), int(labeled @ (1 - efficient))
         records += [
             _tally(f"sink_characterization.grid_n{n}", "{bad} of {total} grid points disagree",
-                   _grid_outcomes([n], disagrees)),
+                   disagrees, _grid_point([n])),
             _tally(f"region.soundness_n{n}", "{bad} guaranteed-but-inefficient points",
-                   _grid_outcomes([n], unsound)),
+                   unsound, _grid_point([n])),
             WalkthroughStep(f"region.exceptions_one_sided_n{n}", eff > 0 and ineff > 0,
                             f"exception labels cover {ineff} inefficient and "
                             f"{eff} efficient points (guarantee is one-way)"),
         ]
-        certificates += [o for o, e in zip(_grid_outcomes([n], cert), efficient) if not e]
+        certificates += [((n, *_GRID[i].tolist()), cert[i]) for i in np.flatnonzero(1 - efficient)]
     seen.discard(None)
     records.append(WalkthroughStep("region.exception_labels_nonvacuous",
                                    seen == ALL_EXCEPTION_LABELS, f"labels hit: {sorted(seen)}"))
-    records += [_tally(cid, "{bad} violations", _grid_outcomes((5, 6, 7), flags[:, j].ravel()))
+    records += [_tally(cid, "{bad} violations", flags[:, j].ravel(), _grid_point((5, 6, 7)))
                 for j, (cid, _) in enumerate(_GRID_AUDITS)]
     return records, certificates
 
 
 def _seeded(count: int, orders: int, seed: int, is_bad):
-    """(replay call, bad) for random_reciprocal(3 + k % orders, seed + k), k < count.
-
-    The matrices of each order are one (B, n, n) stack, which `is_bad`
-    maps to B flags; the pairs come in k order.
-    """
-    bad = [False] * count
+    """The flags of random_reciprocal(3 + k % orders, seed + k), k < count, and
+    the namer of k.  The matrices of each order are one (B, n, n) stack, which
+    `is_bad` maps to B flags."""
+    bad = np.zeros(count, dtype=bool)
     for n in range(3, 3 + orders):
-        ks = range(n - 3, count, orders)
-        for k, b in zip(ks, is_bad(random_reciprocal_stack(n, [seed + k for k in ks]))):
-            bad[k] = bool(b)
-    for k in range(count):
-        yield f"random_reciprocal({3 + k % orders}, seed={seed + k})", bad[k]
+        seeds = range(seed + n - 3, seed + count, orders)
+        bad[n - 3::orders] = is_bad(random_reciprocal_stack(n, seeds))
+    return bad, lambda k: f"random_reciprocal({3 + k % orders}, seed={seed + k})"
 
 
 def _random_extensions(eps_rel: float):
-    """(replay call, bad) per sample of extension_source_scan(random_reciprocal(
-    3 + b % 6, seed=2000 + b), 50, seed=3000 + b), b < 20, in b order.
-
-    The bases of each order are one stack, and one `extension_source_scan_stack`.
-    """
-    scans = {}
+    """The flags of the samples of extension_source_scan(random_reciprocal(3 + b % 6,
+    seed=2000 + b), 50, seed=3000 + b), b < 20, sample k at 50 b + k, and their
+    namer.  The bases of each order are one stack, and one `extension_source_scan_stack`."""
+    bad = np.zeros((20, 50), dtype=bool)
     for n in range(3, 9):
         bs = range(n - 3, 20, 6)
-        bases = random_reciprocal_stack(n, [2000 + b for b in bs])
-        scans.update(zip(bs, extension_source_scan_stack(bases, 50, [3000 + b for b in bs],
-                                                         eps_rel)))
-    for b in range(20):
-        call = (f"extension_source_scan(random_reciprocal({3 + b % 6}, seed={2000 + b}), "
-                f"50, seed={3000 + b})")
-        for k in range(50):
-            yield f"sample {k} of {call}", k in scans[b].failures
+        scans = extension_source_scan_stack(random_reciprocal_stack(n, [2000 + b for b in bs]),
+                                            50, [3000 + b for b in bs], eps_rel)
+        for b, scan in zip(bs, scans):
+            bad[b, list(scan.failures)] = True
+    return bad.ravel(), lambda i: (
+        f"sample {i % 50} of extension_source_scan(random_reciprocal({3 + i // 50 % 6}, "
+        f"seed={2000 + i // 50}), 50, seed={3000 + i // 50})")
 
 
 def _hamiltonian_disagrees(a: np.ndarray, eps_rel: float) -> list[bool]:
@@ -367,39 +352,41 @@ def _suite_records(eps_rel: float) -> list[WalkthroughStep]:
     """The suite's `WalkthroughStep(check_id, passed, detail)` records, built
     in report order: the walkthrough's steps as they are, one record per
     one-off check, and one per count check, tallied by `_tally` from its
-    (instance, bad) pairs.
+    array of flags in instance order.
     """
     rep3 = analyze(make_reciprocal(np.array(COUNTEREXAMPLE_3X3_ROWS), mode="validate"),
                    np.array(COUNTEREXAMPLE_3X3_W), eps_rel)
     triples = np.exp(np.random.default_rng(5000).uniform(
-        -np.log(9.0), np.log(9.0), size=(1000, 3))).tolist()
+        -np.log(9.0), np.log(9.0), size=(1000, 3)))
+    slice_points = np.array([(*p, 1.0) for p in itertools.product(DEFAULT_AXES, repeat=3)])
     checks = [
         *example_walkthrough(eps_rel),
         WalkthroughStep("counterexample3x3.structure",
                         rep3.digraph.edges == {(2, 1), (3, 1), (3, 2)} and rep3.sources == (3,),
                         f"edges {sorted(rep3.digraph.edges)}, sources {rep3.sources}"),
         _tally("no_source.random_matrices", "{bad} of {total} random matrices violated",
-               _seeded(1000, 6, 1000, lambda a: ~has_no_source_stack(
+               *_seeded(1000, 6, 1000, lambda a: ~has_no_source_stack(
                    DigraphStack(a, eps_rel=eps_rel).adj))),
         _tally("no_source.random_extensions", "{bad} of {total} random extensions violated",
-               _random_extensions(eps_rel)),
+               *_random_extensions(eps_rel)),
     ]
     grid, certificates = _grid_checks(eps_rel)
+    points, fails = zip((None, _certificate_fails(rep3.A, rep3.w, rep3.certificate)), *certificates)
     checks += [
         *grid,
         _tally("hamiltonian.equivalence", "{bad} of {total} random digraphs disagree",
-               _seeded(200, 5, 4000, lambda a: _hamiltonian_disagrees(a, eps_rel))),
+               *_seeded(200, 5, 4000, lambda a: _hamiltonian_disagrees(a, eps_rel))),
         _tally("n4.forms_agree", "{bad} of {total} triples disagree",
-               ((f"(x, y, z) = {tuple(t)}", guarantee_n4(*t, "six_cases")
-                 != guarantee_n4(*t, "region_complement")) for t in triples)),
+               guarantee_n4_stack(triples, "six_cases")
+               != guarantee_n4_stack(triples, "region_complement"),
+               lambda i: f"(x, y, z) = {tuple(triples[i].tolist())}"),
+        # guarantee_n5plus's verdict is the cell table's
         _tally("a1.slice_equality", "{bad} of {total} slice points disagree",
-               ((f"ZParams{(5, x, y, z, 1.0)}",
-                 guarantee_a1(5, x, y, z).guaranteed_efficient
-                 != guarantee_n5plus(ZParams(5, x, y, z, 1.0)).guaranteed_efficient)
-                for x, y, z in itertools.product(DEFAULT_AXES, repeat=3))),
+               np.equal(guarantee_a1_stack(5, slice_points[:, :3]), None)
+               != cell_tables(5, slice_points)["guaranteed"],
+               lambda i: f"ZParams{(5, *slice_points[i].tolist())}"),
         _tally("certificates.sound", "{bad} of {total} certificates failed",
-               [("the 3x3 counterexample",
-                 _certificate_fails(rep3.A, rep3.w, rep3.certificate)), *certificates]),
+               np.array(fails), lambda i: f"ZParams{points[i]}" if i else "the 3x3 counterexample"),
     ]
     return checks
 

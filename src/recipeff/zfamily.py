@@ -19,10 +19,12 @@ quotient digraph with the middle class contracted to one vertex; for n = 5
 that is the digraph itself.
 
 Every parameter predicate reads only the point's order cell, the weak order
-of (1, x, y, z, a), one of the 541 in `order_cells()`: the relations are
-tested on every cell at once, and a stack of points at any order n >= 5
-reads one table of all cells, built on first use (`cell_tables`).  A
-`ZStack` evaluates a stack of points of one order once, as arrays, and
+of (1, x, y, z, a), one of the 541 in `order_cells()`.  A stack of points
+finds its cells in one array step, each point's order matrix read as a
+base-3 code and looked up among the cells' (`_cell_rows`), and at any order
+n >= 5 reads one table of all cells (`cell_tables`); the n = 4 and a = 1
+predicates have stack forms, whose one-row cases are the scalar functions.
+A `ZStack` evaluates a stack of points of one order once, as arrays, and
 every consumer reads it: the CLI's `z` is its one-row case, `sweep` writes
 its columns and `verify` audits them.
 """
@@ -55,6 +57,20 @@ def _require_positive(**params: float) -> None:
             raise ValueError(f"{name} must be positive and finite")
         if 1 / v == math.inf:
             raise ValueError(f"{name} must be positive and finite, and so must 1/{name}")
+
+
+def _positive_stack(values, names: str) -> np.ndarray:
+    """`values` as a non-empty (B, k) stack of the k parameters `names`, each
+    checked as by `_require_positive`; the error gives the first bad row."""
+    v = np.asarray(values, dtype=float)
+    if v.shape[1:] != (len(names),) or not len(v):
+        raise ValueError(f"{names} must be a non-empty (B, {len(names)}) stack, not {v.shape}")
+    with np.errstate(divide="ignore", over="ignore"):
+        bad = ~((v > 0) & (v < np.inf) & (1 / v < np.inf)).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{', '.join(names[:-1])} and {names[-1]} must be positive and finite, "
+                         f"and so must their reciprocals; got {v[bad.argmax()].tolist()}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -141,10 +157,30 @@ def order_cells() -> dict[tuple[int, ...], int]:
     return {cell: row for row, cell in enumerate(cells)}
 
 
-def _cell_row(xyza: Sequence[float]) -> int:
-    """The `order_cells()` row of the point's cell: the dense ranks of (1, x, y, z, a)."""
-    v = (1.0, *xyza)
-    return order_cells()[tuple(map(sorted(set(v)).index, v))]
+def _orders(v: np.ndarray) -> np.ndarray:
+    """The (B, 5, 5) order matrices of a (B, 5) stack of values of (1, x, y, z, a):
+    2, 1 or 0 where term i is <, == or > term j.  A NaN is > both ways, as in no cell."""
+    return (v[:, :, None] <= v[:, None]).astype(np.int8) + (v[:, :, None] < v[:, None])
+
+
+@cache
+def _cell_codes() -> tuple[np.ndarray, np.ndarray]:
+    """The sorted base-3 codes of the 541 `order_cells()`' order matrices, and their rows."""
+    codes = _orders(np.array(list(order_cells()))).reshape(541, 25) @ 3 ** np.arange(25)
+    return np.sort(codes), np.argsort(codes)
+
+
+def _cell_rows(xyza) -> np.ndarray:
+    """The `order_cells()` rows of a (B, 4) stack of (x, y, z, a), in one array
+    step: each point's code is looked up in the cells'; one no cell has raises."""
+    v = np.ones((len(xyza), 5))
+    v[:, 1:] = xyza
+    (cell_codes, rows), codes = _cell_codes(), _orders(v).reshape(len(v), 25) @ 3 ** np.arange(25)
+    at = np.minimum(np.searchsorted(cell_codes, codes), len(rows) - 1)
+    missing = cell_codes[at] != codes
+    if missing.any():
+        raise ValueError(f"no order cell holds (x, y, z, a) = {v[missing.argmax(), 1:].tolist()}")
+    return rows[at]
 
 
 def _relation(text: str) -> np.ndarray:
@@ -177,17 +213,11 @@ class _Relations:
     @cached_property
     def hits(self) -> np.ndarray:
         """(541, R): whether each relation holds in each `order_cells()` cell."""
-        r = np.array(list(order_cells()))
-        order = (r[:, :, None] <= r[:, None]).astype(np.int8) + (r[:, :, None] < r[:, None])
-        return (order[:, None] >= self.reqs).all(axis=(2, 3))
-
-    @cached_property
-    def _holding(self) -> list[tuple]:
-        return [tuple(itertools.compress(self.labels, h)) for h in self.hits.tolist()]
+        return (_orders(np.array(list(order_cells())))[:, None] >= self.reqs).all(axis=(2, 3))
 
     def holding(self, xyza: Sequence[float]) -> tuple:
         """The labels of the rows that hold at (x, y, z, a), in row order."""
-        return self._holding[_cell_row(xyza)]
+        return tuple(itertools.compress(self.labels, self.hits[_cell_rows([xyza])[0]]))
 
 
 def _compile(*rows: tuple[object, str]) -> _Relations:
@@ -228,11 +258,18 @@ def guarantee_n5plus(p: ZParams) -> RegionVerdict:
 
 def guarantee_a1(n: int, x: float, y: float, z: float) -> RegionVerdict:
     """Efficiency-region verdict for the a = 1 slice, n >= 5."""
+    _require_positive(x=x, y=y, z=z)
+    label = guarantee_a1_stack(n, [[x, y, z]])[0]
+    return RegionVerdict(label is None, label, "identity")
+
+
+def guarantee_a1_stack(n: int, xyz) -> np.ndarray:
+    """`guarantee_a1`'s exception label, or None, of each point of a (B, 3) stack of (x, y, z)."""
     if n < 5:
         raise ValueError("guarantee_a1 requires n >= 5")
-    _require_positive(x=x, y=y, z=z)
-    label = next(iter(_A1_EXCEPTIONS.holding((x, y, z, 1.0))), None)
-    return RegionVerdict(label is None, label, "identity")
+    hits = _A1_EXCEPTIONS.hits[_cell_rows(np.insert(_positive_stack(xyz, "xyz"), 3, 1.0, axis=1))]
+    labels = np.array([*_A1_EXCEPTIONS.labels, None], dtype=object)
+    return labels[np.where(hits.any(axis=1), hits.argmax(axis=1), len(labels) - 1)]
 
 
 # the six sufficient clauses for Z_4(x, y, z, 1)
@@ -252,15 +289,19 @@ def guarantee_n4(x: float, y: float, z: float, form: str = "six_cases") -> bool:
     positive and finite.
     """
     _require_positive(x=x, y=y, z=z)
+    return bool(guarantee_n4_stack([[x, y, z]], form)[0])
+
+
+def guarantee_n4_stack(xyz, form: str = "six_cases") -> np.ndarray:
+    """`guarantee_n4` of each point of a (B, 3) stack of (x, y, z), as (B,) bools."""
+    xyza = np.insert(_positive_stack(xyz, "xyz"), 3, 1.0, axis=1)
     if form == "six_cases":
-        return bool(_N4_CASES.holding((x, y, z, 1.0)))
+        return _N4_CASES.hits[_cell_rows(xyza)].any(axis=1)
     if form == "region_complement":
-        lo_x, hi_x = min(1.0, x), max(1.0, x)
-        lo_yz, hi_yz = min(y, z), max(y, z)
-        crossing = x != 1 and y != z and (
-            lo_x < lo_yz < hi_x < hi_yz or lo_yz < lo_x < hi_yz < hi_x
-        )
-        return not crossing
+        (lo_x, hi_x), (lo_yz, hi_yz) = np.sort(xyza[:, [0, 3]]).T, np.sort(xyza[:, 1:3]).T
+        return ~((lo_x != hi_x) & (lo_yz != hi_yz) & (
+            (lo_x < lo_yz) & (lo_yz < hi_x) & (hi_x < hi_yz)
+            | (lo_yz < lo_x) & (lo_x < hi_yz) & (hi_yz < hi_x)))
     raise ValueError(f"unknown form {form!r}")
 
 
@@ -292,14 +333,7 @@ class ZStack(DigraphStack):
     def __init__(self, n: int, xyza, eps_rel: float = DEFAULT_EPS_REL) -> None:
         if n < 5:
             raise ValueError("requires n >= 5")
-        self.n, self.xyza = n, np.asarray(xyza, dtype=float)
-        if self.xyza.shape[1:] != (4,) or not len(self.xyza):
-            raise ValueError(f"xyza must be a non-empty (B, 4) stack, not {self.xyza.shape}")
-        with np.errstate(divide="ignore", over="ignore"):
-            bad = ~((self.xyza > 0) & (self.xyza < np.inf) & (1 / self.xyza < np.inf)).all(axis=1)
-        if bad.any():
-            raise ValueError("x, y, z and a must be positive and finite, and so must their "
-                             f"reciprocals; got {self.xyza[bad.argmax()].tolist()}")
+        self.n, self.xyza = n, _positive_stack(xyza, "xyza")
         super().__init__(z_stack(n, self.xyza), eps_rel=eps_rel)
         self.r = self.perron.r
         self.sinks = quotient_sink_stack(self.adj)
@@ -612,9 +646,8 @@ def cell_tables(n: int, xyza: np.ndarray) -> dict[str, np.ndarray]:
     every middle vertex as vertex 3: each point reads its cell's row of the
     one table of all 541 cells.
     """
-    tables, exceptions = _cell_tables()
-    index = [_cell_row(v) for v in xyza.tolist()]
-    t, exception = tables[index], exceptions[index]
+    index = _cell_rows(xyza)
+    t, exception = (table[index] for table in _cell_tables())
     # (5, n) maps from the quotient vertices: to vertices 1, 2, 3, n-1, n,
     # and to every member of their class
     literal = np.eye(n, dtype=np.int8)[[0, 1, 2, n - 2, n - 1]]

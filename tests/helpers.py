@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 
 from recipeff.core import ReciprocalMatrix, make_reciprocal
-from recipeff.zfamily import _claims, table_oracle
+from recipeff.zfamily import _claims, order_cells, table_oracle
 
 FLOAT_FMT = "%.17g"  # 17 significant digits: a write/read round trip is bit-exact
 
@@ -24,6 +24,13 @@ def save_matrix(A: ReciprocalMatrix, path) -> None:
 def save_vector(w, path) -> None:
     w = np.asarray(w, dtype=float)
     Path(path).write_text(",".join(FLOAT_FMT % v for v in w) + "\n", encoding="utf-8")
+
+
+def cell_row_reference(xyza) -> int:
+    """The `order_cells()` row of the cell of one point (x, y, z, a), from the
+    dense ranks of (1, x, y, z, a): the loop reference of `zfamily._cell_rows`."""
+    v = (1.0, *xyza)
+    return order_cells()[tuple(map(sorted(set(v)).index, v))]
 
 
 def table_violations(p, G, efficient, quotient_sinks) -> list[str]:

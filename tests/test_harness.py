@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import save_matrix, save_vector
-from recipeff import cli, digraph, harness, zfamily
+from recipeff import cli, digraph, extensions, harness, zfamily
 from recipeff.core import make_reciprocal, perron_stack, random_reciprocal
 from recipeff.digraph import analyze
 from recipeff.harness import (
@@ -410,16 +410,16 @@ def test_suite_builds_no_zpoint_in_the_grid_pass(counted_suite):
 
 
 def test_failing_details_name_the_instance_to_replay(monkeypatch):
-    # one bad point in the n = 6 grid and one in the n = 5 grid, which is
-    # tallied first
+    # one bad point in the n = 6 grid, with two violations, and one in the
+    # n = 5 grid, which is tallied first
     bad_points = (ZParams(5, 4.0, 0.25, 1.0, 2.0), ZParams(6, 0.5, 1.0, 2.0, 4.0))
     forbidden = dict(harness._GRID_AUDITS)["edges.no_forbidden_reverse"]
 
     def injected(s):
         out = forbidden(s)
-        for p in bad_points:
+        for violations, p in enumerate(bad_points, 1):
             if p.n == s.adj.shape[-1]:
-                out[harness._GRID.tolist().index(list(p.xyza))] += 1
+                out[harness._GRID.tolist().index(list(p.xyza))] += violations
         return out
 
     monkeypatch.setattr(harness, "_GRID_AUDITS", tuple(
@@ -427,24 +427,59 @@ def test_failing_details_name_the_instance_to_replay(monkeypatch):
         for cid, audit in harness._GRID_AUDITS))
     monkeypatch.setattr(harness, "has_no_source_stack",
                         lambda adj: np.full(len(adj), adj.shape[-1] != 5))
-    monkeypatch.setattr(harness, "guarantee_n4",
-                        lambda x, y, z, form: form == "six_cases" and x > 8)
+    monkeypatch.setattr(harness, "guarantee_n4_stack",
+                        lambda xyz, form: (xyz[:, 0] > 8) & (form == "six_cases"))
+    # three extension samples: rows 57 and 140 of the order-5 bases' stack
+    # (bases 2, 8, 14, 50 samples each) and row 50 of the order-6 bases'
+    scan = extensions.has_no_source_stack
+
+    def scan_with_failures(adj):
+        ok = scan(adj)
+        for order, row in ((6, 57), (6, 140), (7, 50)):
+            if adj.shape[-1] == order:
+                ok[row] = False
+        return ok
+
+    monkeypatch.setattr(extensions, "has_no_source_stack", scan_with_failures)
+    cycle = digraph.hamiltonian_cycle
+    monkeypatch.setattr(harness, "hamiltonian_cycle", lambda G: None if G.n == 6 else cycle(G))
+    a1 = zfamily.guarantee_a1_stack
+    monkeypatch.setattr(harness, "guarantee_a1_stack", lambda n, xyz: np.where(
+        xyz[:, 2] == 4.0, "A1(forced)", a1(n, xyz)))
+    # only the 3x3 counterexample's certificate dominates
+    monkeypatch.setattr(harness, "pareto_dominates", lambda A, w, w2: len(w) == 3)
     details = dict(verify_paper_suite().failures)
     assert list(details) == [
         "example1.bprime_perron_inefficient",
         "no_source.random_matrices",
+        "no_source.random_extensions",
         "edges.no_forbidden_reverse",
+        "hamiltonian.equivalence",
         "n4.forms_agree",
+        "a1.slice_equality",
+        "certificates.sound",
     ]
     # k = 2 is the first seed offset with 3 + k % 6 == 5
     assert details["no_source.random_matrices"] == (
         "167 of 1000 random matrices violated; first: random_reciprocal(5, seed=1002)")
+    assert details["no_source.random_extensions"] == (
+        "3 of 1000 random extensions violated; first: sample 7 of extension_source_scan("
+        "random_reciprocal(5, seed=2008), 50, seed=3008)")
     head, first = details["edges.no_forbidden_reverse"].split("; first: ")
-    assert head == "2 violations"
+    assert head == "3 violations"
     assert eval(first, {"ZParams": ZParams}) == bad_points[0]
+    # k = 3 is the first seed offset with 3 + k % 5 == 6, and its digraph is strong
+    assert details["hamiltonian.equivalence"] == (
+        "39 of 200 random digraphs disagree; first: random_reciprocal(6, seed=4003)")
     head, first = details["n4.forms_agree"].split("; first: (x, y, z) = ")
     assert head.endswith("of 1000 triples disagree") and not head.startswith("0 ")
     assert ast.literal_eval(first)[0] > 8
+    # every z = 4 slice point is guaranteed for n >= 5
+    assert details["a1.slice_equality"] == (
+        "25 of 125 slice points disagree; first: ZParams(5, 0.25, 0.25, 4.0, 1.0)")
+    head, first = details["certificates.sound"].split("; first: ")
+    assert head == "64 of 65 certificates failed"
+    assert not evaluate_z(eval(first, {"ZParams": ZParams})).efficient
 
 
 def test_suite_records_and_instances_are_pinned():
@@ -465,7 +500,8 @@ def test_suite_records_and_instances_are_pinned():
 def test_seeded_instances_come_in_seed_order():
     # stacks are evaluated order by order, but the pairs (and so a count
     # check's first failing instance) follow k, as one-at-a-time evaluation
-    got = list(harness._seeded(40, 6, 1000, lambda a: a[:, 0, 1] > 2.0))
+    bad, name = harness._seeded(40, 6, 1000, lambda a: a[:, 0, 1] > 2.0)
+    got = [(name(k), bool(b)) for k, b in enumerate(bad)]
     want = [(f"random_reciprocal({3 + k % 6}, seed={1000 + k})",
              bool(random_reciprocal(3 + k % 6, seed=1000 + k).a[0, 1] > 2.0))
             for k in range(40)]
@@ -491,15 +527,17 @@ def test_grid_checks_count_the_points_whose_sink_disagrees(monkeypatch):
 
 
 def test_one_cell_table_is_built_on_first_use_and_read_at_every_order():
-    # importing builds nothing; the suite's three grid orders read one table
-    code = ("from recipeff import zfamily as z; "
-            "print(z._cell_tables.cache_info().currsize, z.order_cells.cache_info().currsize)")
+    # importing builds nothing, not even the cells' code table; the suite's
+    # three grid orders read one table
+    code = ("from recipeff import zfamily as z; print(*(f.cache_info().currsize for f in "
+            "(z._cell_tables, z.order_cells, z._cell_codes)))")
     src = str(Path(zfamily.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == ["0", "0"]
+    assert out.stdout.split() == ["0", "0", "0"]
     zfamily._cell_tables.cache_clear()
     verify_paper_suite()
+    assert zfamily._cell_codes.cache_info().currsize == 1
     tables = zfamily._cell_tables()
     assert [t.shape for t in tables] == [(541, 4, 5, 5), (541,)]
     verify_paper_suite()

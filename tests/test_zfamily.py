@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import same_report, table_violations
+from helpers import cell_row_reference, same_report, table_violations
 from recipeff import harness, zfamily
 from recipeff.core import make_reciprocal, perron, perron_stack
 from recipeff.digraph import (
@@ -27,7 +27,9 @@ from recipeff.zfamily import (
     evaluate_z_stack,
     forbidden_reverse_edges,
     guarantee_a1,
+    guarantee_a1_stack,
     guarantee_n4,
+    guarantee_n4_stack,
     guarantee_n5plus,
     predicted_edges,
     quotient_sink_stack,
@@ -654,8 +656,31 @@ def test_order_cells_are_the_weak_orders_with_their_rows():
     assert list(zfamily.order_cells().values()) == list(range(541))
     # a point's row is its cell's, at any levels with the cell's order
     for b in (2.0, 10.0):
-        assert [zfamily._cell_row([b ** (r - one) for r in ranks]) for one, *ranks in cells] == (
+        points = [[b ** (r - one) for r in ranks] for one, *ranks in cells]
+        assert zfamily._cell_rows(points).tolist() == list(map(cell_row_reference, points)) == (
             list(range(541)))
+
+
+# points whose five terms (1, x, y, z, a) take at most four levels, so that each has a tie
+tied_points = st.lists(log_uniform, min_size=0, max_size=3).flatmap(lambda levels: st.lists(
+    st.lists(st.sampled_from([1.0, *levels]), min_size=4, max_size=4), min_size=1, max_size=30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_points)
+def test_cell_rows_are_the_dense_rank_rows(points):
+    assert zfamily._cell_rows(points).tolist() == list(map(cell_row_reference, points))
+
+
+@pytest.mark.parametrize("fill", (0.5, 1.0, 2.0, math.inf))
+@pytest.mark.parametrize("slot", range(4))
+def test_cell_rows_find_no_cell_for_a_nan(slot, fill):
+    # a NaN compares false both ways, as no weak order does, whatever the
+    # rest of the point; nothing upstream has rejected it here
+    row = [fill] * 4
+    row[slot] = math.nan
+    with pytest.raises(ValueError, match=r"no order cell holds \(x, y, z, a\) = \["):
+        zfamily._cell_rows([[0.5, 2.0, 1.5, 1.0], row])
 
 
 def test_cell_tables_read_one_quotient_table_at_every_order():
@@ -695,6 +720,32 @@ def test_guarantee_n4_forms_agree_on_every_order_cell():
     for one, *ranks in cells:
         xyz = [2.0 ** (r - one) for r in ranks]
         assert guarantee_n4(*xyz, "six_cases") == guarantee_n4(*xyz, "region_complement"), xyz
+
+
+def test_stack_forms_are_the_one_point_verdicts_on_every_order_cell():
+    # the 75 weak orders of (1, x, y, z) as one stack: each row is the scalar
+    # verdict, which is the written-out predicate's
+    xyz = [[2.0 ** (r - one) for r in ranks] for one, *ranks in weak_orders(4)]
+    for form in ("six_cases", "region_complement"):
+        assert guarantee_n4_stack(xyz, form).tolist() == [guarantee_n4(*v, form) for v in xyz] == [
+            n4_six_cases_reference(*v) for v in xyz], form
+    for n in (5, 8):
+        assert guarantee_a1_stack(n, xyz).tolist() == [
+            guarantee_a1(n, *v).matched_exception for v in xyz] == [
+            guarantee_a1_reference(*v).matched_exception for v in xyz]
+
+
+@pytest.mark.parametrize("bad", (-1.0, 0.0, math.inf, math.nan, 1e-320))
+def test_stack_forms_reject_the_first_bad_row(bad):
+    rows = [[0.5, 2.0, 1.5], [1.0, bad, 1.0], [bad, 1.0, 1.0]]
+    for call in (lambda: guarantee_n4_stack(rows), lambda: guarantee_a1_stack(5, rows),
+                 lambda: guarantee_n4_stack(rows, "region_complement")):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == ("x, y and z must be positive and finite, and so must their "
+                                  f"reciprocals; got {rows[1]}")
+    with pytest.raises(ValueError, match=r"xyz must be a non-empty \(B, 3\) stack"):
+        guarantee_n4_stack([0.5, 2.0, 1.5])
 
 
 @pytest.mark.parametrize("n", (5, 7))
