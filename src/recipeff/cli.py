@@ -103,7 +103,7 @@ def _cmd_z(args: argparse.Namespace, eps: float) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, eps: float) -> int:
-    axes = _parse_floats(args.axes, "--axes") if args.axes else DEFAULT_AXES
+    axes = DEFAULT_AXES if args.axes is None else _parse_floats(args.axes, "--axes")
     _emit(sweep_csv(grid_sweep(args.n, axes, eps_rel=eps)), args.out)
     return 0
 

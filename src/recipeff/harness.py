@@ -257,59 +257,38 @@ def _grid_point(ns):
     return lambda i: f"ZParams{(ns[i // len(_GRID)], *_GRID[i % len(_GRID)].tolist())}"
 
 
-def _grid_flags(n: int, eps_rel: float) -> tuple[list, set]:
-    """The flag rows of the grid of order n, read from its `ZStack` `s`, and
-    at n = 5 and 6 the exception labels it reaches.
-
-    The rows are the `_GRID_AUDITS` violations, then at n = 5 and 6 whether
-    a point disagrees, is unsound, efficient or labeled, and whether its
-    certificate fails.  The certificate is checked here, not by
-    `s.report`, so a failing one is counted, not raised.
-    """
-    s = ZStack(n, _GRID, eps_rel)
-    row, seen = [audit(s) for _, audit in _GRID_AUDITS], set()
-    if n < 7:
-        seen = set(s.exception.tolist())
-        cert = np.zeros(len(_GRID), dtype=bool)
-        for i in np.flatnonzero(~s.efficient):
-            A = ReciprocalMatrix(s.a[i])
-            cert[i] = _certificate_fails(A, s.w[i], _scale_source(A, s.w[i], s.labels[i]))
-        row += [~s.agrees, s.guaranteed & ~s.efficient, s.efficient, ~s.guaranteed, cert]
-    return row, seen
-
-
 def _grid_checks(eps_rel: float) -> tuple[list[WalkthroughStep], list]:
-    """The n = 5, 6, 7 grids, each one stack: the grid checks' records in
-    report order, and a (point, certificate fails) pair per inefficient point.
-
-    Point i of grid g leaves flags[g, :, i] (see `_grid_flags`).
-    """
-    k = len(_GRID_AUDITS)
-    # int16 is enough: a count is at most 41 catalog rows x 13 edges each
-    flags, seen = np.zeros((3, k + 5, len(_GRID)), dtype=np.int16), set()
-    for g, n in enumerate((5, 6, 7)):
-        row, labels = _grid_flags(n, eps_rel)
-        flags[g, :len(row)] = row
-        seen |= labels
-    records, certificates = [], []
-    for g, n in enumerate((5, 6)):
-        disagrees, unsound, efficient, labeled, cert = flags[g, k:]
-        eff, ineff = int(labeled @ efficient), int(labeled @ (1 - efficient))
-        records += [
-            _tally(f"sink_characterization.grid_n{n}", "{bad} of {total} grid points disagree",
-                   disagrees, _grid_point([n])),
-            _tally(f"region.soundness_n{n}", "{bad} guaranteed-but-inefficient points",
-                   unsound, _grid_point([n])),
-            WalkthroughStep(f"region.exceptions_one_sided_n{n}", eff > 0 and ineff > 0,
-                            f"exception labels cover {ineff} inefficient and "
-                            f"{eff} efficient points (guarantee is one-way)"),
-        ]
-        certificates += [((n, *_GRID[i].tolist()), cert[i]) for i in np.flatnonzero(1 - efficient)]
+    """The n = 5, 6, 7 grids, each one `ZStack` read in turn: the grid checks'
+    records in report order, and a (point, certificate fails) pair per
+    inefficient n = 5 or 6 point.  Each `_GRID_AUDITS` array is tallied over
+    the three grids; a certificate is checked here, not by `s.report`, so a
+    failing one is counted, not raised."""
+    records, certificates, audits, seen = [], [], [], set()
+    for n in (5, 6, 7):
+        s = ZStack(n, _GRID, eps_rel)
+        audits.append([audit(s) for _, audit in _GRID_AUDITS])
+        if n < 7:
+            seen.update(s.exception.tolist())
+            eff = int((~s.guaranteed & s.efficient).sum())
+            ineff = int((~s.guaranteed & ~s.efficient).sum())
+            records += [
+                _tally(f"sink_characterization.grid_n{n}", "{bad} of {total} grid points disagree",
+                       ~s.agrees, _grid_point([n])),
+                _tally(f"region.soundness_n{n}", "{bad} guaranteed-but-inefficient points",
+                       s.guaranteed & ~s.efficient, _grid_point([n])),
+                WalkthroughStep(f"region.exceptions_one_sided_n{n}", eff > 0 and ineff > 0,
+                                f"exception labels cover {ineff} inefficient and "
+                                f"{eff} efficient points (guarantee is one-way)"),
+            ]
+            certificates += [((n, *_GRID[i].tolist()), _certificate_fails(
+                A, s.w[i], _scale_source(A, s.w[i], s.labels[i])))
+                for i in np.flatnonzero(~s.efficient) for A in [ReciprocalMatrix(s.a[i])]]
+        del s  # one grid's stack alive at a time
     seen.discard(None)
     records.append(WalkthroughStep("region.exception_labels_nonvacuous",
                                    seen == ALL_EXCEPTION_LABELS, f"labels hit: {sorted(seen)}"))
-    records += [_tally(cid, "{bad} violations", flags[:, j].ravel(), _grid_point((5, 6, 7)))
-                for j, (cid, _) in enumerate(_GRID_AUDITS)]
+    records += [_tally(cid, "{bad} violations", np.concatenate(bad), _grid_point((5, 6, 7)))
+                for (cid, _), bad in zip(_GRID_AUDITS, zip(*audits))]
     return records, certificates
 
 

@@ -7,10 +7,10 @@ parameters alone, whether the Perron eigenvector is guaranteed efficient
 identities and guaranteed-edge conditions that drive those predicates, and
 checks the sink characterization of inefficiency.
 
-Region verdict labels: the efficiency region is the complement of twelve
-exception clauses, organized as four symmetric variants T5..T8 (one per
-monomial symmetry of the family) with clauses (i)/(ii)/(iii) each, plus
-A1(i)..A1(iv) on the a=1 slice.  The labels are opaque region codes.
+Region verdict labels: for n >= 5 the efficiency region is the complement
+of twelve exception clauses T5(i)..T8(iii), three clauses and their images
+under the family's four symmetries, plus A1(i)..A1(iv) on the a=1 slice.
+The labels are opaque region codes.
 
 Middle indices 3..n-2 carry identical all-ones rows, so their Perron
 components are exactly equal and every middle vertex is interchangeable
@@ -18,12 +18,13 @@ with vertex 3.  Sink detection for this family therefore works on the
 quotient digraph with the middle class contracted to one vertex; for n = 5
 that is the digraph itself.
 
-Every parameter predicate reads only the point's order cell, the weak order
-of (1, x, y, z, a), one of the 541 in `order_cells()`.  A stack of points
-finds its cells in one array step, each point's order matrix read as a
-base-3 code and looked up among the cells' (`_cell_rows`), and at any order
-n >= 5 reads one table of all cells (`cell_tables`); the n = 4 and a = 1
-predicates have stack forms, whose one-row cases are the scalar functions.
+Every parameter predicate, the exception clauses included, is a relation
+string compiled to its hits on the 541 order cells, the weak orders of (1,
+x, y, z, a) (`order_cells()`).  A stack finds its points' cells in one array
+step (`_cell_rows`) and at any order n >= 5 reads one table of all cells
+(`cell_tables`), of which `guarantee_n5plus` is the one-point read; the
+n = 4 and a = 1 predicates have stack forms, whose one-row cases are the
+scalar functions.
 A `ZStack` evaluates a stack of points of one order once, as arrays, and
 every consumer reads it: the CLI's `z` is its one-row case, `sweep` writes
 its columns and `verify` audits them.
@@ -125,7 +126,6 @@ SYMMETRY_IMAGES: dict[str, Callable[[float, float, float, float], tuple]] = {
     "(z,a,x,y)": lambda x, y, z, a: (z, a, x, y),
     "(a,z,y,x)": lambda x, y, z, a: (a, z, y, x),
 }
-_VARIANT_OF_REDUCTION = dict(zip(SYMMETRY_IMAGES, ("T5", "T6", "T7", "T8")))
 
 
 def reduce_to_min_first(
@@ -219,16 +219,34 @@ class _Relations:
         """The labels of the rows that hold at (x, y, z, a), in row order."""
         return tuple(itertools.compress(self.labels, self.hits[_cell_rows([xyza])[0]]))
 
+    def first(self, rows) -> np.ndarray:
+        """The label of the first row holding in each of the cells `rows`, or None."""
+        hits = self.hits[rows]
+        labels = np.array([*self.labels, None], dtype=object)
+        return labels[np.where(hits.any(axis=1), hits.argmax(axis=1), len(self.labels))]
+
 
 def _compile(*rows: tuple[object, str]) -> _Relations:
     return _Relations([label for label, _ in rows], [_relation(t) for _, t in rows])
 
 
-# exception clauses for a point with x <= min{y, z, a}
-_MIN_FIRST_EXCEPTIONS = _compile(
-    ("(i)", "x < z < a < y; z < 1"),
-    ("(ii)", "x < y < a < z; 1 < a"),
-    ("(iii)", "x <= a < 1 < y,z"),
+# The region's exception clauses for n >= 5: T5's hold where x is minimal;
+# T6, T7 and T8 are their images under (y,x,a,z), (z,a,x,y) and (a,z,y,x),
+# each only where `reduce_to_min_first` picks it, so T7(iii) needs z < y
+# (T6 takes y = z) and T8(iii) needs a < x (T5 takes x = a).
+_REGION_EXCEPTIONS = _compile(
+    ("T5(i)", "x < z < a < y; z < 1"),
+    ("T5(ii)", "x < y < a < z; 1 < a"),
+    ("T5(iii)", "x <= a < 1 < y,z"),
+    ("T6(i)", "y < a < z < x; a < 1"),
+    ("T6(ii)", "y < x < z < a; 1 < z"),
+    ("T6(iii)", "y <= z < 1 < x,a"),
+    ("T7(i)", "z < x < y < a; x < 1"),
+    ("T7(ii)", "z < a < y < x; 1 < y"),
+    ("T7(iii)", "z < y < 1 < a,x"),
+    ("T8(i)", "a < y < x < z; y < 1"),
+    ("T8(ii)", "a < z < x < y; 1 < x"),
+    ("T8(iii)", "a < x < 1 < z,y"),
 )
 # exception clauses on the a = 1 slice
 _A1_EXCEPTIONS = _compile(
@@ -240,20 +258,15 @@ _A1_EXCEPTIONS = _compile(
 
 
 def guarantee_n5plus(p: ZParams) -> RegionVerdict:
-    """Efficiency-region verdict for n >= 5.
-
-    Reduces (x,y,z,a) to the representative whose first coordinate is
-    minimal and tests the three exception clauses there.  Outside the
+    """Efficiency-region verdict for n >= 5: the exception clause of p's order
+    cell (`_REGION_EXCEPTIONS`), read from the cell table.  Outside the
     exception clauses (boundaries included) the Perron eigenvector is
     guaranteed efficient.
     """
     if p.n < 5:
         raise ValueError("guarantee_n5plus requires n >= 5")
-    rep, reduction = reduce_to_min_first(*p.xyza)
-    clauses = _MIN_FIRST_EXCEPTIONS.holding(rep)
-    if not clauses:
-        return RegionVerdict(True, None, reduction)
-    return RegionVerdict(False, _VARIANT_OF_REDUCTION[reduction] + clauses[0], reduction)
+    label = _cell_tables()[1][_cell_rows([p.xyza])[0]]
+    return RegionVerdict(label is None, label, reduce_to_min_first(*p.xyza)[1])
 
 
 def guarantee_a1(n: int, x: float, y: float, z: float) -> RegionVerdict:
@@ -267,9 +280,7 @@ def guarantee_a1_stack(n: int, xyz) -> np.ndarray:
     """`guarantee_a1`'s exception label, or None, of each point of a (B, 3) stack of (x, y, z)."""
     if n < 5:
         raise ValueError("guarantee_a1 requires n >= 5")
-    hits = _A1_EXCEPTIONS.hits[_cell_rows(np.insert(_positive_stack(xyz, "xyz"), 3, 1.0, axis=1))]
-    labels = np.array([*_A1_EXCEPTIONS.labels, None], dtype=object)
-    return labels[np.where(hits.any(axis=1), hits.argmax(axis=1), len(labels) - 1)]
+    return _A1_EXCEPTIONS.first(_cell_rows(np.insert(_positive_stack(xyz, "xyz"), 3, 1.0, axis=1)))
 
 
 # the six sufficient clauses for Z_4(x, y, z, 1)
@@ -617,8 +628,8 @@ def _cell_tables() -> tuple[np.ndarray, np.ndarray]:
     """Every order cell's tables, the same at every order n >= 5: the (541,
     4, 5, 5) counts over the quotient vertices (1, 2, middle, n-1, n) of the
     rules giving each predicted edge, the forbidden-reverse pairs, the
-    claimed edges and, in row [3, 0], the sink rows; and the (541,) exception
-    labels, read at each cell's point at levels 2 ** (rank - rank of 1)."""
+    claimed edges and, in row [3, 0], the sink rows; and the (541,) labels
+    of the first `_REGION_EXCEPTIONS` clause holding, or None."""
     quotient = {1: 0, 2: 1, 3: 2, -2: 3, -1: 4}  # from vertex codes
     tables = np.zeros((541, 4, 5, 5), dtype=np.int8)
     for k, (relations, pairs) in enumerate((
@@ -630,9 +641,7 @@ def _cell_tables() -> tuple[np.ndarray, np.ndarray]:
         for hit, row_pairs in zip(relations.hits.T, pairs):  # each relation row
             for u, v in row_pairs:
                 tables[hit, k, quotient[u], quotient[v]] += 1
-    exception = np.array([guarantee_n5plus(ZParams(5, *(2.0 ** (r - cell[0]) for r in cell[1:])))
-                          .matched_exception for cell in order_cells()], dtype=object)
-    return tables, exception
+    return tables, _REGION_EXCEPTIONS.first(np.arange(541))
 
 
 def cell_tables(n: int, xyza: np.ndarray) -> dict[str, np.ndarray]:

@@ -754,6 +754,14 @@ def test_cli_sweep_rejects_a_bad_axis_value(capsys, bad):
     assert (code, out, err) == (2, "", "error: axis values must be positive and finite\n")
 
 
+@pytest.mark.parametrize("axes", ["", "1,,2"])
+def test_cli_sweep_rejects_an_empty_axis_value(capsys, axes):
+    # an empty --axes is a bad value, not an absent one
+    code, out, err = run_cli(capsys, "sweep", "--n", "5", "--axes", axes)
+    assert (code, out, err) == (
+        2, "", f"error: --axes: expected comma-separated numbers, got {axes!r}\n")
+
+
 def test_cli_extend_wide_order(tmp_path, capsys):
     # random_reciprocal(500, seed=0) missed the row-sum check when each
     # appended entry was formed as the difference s - r_i

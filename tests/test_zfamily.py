@@ -702,6 +702,23 @@ def test_cell_tables_read_one_quotient_table_at_every_order():
             assert not t[key][:, mids].any() and not t[key][:, :, mids].any(), (n, key)
 
 
+def test_cell_table_exceptions_are_the_reference_verdicts_and_call_no_predicate(monkeypatch):
+    # the exception column is read from the compiled clauses, not from a
+    # guarantee_n5plus call per cell
+    def no_call(p):
+        raise AssertionError("the cell table called guarantee_n5plus")
+
+    monkeypatch.setattr(zfamily, "guarantee_n5plus", no_call)
+    zfamily._cell_tables.cache_clear()
+    try:
+        _, exception = zfamily._cell_tables()
+    finally:
+        zfamily._cell_tables.cache_clear()
+    for (one, *ranks), row in zfamily.order_cells().items():
+        p = ZParams(5, *(2.0 ** (r - one) for r in ranks))
+        assert exception[row] == guarantee_n5plus_reference(p).matched_exception, p
+
+
 @pytest.mark.parametrize("n", (5, 7))
 def test_compiled_relations_match_reference_on_every_order_cell(n):
     # one point per weak order of (1, x, y, z, a), at levels 2**(rank - rank
@@ -772,7 +789,7 @@ def test_cell_tables_and_grid_audits_match_the_point_audits(n):
         p, G = ZParams(n, *v), EfficiencyDigraph(adj[i], 1e-9)
         predicted = {(u + 1, v + 1) for u, v in np.argwhere(s.predicted[i]).tolist()}
         assert predicted == predicted_edges(p)
-        verdict = guarantee_n5plus(p)
+        verdict = guarantee_n5plus_reference(p)
         assert (s.guaranteed[i], s.exception[i]) == (
             verdict.guaranteed_efficient, verdict.matched_exception)
         sinks = quotient_sinks_reference(G, n)
