@@ -6,8 +6,8 @@ verdict), sweep (parameter grid -> CSV), extend (matrix -> extension
 JSON), verify (bundled verification suite), example-ee1 (replay the
 bundled worked example with pass/fail marks).
 
-Exit codes: 0 success, 1 verification failure, 2 input error or a Perron
-solve that did not converge.  The env
+Exit codes: 0 success, 1 verification failure, 2 input error, a Perron
+solve that did not converge, or an array too large to allocate.  The env
 var RECIP_EPS overrides the default edge tolerance; an explicit
 --eps-rel flag overrides both.
 """
@@ -205,7 +205,7 @@ def main(argv=None) -> int:
     try:
         eps = _resolve_eps(args.eps_rel)
         return args.func(args, eps)
-    except (ValueError, OSError, PerronConvergenceError) as exc:
+    except (ValueError, OSError, PerronConvergenceError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,7 @@ read the stack's arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterator
 
@@ -287,13 +287,15 @@ class DigraphStack:
         return len(self.a)
 
     def report(self, i: int) -> EfficiencyReport:
-        """Row i's report; its certificate is built, and checked, here."""
-        A, w, k = ReciprocalMatrix(self.a[i]), self.w[i], int(self.counts[i])
+        """Row i's report, on copies of its rows (a kept report keeps no stack
+        alive); its certificate is built, and checked, here."""
+        A, w, k = ReciprocalMatrix(self.a[i].copy()), self.w[i].copy(), int(self.counts[i])
         cert = None if k == 1 else _scale_source(A, w, self.labels[i])
         if cert is not None and not pareto_dominates(A, w, cert):
             raise AssertionError("certificate failed the dominance definition")
-        return EfficiencyReport(A, w, None if self.perron is None else self.perron[i],
-                                EfficiencyDigraph(self.adj[i], self.eps_rel), k == 1, k, cert)
+        pair = None if self.perron is None else replace(self.perron[i], w=w)
+        return EfficiencyReport(A, w, pair, EfficiencyDigraph(self.adj[i].copy(), self.eps_rel),
+                                k == 1, k, cert)
 
 
 def analyze_stack(

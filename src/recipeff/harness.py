@@ -240,7 +240,7 @@ _GRID_AUDITS = (
     ("edges.no_forbidden_reverse",
      lambda s: (s.forbidden * (s.adj & s.adj.swapaxes(1, 2))).sum(axis=(1, 2))),
     ("identities.residuals", lambda s: np.abs(s.identities).max(axis=1) > 1e-9 * s.r),
-    ("identities.middle_collapse", lambda s: s.middle_deviation > 1e-10 * s.w[:, 2]),
+    ("identities.middle_collapse", lambda s: s.middle_residual() > 1e-10 * s.w[:, 2]),
     # absent claimed edges, and on inefficient points the sink rows whose
     # vertex is not the lone quotient sink
     ("tables.claims", lambda s: (s.claimed * ~s.adj).sum(axis=(1, 2)) + ~s.efficient * (
@@ -260,9 +260,9 @@ def _grid_point(ns):
 def _grid_checks(eps_rel: float) -> tuple[list[WalkthroughStep], list]:
     """The n = 5, 6, 7 grids, each one `ZStack` read in turn: the grid checks'
     records in report order, and a (point, certificate fails) pair per
-    inefficient n = 5 or 6 point.  Each `_GRID_AUDITS` array is tallied over
-    the three grids; a certificate is checked here, not by `s.report`, so a
-    failing one is counted, not raised."""
+    inefficient n = 5 or 6 point, lifted to order n.  Each `_GRID_AUDITS`
+    array is tallied over the three grids; a certificate is checked here, not
+    by `s.report`, so a failing one is counted, not raised."""
     records, certificates, audits, seen = [], [], [], set()
     for n in (5, 6, 7):
         s = ZStack(n, _GRID, eps_rel)
@@ -280,9 +280,11 @@ def _grid_checks(eps_rel: float) -> tuple[list[WalkthroughStep], list]:
                                 f"exception labels cover {ineff} inefficient and "
                                 f"{eff} efficient points (guarantee is one-way)"),
             ]
-            certificates += [((n, *_GRID[i].tolist()), _certificate_fails(
-                A, s.w[i], _scale_source(A, s.w[i], s.labels[i])))
-                for i in np.flatnonzero(~s.efficient) for A in [ReciprocalMatrix(s.a[i])]]
+            lifted = DigraphStack(*s.lift(~s.efficient), eps_rel)
+            certificates += [((n, *p), _certificate_fails(A, w, _scale_source(A, w, labels)))
+                             for p, A, w, labels in zip(s.xyza[~s.efficient].tolist(),
+                                                        map(ReciprocalMatrix, lifted.a),
+                                                        lifted.w, lifted.labels)]
         del s  # one grid's stack alive at a time
     seen.discard(None)
     records.append(WalkthroughStep("region.exception_labels_nonvacuous",
@@ -362,7 +364,7 @@ def _suite_records(eps_rel: float) -> list[WalkthroughStep]:
         # guarantee_n5plus's verdict is the cell table's
         _tally("a1.slice_equality", "{bad} of {total} slice points disagree",
                np.equal(guarantee_a1_stack(5, slice_points[:, :3]), None)
-               != cell_tables(5, slice_points)["guaranteed"],
+               != cell_tables(slice_points)["guaranteed"],
                lambda i: f"ZParams{(5, *slice_points[i].tolist())}"),
         _tally("certificates.sound", "{bad} of {total} certificates failed",
                np.array(fails), lambda i: f"ZParams{points[i]}" if i else "the 3x3 counterexample"),

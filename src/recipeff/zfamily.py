@@ -12,19 +12,19 @@ of twelve exception clauses T5(i)..T8(iii), three clauses and their images
 under the family's four symmetries, plus A1(i)..A1(iv) on the a=1 slice.
 The labels are opaque region codes.
 
-Middle indices 3..n-2 carry identical all-ones rows, so their Perron
-components are exactly equal and every middle vertex is interchangeable
-with vertex 3.  Sink detection for this family therefore works on the
-quotient digraph with the middle class contracted to one vertex; for n = 5
-that is the digraph itself.
+Middle indices 3..n-2 carry identical all-ones rows, an equitable partition
+(Godsil & Royle, Algebraic Graph Theory, 9.3): Z_n's Perron pair is that
+of the 5 x 5 quotient (Z_5 with column 3 scaled by n - 4), lifted by
+repeating w_3, and the middle class is a tied clique, so Z_n's SCCs and
+sinks are read on the quotient vertices (1, 2, middle, n-1, n).  A `ZStack`
+works on those at every order; `ZStack.lift` is the one route to order n.
 
 Every parameter predicate, the exception clauses included, is a relation
 string compiled to its hits on the 541 order cells, the weak orders of (1,
 x, y, z, a) (`order_cells()`).  A stack finds its points' cells in one array
-step (`_cell_rows`) and at any order n >= 5 reads one table of all cells
-(`cell_tables`), of which `guarantee_n5plus` is the one-point read; the
-n = 4 and a = 1 predicates have stack forms, whose one-row cases are the
-scalar functions.
+step (`_cell_rows`) and reads one table of all cells (`cell_tables`), of
+which `guarantee_n5plus` is the one-point read; the n = 4 and a = 1
+predicates have stack forms, whose one-row cases are the scalar functions.
 A `ZStack` evaluates a stack of points of one order once, as arrays, and
 every consumer reads it: the CLI's `z` is its one-row case, `sweep` writes
 its columns and `verify` audits them.
@@ -41,7 +41,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import ReciprocalMatrix
+from .core import ReciprocalMatrix, perron_stack
 from .digraph import (
     DEFAULT_EPS_REL,
     DigraphStack,
@@ -324,37 +324,56 @@ class IdentityResiduals:
     rows_max: float
     identities: tuple[float, ...]
     identities_max: float
-    middle_deviation_max: float
+    middle_deviation_max: float  # the middle-row residual of the lifted pair
 
 
 class ZStack(DigraphStack):
-    """Z_n(x,y,z,a) evaluated for a (B, 4) stack `xyza` at one order n >= 5;
-    every Z-family consumer reads its columns.
+    """Z_n(x,y,z,a) evaluated for a (B, 4) stack `xyza` at one order n >= 5
+    on the quotient vertices (1, 2, middle, n-1, n); every Z-family consumer
+    reads its columns.
 
-    Beside `DigraphStack`'s (`w`, `adj`, `labels`, `counts` and `report(i)`,
-    whose certificate is built on that read): `r`, `efficient`; the
-    middle-class quotient `sinks` (see `quotient_sink_stack`) and the
-    `sink_present`, `sink_vertex` (a sink vertex of 3 stands for the whole
+    `a` is Z_5, `perron` and `w` are the quotient's Perron pairs, and `adj`,
+    `labels` and `counts` those of (Z_5, w).  Beside those: `r`, `efficient`;
+    the `sinks` and the `sink_present`, `sink_vertex` (3 stands for the
     middle class) and `agrees` columns of the sink characterization;
-    `identities` and `middle_deviation` (see `identity_stack`); and the
-    `cell_tables` columns `predicted`, `forbidden`, `claimed`, `sink_rows`,
-    `guaranteed` and `exception`.  Iterating gives one `ZPoint` per row.
+    `identities` (see `identity_stack`); and the `cell_tables` columns.
+    `report(i)` is row i at order n (`lift`).  Iterating gives `ZPoint`s.
     """
 
     def __init__(self, n: int, xyza, eps_rel: float = DEFAULT_EPS_REL) -> None:
         if n < 5:
             raise ValueError("requires n >= 5")
         self.n, self.xyza = n, _positive_stack(xyza, "xyza")
-        super().__init__(z_stack(n, self.xyza), eps_rel=eps_rel)
-        self.r = self.perron.r
-        self.sinks = quotient_sink_stack(self.adj)
+        a = z_stack(5, self.xyza)
+        perron = perron_stack(a * [1, 1, n - 4, 1, 1])  # the quotient
+        super().__init__(a, perron.w, eps_rel)
+        self.perron, self.r = perron, perron.r
+        self.sinks = ~self.adj.any(axis=2)
         self.sink_present = self.sinks.any(axis=1)
         self.sink_vertex = np.where(self.sink_present, np.array(
             [1, 2, 3, n - 1, n], dtype=object)[self.sinks.argmax(axis=1)], None)
         self.efficient = self.counts == 1
         self.agrees = self.efficient != self.sink_present
-        self.identities, self.middle_deviation = identity_stack(n, self.xyza, self.r, self.w)
-        self.__dict__.update(cell_tables(n, self.xyza))  # predicted .. exception
+        self.identities = identity_stack(n, self.xyza, self.r, self.w)
+        self.__dict__.update(cell_tables(self.xyza))  # predicted .. exception
+
+    def lift(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """The points `rows` (an index list, mask or slice) at order n: their
+        Z_n and Perron vectors, w_3 repeated over the middle class."""
+        members = np.r_[0, 1, np.full(self.n - 4, 2), 3, 4]
+        return z_stack(self.n, self.xyza[rows]), self.w[rows][:, members]
+
+    def report(self, i: int) -> EfficiencyReport:
+        """Row i's report on its lift, with the quotient's Perron pair."""
+        rep = DigraphStack(*self.lift([i]), self.eps_rel).report(0)
+        return replace(rep, perron=replace(self.perron[i], w=rep.w))
+
+    def middle_residual(self) -> np.ndarray:
+        """The largest |(Z_n w)_j - r w_j| over the middle rows j of each
+        point, by an explicit order-n matvec on the lifted pair."""
+        (a, w), mid = self.lift(slice(None)), slice(2, self.n - 2)
+        zw = (a[:, mid] @ w[:, :, None])[:, :, 0]
+        return np.abs(zw - self.r[:, None] * w[:, mid]).max(axis=1)
 
     def __iter__(self) -> Iterator[ZPoint]:
         return (ZPoint(self, i) for i in range(len(self)))
@@ -398,26 +417,23 @@ def evaluate_z(p: ZParams, eps_rel: float = DEFAULT_EPS_REL) -> ZPoint:
 def eigen_identity_residuals(p: ZParams) -> IdentityResiduals:
     """The eigenvector identities of the family at the Perron pair of p.
 
-    The max residual of the n row equations of (Z - rI)w = 0, the ten
-    two-or-three-term identities obtained by differencing those rows
-    (each vanishes for an exact eigenpair), and the maximal deviation
-    |w_j - w_3| over middle indices (exactly 0 is expected: middle rows
-    are identical, so power iteration keeps their components equal).
+    The max residual of the row equations of (Z - rI)w = 0, the ten
+    two-or-three-term identities obtained by differencing those rows (each
+    vanishes for an exact eigenpair), and `ZStack.middle_residual`.
     """
     s = ZStack(p.n, [p.xyza])
     identities = tuple(s.identities[0].tolist())
     return IdentityResiduals(s.r.item(0), s.perron.residual.item(0), identities,
-                             max(map(abs, identities)), s.middle_deviation.item(0))
+                             max(map(abs, identities)), s.middle_residual().item())
 
 
-def identity_stack(n: int, xyza: np.ndarray, r: np.ndarray, w: np.ndarray) -> tuple:
-    """The (B, 10) identities and (B,) middle deviations of
-    `eigen_identity_residuals` for Perron pairs (r, w) of a (B, 4) stack of
-    (x, y, z, a) at order n."""
+def identity_stack(n: int, xyza: np.ndarray, r: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The (B, 10) identities of `eigen_identity_residuals` for Perron pairs
+    (r, w) over the quotient vertices of a (B, 4) stack of (x, y, z, a) at order n."""
     x, y, z, a = xyza.T
-    w1, w2, w3, wm, wn = w[:, [0, 1, 2, n - 2, n - 1]].T
+    w1, w2, w3, wm, wn = w.T
     k = n - 4
-    identities = np.stack([
+    return np.stack([
         r * (w2 - w1) + (y - a) * wm + (x - z) * wn,
         r * (w3 - w1) + (y - 1) * wm + (x - 1) * wn,
         r * (y * wm - w1) + (1 - y / a) * w2 + (1 - y) * k * w3 + (x - y) * wn,
@@ -429,7 +445,6 @@ def identity_stack(n: int, xyza: np.ndarray, r: np.ndarray, w: np.ndarray) -> tu
         r * (wn - w3) + (1 - 1 / x) * w1 + (1 - 1 / z) * w2,
         r * (wn - wm) + (1 / y - 1 / x) * w1 + (1 / a - 1 / z) * w2,
     ], axis=1)
-    return identities, np.abs(w[:, 3 : n - 2] - w3[:, None]).max(axis=1, initial=0.0)
 
 
 # Edge rules read off the two-/three-term identities, as (edge, relation).
@@ -474,8 +489,10 @@ def predicted_edges(p: ZParams) -> set[tuple[int, int]]:
     """
     if p.n < 5:
         raise ValueError("requires n >= 5")
-    predicted = cell_tables(p.n, np.array([p.xyza]))["predicted"][0]
-    return {(u + 1, v + 1) for u, v in np.argwhere(predicted).tolist()}
+    members = [(1,), (2,), range(3, p.n - 1), (p.n - 1,), (p.n,)]  # of each quotient vertex
+    predicted = cell_tables(np.array([p.xyza]))["predicted"][0]
+    return {(u, v) for i, j in np.argwhere(predicted).tolist()
+            for u in members[i] for v in members[j]}
 
 
 # (v, relation): with the relation, edge (3, v) forbids edge (v, 3).  A
@@ -501,21 +518,6 @@ def forbidden_reverse_edges(p: ZParams, G: EfficiencyDigraph) -> list[str]:
     corners = _realize(p.n, _FORBIDDEN_REVERSE.holding(p.xyza))
     return [f"edge {(3, v)} with relation forbids {(v, 3)}"
             for v in corners if G.has_edge(3, v) and G.has_edge(v, 3)]
-
-
-def quotient_sink_stack(adj: np.ndarray) -> np.ndarray:
-    """(B, 5) sinks over (1, 2, middle, n-1, n) of the digraphs of a (B, n, n)
-    stack with the middle class {3..n-2} contracted.
-
-    Valid for Z-family Perron digraphs, where the middle components are
-    exactly equal and mutually tied; for n = 5 these are just the sinks.
-    At n = 4 the middle class is empty and never a sink.
-    """
-    n = adj.shape[-1]
-    out = adj.copy()
-    out[:, 2 : n - 2, 2 : n - 2] = False  # edges inside the middle class
-    out = out.any(axis=2)
-    return ~np.column_stack([out[:, :2], out[:, 2 : n - 2].any(axis=1) | (n == 4), out[:, -2:]])
 
 
 # --- catalog of known digraph structures per parameter region -------------
@@ -644,24 +646,17 @@ def _cell_tables() -> tuple[np.ndarray, np.ndarray]:
     return tables, _REGION_EXCEPTIONS.first(np.arange(541))
 
 
-def cell_tables(n: int, xyza: np.ndarray) -> dict[str, np.ndarray]:
-    """Each point's order-cell tables, for a (B, 4) stack of (x, y, z, a) at order n >= 5.
+def cell_tables(xyza: np.ndarray) -> dict[str, np.ndarray]:
+    """Each point's order-cell tables over the quotient vertices, for a (B, 4)
+    stack of (x, y, z, a) at any order n >= 5: its cell's row of the one table.
 
-    `predicted` (B, n, n) masks `predicted_edges`; `forbidden` counts the
+    `predicted` (B, 5, 5) masks `predicted_edges`; `forbidden` counts the
     `_FORBIDDEN_REVERSE` pairs (3, v) that hold; `claimed` counts the edges
     the matching `table_oracle` rows claim; `sink_rows` (B, 5) counts their
-    sink rows by vertex, as in `quotient_sink_stack`; `guaranteed` and
-    `exception` are `guarantee_n5plus`'s.  These read only the cell, and
-    every middle vertex as vertex 3: each point reads its cell's row of the
-    one table of all 541 cells.
+    sink rows by vertex; `guaranteed` and `exception` are `guarantee_n5plus`'s.
     """
     index = _cell_rows(xyza)
     t, exception = (table[index] for table in _cell_tables())
-    # (5, n) maps from the quotient vertices: to vertices 1, 2, 3, n-1, n,
-    # and to every member of their class
-    literal = np.eye(n, dtype=np.int8)[[0, 1, 2, n - 2, n - 1]]
-    members = np.eye(5, dtype=np.int8)[[0, 1, *[2] * (n - 4), 3, 4]].T
-    return {"predicted": members.T @ t[:, 0] @ members > 0,
-            "forbidden": literal.T @ t[:, 1] @ literal, "claimed": literal.T @ t[:, 2] @ literal,
+    return {"predicted": t[:, 0] > 0, "forbidden": t[:, 1], "claimed": t[:, 2],
             "sink_rows": t[:, 3, 0], "exception": exception,
             "guaranteed": np.equal(exception, None)}

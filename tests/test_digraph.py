@@ -408,3 +408,18 @@ def test_analyze_stack_rejects_bad_vectors_and_yields_lazily():
     assert next(reports).A.a.tobytes() == As[0].tobytes()
     assert next(reports).A.a.tobytes() == As[1].tobytes()
     assert next(reports, None) is None
+
+
+def test_a_kept_report_shares_no_memory_with_its_stack():
+    # a report holds copies of its rows, so keeping one keeps no stack alive
+    As = np.array([random_reciprocal(6, seed=s).a for s in range(40)])
+    ws = np.exp(np.random.default_rng(6).uniform(-1.0, 1.0, size=(40, 6)))
+    for w in (None, ws):
+        kept = list(analyze_stack(As, w))[7]
+        assert not np.shares_memory(kept.A.a, As)
+        assert w is None or not np.shares_memory(kept.w, w)
+    s = dg.DigraphStack(As)
+    rep = s.report(7)
+    assert not any(np.shares_memory(x, y) for x in (rep.A.a, rep.w, rep.perron.w, rep.digraph.adj)
+                   for y in (s.a, s.w, s.perron.w, s.adj))
+    assert rep.perron.w is rep.w and rep.A.a.tobytes() == As[7].tobytes()

@@ -347,8 +347,8 @@ def test_grid_sweep_validation():
 @pytest.fixture(scope="module")
 def counted_suite():
     """One suite run; the orders of the rows that pass through `perron_stack`
-    and `_adjacency` in the grid pass, where `DigraphStack` calls them, and
-    the `ZPoint`s built there."""
+    and `_adjacency` in the grid pass, where `ZStack` and `DigraphStack` call
+    them, and the `ZPoint`s built there."""
     solves, builds, points, inside = [], [], [0], [False]
 
     def counted_solves(a, *args, **kwargs):
@@ -376,6 +376,7 @@ def counted_suite():
         digraph._adjacency, zfamily.ZPoint.__init__, harness._grid_checks)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(digraph, "perron_stack", counted_solves)
+        mp.setattr(zfamily, "perron_stack", counted_solves)
         mp.setattr(digraph, "_adjacency", counted_builds)
         mp.setattr(zfamily.ZPoint, "__init__", counted_points)
         mp.setattr(harness, "_grid_checks", grid_pass)
@@ -398,9 +399,12 @@ def test_suite_single_known_failure(suite):
 
 
 def test_suite_solves_each_grid_point_once(counted_suite):
+    # each point of the n = 5, 6, 7 grids is one 5 x 5 quotient solve and one
+    # 5-vertex digraph; each of the 32 inefficient n = 5 and 6 points is lifted
+    # to an order-n digraph for its certificate
     _, solves, builds, _ = counted_suite
-    assert Counter(solves) == {5: 625, 6: 625, 7: 625}
-    assert Counter(builds) == {5: 625, 6: 625, 7: 625}
+    assert Counter(solves) == {5: 3 * 625}
+    assert Counter(builds) == {5: 3 * 625 + 32, 6: 32}
 
 
 def test_suite_builds_no_zpoint_in_the_grid_pass(counted_suite):
@@ -418,7 +422,7 @@ def test_failing_details_name_the_instance_to_replay(monkeypatch):
     def injected(s):
         out = forbidden(s)
         for violations, p in enumerate(bad_points, 1):
-            if p.n == s.adj.shape[-1]:
+            if p.n == s.n:
                 out[harness._GRID.tolist().index(list(p.xyza))] += violations
         return out
 
@@ -515,9 +519,12 @@ def test_grid_checks_every_inefficient_point_certificate(monkeypatch):
 
 
 def test_grid_checks_count_the_points_whose_sink_disagrees(monkeypatch):
-    # with no quotient sink anywhere, each grid's 32 inefficient points disagree
-    monkeypatch.setattr(zfamily, "quotient_sink_stack",
-                        lambda adj: np.zeros((len(adj), 5), dtype=bool))
+    # with a loop at every vertex there is no sink anywhere, while the SCCs
+    # stay as they are (a loop adds one to each out- and in-degree); so each
+    # grid's 32 inefficient points disagree
+    adjacency = digraph._adjacency
+    monkeypatch.setattr(digraph, "_adjacency", lambda a, w, eps_rel: adjacency(
+        a, w, eps_rel) | np.eye(a.shape[-1], dtype=bool))
     records, _ = harness._grid_checks(1e-9)
     details = {r.check_id: r.detail for r in records if not r.passed}
     for n in (5, 6):
@@ -652,10 +659,29 @@ def test_cli_z_region_payload(capsys, perron_calls):
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_cli_z_solves_one_perron_row(capsys, perron_calls, n):
-    # the report, the sink check and the region read one solve of Z_n
+    # the report, the sink check and the region read one solve of Z_n, made
+    # on its 5 x 5 quotient from n = 5 on
     code, _, _ = run_cli(capsys, "z", "--n", str(n), "--x", "0.25", "--y", "2",
                          "--z", "2", "--a", "0.5")
-    assert code == 0 and perron_calls == [n]
+    assert code == 0 and perron_calls == [min(n, 5)]
+
+
+def test_cli_z_reports_a_lift_that_does_not_fit_in_memory(monkeypatch, capsys):
+    # the quotient is 5 x 5 at every order, but the report lifts the point to
+    # Z_n, which may not fit; the order here is small, and only the patch fails
+    z_stack = zfamily.z_stack
+
+    def lift_fails(n, xyza):
+        if n > 5:
+            raise MemoryError(f"Unable to allocate an order-{n} stack")
+        return z_stack(n, xyza)
+
+    monkeypatch.setattr(zfamily, "z_stack", lift_fails)
+    code, out, err = run_cli(capsys, "z", "--n", "7", "--x", "0.25", "--y", "2",
+                             "--z", "2", "--a", "0.5")
+    assert (code, out, err) == (2, "", "error: Unable to allocate an order-7 stack\n")
+    code, out, _ = run_cli(capsys, "sweep", "--n", "7", "--axes", "0.5,2")
+    assert code == 0 and len(out.splitlines()) == 17
 
 
 def test_cli_z_n4(capsys):

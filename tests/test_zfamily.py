@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +23,7 @@ from recipeff.zfamily import (
     SYMMETRY_IMAGES,
     RegionVerdict,
     ZParams,
+    _claims,
     eigen_identity_residuals,
     evaluate_z,
     evaluate_z_stack,
@@ -32,7 +34,6 @@ from recipeff.zfamily import (
     guarantee_n4_stack,
     guarantee_n5plus,
     predicted_edges,
-    quotient_sink_stack,
     reduce_to_min_first,
     table_oracle,
     z_matrix,
@@ -214,7 +215,7 @@ def test_identity_residuals_small_on_grid():
             res = eigen_identity_residuals(p)
             assert res.rows_max <= 1e-9 * res.r
             assert res.identities_max <= 1e-9 * res.r, p
-            assert res.middle_deviation_max == 0.0
+            assert res.middle_deviation_max <= 1e-10 * evaluate_z(p).stack.w[0, 2], p
     assert len(eigen_identity_residuals(ZParams(5, 0.3, 2.0, 0.7, 1.4)).identities) == 10
 
 
@@ -261,13 +262,13 @@ def test_quotient_sink_differs_from_literal_sinks_for_n6():
     G = build_digraph(A, perron(A).w)
     assert not strongly_connected(G)[0]
     assert sinks(G) == ()
-    assert quotient_sink_vertices(quotient_sink_stack(G.adj[None])[0], 6) == (3,)
+    assert quotient_sinks_reference(G, 6) == (3,)
     sc = evaluate_z(p)
     assert sc.sink_present and sc.agrees and sc.sink_vertex == 3
 
 
 def quotient_sink_vertices(row, n):
-    """The vertices (1, 2, 3 for the middle class, n-1, n) of a `quotient_sink_stack` row."""
+    """The vertices (1, 2, 3 for the middle class, n-1, n) of a `ZStack.sinks` row."""
     return tuple(v for v, sink in zip((1, 2, 3, n - 1, n), row.tolist()) if sink)
 
 
@@ -280,18 +281,6 @@ def quotient_sinks_reference(G, n):
     verts = sorted({rep(v) for v in range(1, n + 1)})
     has_out = {rep(i) for (i, j) in G.edges if rep(i) != rep(j)}
     return tuple(v for v in verts if v not in has_out)
-
-
-@settings(max_examples=300, deadline=None)
-@given(n=st.integers(4, 9), seed=st.integers(0, 2**32 - 1),
-       density=st.floats(0.02, 0.6))
-def test_middle_quotient_sinks_matches_loop_reference(n, seed, density):
-    rng = np.random.default_rng(seed)
-    adj = rng.random((8, n, n)) < density
-    adj[:, range(n), range(n)] = False
-    for row, a in zip(quotient_sink_stack(adj), adj):
-        assert quotient_sink_vertices(row, n) == quotient_sinks_reference(
-            EfficiencyDigraph(a, 1e-9), n)
 
 
 def test_middle_quotient_sinks_reference_on_grid():
@@ -360,8 +349,22 @@ def test_z_matrix_is_the_canonical_family_member(n, x, y, z, a):
     assert z_matrix(p).a.tobytes() == z_matrix_reference(p).a.tobytes()
 
 
+def members(n):
+    """The quotient vertex (0..4 for 1, 2, middle, n-1, n) of each vertex of Z_n."""
+    return [0, 1, *[2] * (n - 4), 3, 4]
+
+
+def lifted_adj(q, n):
+    """A 5-vertex quotient digraph at order n, the middle class a tied clique."""
+    q = q.copy()
+    q[2, 2] = True
+    adj = q[members(n)][:, members(n)]
+    adj[range(n), range(n)] = False
+    return adj
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=5, max_value=9).flatmap(lambda n: st.lists(
+@given(st.integers(min_value=5, max_value=12).flatmap(lambda n: st.lists(
     st.tuples(log_uniform, log_uniform, log_uniform, log_uniform), min_size=1, max_size=12,
 ).map(lambda xyzas: [ZParams(n, *v) for v in xyzas])))
 @example(list(small_grid(5)))
@@ -369,18 +372,30 @@ def test_z_matrix_is_the_canonical_family_member(n, x, y, z, a):
 # the lone quotient sink of each point is vertex 1, 2, n-1 and n in turn
 @example([ZParams(6, 0.5, 1.0, 0.125, 2.0), ZParams(6, 0.125, 2.0, 0.5, 1.0),
           ZParams(6, 0.125, 0.5, 8.0, 2.0), ZParams(6, 0.5, 0.125, 2.0, 8.0)])
+@example(list(small_grid(40))[::3])
 def test_evaluate_z_stack_columns_equal_the_point_functions(ps):
     # every column of row i is what the one-point functions give for point i
+    # on the order-n matrix: the quotient's Perron pair, lifted, is the full
+    # solve's (bit for bit at n = 5, where the quotient is Z_5), and its
+    # 5-vertex digraph, lifted, is Z_n's
     s, n = evaluate_z_stack(ps), ps[0].n
     assert [pt.p for pt in s] == ps
     for i, (p, pt) in enumerate(zip(ps, s)):
-        one = analyze(z_matrix(p))
-        for rep in (s.report(i), pt.report):
-            assert same_report(rep, one), p
-        assert s.w[i].tobytes() == one.w.tobytes() and s.r[i] == pt.r == one.perron.r
-        assert np.array_equal(s.adj[i], one.digraph.adj)
-        assert s.labels[i].tolist() == strongly_connected(one.digraph)[2]
-        assert s.counts[i] == one.scc_count and s.efficient[i] == pt.efficient == one.efficient
+        one, rep = analyze(z_matrix(p)), s.report(i)
+        if n == 5:
+            assert same_report(rep, one) and same_report(pt.report, one), p
+            assert s.w[i].tobytes() == one.w.tobytes() and s.r[i] == one.perron.r
+        assert rep.A.a.tobytes() == one.A.a.tobytes()
+        assert rep.w.tobytes() == s.w[i, members(n)].tobytes() == pt.report.w.tobytes()
+        assert np.max(np.abs(rep.w - one.w) / one.w) <= 1e-14, p
+        assert abs(s.r[i] - one.perron.r) <= 1e-14 * one.perron.r, p
+        assert s.r[i] == pt.r == rep.perron.r
+        assert np.array_equal(lifted_adj(s.adj[i], n), one.digraph.adj), p
+        assert np.array_equal(rep.digraph.adj, one.digraph.adj), p
+        assert s.labels[i][members(n)].tolist() == strongly_connected(one.digraph)[2]
+        assert s.counts[i] == rep.scc_count == one.scc_count
+        assert s.efficient[i] == pt.efficient == rep.efficient == one.efficient
+        assert (rep.certificate is None) == (one.certificate is None)
         verdict = guarantee_n5plus(p)
         assert s.guaranteed[i] == pt.guaranteed == verdict.guaranteed_efficient
         assert s.exception[i] == pt.exception == verdict.matched_exception
@@ -389,10 +404,13 @@ def test_evaluate_z_stack_columns_equal_the_point_functions(ps):
         assert (s.sink_present[i], s.sink_vertex[i], s.agrees[i]) == (
             pt.sink_present, pt.sink_vertex, pt.agrees) == (
             bool(sinks), sinks[0] if sinks else None, one.efficient != bool(sinks))
-        assert s.identities[i].tolist() == identities_reference(p, one.perron.r, one.w)
-        assert s.middle_deviation[i] == middle_deviation_reference(n, one.w)
-        for key, column in zfamily.cell_tables(n, np.array([p.xyza])).items():
+        assert s.identities[i].tolist() == identities_reference(p, s.r[i], rep.w)
+        assert np.abs(s.identities[i]).max() <= 1e-9 * one.perron.r, p
+        for key, column in zfamily.cell_tables(np.array([p.xyza])).items():
             assert np.array_equal(getattr(s, key)[i], column[0]), (p, key)
+        predicted = s.predicted[i][np.ix_(members(n), members(n))]
+        assert {(u + 1, v + 1) for u, v in np.argwhere(predicted).tolist()} == (
+            predicted_edges_reference(p)), p
     with pytest.raises(ValueError, match="one order"):
         evaluate_z_stack([ZParams(5, 1.0, 1.0, 1.0, 1.0), ZParams(6, 1.0, 1.0, 1.0, 1.0)])
     with pytest.raises(ValueError, match="n >= 5"):
@@ -684,22 +702,33 @@ def test_cell_rows_find_no_cell_for_a_nan(slot, fill):
 
 
 def test_cell_tables_read_one_quotient_table_at_every_order():
-    # the 541 cell points give the same tables on the quotient vertices (1,
-    # 2, 3, n-1, n) at every order; every middle vertex is vertex 3 in
-    # `predicted`, and only vertex 3 carries forbidden or claimed pairs
+    # the 541 cell points' tables are (5, 5) rows over the quotient vertices
+    # (1, 2, middle, n-1, n), with no order: lifted over the middle class at
+    # each order they are the order-n edge predictions, and their forbidden,
+    # claimed and sink entries are the order-n point audits', at vertex 3
     xyza = np.array([[2.0 ** (r - one) for r in ranks] for one, *ranks in weak_orders(5)])
-    base = zfamily.cell_tables(5, xyza)
+    t = zfamily.cell_tables(xyza)
+    assert {key: column.shape for key, column in t.items()} == {
+        "predicted": (541, 5, 5), "forbidden": (541, 5, 5), "claimed": (541, 5, 5),
+        "sink_rows": (541, 5), "exception": (541,), "guaranteed": (541,)}
     for n in (6, 7, 12):
-        t, q = zfamily.cell_tables(n, xyza), [0, 1, 2, n - 2, n - 1]
-        for key in ("predicted", "forbidden", "claimed"):
-            assert np.array_equal(t[key][:, q][:, :, q], base[key]), (n, key)
-        for key in ("sink_rows", "exception", "guaranteed"):
-            assert np.array_equal(t[key], base[key]), (n, key)
-        mids = range(3, n - 2)
-        assert (t["predicted"][:, mids] == t["predicted"][:, 2:3]).all()
-        assert (t["predicted"][:, :, mids] == t["predicted"][:, :, 2:3]).all()
-        for key in ("forbidden", "claimed"):
-            assert not t[key][:, mids].any() and not t[key][:, :, mids].any(), (n, key)
+        q = (1, 2, 3, n - 1, n)
+        for i, v in enumerate(xyza.tolist()):
+            p = ZParams(n, *v)
+            predicted = t["predicted"][i][np.ix_(members(n), members(n))]
+            assert {(u + 1, w + 1) for u, w in np.argwhere(predicted).tolist()} == (
+                predicted_edges_reference(p)), p
+            assert sorted(f"edge {(q[u], q[w])} with relation forbids {(q[w], q[u])}"
+                          for u, w in np.argwhere(t["forbidden"][i]).tolist()) == sorted(
+                forbidden_reverse_edges_reference(p, complete_digraph(n))), p
+            rows = table_oracle(p)
+            assert Counter(edge for m in rows for _, edge in _claims(m)) == {
+                (q[u], q[w]): t["claimed"][i, u, w] for u, w in np.argwhere(t["claimed"][i])}, p
+            assert Counter(m.vertex for m in rows if m.kind == "sink") == {
+                q[u]: t["sink_rows"][i, u] for u in np.flatnonzero(t["sink_rows"][i])}, p
+            verdict = guarantee_n5plus_reference(p)
+            assert (t["guaranteed"][i], t["exception"][i]) == (
+                verdict.guaranteed_efficient, verdict.matched_exception), p
 
 
 def test_cell_table_exceptions_are_the_reference_verdicts_and_call_no_predicate(monkeypatch):
@@ -769,25 +798,24 @@ def test_stack_forms_reject_the_first_bad_row(bad):
 def test_cell_tables_and_grid_audits_match_the_point_audits(n):
     # two points per weak order of (1, x, y, z, a), at levels 3**d and
     # 0.5**d for rank gaps d, where the tables come from the 2**d point;
-    # random digraphs whose middle class is interchangeable and mutually
-    # tied, as in a Z-family Perron digraph
+    # random 5-vertex quotient digraphs, read by the audits as they are and
+    # by the point audits lifted to order n, where the middle class is
+    # interchangeable and mutually tied, as in a Z-family Perron digraph
     cells = weak_orders(5)
     xyza = np.array([[b ** (r - one) for r in ranks] for b in (3.0, 0.5) for one, *ranks in cells])
     rng = np.random.default_rng(n)
     quotient = rng.random((len(xyza), 5, 5)) < rng.uniform(0.3, 0.9, size=(len(xyza), 1, 1))
-    quotient[:, 2, 2] = True
-    members = [0, 1, *[2] * (n - 4), 3, 4]
-    adj = quotient[:, members][:, :, members]
-    adj[:, range(n), range(n)] = False
+    quotient[:, range(5), range(5)] = False
     efficient = rng.random(len(xyza)) < 0.5
-    s = SimpleNamespace(**zfamily.cell_tables(n, xyza), adj=adj, efficient=efficient,
-                        sinks=zfamily.quotient_sink_stack(adj))
+    s = SimpleNamespace(**zfamily.cell_tables(xyza), adj=quotient, efficient=efficient,
+                        sinks=~quotient.any(axis=2))
     audits = {cid: audit(s).tolist() for cid, audit in harness._GRID_AUDITS
               if cid.startswith(("edges.", "tables."))}
     want = {cid: [] for cid in audits}
     for i, v in enumerate(xyza.tolist()):
-        p, G = ZParams(n, *v), EfficiencyDigraph(adj[i], 1e-9)
-        predicted = {(u + 1, v + 1) for u, v in np.argwhere(s.predicted[i]).tolist()}
+        p, G = ZParams(n, *v), EfficiencyDigraph(lifted_adj(quotient[i], n), 1e-9)
+        predicted = {(u + 1, w + 1) for u, w in np.argwhere(
+            s.predicted[i][np.ix_(members(n), members(n))]).tolist()}
         assert predicted == predicted_edges(p)
         verdict = guarantee_n5plus_reference(p)
         assert (s.guaranteed[i], s.exception[i]) == (
@@ -820,27 +848,68 @@ def identities_reference(p, r, w):
     )]
 
 
-def middle_deviation_reference(n, w):
-    return float(np.max(np.abs(w[3 : n - 2] - w[2]))) if n > 5 else 0.0
+def middle_residual_reference(p, r, w):
+    """The largest |(Z_n w)_j - r w_j| over the middle rows j, row by row."""
+    a = z_matrix(p).a
+    return max(abs(float(a[j] @ w) - r * w[j]) for j in range(2, p.n - 2))
 
 
 @pytest.mark.parametrize("n", (5, 6, 7))
 def test_identity_stack_equals_the_point_identities_bit_for_bit(n):
-    # the grid's stacked solve, as the suite reads it, against each point's
-    # own residuals and the scalar formula
-    pps = perron_stack(z_stack(n, harness._GRID))
-    ids, mid_dev = zfamily.identity_stack(n, harness._GRID, pps.r, pps.w)
+    # the grid's quotient solve, as the suite reads it, against each point's
+    # own residuals, the scalar formula and the explicit middle rows on the
+    # pair lifted to order n, which is the order-n solve's
+    quotient = z_stack(5, harness._GRID)
+    quotient[:, :, 2] *= n - 4  # Z_5 with column 3 scaled by n - 4
+    pps = perron_stack(quotient)
+    ids = zfamily.identity_stack(n, harness._GRID, pps.r, pps.w)
     s = zfamily.ZStack(n, harness._GRID)
-    assert s.identities.tobytes() == ids.tobytes()
-    assert s.middle_deviation.tobytes() == mid_dev.tobytes()
+    assert s.w.tobytes() == pps.w.tobytes() and s.identities.tobytes() == ids.tobytes()
+    middle = s.middle_residual()
     for i, v in enumerate(harness._GRID.tolist()):
-        p = ZParams(n, *v)
+        p, r, w = ZParams(n, *v), float(pps.r[i]), pps.w[i, members(n)]
         res = eigen_identity_residuals(p)
-        assert ids[i].tolist() == list(res.identities) == identities_reference(
-            p, float(pps.r[i]), pps.w[i])
-        assert mid_dev[i] == res.middle_deviation_max == middle_deviation_reference(n, pps.w[i])
+        assert ids[i].tolist() == list(res.identities) == identities_reference(p, r, w)
+        assert middle[i] == pytest.approx(res.middle_deviation_max, rel=0, abs=1e-15 * r)
+        assert res.middle_deviation_max == pytest.approx(
+            middle_residual_reference(p, r, w), rel=0, abs=1e-15 * r)
+        assert res.middle_deviation_max <= 1e-10 * w[2]
         assert res.identities_max == max(map(abs, res.identities))
         assert (res.r, res.rows_max) == (pps.r[i], pps.residual[i])
+        one = perron(z_matrix(p))
+        assert np.max(np.abs(w - one.w) / one.w) <= 1e-14 and abs(r - one.r) <= 1e-14 * one.r
+
+
+def test_a_wrong_class_weight_turns_the_middle_collapse_audit_red(monkeypatch):
+    # solve each quotient of order n >= 6 with the middle class weighted
+    # k - 1 in place of k = n - 4: the lifted pair is then no eigenpair of
+    # Z_n, and its middle rows under the explicit order-n matvec miss by w_3
+    def wrong_weight(a, *args, **kwargs):
+        a = a.copy()
+        a[:, :, 2] -= a[:, :, 2] > 1  # column 3 of Q holds k
+        return perron_stack(a, *args, **kwargs)
+
+    monkeypatch.setattr(zfamily, "perron_stack", wrong_weight)
+    audit = dict(harness._GRID_AUDITS)["identities.middle_collapse"]
+    for n in (5, 6, 7):
+        assert audit(zfamily.ZStack(n, harness._GRID)).all() == (n > 5)
+    p = ZParams(6, 0.5, 2.0, 1.5, 1.0)
+    assert eigen_identity_residuals(p).middle_deviation_max > 0.5 * evaluate_z(p).stack.w[0, 2]
+    records, _ = harness._grid_checks(1e-9)
+    failed = {r.check_id: r.detail for r in records if not r.passed}
+    assert failed["identities.middle_collapse"] == (
+        "1250 violations; first: ZParams(6, 0.25, 0.25, 0.25, 0.25)")
+
+
+def test_zstack_at_order_a_million_solves_the_quotient_alone():
+    # no order-n array is built: the verify grid at n = 10**6 is sound, its
+    # sinks agree with its verdicts, and the ten identities hold
+    s = zfamily.ZStack(10**6, harness._GRID)
+    assert s.a.shape == (625, 5, 5) and s.w.shape == (625, 5)
+    assert not (s.guaranteed & ~s.efficient).any() and s.agrees.all()
+    assert 0 < s.efficient.sum() < 625
+    assert (np.abs(s.identities).max(axis=1) <= 1e-9 * s.r).all()
+    assert (s.perron.residual <= 1e-9 * s.r).all()
 
 
 @settings(max_examples=300, deadline=None)
