@@ -11,9 +11,10 @@ found by repeated squaring at small orders, and normalized to have first
 component 1.  The solve runs on (B, n, n) stacks (`perron_stack`); `perron`
 is its one-matrix case.
 
-Seeded random matrices draw numpy's own `default_rng(seed)` stream
-(SeedSequence, then PCG64) for all seeds as one array, bit for bit
-(`random_reciprocal_stack`); `random_reciprocal` is its one-seed case.
+Seeded random matrices reproduce numpy's `Generator(PCG64(seed))` stream
+bit for bit (`random_reciprocal_stack`): SeedSequence's hash runs over all
+seeds as one array, and numpy's own PCG64, set to each seed's state in
+turn, steps the draws.  `random_reciprocal` is its one-seed case.
 """
 
 from __future__ import annotations
@@ -76,14 +77,6 @@ def _as_positive_square(raw) -> np.ndarray:
         i, j = np.argwhere(~(a > 0))[0]
         raise ValueError(f"non-positive entry at row {i + 1}, column {j + 1}")
     return a
-
-
-@cache
-def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the strict upper triangle of order n, read-only."""
-    iu, ju = np.triu_indices(n, k=1)
-    iu.flags.writeable = ju.flags.writeable = False
-    return iu, ju
 
 
 def _canonicalize(a: np.ndarray) -> np.ndarray:
@@ -327,51 +320,17 @@ def _hashmix(v: np.ndarray, c: np.ndarray) -> np.ndarray:
     return v ^ (v >> 16)
 
 
-def _mul128(xh, xl, yh, yl) -> tuple[np.ndarray, np.ndarray]:
-    """(high, low) uint64 words of x * y mod 2**128, broadcast; the low
-    words' full 128-bit product is taken in 32-bit halves."""
-    x0, x1, y0, y1 = xl & _M32, xl >> 32, yl & _M32, yl >> 32
-    t = x0 * y0
-    u = x1 * y0 + (t >> 32)
-    v = x0 * y1 + (u & _M32)
-    return x1 * y1 + (u >> 32) + (v >> 32) + xh * yl + xl * yh, xl * yl
-
-
-def _add128(xh, xl, yh, yl) -> tuple[np.ndarray, np.ndarray]:
-    """(high, low) uint64 words of x + y mod 2**128, broadcast."""
-    low = xl + yl
-    return xh + yh + (low < xl), low
-
-
-@cache
-def _jump_table(m: int) -> np.ndarray:
-    """(4, m) uint64 rows, read-only: the words (high, low) of M^j and of
-    G_j = sum_{i<j} M^i mod 2**128, j = 2 .. m + 1, for PCG64's multiplier
-    M: j steps take the state x to M^j x + G_j inc.  The table doubles from
-    j = 0, 1, since M^(K+j) = M^K M^j and G_(K+j) = G_K + M^K G_j."""
-    a = np.array([[0, _PCG_MULT >> 64], [1, _PCG_MULT & _M64]], np.uint64)  # rows high, low
-    g = np.array([[0, 0], [0, 1]], np.uint64)
-    p, q = _PCG_MULT**2 & _M128, 1 + _PCG_MULT  # M^K and G_K for the table's length K
-    while a.shape[1] < m + 2:
-        pk = np.uint64(p >> 64), np.uint64(p & _M64)
-        a = np.hstack([a, _mul128(*a, *pk)])
-        g = np.hstack([g, _add128(*_mul128(*g, *pk), q >> 64, q & _M64)])
-        p, q = p * p & _M128, q * (1 + p) & _M128
-    table = np.vstack([a, g])[:, 2:m + 2]
-    table.flags.writeable = False
-    return table
-
-
 def _uniform01(seeds, m: int) -> np.ndarray:
-    """(len(seeds), m): the first m doubles of `np.random.default_rng(seed)`
-    for each seed, bit for bit, drawn as one array.
+    """(len(seeds), m): the first m doubles of `Generator(PCG64(seed))` for
+    each seed, bit for bit.  A seed must be an integer in [0, 2**128).
 
-    SeedSequence hashes a seed's 32-bit words into a pool of four words;
-    a seed below 2**128 has at most four, and padding it with zero words
-    gives the pool that SeedSequence's own padding gives.  The pool yields
-    PCG64's start s and stream inc.  Seeding leaves the state at M x + inc
-    for x = s + inc, so output k is the XSL-RR of M^(k+2) x + G_(k+2) inc
-    (`_jump_table`), of which a double keeps the top 53 bits.
+    SeedSequence hashes a seed's 32-bit words into a pool of four words, for
+    all seeds as one array; a seed below 2**128 has at most four, and padding
+    it with zero words gives the pool that SeedSequence's own padding gives.
+    The pool yields PCG64's start s and stream inc, and seeding leaves the
+    state at M (s + inc) + inc.  One numpy PCG64 is set to that state for
+    each seed in turn and steps m outputs, of which a double keeps the top
+    53 bits.
     """
     try:
         ints = [operator.index(s) for s in seeds]
@@ -391,29 +350,33 @@ def _uniform01(seeds, m: int) -> np.ndarray:
         mixed = _MIX_L * pool[:, dst] - _MIX_R * h
         pool[:, dst] = mixed ^ (mixed >> 16)
     state = _hashmix(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], state_hash).astype(np.uint64)
-    sh, sl, qh, ql = (state[:, 0::2] | (state[:, 1::2] << 32)).T[..., None]
-    inc = (qh << 1) | (ql >> 63), (ql << 1) | 1
-    ah, al, gh, gl = _jump_table(m)
-    hi, lo = _add128(*_mul128(ah, al, *_add128(sh, sl, *inc)), *_mul128(gh, gl, *inc))
-    v, rot = hi ^ lo, hi >> 58
-    return (((v >> rot) | (v << ((64 - rot) & 63))) >> 11) * 2.0**-53
+    raw = np.empty((len(ints), m), dtype=np.uint64)
+    pcg = np.random.PCG64(0)
+    for k, (sh, sl, qh, ql) in enumerate((state[:, 0::2] | (state[:, 1::2] << 32)).tolist()):
+        inc = ((qh << 64 | ql) << 1 | 1) & _M128
+        pcg.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                     "state": {"state": (_PCG_MULT * ((sh << 64 | sl) + inc) + inc) & _M128,
+                               "inc": inc}}
+        raw[k] = pcg.random_raw(m)
+    return (raw >> 11) * 2.0**-53
 
 
 def random_reciprocal_stack(n: int, seeds, log_scale: float = np.log(9.0)) -> np.ndarray:
     """(len(seeds), n, n) stack; row k is random_reciprocal(n, seeds[k], log_scale).a.
 
-    Its upper triangle, row by row, is exp(np.random.default_rng(seed).uniform(
-    -log_scale, log_scale, n(n-1)/2)) bit for bit, drawn for all seeds as one
-    array (`_uniform01`).  A seed must be an integer in [0, 2**128), and
-    log_scale finite and nonnegative; an entry or reciprocal that is not
-    finite raises ValueError naming the seed.
+    Its upper triangle, row by row, is exp(Generator(PCG64(seed)).uniform(
+    -log_scale, log_scale, n(n-1)/2)) bit for bit (`_uniform01`).  seeds may be
+    any iterable; a seed must be an integer in [0, 2**128), and log_scale
+    finite and nonnegative; an entry or reciprocal that is not finite raises
+    ValueError naming the seed.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     high = float(log_scale)
     if not 0 <= high < np.inf:
         raise ValueError(f"log_scale must be finite and nonnegative, got {log_scale!r}")
-    low, (iu, ju) = -high, _upper(n)
+    # seeds listed once, so that an iterator can be read and still name a seed below
+    seeds, low, (iu, ju) = list(seeds), -high, np.triu_indices(n, k=1)
     u = _uniform01(seeds, len(iu))
     a = np.ones((len(u), n, n))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

@@ -26,6 +26,7 @@ import numpy as np
 
 from .core import (
     ReciprocalMatrix,
+    _uniform01,
     make_reciprocal,
     pareto_dominates,
     perron,
@@ -337,8 +338,8 @@ def _suite_records(eps_rel: float) -> list[WalkthroughStep]:
     """
     rep3 = analyze(make_reciprocal(np.array(COUNTEREXAMPLE_3X3_ROWS), mode="validate"),
                    np.array(COUNTEREXAMPLE_3X3_W), eps_rel)
-    triples = np.exp(np.random.default_rng(5000).uniform(
-        -np.log(9.0), np.log(9.0), size=(1000, 3)))
+    span = np.log(9.0)  # Generator(PCG64(5000)).uniform(-span, span, (1000, 3))
+    triples = np.exp(-span + 2 * span * _uniform01([5000], 3000).reshape(1000, 3))
     slice_points = np.array([(*p, 1.0) for p in itertools.product(DEFAULT_AXES, repeat=3)])
     checks = [
         *example_walkthrough(eps_rel),

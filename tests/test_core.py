@@ -447,16 +447,6 @@ def test_perron_cap_is_exact_for_each_row_of_a_stack():
         perron_stack(stack, max_iter=ref[3] - 1)
 
 
-def test_upper_indices_are_cached_and_read_only():
-    iu, ju = core._upper(6)
-    assert core._upper(6)[0] is iu
-    assert not iu.flags.writeable and not ju.flags.writeable
-    ref = np.triu_indices(6, k=1)
-    assert np.array_equal(iu, ref[0]) and np.array_equal(ju, ref[1])
-    with pytest.raises(ValueError):
-        iu[0] = 1
-
-
 def test_random_reciprocal_stack_rows_are_the_matrices():
     for n in (2, 3, 8):
         seeds = [5, 17, 1000 + n]
@@ -479,6 +469,8 @@ SEED_EDGES = (0, 2**32 - 1, 2**32, 2**64, 2**128 - 1)
        st.sampled_from([0.0, float(np.log(9.0)), 50.0]))
 @example(12, list(SEED_EDGES), 50.0)
 @example(2, list(SEED_EDGES), 0.0)
+@example(60, [1, 2**128 - 1], float(np.log(9.0)))  # 1,770 doubles per seed
+@example(4, [*range(63), 0], float(np.log(9.0)))  # each seed starts from its own state
 def test_random_reciprocal_stack_is_default_rng_bit_for_bit(n, seeds, log_scale):
     # the array draw against the installed numpy's own generator, so a
     # change of numpy's stream fails here
@@ -509,8 +501,9 @@ def test_random_reciprocal_rejects_what_overflows_without_a_warning():
         # exp(-712) is subnormal and its reciprocal overflows: a_31 was inf
         with pytest.raises(ValueError, match="overflow"):
             random_reciprocal(3, seed=25, log_scale=712.0)
-        with pytest.raises(ValueError, match="seed 25 or"):
-            random_reciprocal_stack(3, [0, 1, 25, 2], log_scale=712.0)
+        for seeds in ([0, 1, 25, 2], iter([0, 25]), (s for s in (0, 25))):
+            with pytest.raises(ValueError, match="seed 25 or"):
+                random_reciprocal_stack(3, seeds, log_scale=712.0)
         for bad in (np.nan, np.inf, -np.inf, -1.0):
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 random_reciprocal_stack(3, [0], log_scale=bad)
@@ -519,15 +512,24 @@ def test_random_reciprocal_rejects_what_overflows_without_a_warning():
 
 
 def test_importing_recipeff_builds_no_draw_table():
-    # the hash constants and jump tables are built on first use, once per size
+    # the hash constants are built on first use, once
     code = ("import recipeff; from recipeff import core as c; "
-            "sizes = lambda: (c._hash_constants.cache_info().currsize, "
-            "c._jump_table.cache_info().currsize); "
-            "print(*sizes()); c.random_reciprocal(4, seed=1); c.random_reciprocal_stack(4, [2, 3]); "
-            "print(*sizes())")
+            "size = lambda: c._hash_constants.cache_info().currsize; "
+            "print(size()); c.random_reciprocal(4, seed=1); c.random_reciprocal_stack(4, [2, 3]); "
+            "print(size())")
     src = str(Path(core.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == ["0", "0", "1", "1"]
-    assert not core._jump_table(6).flags.writeable
+    assert out.stdout.split() == ["0", "1"]
     assert not any(c.flags.writeable for c in core._hash_constants())
+
+
+def test_draws_at_large_orders_hold_no_memory_afterwards():
+    # one draw at each order, then nothing kept: no per-order table or index cache
+    code = ("import gc, tracemalloc; import recipeff; tracemalloc.start(); "
+            "[recipeff.random_reciprocal(n, seed=n) for n in (50, 167, 283, 400, 520)]; "
+            "gc.collect(); print(tracemalloc.get_traced_memory()[0])")
+    src = str(Path(core.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert int(out.stdout) < 2 * 2**20

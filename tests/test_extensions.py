@@ -310,6 +310,17 @@ def test_extension_source_scan_validates_samples():
         extension_source_scan_stack(all_ones(3).a[None], 5, [0, 1])
 
 
+def test_extension_source_scan_takes_random_reciprocals_seeds():
+    # a scan seed is an integer in [0, 2**128), as for random_reciprocal
+    for seed in (-1, 2**128):
+        with pytest.raises(ValueError, match=f"got {seed}"):
+            extension_source_scan(all_ones(3), samples=5, seed=seed)
+    for seed in (None, [1, 2], 1.5):
+        with pytest.raises(TypeError, match="integers"):
+            extension_source_scan(all_ones(3), samples=5, seed=seed)
+    assert extension_source_scan(all_ones(3), samples=5, seed=2**128 - 1).ok
+
+
 @pytest.mark.parametrize("flag_out_degree", [False, True])
 def test_stacked_scan_failures_are_the_one_base_scans(monkeypatch, flag_out_degree):
     # verify's 20 bases, grouped by order; with the real check no sample
