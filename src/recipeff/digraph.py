@@ -11,7 +11,7 @@ monotone rounding, a missing (i, j) means w_i/w_j < a_ij exactly and forces
 fl(w_j/w_i) >= a_ji, so (j, i) is present.  Hence the condensation is a
 total order, sorting the vertices by out-degree lists its blocks in that
 order, the block ends follow from the degrees alone, and a strong G has a
-Hamiltonian cycle (Camion 1959) that insertion builds for every n.
+Hamiltonian cycle (Camion 1959), which insertion on bitsets builds for every n.
 
 `DigraphStack` is the one array step: for a (B, n, n) stack, the Perron
 vectors (unless given), the digraphs as one boolean tensor and their SCCs.
@@ -194,44 +194,53 @@ def no_source_theorem_check(
     return has_no_source(build_digraph(A, perron(A).w, eps_rel))
 
 
-def _edge_between(adj: np.ndarray, src: np.ndarray, dst: np.ndarray):
-    """First edge (u, v), 0-based, with src[u] and dst[v], or None."""
-    u, v = np.flatnonzero(src), np.flatnonzero(dst)
-    hits = np.argwhere(adj[np.ix_(u, v)])
-    return (int(u[hits[0, 0]]), int(v[hits[0, 1]])) if len(hits) else None
+def _bitsets(rows: np.ndarray) -> list[int]:
+    """Each row of a boolean array, or the one row of a vector, as an int: bit j is entry j."""
+    packed = np.packbits(rows, axis=-1, bitorder="little")
+    b, k = packed.tobytes(), packed.shape[-1]
+    return [int.from_bytes(b[i:i + k], "little") for i in range(0, len(b), k)]
+
+
+def _members(m: int) -> Iterator[int]:
+    """The set bits of m, lowest first."""
+    while m:
+        yield (m & -m).bit_length() - 1
+        m &= m - 1
 
 
 def hamiltonian_cycle(G: EfficiencyDigraph) -> list[int] | None:
     """Directed Hamiltonian cycle starting at vertex 1, or None if G is not strong.
 
-    Camion insertion on the semicomplete G.  The cycle grows from vertex 1
-    alone.  A vertex v with edges both from and to the cycle fits between
-    consecutive c -> v -> c'.  Otherwise every outside vertex is beaten by
-    the whole cycle or beats it, and an edge x -> y from the beaten side to
-    the beating side goes in as 1 -> x -> y -> (old successor of 1).  No
-    such edge means the beaten side cannot reach the rest: G is not strong.
+    Camion insertion on the semicomplete G, in Python-int bitsets: G's rows,
+    packed once, and the vertices on, reached from and reaching the cycle.
+    From vertex 1 alone, each round inserts every v with edges both from
+    and to the cycle, lowest first, after the lowest c with c -> v ->
+    (successor of c): v's lowest in-neighbour on the cycle if it fits, else
+    the lowest hit of one numpy gather.  If none fits, the first edge x -> y,
+    row-major, from the outside vertices the whole cycle beats to those that
+    beat it goes in as 1 -> x -> y -> (old successor of 1); with no such
+    edge, the beaten side cannot reach the rest and G is not strong.
     """
-    adj, n = G.adj, G.n
-    nxt = np.zeros(n, dtype=np.intp)  # successor on the cycle
-    on = np.zeros(n, dtype=bool)
-    on[0] = True
-    cin, cout = adj[0].astype(int), adj[:, 0].astype(int)  # edges from/to the cycle
-    while not on.all():
-        # a vertex that fits keeps fitting as the cycle grows
-        new = np.flatnonzero(~on & (cin > 0) & (cout > 0)).tolist()
-        for v in new:
-            c = int(np.argmax(on & adj[:, v] & adj[v, nxt]))
+    adj, n, nxt = G.adj, G.n, np.zeros(G.n, dtype=np.intp)  # nxt: successor on the cycle
+    rows = _bitsets(np.concatenate((adj, adj.T)))
+    out, into = rows[:n], rows[n:]  # bit v of out[u], and bit u of into[v]: edge (u, v)
+    on, fro, to, full = 1, out[0], into[0], (1 << n) - 1  # fro/to: edges from/to the cycle
+    while on != full:
+        fit = fro & to & ~on  # a vertex that fits keeps fitting as the cycle grows
+        for v in _members(fit):
+            c = next(_members(on & into[v]))
+            if not out[v] >> int(nxt[c]) & 1:
+                c = next(_members(on & into[v] & _bitsets(adj[v].take(nxt))[0]))
             nxt[v], nxt[c] = nxt[c], v
-            on[v] = True
-        if not new:
-            edge = _edge_between(adj, ~on & (cout == 0), ~on & (cin == 0))
-            if edge is None:
+            on, fro, to = on | 1 << v, fro | out[v], to | into[v]
+        if not fit:
+            beating = full & ~(on | fro)
+            x = next((u for u in _members(full & ~(on | to)) if out[u] & beating), None)
+            if x is None:
                 return None
-            x, y = new = list(edge)
+            y = next(_members(out[x] & beating))
             nxt[y], nxt[x], nxt[0] = nxt[0], y, x
-            on[new] = True
-        cin += adj[new].sum(axis=0)
-        cout += adj[:, new].sum(axis=1)
+            on, fro, to = on | 1 << x | 1 << y, fro | out[x] | out[y], to | into[x] | into[y]
     succ, cycle = nxt.tolist(), [0]
     while len(cycle) < n:
         cycle.append(succ[cycle[-1]])

@@ -171,10 +171,10 @@ def _cell_codes() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cell_rows(xyza) -> np.ndarray:
-    """The `order_cells()` rows of a (B, 4) stack of (x, y, z, a), in one array
-    step: each point's code is looked up in the cells'; one no cell has raises."""
+    """The `order_cells()` rows of a (B, 4) stack of (x, y, z, a), or (B, 3) with a = 1, in one
+    array step: each point's code is looked up in the cells'; one no cell has raises."""
     v = np.ones((len(xyza), 5))
-    v[:, 1:] = xyza
+    v[:, 1:1 + np.shape(xyza)[1]] = xyza
     (cell_codes, rows), codes = _cell_codes(), _orders(v).reshape(len(v), 25) @ 3 ** np.arange(25)
     at = np.minimum(np.searchsorted(cell_codes, codes), len(rows) - 1)
     missing = cell_codes[at] != codes
@@ -272,7 +272,9 @@ def guarantee_n5plus(p: ZParams) -> RegionVerdict:
 def guarantee_a1(n: int, x: float, y: float, z: float) -> RegionVerdict:
     """Efficiency-region verdict for the a = 1 slice, n >= 5."""
     _require_positive(x=x, y=y, z=z)
-    label = guarantee_a1_stack(n, [[x, y, z]])[0]
+    if n < 5:
+        raise ValueError("guarantee_a1 requires n >= 5")
+    label = _A1_EXCEPTIONS.first(_cell_rows([[x, y, z]]))[0]
     return RegionVerdict(label is None, label, "identity")
 
 
@@ -280,7 +282,7 @@ def guarantee_a1_stack(n: int, xyz) -> np.ndarray:
     """`guarantee_a1`'s exception label, or None, of each point of a (B, 3) stack of (x, y, z)."""
     if n < 5:
         raise ValueError("guarantee_a1 requires n >= 5")
-    return _A1_EXCEPTIONS.first(_cell_rows(np.insert(_positive_stack(xyz, "xyz"), 3, 1.0, axis=1)))
+    return _A1_EXCEPTIONS.first(_cell_rows(_positive_stack(xyz, "xyz")))
 
 
 # the six sufficient clauses for Z_4(x, y, z, 1)
@@ -300,16 +302,20 @@ def guarantee_n4(x: float, y: float, z: float, form: str = "six_cases") -> bool:
     positive and finite.
     """
     _require_positive(x=x, y=y, z=z)
-    return bool(guarantee_n4_stack([[x, y, z]], form)[0])
+    return bool(_n4_holds(np.array([[x, y, z]]), form)[0])
 
 
 def guarantee_n4_stack(xyz, form: str = "six_cases") -> np.ndarray:
     """`guarantee_n4` of each point of a (B, 3) stack of (x, y, z), as (B,) bools."""
-    xyza = np.insert(_positive_stack(xyz, "xyz"), 3, 1.0, axis=1)
+    return _n4_holds(_positive_stack(xyz, "xyz"), form)
+
+
+def _n4_holds(xyz: np.ndarray, form: str) -> np.ndarray:
     if form == "six_cases":
-        return _N4_CASES.hits[_cell_rows(xyza)].any(axis=1)
+        return _N4_CASES.hits[_cell_rows(xyz)].any(axis=1)
     if form == "region_complement":
-        (lo_x, hi_x), (lo_yz, hi_yz) = np.sort(xyza[:, [0, 3]]).T, np.sort(xyza[:, 1:3]).T
+        x, (lo_yz, hi_yz) = xyz[:, 0], np.sort(xyz[:, 1:]).T
+        lo_x, hi_x = np.minimum(x, 1.0), np.maximum(x, 1.0)
         return ~((lo_x != hi_x) & (lo_yz != hi_yz) & (
             (lo_x < lo_yz) & (lo_yz < hi_x) & (hi_x < hi_yz)
             | (lo_yz < lo_x) & (lo_x < hi_yz) & (hi_yz < hi_x)))

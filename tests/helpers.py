@@ -63,3 +63,35 @@ def same_report(rep, one) -> bool:
             and rep.digraph.eps_rel == one.digraph.eps_rel
             and rep.scc_count == one.scc_count and rep.efficient == one.efficient
             and cert_same and perron_same)
+
+
+def hamiltonian_cycle_reference(G) -> list[int] | None:
+    """Camion insertion on numpy boolean arrays, the reference of
+    `digraph.hamiltonian_cycle`: the same rounds, the same insertion point
+    (the lowest on-cycle c with c -> v -> successor of c) and the same first
+    row-major edge, so the same cycle, or None when G is not strong."""
+    adj, n = G.adj, G.n
+    nxt = np.zeros(n, dtype=np.intp)  # successor on the cycle
+    on = np.zeros(n, dtype=bool)
+    on[0] = True
+    cin, cout = adj[0].astype(int), adj[:, 0].astype(int)  # edges from/to the cycle
+    while not on.all():
+        new = np.flatnonzero(~on & (cin > 0) & (cout > 0)).tolist()
+        for v in new:
+            c = int(np.argmax(on & adj[:, v] & adj[v, nxt]))
+            nxt[v], nxt[c] = nxt[c], v
+            on[v] = True
+        if not new:
+            u, v = np.flatnonzero(~on & (cout == 0)), np.flatnonzero(~on & (cin == 0))
+            hits = np.argwhere(adj[np.ix_(u, v)])
+            if not len(hits):
+                return None
+            x, y = new = [int(u[hits[0, 0]]), int(v[hits[0, 1]])]
+            nxt[y], nxt[x], nxt[0] = nxt[0], y, x
+            on[new] = True
+        cin += adj[new].sum(axis=0)
+        cout += adj[:, new].sum(axis=1)
+    succ, cycle = nxt.tolist(), [0]
+    while len(cycle) < n:
+        cycle.append(succ[cycle[-1]])
+    return [v + 1 for v in cycle]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import consistent_from_vector, same_report
+from helpers import consistent_from_vector, hamiltonian_cycle_reference, same_report
 
 from recipeff.core import (
     make_reciprocal,
@@ -15,6 +15,7 @@ from recipeff.core import (
 )
 import recipeff.digraph as dg
 from recipeff.digraph import (
+    EfficiencyDigraph,
     analyze,
     analyze_stack,
     build_digraph,
@@ -206,6 +207,96 @@ def test_hamiltonian_iff_strongly_connected_sample():
         A = random_reciprocal(3 + k % 5, seed=7000 + k)
         G = build_digraph(A, perron(A).w)
         assert strongly_connected(G)[0] == (hamiltonian_cycle(G) is not None)
+
+
+def _semicomplete(rng, n):
+    """A random semicomplete digraph on n vertices; about one pair in six is a 2-cycle."""
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    fwd, both = rng.random((n, n)) < 0.5, rng.random((n, n)) < 0.15
+    return upper & (fwd | both) | (upper & (~fwd | both)).T
+
+
+def _not_strong(rng, n):
+    """A semicomplete digraph on n >= 2 vertices, split into two or three
+    blocks with every edge between blocks forward only, vertices permuted."""
+    v = np.arange(n)
+    block = (v >= rng.integers(1, n)) + (v >= rng.integers(1, n + 1)).astype(int)
+    same, forward = block[:, None] == block[None, :], block[:, None] < block[None, :]
+    adj = _semicomplete(rng, n) & same | forward
+    p = rng.permutation(n)
+    return adj[np.ix_(p, p)]
+
+
+def _rotational(n):
+    """The rotational tournament on odd n: i -> j iff (j - i) mod n is at most (n - 1) / 2."""
+    d = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+    return (d >= 1) & (d <= (n - 1) // 2)
+
+
+def _transitive_with_back_edge(n, a, b):
+    """The transitive tournament i -> j for i < j, with the edge between a < b reversed."""
+    adj = np.triu(np.ones((n, n), dtype=bool), 1)
+    adj[a, b], adj[b, a] = False, True
+    return adj
+
+
+def test_hamiltonian_cycle_is_the_reference_insertion():
+    rng = np.random.default_rng(23)
+    graphs = [_semicomplete(rng, n) for n in range(2, 41) for _ in range(6)]
+    graphs += [_not_strong(rng, n) for n in range(2, 41) for _ in range(3)]
+    for k in range(120):
+        A = random_reciprocal(2 + k % 14, seed=2300 + k)
+        for w in (perron(A).w, np.exp(rng.uniform(-1.0, 1.0, size=A.n))):
+            graphs += [build_digraph(A, w, eps_rel).adj for eps_rel in (0.0, 1e-9)]
+    for n in range(3, 102, 2):
+        p = rng.permutation(n)
+        graphs += [_rotational(n), _rotational(n)[np.ix_(p, p)]]
+    for n in range(2, 41):
+        graphs += [_transitive_with_back_edge(n, 0, n - 1),
+                   _transitive_with_back_edge(n, *sorted(rng.choice(n, 2, replace=False)))]
+    found = {True: 0, False: 0}
+    for adj in graphs:
+        G = EfficiencyDigraph(adj, 0.0)
+        cyc = hamiltonian_cycle(G)
+        assert cyc == hamiltonian_cycle_reference(G)
+        found[cyc is None] += 1
+    assert min(found.values()) > 100
+
+
+@pytest.mark.parametrize("n", [5, 7, 51, 101])
+def test_circulant_reciprocal_matrix_gives_the_rotational_tournament(n, monkeypatch):
+    """a[i, (i + k) % n] = c_k < 1 for k <= (n - 1) / 2: the rows are cyclic
+    shifts of one another, so the Perron vector is all-ones and the digraph
+    is the rotational tournament, where v's lowest in-neighbour on the cycle
+    often does not fit and the gather runs."""
+    m, i = (n - 1) // 2, np.arange(n)
+    a = np.ones((n, n))
+    for k, c in enumerate(np.random.default_rng(n).uniform(0.2, 0.9, m), start=1):
+        a[i, (i + k) % n], a[(i + k) % n, i] = c, 1.0 / c
+    rep = analyze(make_reciprocal(a))
+    assert np.abs(rep.w - 1.0).max() <= 1e-15
+    assert np.array_equal(rep.digraph.adj, _rotational(n)) and rep.efficient
+    gathers, bitsets = [], dg._bitsets  # a 1-D argument is the gather adj[v, nxt]
+    monkeypatch.setattr(dg, "_bitsets", lambda a: gathers.append(a.ndim == 1) or bitsets(a))
+    _assert_valid_cycle(rep.digraph, list(rep.hamiltonian))
+    assert any(gathers)
+
+
+def test_hamiltonian_cycle_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(29)
+    found = {True: 0, False: 0}
+    for k in range(1200):
+        n = 2 + k % 15
+        adj = (_semicomplete, _not_strong)[k % 3 == 0](rng, n)
+        H = nx.from_numpy_array(adj.astype(int), create_using=nx.DiGraph)
+        cyc = hamiltonian_cycle(EfficiencyDigraph(adj, 0.0))
+        assert (cyc is None) == (not nx.is_strongly_connected(H))
+        if cyc is not None:
+            path = [v - 1 for v in cyc]
+            assert len(path) == n and nx.is_simple_path(H, path) and H.has_edge(path[-1], path[0])
+        found[cyc is None] += 1
+    assert min(found.values()) > 300
 
 
 def test_no_source_theorem_on_random_matrices():
