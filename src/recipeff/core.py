@@ -11,17 +11,16 @@ found by repeated squaring at small orders, and normalized to have first
 component 1.  The solve runs on (B, n, n) stacks (`perron_stack`); `perron`
 is its one-matrix case.
 
-Seeded random matrices reproduce numpy's `Generator(PCG64(seed))` stream
-bit for bit (`random_reciprocal_stack`): SeedSequence's hash runs over all
-seeds as one array, and numpy's own PCG64, set to each seed's state in
-turn, steps the draws.  `random_reciprocal` is its one-seed case.
+Seeded random matrices come from one numpy generator per seed,
+`np.random.default_rng(seed)`: a stack of `count` matrices reads its upper
+triangles off one stream (`random_reciprocal_stack`), so row k is the same
+for every count > k, and `random_reciprocal` is its first row.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -207,8 +206,10 @@ def perron_stack(a: np.ndarray, max_iter: int = PERRON_MAX_ITER) -> PerronStack:
     with the least budget left, the first on ties), or when it stops at a w
     or r that is not positive and finite, as when an entry product
     underflows or a row sum overflows.  Every row equals its own one-matrix
-    solve bit for bit.
+    solve bit for bit.  max_iter must be a nonnegative integer.
     """
+    if operator.index(max_iter) < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     a = np.ascontiguousarray(a, dtype=float)
     B, n = a.shape[0], a.shape[-1]
     w = np.empty((B, n))
@@ -288,102 +289,47 @@ def pareto_dominates(A: ReciprocalMatrix, w, w2) -> bool:
 
 def random_reciprocal(n: int, seed: int, log_scale: float = np.log(9.0)) -> ReciprocalMatrix:
     """Seeded random matrix: upper entries exp(U[-log_scale, log_scale]); the
-    one-row case of `random_reciprocal_stack`."""
-    return ReciprocalMatrix(random_reciprocal_stack(n, [seed], log_scale)[0])
+    first row of `random_reciprocal_stack`."""
+    return ReciprocalMatrix(random_reciprocal_stack(n, 1, seed, log_scale)[0])
 
 
-# numpy's SeedSequence hash (pool of four 32-bit words) and PCG64 multiplier
-_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
-_POOL_HASH = (0x43B0D7E5, 0x931E8875)
-_STATE_HASH = (0x8B51F9DD, 0x58F38DED)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-@cache
-def _hash_constants() -> tuple[np.ndarray, np.ndarray]:
-    """(2, k) uint32 (xor, multiply) constants of SeedSequence's successive
-    hash calls, read-only: the 16 that fill and mix the pool, and the 8 that
-    generate PCG64's four 64-bit state words from it."""
-    def run(h: int, mult: int, k: int) -> np.ndarray:
-        hs = [h * pow(mult, i, 2**32) & _M32 for i in range(k + 1)]
-        c = np.array([hs[:-1], hs[1:]], dtype=np.uint32)
-        c.flags.writeable = False
-        return c
-
-    return run(*_POOL_HASH, 16), run(*_STATE_HASH, 8)
-
-
-def _hashmix(v: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix of the uint32 words v with (xor, multiply) constants c."""
-    v = (v ^ c[0]) * c[1]
-    return v ^ (v >> 16)
-
-
-def _uniform01(seeds, m: int) -> np.ndarray:
-    """(len(seeds), m): the first m doubles of `Generator(PCG64(seed))` for
-    each seed, bit for bit.  A seed must be an integer in [0, 2**128).
-
-    SeedSequence hashes a seed's 32-bit words into a pool of four words, for
-    all seeds as one array; a seed below 2**128 has at most four, and padding
-    it with zero words gives the pool that SeedSequence's own padding gives.
-    The pool yields PCG64's start s and stream inc, and seeding leaves the
-    state at M (s + inc) + inc.  One numpy PCG64 is set to that state for
-    each seed in turn and steps m outputs, of which a double keeps the top
-    53 bits.
-    """
+def _rng(seed: int) -> np.random.Generator:
+    """`np.random.default_rng(seed)` for a seed that is an integer in [0, 2**128)."""
     try:
-        ints = [operator.index(s) for s in seeds]
+        seed = operator.index(seed)
     except TypeError as e:
         raise TypeError(f"seeds must be integers: {e}") from None
-    bad = [s for s in ints if not 0 <= s <= _M128]
-    if bad:
-        raise ValueError(f"seed must be in [0, 2**128), got {bad[0]}")
-    low = np.array([s & _M64 for s in ints], dtype=np.uint64)
-    high = np.array([s >> 64 for s in ints], dtype=np.uint64)
-    words = (np.stack([low, low >> 32, high, high >> 32], axis=1) & _M32).astype(np.uint32)
-    pool_hash, state_hash = _hash_constants()
-    pool = _hashmix(words, pool_hash[:, :4])
-    for src in range(4):  # mix each word into the other three, in turn
-        dst = [d for d in range(4) if d != src]
-        h = _hashmix(pool[:, src, None], pool_hash[:, 4 + 3 * src:7 + 3 * src])
-        mixed = _MIX_L * pool[:, dst] - _MIX_R * h
-        pool[:, dst] = mixed ^ (mixed >> 16)
-    state = _hashmix(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], state_hash).astype(np.uint64)
-    raw = np.empty((len(ints), m), dtype=np.uint64)
-    pcg = np.random.PCG64(0)
-    for k, (sh, sl, qh, ql) in enumerate((state[:, 0::2] | (state[:, 1::2] << 32)).tolist()):
-        inc = ((qh << 64 | ql) << 1 | 1) & _M128
-        pcg.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                     "state": {"state": (_PCG_MULT * ((sh << 64 | sl) + inc) + inc) & _M128,
-                               "inc": inc}}
-        raw[k] = pcg.random_raw(m)
-    return (raw >> 11) * 2.0**-53
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+    return np.random.default_rng(seed)
 
 
-def random_reciprocal_stack(n: int, seeds, log_scale: float = np.log(9.0)) -> np.ndarray:
-    """(len(seeds), n, n) stack; row k is random_reciprocal(n, seeds[k], log_scale).a.
+def random_reciprocal_stack(n: int, count: int, seed: int,
+                            log_scale: float = np.log(9.0)) -> np.ndarray:
+    """(count, n, n) stack of seeded random matrices, drawn from one stream.
 
-    Its upper triangle, row by row, is exp(Generator(PCG64(seed)).uniform(
-    -log_scale, log_scale, n(n-1)/2)) bit for bit (`_uniform01`).  seeds may be
-    any iterable; a seed must be an integer in [0, 2**128), and log_scale
-    finite and nonnegative; an entry or reciprocal that is not finite raises
-    ValueError naming the seed.
+    Its upper triangles, row by row, are exp(default_rng(seed).uniform(
+    -log_scale, log_scale, (count, n(n-1)/2))) (`_rng`), so row k is the
+    same for every count > k.  count must be a nonnegative integer, and
+    log_scale and twice it finite and nonnegative; an entry or reciprocal
+    that is not finite raises ValueError naming the row.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    if operator.index(count) < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     high = float(log_scale)
-    if not 0 <= high < np.inf:
-        raise ValueError(f"log_scale must be finite and nonnegative, got {log_scale!r}")
-    # seeds listed once, so that an iterator can be read and still name a seed below
-    seeds, low, (iu, ju) = list(seeds), -high, np.triu_indices(n, k=1)
-    u = _uniform01(seeds, len(iu))
-    a = np.ones((len(u), n, n))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        a[:, iu, ju] = np.exp(low + (high - low) * u)  # as Generator.uniform computes it
+    if not 0 <= 2 * high < np.inf:  # as Generator.uniform needs its range
+        raise ValueError(f"log_scale must be finite and nonnegative, and so must twice it; "
+                         f"got {log_scale!r}")
+    iu, ju = np.triu_indices(n, k=1)
+    u = _rng(seed).uniform(-high, high, (count, len(iu)))
+    a = np.ones((count, n, n))
+    with np.errstate(over="ignore", divide="ignore"):
+        a[:, iu, ju] = np.exp(u)
         out = _canonicalize(a)
     ok = np.isfinite(out).all(axis=(1, 2))
     if not ok.all():
-        raise ValueError(f"log_scale {log_scale!r} too large: entries of the matrix of seed "
-                         f"{seeds[int(ok.argmin())]} or their reciprocals overflow")
+        raise ValueError(f"log_scale {log_scale!r} too large: entries of row {int(ok.argmin())} "
+                         f"of seed {seed}'s stack or their reciprocals overflow")
     return out

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ReciprocalMatrix, _uniform01, make_reciprocal, perron
+from .core import ReciprocalMatrix, _rng, make_reciprocal, perron
 from .digraph import DEFAULT_EPS_REL, DigraphStack, analyze, has_no_source_stack
 
 ROW_SUM_RTOL = 1e-10
@@ -178,8 +178,8 @@ def extension_source_scan_stack(
     if len(seeds) != len(As):
         raise ValueError(f"{len(seeds)} seeds for {len(As)} bases")
     n, span = As.shape[-1], np.log(APPENDED_SPAN)
-    u = _uniform01(seeds, samples * n).reshape(len(As), samples, n)
-    ext = _append_columns(As[:, None], np.exp(-span + 2 * span * u))  # as Generator.uniform
+    cols = np.exp([_rng(seed).uniform(-span, span, (samples, n)) for seed in seeds])
+    ext = _append_columns(As[:, None], cols.reshape(len(As), samples, n))
     adj = DigraphStack(ext.reshape(-1, n + 1, n + 1), eps_rel=eps_rel).adj
     ok = has_no_source_stack(adj).reshape(len(As), samples)
     return [SourceScanReport(samples, seed, tuple(np.flatnonzero(~row).tolist()))
@@ -194,9 +194,9 @@ def extension_source_scan(
 ) -> SourceScanReport:
     """Random extensions of A never yield a source under the Perron vector.
 
-    Appends log-uniform columns in [1/9, 9], drawn bit for bit from the
-    stream of `Generator(PCG64(seed))` (`core._uniform01`), so seed is an
-    integer in [0, 2**128) as for `random_reciprocal`.  Evaluates the
+    Appends log-uniform columns in [1/9, 9], sample k the k-th row of
+    exp(default_rng(seed).uniform(-log 9, log 9, (samples, n))), where seed
+    is an integer in [0, 2**128) as for `random_reciprocal`.  Evaluates the
     extensions as one stack, and checks both the absence of sources and the
     incoming-edge witness condition (`has_no_source_stack`).  Failures
     (expected none) are reported by sample index.  The one-base case of

@@ -19,6 +19,7 @@ while the computed digraph is strongly connected.  See the README.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 
@@ -26,10 +27,11 @@ import numpy as np
 
 from .core import (
     ReciprocalMatrix,
-    _uniform01,
+    _rng,
     make_reciprocal,
     pareto_dominates,
     perron,
+    random_reciprocal,
     random_reciprocal_stack,
 )
 from .digraph import (
@@ -52,6 +54,7 @@ from .extensions import (
     well_behaved_type_I,
 )
 from .zfamily import (
+    _REGION_EXCEPTIONS,
     ZStack,
     cell_tables,
     guarantee_a1_stack,
@@ -193,7 +196,7 @@ def grid_sweep(
 ) -> ZStack:
     """Evaluate every (x,y,z,a) in the Cartesian grid, lexicographically, as
     one stack; `sweep_csv` writes it as CSV."""
-    if n < 5:
+    if operator.index(n) < 5:
         raise ValueError("grid sweep requires n >= 5")
     axes = tuple(float(v) for v in axis_values)
     if not axes or not all(0 < v < np.inf for v in axes):
@@ -219,9 +222,7 @@ class VerificationSummary:
         return not self.failures
 
 
-ALL_EXCEPTION_LABELS = frozenset(
-    f"T{k}{c}" for k in (5, 6, 7, 8) for c in ("(i)", "(ii)", "(iii)")
-)
+ALL_EXCEPTION_LABELS = frozenset(_REGION_EXCEPTIONS.labels)
 
 
 def _tally(check_id: str, template: str, bad: np.ndarray, name) -> WalkthroughStep:
@@ -296,14 +297,15 @@ def _grid_checks(eps_rel: float) -> tuple[list[WalkthroughStep], list]:
 
 
 def _seeded(count: int, orders: int, seed: int, is_bad):
-    """The flags of random_reciprocal(3 + k % orders, seed + k), k < count, and
-    the namer of k.  The matrices of each order are one (B, n, n) stack, which
-    `is_bad` maps to B flags."""
+    """The flags of instances k < count, and the namer of k.  Instance k is
+    row k // orders of the stack of order 3 + i, i = k % orders, drawn from
+    seed + i; `is_bad` maps each order's stack to its flags."""
     bad = np.zeros(count, dtype=bool)
-    for n in range(3, 3 + orders):
-        seeds = range(seed + n - 3, seed + count, orders)
-        bad[n - 3::orders] = is_bad(random_reciprocal_stack(n, seeds))
-    return bad, lambda k: f"random_reciprocal({3 + k % orders}, seed={seed + k})"
+    for i in range(orders):
+        rows = range(i, count, orders)
+        bad[rows] = is_bad(random_reciprocal_stack(3 + i, len(rows), seed + i))
+    return bad, lambda k: (f"random_reciprocal_stack({3 + k % orders}, {k // orders + 1}, "
+                           f"seed={seed + k % orders})[{k // orders}]")
 
 
 def _random_extensions(eps_rel: float):
@@ -313,8 +315,8 @@ def _random_extensions(eps_rel: float):
     bad = np.zeros((20, 50), dtype=bool)
     for n in range(3, 9):
         bs = range(n - 3, 20, 6)
-        scans = extension_source_scan_stack(random_reciprocal_stack(n, [2000 + b for b in bs]),
-                                            50, [3000 + b for b in bs], eps_rel)
+        bases = np.array([random_reciprocal(n, seed=2000 + b).a for b in bs])
+        scans = extension_source_scan_stack(bases, 50, [3000 + b for b in bs], eps_rel)
         for b, scan in zip(bs, scans):
             bad[b, list(scan.failures)] = True
     return bad.ravel(), lambda i: (
@@ -338,8 +340,7 @@ def _suite_records(eps_rel: float) -> list[WalkthroughStep]:
     """
     rep3 = analyze(make_reciprocal(np.array(COUNTEREXAMPLE_3X3_ROWS), mode="validate"),
                    np.array(COUNTEREXAMPLE_3X3_W), eps_rel)
-    span = np.log(9.0)  # Generator(PCG64(5000)).uniform(-span, span, (1000, 3))
-    triples = np.exp(-span + 2 * span * _uniform01([5000], 3000).reshape(1000, 3))
+    triples = np.exp(_rng(5000).uniform(-np.log(9.0), np.log(9.0), (1000, 3)))
     slice_points = np.array([(*p, 1.0) for p in itertools.product(DEFAULT_AXES, repeat=3)])
     checks = [
         *example_walkthrough(eps_rel),

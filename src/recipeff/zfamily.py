@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
@@ -83,7 +84,7 @@ class ZParams:
     a: float
 
     def __post_init__(self) -> None:
-        if self.n < 4:
+        if operator.index(self.n) < 4:
             raise ValueError("n must be at least 4")
         _require_positive(x=self.x, y=self.y, z=self.z, a=self.a)
 
@@ -347,7 +348,7 @@ class ZStack(DigraphStack):
     """
 
     def __init__(self, n: int, xyza, eps_rel: float = DEFAULT_EPS_REL) -> None:
-        if n < 5:
+        if operator.index(n) < 5:
             raise ValueError("requires n >= 5")
         self.n, self.xyza = n, _positive_stack(xyza, "xyza")
         a = z_stack(5, self.xyza)

@@ -127,6 +127,18 @@ def test_perron_nonconvergence_raises():
         perron(A, max_iter=2)
 
 
+def test_perron_rejects_a_max_iter_that_is_not_a_nonnegative_integer():
+    # a converging matrix: a cap the step count can never equal would turn
+    # off the stall guard, so it is refused before any step
+    A = random_reciprocal(4, seed=1)
+    with pytest.raises(ValueError, match="max_iter must be nonnegative, got -1"):
+        perron(A, max_iter=-1)
+    for cap in (2.5, np.float64(50.0), None):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            perron_stack(A.a[None], max_iter=cap)
+    assert perron(A, max_iter=np.int64(50)).w.tobytes() == perron(A).w.tobytes()
+
+
 def test_monomial_similarity_maps_perron_vector():
     # Q A Q^-1 with Q = diag(d) P: its Perron vector is Q w up to scale
     A = random_reciprocal(5, seed=23)
@@ -448,48 +460,59 @@ def test_perron_cap_is_exact_for_each_row_of_a_stack():
 
 
 def test_random_reciprocal_stack_rows_are_the_matrices():
+    # one stream per seed: row k is the same at every count > k, and row 0
+    # is random_reciprocal
     for n in (2, 3, 8):
-        seeds = [5, 17, 1000 + n]
-        stack = random_reciprocal_stack(n, seeds)
-        assert stack.shape == (3, n, n)
-        for row, s in zip(stack, seeds):
-            assert row.tobytes() == random_reciprocal(n, seed=s).a.tobytes()
+        stack = random_reciprocal_stack(n, 5, 17)
+        assert stack.shape == (5, n, n)
+        assert stack[0].tobytes() == random_reciprocal(n, seed=17).a.tobytes()
+        for count in range(6):
+            assert random_reciprocal_stack(n, count, 17).tobytes() == stack[:count].tobytes()
     with pytest.raises(ValueError, match="at least 2"):
-        random_reciprocal_stack(1, [0])
+        random_reciprocal_stack(1, 1, 0)
     with pytest.raises(ValueError, match="overflow"), np.errstate(over="ignore"):
-        random_reciprocal_stack(3, [0], log_scale=1e4)
+        random_reciprocal_stack(3, 1, 0, log_scale=1e4)
+
+
+def test_random_reciprocal_stack_rejects_a_bad_count():
+    assert random_reciprocal_stack(4, 0, 7).shape == (0, 4, 4)
+    assert random_reciprocal_stack(3, np.int64(2), 7).tobytes() == (
+        random_reciprocal_stack(3, 2, 7).tobytes())
+    with pytest.raises(ValueError, match="count must be nonnegative, got -1"):
+        random_reciprocal_stack(3, -1, 0)
+    for count in (2.5, np.float64(2.0), None, "2", [2]):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            random_reciprocal_stack(3, count, 0)
 
 
 SEED_EDGES = (0, 2**32 - 1, 2**32, 2**64, 2**128 - 1)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=2, max_value=12),
-       st.lists(st.one_of(st.sampled_from(SEED_EDGES), st.integers(0, 2**128 - 1)), max_size=5),
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=4),
+       st.lists(st.one_of(st.sampled_from(SEED_EDGES), st.integers(0, 2**128 - 1)), max_size=3),
        st.sampled_from([0.0, float(np.log(9.0)), 50.0]))
-@example(12, list(SEED_EDGES), 50.0)
-@example(2, list(SEED_EDGES), 0.0)
-@example(60, [1, 2**128 - 1], float(np.log(9.0)))  # 1,770 doubles per seed
-@example(4, [*range(63), 0], float(np.log(9.0)))  # each seed starts from its own state
-def test_random_reciprocal_stack_is_default_rng_bit_for_bit(n, seeds, log_scale):
-    # the array draw against the installed numpy's own generator, so a
-    # change of numpy's stream fails here
-    stack = random_reciprocal_stack(n, seeds, log_scale)
-    assert stack.shape == (len(seeds), n, n)
+@example(12, 3, list(SEED_EDGES), 50.0)
+@example(2, 1, list(SEED_EDGES), 0.0)
+@example(60, 2, [1, 2**128 - 1], float(np.log(9.0)))  # 1,770 doubles per row
+def test_random_reciprocal_stack_is_default_rng_bit_for_bit(n, count, seeds, log_scale):
+    # the draw against the installed numpy's own generator, so a change of
+    # numpy's stream fails here
     iu, ju = np.triu_indices(n, k=1)
-    for row, seed in zip(stack, seeds):
-        want = np.exp(np.random.default_rng(seed).uniform(-log_scale, log_scale, n * (n - 1) // 2))
-        assert row[iu, ju].tobytes() == want.tobytes()
+    for seed in seeds:
+        stack = random_reciprocal_stack(n, count, seed, log_scale)
+        assert stack.shape == (count, n, n)
+        want = np.random.default_rng(seed).uniform(-log_scale, log_scale, (count, len(iu)))
+        assert stack[:, iu, ju].tobytes() == np.exp(want).tobytes()
 
 
 def test_random_reciprocal_stack_seed_domain():
-    assert random_reciprocal_stack(4, []).shape == (0, 4, 4)
-    same = random_reciprocal_stack(3, [7, 7, 1, 0])
-    assert random_reciprocal_stack(3, [np.int64(7), np.uint32(7), True, False]).tobytes() == (
-        same.tobytes())
+    for seed, same in ((np.int64(7), 7), (np.uint32(7), 7), (True, 1), (False, 0)):
+        assert random_reciprocal_stack(3, 2, seed).tobytes() == (
+            random_reciprocal_stack(3, 2, same).tobytes())
     for seed in (-1, 2**128, 2**200):
         with pytest.raises(ValueError, match=f"got {seed}"):
-            random_reciprocal_stack(3, [1, seed])
+            random_reciprocal_stack(3, 2, seed)
     for seed in (1.5, np.float64(2.0), None, "5", [1, 2]):
         with pytest.raises(TypeError, match="integers"):
             random_reciprocal(3, seed=seed)
@@ -501,27 +524,15 @@ def test_random_reciprocal_rejects_what_overflows_without_a_warning():
         # exp(-712) is subnormal and its reciprocal overflows: a_31 was inf
         with pytest.raises(ValueError, match="overflow"):
             random_reciprocal(3, seed=25, log_scale=712.0)
-        for seeds in ([0, 1, 25, 2], iter([0, 25]), (s for s in (0, 25))):
-            with pytest.raises(ValueError, match="seed 25 or"):
-                random_reciprocal_stack(3, seeds, log_scale=712.0)
-        for bad in (np.nan, np.inf, -np.inf, -1.0):
+        # rows 0 to 2 of seed 5's stack fit, and row 3 does not
+        assert np.isfinite(random_reciprocal_stack(3, 3, 5, log_scale=712.0)).all()
+        with pytest.raises(ValueError, match="row 3 of seed 5's stack or"):
+            random_reciprocal_stack(3, 4, 5, log_scale=712.0)
+        for bad in (np.nan, np.inf, -np.inf, -1.0, 1e308):
             with pytest.raises(ValueError, match="finite and nonnegative"):
-                random_reciprocal_stack(3, [0], log_scale=bad)
+                random_reciprocal_stack(3, 1, 0, log_scale=bad)
         a = random_reciprocal(3, seed=25, log_scale=700.0).a
     assert np.isfinite(a).all() and a.max() > 1e300
-
-
-def test_importing_recipeff_builds_no_draw_table():
-    # the hash constants are built on first use, once
-    code = ("import recipeff; from recipeff import core as c; "
-            "size = lambda: c._hash_constants.cache_info().currsize; "
-            "print(size()); c.random_reciprocal(4, seed=1); c.random_reciprocal_stack(4, [2, 3]); "
-            "print(size())")
-    src = str(Path(core.__file__).parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == ["0", "1"]
-    assert not any(c.flags.writeable for c in core._hash_constants())
 
 
 def test_draws_at_large_orders_hold_no_memory_afterwards():

@@ -11,7 +11,6 @@ from recipeff.core import (
     make_reciprocal,
     perron,
     random_reciprocal,
-    random_reciprocal_stack,
 )
 from recipeff import digraph, extensions
 from recipeff.digraph import analyze
@@ -332,8 +331,8 @@ def test_stacked_scan_failures_are_the_one_base_scans(monkeypatch, flag_out_degr
     flagged = 0
     for n in range(3, 9):
         bs = range(n - 3, 20, 6)
-        stacked = extension_source_scan_stack(random_reciprocal_stack(n, [2000 + b for b in bs]),
-                                              50, [3000 + b for b in bs])
+        bases = np.array([random_reciprocal(n, seed=2000 + b).a for b in bs])
+        stacked = extension_source_scan_stack(bases, 50, [3000 + b for b in bs])
         for b, rep in zip(bs, stacked):
             one = extension_source_scan(random_reciprocal(n, seed=2000 + b), 50, seed=3000 + b)
             assert rep == one and rep.seed == 3000 + b

@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 
 from helpers import save_matrix, save_vector
 from recipeff import cli, digraph, extensions, harness, zfamily
-from recipeff.core import make_reciprocal, perron_stack, random_reciprocal
+from recipeff.core import (
+    make_reciprocal,
+    perron_stack,
+    random_reciprocal,
+    random_reciprocal_stack,
+)
 from recipeff.digraph import analyze
 from recipeff.harness import (
     SWEEP_CSV_HEADER,
@@ -463,18 +468,18 @@ def test_failing_details_name_the_instance_to_replay(monkeypatch):
         "a1.slice_equality",
         "certificates.sound",
     ]
-    # k = 2 is the first seed offset with 3 + k % 6 == 5
+    # k = 2 is the first instance of order 3 + k % 6 == 5: row 0 of its stack
     assert details["no_source.random_matrices"] == (
-        "167 of 1000 random matrices violated; first: random_reciprocal(5, seed=1002)")
+        "167 of 1000 random matrices violated; first: random_reciprocal_stack(5, 1, seed=1002)[0]")
     assert details["no_source.random_extensions"] == (
         "3 of 1000 random extensions violated; first: sample 7 of extension_source_scan("
         "random_reciprocal(5, seed=2008), 50, seed=3008)")
     head, first = details["edges.no_forbidden_reverse"].split("; first: ")
     assert head == "3 violations"
     assert eval(first, {"ZParams": ZParams}) == bad_points[0]
-    # k = 3 is the first seed offset with 3 + k % 5 == 6, and its digraph is strong
+    # k = 3 is the first instance of order 3 + k % 5 == 6, and its digraph is strong
     assert details["hamiltonian.equivalence"] == (
-        "39 of 200 random digraphs disagree; first: random_reciprocal(6, seed=4003)")
+        "37 of 200 random digraphs disagree; first: random_reciprocal_stack(6, 1, seed=4003)[0]")
     head, first = details["n4.forms_agree"].split("; first: (x, y, z) = ")
     assert head.endswith("of 1000 triples disagree") and not head.startswith("0 ")
     assert ast.literal_eval(first)[0] > 8
@@ -494,22 +499,44 @@ def test_suite_records_and_instances_are_pinned():
     assert len(records) == 29
     assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == (
         "10dfe13bfdb92819dd3d65fe5b12a1349653fcab59f865d63231ecc6d3dbf488")
+    # one matrix per seed, as the extension bases are drawn: the one-seed stream
     drawn = hashlib.sha256()
     for start, count, orders in ((1000, 1000, 6), (2000, 20, 6), (4000, 200, 5)):
         for k in range(count):
             drawn.update(random_reciprocal(3 + k % orders, seed=start + k).a.tobytes())
     assert drawn.hexdigest() == "0c19b9bbf988f7e37987eedbcd7631358c57fb7e05108ad5a6d8a74e48d7b593"
+    # the stacks, one per order, of the no-source and Hamiltonian checks
+    stacks = hashlib.sha256()
+    for count, orders, seed in ((1000, 6, 1000), (200, 5, 4000)):
+        harness._seeded(count, orders, seed,
+                        lambda a: stacks.update(a.tobytes()) or np.zeros(len(a), dtype=bool))
+    assert stacks.hexdigest() == "cf207fed1120b76a5eff687a4ffce76be2a7b209801282cfa03616d15f3b60ca"
 
 
-def test_seeded_instances_come_in_seed_order():
+def test_seeded_instances_come_in_seed_order(monkeypatch):
     # stacks are evaluated order by order, but the pairs (and so a count
-    # check's first failing instance) follow k, as one-at-a-time evaluation
+    # check's first failing instance) follow k, and the namer of k gives,
+    # evaluated, the matrix that the suite drew as instance k
+    def replay(name):
+        return eval(name, {"random_reciprocal_stack": random_reciprocal_stack})
+
     bad, name = harness._seeded(40, 6, 1000, lambda a: a[:, 0, 1] > 2.0)
-    got = [(name(k), bool(b)) for k, b in enumerate(bad)]
-    want = [(f"random_reciprocal({3 + k % 6}, seed={1000 + k})",
-             bool(random_reciprocal(3 + k % 6, seed=1000 + k).a[0, 1] > 2.0))
-            for k in range(40)]
-    assert got == want and 0 < sum(bad for _, bad in got) < 40
+    want = [bool(replay(name(k))[0, 1] > 2.0) for k in range(40)]
+    assert bad.tolist() == want and 0 < sum(want) < 40
+    seeded, drawn = harness._seeded, []
+
+    def recording(count, orders, seed, is_bad):
+        stacks = []
+        bad, name = seeded(count, orders, seed, lambda a: stacks.append(a) or is_bad(a))
+        drawn.append((orders, stacks, len(bad), name))
+        return bad, name
+
+    monkeypatch.setattr(harness, "_seeded", recording)
+    harness._suite_records(1e-9)
+    assert [(orders, count) for orders, _, count, _ in drawn] == [(6, 1000), (5, 200)]
+    for orders, stacks, count, name in drawn:
+        for k in range(count):
+            assert replay(name(k)).tobytes() == stacks[k % orders][k // orders].tobytes()
 
 
 def test_grid_checks_every_inefficient_point_certificate(monkeypatch):

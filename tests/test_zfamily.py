@@ -57,6 +57,18 @@ def test_zparams_validation():
         ZParams(5, 1.0, -2.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("n", [5.5, 6.0, np.float64(5.0), "5", None])
+def test_an_order_that_is_not_an_integer_is_rejected(n):
+    # 5.5 once gave a quotient with middle class of size 1.5
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        ZParams(n, 1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        zfamily.ZStack(n, [(1.0, 1.0, 1.0, 1.0)])
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        harness.grid_sweep(n)
+    assert zfamily.ZStack(np.int64(6), [(1.0, 1.0, 1.0, 1.0)]).n == 6
+
+
 def test_region_verdict_consistency_enforced():
     with pytest.raises(ValueError, match="agree"):
         RegionVerdict(True, "T5(i)", "identity")
