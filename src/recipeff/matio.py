@@ -1,14 +1,15 @@
 """CSV input and JSON output.
 
-Matrices are read from headerless CSV, n rows by n columns; vectors from a
-single CSV row or a single column.  Reports are serialized as JSON with
-1-based vertex indices; `report_json` is the one encoder, for files and
-for stdout.
+Matrices are read from headerless CSV, n rows by n columns, and vectors from one
+CSV row or column, by numpy's C reader; `_parse_rows` reads the files it refuses.
+Reports are JSON with 1-based vertex indices; `report_json` is the one encoder,
+for files and for stdout.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,8 @@ _MARK = "\0"  # holds an array's place in the JSON text (see `report_json`)
 def _parse_rows(text: str, what: str) -> list[tuple[int, np.ndarray]]:
     """The file line number and float array of each non-blank line.
 
-    numpy converts each token with Python's `float`, so the accepted syntax
-    is `float`'s; the per-token scan runs only to locate a failure.
+    The reference for syntax, values and errors: numpy converts each token
+    with `float`, and the per-token scan runs only to locate a failure.
     """
     rows: list[tuple[int, np.ndarray]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -52,6 +53,17 @@ def _read_rows(path) -> list[tuple[int, np.ndarray]]:
     return _parse_rows(Path(path).read_text(encoding="utf-8-sig"), str(path))
 
 
+def _read_array(path) -> np.ndarray | None:
+    """loadtxt's 2-D array of `_parse_rows`'s lines, or None where `_parse_rows` must read."""
+    with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
+        warnings.filterwarnings("error", "loadtxt: input contained no data")
+        try:
+            return np.loadtxt((s for line in fh for s in line.splitlines(True)),
+                              delimiter=",", comments=None, ndmin=2)
+        except (ValueError, UserWarning):  # a token or line it refuses, or no data
+            return None
+
+
 def load_matrix(path, mode: str = "validate") -> ReciprocalMatrix:
     """Read a reciprocal matrix from headerless CSV.
 
@@ -59,19 +71,22 @@ def load_matrix(path, mode: str = "validate") -> ReciprocalMatrix:
     non-reciprocal data, "symmetrize" rebuilds the lower triangle from the
     upper (for sources printing rounded reciprocals).
     """
-    rows = _read_rows(path)
-    n = len(rows)
-    for lineno, row in rows:
-        if len(row) != n:
-            raise ValueError(
-                f"{path}: row {lineno} has {len(row)} values, expected {n}"
-            )
-    return make_reciprocal([row for _, row in rows], mode=mode)
+    a = _read_array(path)
+    if a is None or len(a) != a.shape[1]:  # `_parse_rows` numbers the file's lines
+        rows = _read_rows(path)
+        for lineno, row in rows:
+            if len(row) != len(rows):
+                raise ValueError(
+                    f"{path}: row {lineno} has {len(row)} values, expected {len(rows)}"
+                )
+        a = [row for _, row in rows]
+    return make_reciprocal(a, mode=mode)
 
 
 def load_vector(path) -> np.ndarray:
     """Read a positive vector from a one-row or one-column CSV."""
-    rows = [row for _, row in _read_rows(path)]
+    a = _read_array(path)
+    rows = [row for _, row in _read_rows(path)] if a is None else a
     if len(rows) == 1:
         v = rows[0]
     elif all(len(r) == 1 for r in rows):

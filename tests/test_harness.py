@@ -6,18 +6,21 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import save_matrix, save_vector
-from recipeff import cli, digraph, extensions, harness, zfamily
+from helpers import FLOAT_FMT, save_matrix, save_vector
+from recipeff import cli, digraph, extensions, harness, matio, zfamily
 from recipeff.core import (
     make_reciprocal,
+    perron,
     perron_stack,
     random_reciprocal,
     random_reciprocal_stack,
@@ -185,6 +188,105 @@ def test_parse_rows_names_the_first_bad_token_of_a_wide_file():
     text = "\n".join(",".join(row) for row in rows)
     with pytest.raises(ValueError, match=r"^m\.csv: row 3, column 300: cannot parse 'w'$"):
         _parse_rows(text, "m.csv")
+
+
+def read_reference(path, kind):
+    """What `load_matrix` hands `make_reciprocal` ("matrix") or what `load_vector`
+    returns ("vector"), by the loaders' rules over `parse_rows_reference`."""
+    text = Path(path).read_text(encoding="utf-8-sig")
+    rows = parse_rows_reference(text, str(path))
+    if kind == "matrix":
+        linenos = [i for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
+        for lineno, row in zip(linenos, rows):
+            if len(row) != len(rows):
+                raise ValueError(
+                    f"{path}: row {lineno} has {len(row)} values, expected {len(rows)}")
+        return np.array(rows, dtype=float)
+    if len(rows) != 1 and any(len(row) != 1 for row in rows):
+        raise ValueError(f"{path}: expected a single CSV row or column")
+    v = np.array(rows, dtype=float).ravel()
+    if not np.all(np.isfinite(v) & (v > 0)):
+        raise ValueError(f"{path}: vector entries must be positive and finite")
+    return v
+
+
+def read_file(path, kind):
+    """`load_matrix`'s array before `make_reciprocal`, or `load_vector`'s vector."""
+    if kind == "vector":
+        return load_vector(path)
+    with mock.patch.object(matio, "make_reciprocal", lambda a, mode: np.array(a, dtype=float)):
+        return load_matrix(path)
+
+
+number = st.one_of(st.floats().map(repr),
+                   st.tuples(padding, st.floats().map(repr), padding).map("".join))
+# cells with a line break to `str.splitlines` but not to a file, or that `float` alone reads
+odd_cell = st.one_of(csv_token, st.sampled_from(
+    ["2\f", "\f2", "2\u2028", "\u20282", "2\x85", "\x1c2", "2\v", "1_0", "2_0", "\uff12"]))
+
+
+@st.composite
+def csv_lines(draw):
+    """A grid of numbers (square, one row, one column, or one column wider than
+    tall) with up to two cells replaced by `odd_cell`s, maybe a trailing comma,
+    and up to two blank or space-only lines put in."""
+    k = draw(st.integers(1, 4))
+    rows, cols = draw(st.sampled_from([(k, k), (1, k), (k, 1), (k, k + 1)]))
+    grid = draw(st.lists(st.lists(number, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    for _ in range(draw(st.integers(0, 2))):
+        grid[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(odd_cell)
+    lines = [",".join(row) for row in grid]
+    if draw(st.booleans()):
+        lines[-1] += ","
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", " ", "\t\u3000", "\f", "\u2028"])))
+    return lines
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(csv_lines(), st.lists(st.lists(csv_token, max_size=4).map(",".join), max_size=4)),
+       st.sampled_from(["\n", "\r\n", "\r"]), st.booleans(), st.booleans(),
+       st.sampled_from(["matrix", "vector"]))
+@example(["1\f,2"], "\n", False, True, "vector")  # loadtxt alone reads [1, 2]
+@example(["2,1\u2028", "1,1"], "\r\n", True, True, "matrix")
+@example([], "\n", True, False, "matrix")
+@example(["1,\ud800"], "\n", False, True, "vector")  # not UTF-8
+def test_file_reader_matches_the_reference(tmp_path_factory, lines, eol, bom, last_eol, kind):
+    path = tmp_path_factory.getbasetemp() / "reader.csv"
+    text = eol.join(lines) + (eol if last_eol and lines else "")
+    path.write_bytes(("\ufeff" if bom else "").encode() + text.encode("utf-8", "surrogatepass"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            want = read_reference(path, kind)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as got:
+                read_file(path, kind)
+            assert str(got.value) == str(exc)
+            return
+        got = read_file(path, kind)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_the_fast_reader_needs_no_fallback_on_saved_files(tmp_path, monkeypatch):
+    def refuse(text, what):
+        raise AssertionError(f"{what} fell back to _parse_rows")
+
+    A = random_reciprocal(400, seed=8)
+    w = perron(A).w
+    mat, row, col = tmp_path / "m.csv", tmp_path / "row.csv", tmp_path / "col.csv"
+    save_matrix(A, mat)
+    save_vector(w, row)
+    col.write_text("".join(FLOAT_FMT % x + "\n" for x in w), encoding="utf-8")
+    excel = tmp_path / "excel.csv"  # a byte-order mark and CRLF line ends
+    excel.write_bytes(b"\xef\xbb\xbf" + mat.read_bytes().replace(b"\n", b"\r\n"))
+    monkeypatch.setattr(matio, "_parse_rows", refuse)
+    assert load_matrix(mat).a.tobytes() == A.a.tobytes()
+    assert load_matrix(excel).a.tobytes() == A.a.tobytes()
+    assert load_vector(row).tobytes() == w.tobytes()
+    assert load_vector(col).tobytes() == w.tobytes()
 
 
 def test_csv_with_a_byte_order_mark(tmp_path):
@@ -648,8 +750,10 @@ def test_cli_analyze_input_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", str(path))
     assert code == 2
     assert "reciprocity violation" in err
-    code, _, err = run_cli(capsys, "analyze", str(tmp_path / "missing.csv"))
+    missing = tmp_path / "missing.csv"
+    code, _, err = run_cli(capsys, "analyze", str(missing))
     assert code == 2
+    assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
 
 
 @pytest.mark.parametrize("entry", ["inf", "nan", "0", "-1"])

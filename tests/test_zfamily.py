@@ -66,7 +66,12 @@ def test_an_order_that_is_not_an_integer_is_rejected(n):
         zfamily.ZStack(n, [(1.0, 1.0, 1.0, 1.0)])
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         harness.grid_sweep(n)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        guarantee_a1(n, 1.0, 2.0, 0.5)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        guarantee_a1_stack(n, [[1.0, 2.0, 0.5]])
     assert zfamily.ZStack(np.int64(6), [(1.0, 1.0, 1.0, 1.0)]).n == 6
+    assert guarantee_a1(np.int64(6), 1.0, 2.0, 0.5).guaranteed_efficient
 
 
 def test_region_verdict_consistency_enforced():
