@@ -12,80 +12,32 @@ decides the efficiency region of the four-parameter family Z_n(x,y,z,a),
 and constructs order-(n+1) extensions with prescribed Perron vectors.
 """
 
-from .core import (
-    PerronConvergenceError,
-    PerronPair,
-    PerronStack,
-    ReciprocalMatrix,
-    make_reciprocal,
-    pareto_dominates,
-    perron,
-    perron_stack,
-    random_reciprocal,
-    random_reciprocal_stack,
-)
+from .core import make_reciprocal, pareto_dominates, perron, random_reciprocal
 from .digraph import (
-    DEFAULT_EPS_REL,
-    EfficiencyDigraph,
-    EfficiencyReport,
     analyze,
-    analyze_stack,
     build_digraph,
     dominating_vector,
     hamiltonian_cycle,
-    has_no_source,
     no_source_theorem_check,
-    sinks,
     sources,
     strongly_connected,
 )
 from .extensions import (
-    ExtensionResult,
-    SourceScanReport,
     conjugated_extension,
     constant_row_sum_extension,
-    extension_report,
     extension_source_scan,
-    extension_source_scan_stack,
-    is_extension,
     remove_index,
     row_sums,
     well_behaved_type_I,
 )
-from .harness import (
-    DEFAULT_AXES,
-    VerificationSummary,
-    WalkthroughStep,
-    example_base,
-    example_conjugate_reference,
-    example_walkthrough,
-    grid_sweep,
-    verify_paper_suite,
-)
-from .matio import (
-    load_matrix,
-    load_vector,
-    report_json,
-    report_to_dict,
-    save_report,
-)
+from .harness import grid_sweep
 from .zfamily import (
-    CYCLE_CATALOG,
-    IdentityResiduals,
-    RegionVerdict,
     ZParams,
-    ZPoint,
-    ZStack,
     eigen_identity_residuals,
-    evaluate_z,
-    evaluate_z_stack,
     forbidden_reverse_edges,
     guarantee_a1,
     guarantee_n4,
     guarantee_n5plus,
     predicted_edges,
-    reduce_to_min_first,
-    table_oracle,
     z_matrix,
 )
-

@@ -18,9 +18,8 @@ vectors (unless given), the digraphs as one boolean tensor and their SCCs.
 Its `report(i)` is row i's `EfficiencyReport`, which for a digraph that is
 not strongly connected carries an explicit better vector, made by scaling
 the source component of the condensation down by the tightest crossing
-ratio.  `analyze_stack` yields every row's report and `analyze` is its
-one-matrix case; audits of whole stacks, the Z-family record among them,
-read the stack's arrays.
+ratio.  `analyze` is the one-matrix case; audits of whole stacks, the
+Z-family record among them, read the stack's arrays.
 """
 
 from __future__ import annotations
@@ -168,30 +167,22 @@ def sinks(G: EfficiencyDigraph) -> tuple[int, ...]:
 
 
 def has_no_source_stack(adj: np.ndarray) -> np.ndarray:
-    """`has_no_source` of each digraph of a (B, n, n) edge tensor, as (B,) flags."""
+    """The no-source property of Perron digraphs, for each digraph G of a (B, n, n)
+    edge tensor, as (B,) flags: G has no source and, in the sharper witness form,
+    each i missing an incoming edge has a j with (j,i) present and (i,j) absent."""
     into = adj.swapaxes(1, 2)  # into[b, i, j]: edge (j, i)
     missing_in = (~into & ~np.eye(adj.shape[-1], dtype=bool)).any(axis=2)
     witness = (into & ~adj).any(axis=2)
     return adj.any(axis=1).all(axis=1) & (witness | ~missing_in).all(axis=1)
 
 
-def has_no_source(G: EfficiencyDigraph) -> bool:
-    """The structural no-source property of a Perron digraph.
-
-    G has no source, and the sharper witness form holds: whenever a vertex
-    i misses some incoming edge, there is a j with (j,i) present and (i,j)
-    absent.  The one-digraph case of `has_no_source_stack`.
-    """
-    return bool(has_no_source_stack(G.adj[None])[0])
-
-
 def no_source_theorem_check(
     A: ReciprocalMatrix, eps_rel: float = DEFAULT_EPS_REL
 ) -> bool:
-    """`has_no_source` for the Perron digraph of A, n >= 3."""
+    """`has_no_source_stack` for the Perron digraph of A, n >= 3."""
     if A.n < 3:
         raise ValueError("requires order >= 3")
-    return has_no_source(build_digraph(A, perron(A).w, eps_rel))
+    return bool(has_no_source_stack(build_digraph(A, perron(A).w, eps_rel).adj[None])[0])
 
 
 def _bitsets(rows: np.ndarray) -> list[int]:
@@ -272,7 +263,7 @@ def dominating_vector(
 
 
 class DigraphStack:
-    """The array step of `analyze_stack` for a (B, n, n) stack of canonical
+    """The array step of `analyze` for a (B, n, n) stack of canonical
     reciprocal matrices `a`: `perron`, the Perron pairs, or None when the
     vectors `w` are given; the (B, n, n) edge tensor `adj`; and the SCC
     `labels` and `counts` of `_scc_labels`, computed on first read, since
@@ -305,23 +296,6 @@ class DigraphStack:
         pair = None if self.perron is None else replace(self.perron[i], w=w)
         return EfficiencyReport(A, w, pair, EfficiencyDigraph(self.adj[i].copy(), self.eps_rel),
                                 k == 1, k, cert)
-
-
-def analyze_stack(
-    As: np.ndarray,
-    ws: np.ndarray | None = None,
-    eps_rel: float = DEFAULT_EPS_REL,
-) -> Iterator[EfficiencyReport]:
-    """Efficiency reports for a (B, n, n) stack of canonical reciprocal matrices.
-
-    `ws` is a (B, n) stack of vectors, or None for the Perron vectors.  The
-    Perron solves, the digraphs and their SCCs run along the whole stack
-    (`DigraphStack`); the reports come one at a time, in stack order, and a
-    certificate is built only for an inefficient row, when its report is made.
-    """
-    s = DigraphStack(As, ws, eps_rel)
-    for i in range(len(s)):
-        yield s.report(i)
 
 
 def analyze(

@@ -14,6 +14,7 @@ row-sum check of `ExtensionResult`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ def remove_index(C: ReciprocalMatrix, i: int) -> ReciprocalMatrix:
     """Remove row and column i (1-based)."""
     if C.n < 3:
         raise ValueError("need order >= 3 to remove an index")
-    if not 1 <= i <= C.n:
+    if not 1 <= operator.index(i) <= C.n:
         raise ValueError(f"index {i} out of range 1..{C.n}")
     sub = np.delete(np.delete(C.a, i - 1, axis=0), i - 1, axis=1)
     return make_reciprocal(sub, mode="validate")

@@ -38,7 +38,7 @@ import operator
 import re
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -215,10 +215,6 @@ class _Relations:
     def hits(self) -> np.ndarray:
         """(541, R): whether each relation holds in each `order_cells()` cell."""
         return (_orders(np.array(list(order_cells())))[:, None] >= self.reqs).all(axis=(2, 3))
-
-    def holding(self, xyza: Sequence[float]) -> tuple:
-        """The labels of the rows that hold at (x, y, z, a), in row order."""
-        return tuple(itertools.compress(self.labels, self.hits[_cell_rows([xyza])[0]]))
 
     def first(self, rows) -> np.ndarray:
         """The label of the first row holding in each of the cells `rows`, or None."""
@@ -409,18 +405,6 @@ class ZPoint:
         return self.stack.report(self.i)
 
 
-def evaluate_z_stack(ps: Sequence[ZParams], eps_rel: float = DEFAULT_EPS_REL) -> ZStack:
-    """The `ZStack` of points of one order n >= 5."""
-    if len({p.n for p in ps}) != 1:
-        raise ValueError("points must be at least one, and share one order")
-    return ZStack(ps[0].n, [p.xyza for p in ps], eps_rel)
-
-
-def evaluate_z(p: ZParams, eps_rel: float = DEFAULT_EPS_REL) -> ZPoint:
-    """Z_n(x,y,z,a), n >= 5, as the one row of its `ZStack`."""
-    return ZPoint(evaluate_z_stack([p], eps_rel), 0)
-
-
 def eigen_identity_residuals(p: ZParams) -> IdentityResiduals:
     """The eigenvector identities of the family at the Perron pair of p.
 
@@ -518,11 +502,13 @@ def forbidden_reverse_edges(p: ZParams, G: EfficiencyDigraph) -> list[str]:
     Each clause says: if an edge from vertex 3 toward a corner vertex is
     present and the stated strict parameter relation holds, the reverse
     edge cannot also be present (a ratio tie there would force an
-    impossible cancellation in the corresponding identity).
+    impossible cancellation in the corresponding identity).  The clauses
+    holding at p are its `cell_tables` row, read in clause order 2, 1, n, n-1.
     """
     if p.n < 5:
         raise ValueError("requires n >= 5")
-    corners = _realize(p.n, _FORBIDDEN_REVERSE.holding(p.xyza))
+    forbidden = cell_tables(np.array([p.xyza]))["forbidden"][0, 2]  # the pairs (3, v)
+    corners = [v for q, v in ((1, 2), (0, 1), (4, p.n), (3, p.n - 1)) if forbidden[q]]
     return [f"edge {(3, v)} with relation forbids {(v, 3)}"
             for v in corners if G.has_edge(3, v) and G.has_edge(v, 3)]
 
@@ -599,28 +585,7 @@ CYCLE_CATALOG: tuple[CatalogRow, ...] = (
 )
 
 
-def _realize(n: int, codes: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(n + 1 + c if c < 0 else c for c in codes)
-
-
 _CATALOG_RELATIONS = _compile(*((row, row.relation) for row in CYCLE_CATALOG))
-
-
-def table_oracle(p: ZParams) -> list[CatalogRow]:
-    """All catalog rows whose relation holds at p, with vertices realized.
-
-    Returns an empty list when no row matches (the catalog does not tile
-    the whole parameter space).
-    """
-    if p.n < 5:
-        raise ValueError("requires n >= 5")
-    return [
-        replace(row,
-                cycles=tuple(_realize(p.n, cyc) for cyc in row.cycles),
-                extra_edges=tuple(_realize(p.n, edge) for edge in row.extra_edges),
-                vertex=None if row.vertex is None else _realize(p.n, (row.vertex,))[0])
-        for row in _CATALOG_RELATIONS.holding(p.xyza)
-    ]
 
 
 def _claims(m: CatalogRow) -> list[tuple[str, tuple[int, int]]]:
@@ -659,7 +624,7 @@ def cell_tables(xyza: np.ndarray) -> dict[str, np.ndarray]:
 
     `predicted` (B, 5, 5) masks `predicted_edges`; `forbidden` counts the
     `_FORBIDDEN_REVERSE` pairs (3, v) that hold; `claimed` counts the edges
-    the matching `table_oracle` rows claim; `sink_rows` (B, 5) counts their
+    the matching `CYCLE_CATALOG` rows claim; `sink_rows` (B, 5) counts their
     sink rows by vertex; `guaranteed` and `exception` are `guarantee_n5plus`'s.
     """
     index = _cell_rows(xyza)

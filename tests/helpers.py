@@ -1,11 +1,12 @@
 """Builders and writers that only the tests need."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from recipeff.core import ReciprocalMatrix, make_reciprocal
-from recipeff.zfamily import _claims, order_cells, table_oracle
+from recipeff.zfamily import _CATALOG_RELATIONS, CYCLE_CATALOG, _cell_rows, _claims, order_cells
 
 FLOAT_FMT = "%.17g"  # 17 significant digits: a write/read round trip is bit-exact
 
@@ -31,6 +32,28 @@ def cell_row_reference(xyza) -> int:
     dense ranks of (1, x, y, z, a): the loop reference of `zfamily._cell_rows`."""
     v = (1.0, *xyza)
     return order_cells()[tuple(map(sorted(set(v)).index, v))]
+
+
+def realize(n: int, codes: tuple[int, ...]) -> tuple[int, ...]:
+    """Catalog vertex codes at order n: -2 is n-1, -1 is n, the rest stand."""
+    return tuple(n + 1 + c if c < 0 else c for c in codes)
+
+
+def table_oracle(p) -> list:
+    """All `CYCLE_CATALOG` rows whose relation holds at p, with vertices
+    realized at p's order, in catalog order: the loop reference of the
+    catalog's cell tables.  Empty where no row matches (the catalog does
+    not tile the whole parameter space)."""
+    if p.n < 5:
+        raise ValueError("requires n >= 5")
+    hits = _CATALOG_RELATIONS.hits[_cell_rows([p.xyza])[0]]
+    return [
+        replace(row,
+                cycles=tuple(realize(p.n, cyc) for cyc in row.cycles),
+                extra_edges=tuple(realize(p.n, edge) for edge in row.extra_edges),
+                vertex=None if row.vertex is None else realize(p.n, (row.vertex,))[0])
+        for row, hit in zip(CYCLE_CATALOG, hits) if hit
+    ]
 
 
 def table_violations(p, G, efficient, quotient_sinks) -> list[str]:

@@ -17,7 +17,6 @@ import recipeff.digraph as dg
 from recipeff.digraph import (
     EfficiencyDigraph,
     analyze,
-    analyze_stack,
     build_digraph,
     dominating_vector,
     hamiltonian_cycle,
@@ -350,7 +349,7 @@ def test_has_no_source_stack_matches_the_loop_reference():
                 all((k, i) in E for k in V if k != i)
                 or any((j, i) in E and (i, j) not in E for j in V if j != i)
                 for i in V)
-            assert flag == dg.has_no_source(G) == ref
+            assert flag == ref
             seen[ref] += 1
     assert min(seen.values()) > 50
 
@@ -464,41 +463,39 @@ def test_analyze_builds_views_only_when_read(monkeypatch):
     st.sampled_from(["perron", "random"]),
     st.sampled_from([0.0, 1e-9]),
 )
-def test_analyze_stack_reports_equal_one_matrix_reports(n, B, seed, kind, eps_rel):
+def test_digraph_stack_reports_equal_one_matrix_reports(n, B, seed, kind, eps_rel):
     rng = np.random.default_rng(seed)
     mats = [random_reciprocal(n, seed=seed + k) for k in range(B)]
     As = np.array([A.a for A in mats])
     ws = None if kind == "perron" else np.exp(rng.uniform(-1.0, 1.0, size=(B, n)))
     adj = dg._adjacency(As, dg.perron_stack(As).w if ws is None else ws, eps_rel)
     labels, counts = dg._scc_labels(adj)
+    s = dg.DigraphStack(As, ws, eps_rel)
+    assert np.array_equal(s.adj, adj) and np.array_equal(s.labels, labels)
     # a row whose certificate raises (exact ties at eps_rel = 0, as for every
-    # order-2 matrix) raises the same error in the stack, which ends there
-    start = 0
-    while start < B:
-        reports = analyze_stack(As[start:], None if ws is None else ws[start:], eps_rel)
-        for i in range(start, B):
-            try:
-                one = analyze(mats[i], None if ws is None else ws[i], eps_rel)
-            except AssertionError as exc:
-                with pytest.raises(AssertionError, match=str(exc)):
-                    next(reports)
-                break
-            assert same_report(next(reports), one), i
-            assert labels[i].tolist() == strongly_connected(one.digraph)[2]
-            assert counts[i] == one.scc_count and np.array_equal(adj[i], one.digraph.adj)
-        start = i + 1
+    # order-2 matrix) raises the same error from its stack report, and only there
+    for i in range(B):
+        try:
+            one = analyze(mats[i], None if ws is None else ws[i], eps_rel)
+        except AssertionError as exc:
+            with pytest.raises(AssertionError, match=str(exc)):
+                s.report(i)
+            continue
+        assert same_report(s.report(i), one), i
+        assert labels[i].tolist() == strongly_connected(one.digraph)[2]
+        assert counts[i] == one.scc_count and np.array_equal(adj[i], one.digraph.adj)
 
 
-def test_analyze_stack_rejects_bad_vectors_and_yields_lazily():
+def test_digraph_stack_rejects_bad_vectors_and_reports_each_row():
     As = np.array([random_reciprocal(4, seed=s).a for s in (1, 2)])
     with pytest.raises(ValueError, match="length"):
-        next(analyze_stack(As, np.ones((2, 3))))
+        dg.DigraphStack(As, np.ones((2, 3)))
     with pytest.raises(ValueError, match="positive and finite"):
-        next(analyze_stack(As, np.array([np.ones(4), [1.0, 0.0, 1.0, 1.0]])))
-    reports = analyze_stack(As, np.ones((2, 4)))
-    assert next(reports).A.a.tobytes() == As[0].tobytes()
-    assert next(reports).A.a.tobytes() == As[1].tobytes()
-    assert next(reports, None) is None
+        dg.DigraphStack(As, np.array([np.ones(4), [1.0, 0.0, 1.0, 1.0]]))
+    s = dg.DigraphStack(As, np.ones((2, 4)))
+    assert len(s) == 2
+    assert s.report(0).A.a.tobytes() == As[0].tobytes()
+    assert s.report(1).A.a.tobytes() == As[1].tobytes()
 
 
 def test_a_kept_report_shares_no_memory_with_its_stack():
@@ -506,7 +503,7 @@ def test_a_kept_report_shares_no_memory_with_its_stack():
     As = np.array([random_reciprocal(6, seed=s).a for s in range(40)])
     ws = np.exp(np.random.default_rng(6).uniform(-1.0, 1.0, size=(40, 6)))
     for w in (None, ws):
-        kept = list(analyze_stack(As, w))[7]
+        kept = dg.DigraphStack(As, w).report(7)
         assert not np.shares_memory(kept.A.a, As)
         assert w is None or not np.shares_memory(kept.w, w)
     s = dg.DigraphStack(As)

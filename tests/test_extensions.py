@@ -60,6 +60,10 @@ def test_remove_index_bounds():
         remove_index(all_ones(4), 5)
     with pytest.raises(ValueError, match="order >= 3"):
         remove_index(all_ones(2), 1)
+    for i in (2.0, 2.5):  # in range, but not an index
+        with pytest.raises(TypeError):
+            remove_index(all_ones(4), i)
+    assert remove_index(all_ones(4), np.int64(2)).n == 3
 
 
 def test_is_extension_basics(base_matrix, conjugate_reference):

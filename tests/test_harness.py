@@ -41,7 +41,7 @@ from recipeff.matio import (
     report_to_dict,
     save_report,
 )
-from recipeff.zfamily import ZParams, evaluate_z
+from recipeff.zfamily import ZParams, ZStack
 
 
 # --- matio ---------------------------------------------------------------
@@ -390,7 +390,7 @@ def test_grid_sweep_shape_and_order(tmp_path, capsys):
 
 
 def test_sweep_csv_row_formats():
-    (pt,) = points = zfamily.evaluate_z_stack([ZParams(5, 0.25, 2.0, 2.0, 0.5)])
+    (pt,) = points = ZStack(5, [(0.25, 2.0, 2.0, 0.5)])
     header, line = sweep_csv(points)
     row = line.split(",")
     assert header == SWEEP_CSV_HEADER
@@ -590,7 +590,8 @@ def test_failing_details_name_the_instance_to_replay(monkeypatch):
         "25 of 125 slice points disagree; first: ZParams(5, 0.25, 0.25, 4.0, 1.0)")
     head, first = details["certificates.sound"].split("; first: ")
     assert head == "64 of 65 certificates failed"
-    assert not evaluate_z(eval(first, {"ZParams": ZParams})).efficient
+    p = eval(first, {"ZParams": ZParams})
+    assert not ZStack(p.n, [p.xyza]).efficient[0]
 
 
 def test_suite_records_and_instances_are_pinned():
@@ -659,7 +660,8 @@ def test_grid_checks_count_the_points_whose_sink_disagrees(monkeypatch):
     for n in (5, 6):
         head, first = details[f"sink_characterization.grid_n{n}"].split("; first: ")
         assert head == "32 of 625 grid points disagree"
-        assert not evaluate_z(eval(first, {"ZParams": ZParams})).efficient
+        p = eval(first, {"ZParams": ZParams})
+        assert not ZStack(p.n, [p.xyza]).efficient[0]
 
 
 def test_one_cell_table_is_built_on_first_use_and_read_at_every_order():

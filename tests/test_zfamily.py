@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import cell_row_reference, same_report, table_violations
+from helpers import cell_row_reference, same_report, table_oracle, table_violations
 from recipeff import harness, zfamily
 from recipeff.core import make_reciprocal, perron, perron_stack
 from recipeff.digraph import (
@@ -23,10 +23,10 @@ from recipeff.zfamily import (
     SYMMETRY_IMAGES,
     RegionVerdict,
     ZParams,
+    ZPoint,
+    ZStack,
     _claims,
     eigen_identity_residuals,
-    evaluate_z,
-    evaluate_z_stack,
     forbidden_reverse_edges,
     guarantee_a1,
     guarantee_a1_stack,
@@ -35,7 +35,6 @@ from recipeff.zfamily import (
     guarantee_n5plus,
     predicted_edges,
     reduce_to_min_first,
-    table_oracle,
     z_matrix,
     z_stack,
 )
@@ -48,6 +47,11 @@ SMALL_AXES = (0.25, 1.0, 4.0)
 def small_grid(n):
     for xyza in itertools.product(SMALL_AXES, repeat=4):
         yield ZParams(n, *xyza)
+
+
+def z_point(p):
+    """The one row of p's `ZStack`."""
+    return ZPoint(ZStack(p.n, [p.xyza]), 0)
 
 
 def test_zparams_validation():
@@ -232,7 +236,7 @@ def test_identity_residuals_small_on_grid():
             res = eigen_identity_residuals(p)
             assert res.rows_max <= 1e-9 * res.r
             assert res.identities_max <= 1e-9 * res.r, p
-            assert res.middle_deviation_max <= 1e-10 * evaluate_z(p).stack.w[0, 2], p
+            assert res.middle_deviation_max <= 1e-10 * ZStack(p.n, [p.xyza]).w[0, 2], p
     assert len(eigen_identity_residuals(ZParams(5, 0.3, 2.0, 0.7, 1.4)).identities) == 10
 
 
@@ -263,11 +267,11 @@ def test_forbidden_reverse_edges_empty_on_grid():
 
 def test_sink_characterization_agreement_and_vertex():
     # exception clause T5(iii) point: inefficient, middle class is the sink
-    sc = evaluate_z(ZParams(5, 0.25, 2.0, 2.0, 0.5))
+    sc = z_point(ZParams(5, 0.25, 2.0, 2.0, 0.5))
     assert not sc.report.efficient and sc.sink_present and sc.agrees
     assert sc.sink_vertex == 3
     # guaranteed point: efficient, no sink
-    sc = evaluate_z(ZParams(5, 1.0, 1.0, 1.0, 1.0))
+    sc = z_point(ZParams(5, 1.0, 1.0, 1.0, 1.0))
     assert sc.report.efficient and not sc.sink_present and sc.agrees and sc.sink_vertex is None
 
 
@@ -280,7 +284,7 @@ def test_quotient_sink_differs_from_literal_sinks_for_n6():
     assert not strongly_connected(G)[0]
     assert sinks(G) == ()
     assert quotient_sinks_reference(G, 6) == (3,)
-    sc = evaluate_z(p)
+    sc = z_point(p)
     assert sc.sink_present and sc.agrees and sc.sink_vertex == 3
 
 
@@ -302,7 +306,7 @@ def quotient_sinks_reference(G, n):
 
 def test_middle_quotient_sinks_reference_on_grid():
     for n in (5, 6, 7):
-        s = evaluate_z_stack(list(small_grid(n)))
+        s = ZStack(n, [p.xyza for p in small_grid(n)])
         for pt in s:
             got = quotient_sink_vertices(s.sinks[pt.i], n)
             assert got == quotient_sinks_reference(pt.report.digraph, n), pt.p
@@ -311,7 +315,7 @@ def test_middle_quotient_sinks_reference_on_grid():
 def test_sink_characterization_grid_agreement():
     for n in (5, 6):
         for p in small_grid(n):
-            assert evaluate_z(p).agrees, p
+            assert z_point(p).agrees, p
 
 
 def test_catalog_covers_41_structures():
@@ -337,7 +341,7 @@ def test_table_oracle_realizes_vertices_for_larger_n():
 
 def test_table_claims_hold_on_grid():
     for n in (5, 6):
-        s = evaluate_z_stack(list(small_grid(n)))
+        s = ZStack(n, [p.xyza for p in small_grid(n)])
         for pt in s:
             sinks = quotient_sink_vertices(s.sinks[pt.i], n)
             assert table_violations(pt.p, pt.report.digraph, pt.efficient, sinks) == [], pt.p
@@ -390,12 +394,12 @@ def lifted_adj(q, n):
 @example([ZParams(6, 0.5, 1.0, 0.125, 2.0), ZParams(6, 0.125, 2.0, 0.5, 1.0),
           ZParams(6, 0.125, 0.5, 8.0, 2.0), ZParams(6, 0.5, 0.125, 2.0, 8.0)])
 @example(list(small_grid(40))[::3])
-def test_evaluate_z_stack_columns_equal_the_point_functions(ps):
+def test_zstack_columns_equal_the_point_functions(ps):
     # every column of row i is what the one-point functions give for point i
     # on the order-n matrix: the quotient's Perron pair, lifted, is the full
     # solve's (bit for bit at n = 5, where the quotient is Z_5), and its
     # 5-vertex digraph, lifted, is Z_n's
-    s, n = evaluate_z_stack(ps), ps[0].n
+    s, n = ZStack(ps[0].n, [p.xyza for p in ps]), ps[0].n
     assert [pt.p for pt in s] == ps
     for i, (p, pt) in enumerate(zip(ps, s)):
         one, rep = analyze(z_matrix(p)), s.report(i)
@@ -428,12 +432,8 @@ def test_evaluate_z_stack_columns_equal_the_point_functions(ps):
         predicted = s.predicted[i][np.ix_(members(n), members(n))]
         assert {(u + 1, v + 1) for u, v in np.argwhere(predicted).tolist()} == (
             predicted_edges_reference(p)), p
-    with pytest.raises(ValueError, match="one order"):
-        evaluate_z_stack([ZParams(5, 1.0, 1.0, 1.0, 1.0), ZParams(6, 1.0, 1.0, 1.0, 1.0)])
     with pytest.raises(ValueError, match="n >= 5"):
-        evaluate_z_stack([ZParams(4, 1.0, 1.0, 1.0, 1.0)])
-    with pytest.raises(ValueError, match="n >= 5"):
-        evaluate_z(ZParams(4, 1.0, 1.0, 1.0, 1.0))
+        ZStack(4, [(1.0, 1.0, 1.0, 1.0)])
 
 
 @pytest.mark.parametrize("bad", (-1.0, 0.0, math.inf, math.nan, 1e-320))
@@ -454,11 +454,6 @@ def test_zstack_rejects_parameters_that_zparams_rejects(bad, slot):
 def test_zstack_rejects_a_stack_not_of_shape_b_by_4(xyza):
     with pytest.raises(ValueError, match=r"non-empty \(B, 4\) stack"):
         zfamily.ZStack(6, xyza)
-
-
-def test_evaluate_z_stack_rejects_no_points():
-    with pytest.raises(ValueError, match="at least one"):
-        evaluate_z_stack([])
 
 
 # --- compiled relations against the written-out predicates -----------------
@@ -637,7 +632,7 @@ def assert_relations_match_reference(p):
 def test_relation_oracles_are_not_vacuous():
     p = ZParams(5, 0.5, 0.8, 0.25, 0.8)  # max(a, z) <= 1, a != z, x != y
     assert len(forbidden_reverse_edges(p, complete_digraph(5))) == 2
-    assert forbidden_reverse_edges(p, evaluate_z(p).report.digraph) == []
+    assert forbidden_reverse_edges(p, z_point(p).report.digraph) == []
     # every rule holds: 12 edges among 1, 2, 7, 8 and 8 rules to or from 4 middle vertices
     assert len(predicted_edges(ZParams(8, 1.0, 1.0, 1.0, 1.0))) == 12 + 8 * 4
 
@@ -911,7 +906,7 @@ def test_a_wrong_class_weight_turns_the_middle_collapse_audit_red(monkeypatch):
     for n in (5, 6, 7):
         assert audit(zfamily.ZStack(n, harness._GRID)).all() == (n > 5)
     p = ZParams(6, 0.5, 2.0, 1.5, 1.0)
-    assert eigen_identity_residuals(p).middle_deviation_max > 0.5 * evaluate_z(p).stack.w[0, 2]
+    assert eigen_identity_residuals(p).middle_deviation_max > 0.5 * ZStack(p.n, [p.xyza]).w[0, 2]
     records, _ = harness._grid_checks(1e-9)
     failed = {r.check_id: r.detail for r in records if not r.passed}
     assert failed["identities.middle_collapse"] == (
