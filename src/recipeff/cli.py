@@ -7,9 +7,9 @@ JSON), verify (bundled verification suite), example-ee1 (replay the
 bundled worked example with pass/fail marks).
 
 Exit codes: 0 success, 1 verification failure, 2 input error, a Perron
-solve that did not converge, or an array too large to allocate.  The env
-var RECIP_EPS overrides the default edge tolerance; an explicit
---eps-rel flag overrides both.
+solve that did not converge, a failed certificate, or an array too large
+to allocate.  The env var RECIP_EPS overrides the default edge tolerance;
+an explicit --eps-rel flag overrides both.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import PerronConvergenceError
-from .digraph import DEFAULT_EPS_REL, analyze
+from .digraph import DEFAULT_EPS_REL, CertificateError, analyze
 from .extensions import (
     conjugated_extension,
     constant_row_sum_extension,
@@ -205,7 +205,7 @@ def main(argv=None) -> int:
     try:
         eps = _resolve_eps(args.eps_rel)
         return args.func(args, eps)
-    except (ValueError, OSError, PerronConvergenceError, MemoryError) as exc:
+    except (ValueError, OSError, PerronConvergenceError, CertificateError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

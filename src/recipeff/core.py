@@ -154,40 +154,42 @@ def _not_converged(a: np.ndarray, v: np.ndarray, i: int, max_iter: int):
 
 
 def _squared_start(a: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start vectors of a (B, n, n) stack from repeated squaring, and the
-    number of squarings each row took.
+    """Start vectors of a (B, n, n) stack from repeated squaring, as (n, B)
+    columns, and the number of squarings each row took.
 
     Each row squares M <- M @ M from M = A and divides M by its largest row
     sum, so no entry exceeds 1, until the row sums of M, scaled to first
     component 1, move by at most PERRON_SQUARE_TOL times their largest
-    entry.  Settled rows are dropped from the stack, so a row's start never
-    depends on the other rows.  A row whose row sums stop being finite and
-    positive starts from all-ones; `perron_stack` runs this under the
-    errstate that silences their overflow.
+    entry.  The row sums are `add.reduce`'s, in an (n, B) buffer, so their
+    maxima and the settle test run along the batch axis.  Settled rows are dropped
+    from the stack, so a row's start never depends on the other rows.  A row
+    whose row sums stop being finite and positive starts from all-ones;
+    `perron_stack` runs this under the errstate that silences their overflow.
     """
     B, n = a.shape[0], a.shape[-1]
-    start = np.empty((B, n))
+    start = np.empty((n, B))
     squarings = np.empty(B, dtype=int)
     rows, m, k = np.arange(B), a, 0
-    u = m.sum(axis=2)
-    s = u / u[:, :1]
+    u = np.add.reduce(m, 2, out=np.empty((n, B)).T).T
+    s, ut = u / u[0], u.T
     while rows.size:
         if k == max_iter:
-            raise _not_converged(a[rows[0]], s[0], int(rows[0]), max_iter)
+            raise _not_converged(a[rows[0]], s[:, 0], int(rows[0]), max_iter)
         m = m @ m
-        u = m.sum(axis=2)
-        top = u.max(axis=1)
+        np.add.reduce(m, 2, out=ut)
+        top = np.maximum.reduce(u)
         m /= top[:, None, None]
-        t = u / u[:, :1]
+        t = u / u[0]
         k += 1
         # NaN never moves by less than the bound: it ends the row too
-        out = ~(np.abs(t - s).max(axis=1) > PERRON_SQUARE_TOL * (top / u[:, 0]))
+        out = ~(np.maximum.reduce(np.abs(t - s)) > PERRON_SQUARE_TOL * (top / u[0]))
         if out.any():
-            start[rows[out]] = t[out]
+            start[:, rows[out]] = t[:, out]
             squarings[rows[out]] = k
-            rows, m, t = rows[~out], m[~out], t[~out]
+            rows, m, t = rows[~out], m[~out], t.compress(~out, axis=1)
+            u, ut = u[:, :rows.size], ut[:rows.size]
         s = t
-    start[~np.all(np.isfinite(start) & (start > 0), axis=1)] = 1.0
+    start[:, ~np.logical_and.reduce(np.isfinite(start) & (start > 0))] = 1.0
     return start, squarings
 
 
@@ -200,13 +202,14 @@ def perron_stack(a: np.ndarray, max_iter: int = PERRON_MAX_ITER) -> PerronStack:
     row; a row stops at the first step whose iterate differs from the
     previous one by less than PERRON_TOL in max norm, or is NaN (a row sum
     overflowed), and is written out and dropped from the stack.  r is
-    (A w)[0] at that iterate.  A row's `iterations` counts its squarings
-    plus its power steps, and `max_iter` caps that total.
-    PerronConvergenceError names the row when it reaches the cap (the one
-    with the least budget left, the first on ties), or when it stops at a w
-    or r that is not positive and finite, as when an entry product
-    underflows or a row sum overflows.  Every row equals its own one-matrix
-    solve bit for bit.  max_iter must be a nonnegative integer.
+    (A w)[0] at that iterate.  The steps write two (n, B) buffers in turn,
+    so each test over a row runs along the batch axis.  A row's `iterations`
+    counts its squarings plus its power steps, and `max_iter` caps that
+    total.  PerronConvergenceError names the row when it reaches the cap
+    (the one with the least budget left, the first on ties), or when it
+    stops at a w or r that is not positive and finite, as when an entry
+    product underflows or a row sum overflows.  Every row equals its own
+    one-matrix solve bit for bit.  max_iter must be a nonnegative integer.
     """
     if operator.index(max_iter) < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
@@ -216,33 +219,34 @@ def perron_stack(a: np.ndarray, max_iter: int = PERRON_MAX_ITER) -> PerronStack:
     iterations = np.empty(B, dtype=int)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if n <= PERRON_SQUARE_MAX_N:
-            start, squarings = _squared_start(a, max_iter)
+            v, squarings = _squared_start(a, max_iter)
         else:
-            start, squarings = np.ones((B, n)), np.zeros(B, dtype=int)
-        rows, live, left = np.arange(B), a, max_iter - squarings
-        v, k, cap = start[..., None], 0, int(left.min(initial=max_iter))
+            v, squarings = np.ones((n, B)), np.zeros(B, dtype=int)
+        rows, live, left, u = np.arange(B), a, max_iter - squarings, np.empty((n, B))
+        ub, vb, k, cap = u.T[..., None], v.T[..., None], 0, int(left.min(initial=max_iter))
         while rows.size:
             if k == cap:
                 j = int(left.argmin())
-                raise _not_converged(a[rows[j]], v[j, :, 0], int(rows[j]), max_iter)
-            u = live @ v
-            u /= u[:, :1]
+                raise _not_converged(a[rows[j]], v[:, j], int(rows[j]), max_iter)
+            np.matmul(live, vb, out=ub)
+            u /= u[0]
             k += 1
             # written as ~(>=) so that a NaN iterate stops too
-            stop = ~(np.abs(u - v).max(axis=1)[:, 0] >= PERRON_TOL)
+            stop = ~(np.maximum.reduce(np.abs(u - v)) >= PERRON_TOL)
             if stop.any():
-                w[rows[stop]] = u[stop, :, 0]
+                w[rows[stop]] = u[:, stop].T
                 iterations[rows[stop]] = squarings[rows[stop]] + k
-                rows, live, u, left = rows[~stop], live[~stop], u[~stop], left[~stop]
-                cap = int(left.min(initial=max_iter))
-            v = u
-        aw = np.matmul(a, w[..., None])[..., 0]
-    r = aw[:, 0]
-    ok = np.all((w > 0) & np.isfinite(aw), axis=1)  # so w is finite and r >= w[0] = 1
+                rows, live, left = rows[~stop], live[~stop], left[~stop]
+                u, v = u.compress(~stop, axis=1), v[:, :rows.size]
+                ub, vb, cap = u.T[..., None], v.T[..., None], int(left.min(initial=max_iter))
+            u, ub, v, vb = v, vb, u, ub
+        aw = np.matmul(a, w[..., None], out=np.empty((n, B)).T[..., None])[..., 0].T
+    r = aw[0]
+    ok = np.logical_and.reduce((w.T > 0) & np.isfinite(aw))  # so w is finite and r >= w[0] = 1
     if not ok.all():
         raise PerronConvergenceError("power iteration stopped at a w or r that is not "
                                      f"positive and finite at row {int(ok.argmin())}")
-    residual = np.max(np.abs(aw - r[:, None] * w), axis=1)
+    residual = np.maximum.reduce(np.abs(aw - r * w.T))
     return PerronStack(w, r, residual, iterations)
 
 
@@ -279,12 +283,16 @@ def pareto_dominates(A: ReciprocalMatrix, w, w2) -> bool:
     if w.shape != (A.n,) or w2.shape != (A.n,):
         raise ValueError("vector length mismatch")
     _require_finite_ratios(np.array([w, w2]))
-    dev = np.abs(A.a - w[:, None] / w[None, :])
-    dev2 = np.abs(A.a - w2[:, None] / w2[None, :])
-    off = ~np.eye(A.n, dtype=bool)
-    if np.any(dev2[off] > dev[off] + PARETO_MARGIN):
-        return False
-    return bool(np.any(dev[off] - dev2[off] > PARETO_MARGIN))
+    return bool(pareto_dominates_stack(A.a[None], w[None], w2[None])[0])
+
+
+def pareto_dominates_stack(a: np.ndarray, w: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """`pareto_dominates` of each row of a (B, n, n) stack and (B, n) vectors, unchecked,
+    as (B,) flags.  A diagonal deviation is |a_ii - 1| for both, so it needs no mask."""
+    dev = np.abs(a - w[:, :, None] / w[:, None, :])
+    dev2 = np.abs(a - w2[:, :, None] / w2[:, None, :])
+    return (~(dev2 > dev + PARETO_MARGIN).any(axis=(1, 2))
+            & (dev - dev2 > PARETO_MARGIN).any(axis=(1, 2)))
 
 
 def random_reciprocal(n: int, seed: int, log_scale: float = np.log(9.0)) -> ReciprocalMatrix:

@@ -14,12 +14,11 @@ order, the block ends follow from the degrees alone, and a strong G has a
 Hamiltonian cycle (Camion 1959), which insertion on bitsets builds for every n.
 
 `DigraphStack` is the one array step: for a (B, n, n) stack, the Perron
-vectors (unless given), the digraphs as one boolean tensor and their SCCs.
-Its `report(i)` is row i's `EfficiencyReport`, which for a digraph that is
-not strongly connected carries an explicit better vector, made by scaling
-the source component of the condensation down by the tightest crossing
-ratio.  `analyze` is the one-matrix case; audits of whole stacks, the
-Z-family record among them, read the stack's arrays.
+vectors (unless given), the digraphs as one boolean tensor, their SCCs and,
+for all rows at once, the certificates: better vectors made by scaling the
+source component of the condensation down by the tightest crossing ratio,
+and their checks.  `report(i)` reads row i, `analyze` is the one-matrix
+case, and whole-stack audits, the certificate check among them, read arrays.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .core import (
     PerronPair,
     ReciprocalMatrix,
     _require_finite_ratios,
-    pareto_dominates,
+    pareto_dominates_stack,
     perron,
     perron_stack,
 )
@@ -90,7 +89,7 @@ class EfficiencyReport:
 
     @cached_property
     def hamiltonian(self) -> tuple[int, ...] | None:
-        ham = hamiltonian_cycle(self.digraph)
+        ham = hamiltonian_cycle(self.digraph) if self.efficient else None  # Camion
         return tuple(ham) if ham else None
 
 
@@ -238,21 +237,25 @@ def hamiltonian_cycle(G: EfficiencyDigraph) -> list[int] | None:
     return [v + 1 for v in cycle]
 
 
-def _scale_source(A: ReciprocalMatrix, w: np.ndarray, labels) -> np.ndarray:
-    """w with its source component (label 0) scaled down to a dominating vector.
+class CertificateError(RuntimeError):
+    """An inefficient row's source scaling is not below 1, or does not dominate w."""
 
-    Every absent crossing edge (j, i) into the source S means w_i / w_j
-    exceeds a_ij strictly, so scaling S down by beta = max a_ij w_j / w_i
-    (< 1) shrinks all crossing deviations, zeroes at least one, and leaves
-    the rest unchanged.
+
+def _certify(s: DigraphStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The certificate step of a `DigraphStack`: each row's beta, w2 and flag.
+    Every absent crossing edge (j, i) into the source component S (label 0)
+    means w_i / w_j exceeds a_ij strictly, so scaling S down by beta = max
+    a_ij w_j / w_i (< 1) over the crossings shrinks all crossing deviations,
+    zeroes at least one, and leaves the rest unchanged.  A row is certified
+    when it is not strong, beta < 1 and w2 dominates w; a strong row keeps w.
     """
-    S = np.asarray(labels) == 0
-    beta = (A.a[np.ix_(S, ~S)] * w[~S][None, :] / w[S][:, None]).max()
-    if not beta < 1.0:
-        raise AssertionError("source component scaling must be < 1")
-    w2 = w.copy()
-    w2[S] = beta * w[S]
-    return w2
+    a, w, S, split = s.a, s.w, s.labels == 0, s.counts > 1
+    with np.errstate(over="ignore", invalid="ignore"):  # off the crossings, or where beta >= 1
+        ratio = a * w[:, None, :] / w[:, :, None]
+        beta = np.where(S[:, :, None] & ~S[:, None, :], ratio, 0.0).max(axis=(1, 2))
+        w2 = np.where(S & split[:, None], beta[:, None] * w, w)
+        _require_finite_ratios(w2[beta < 1.0])
+        return beta, w2, split & (beta < 1.0) & pareto_dominates_stack(a, w, w2)
 
 
 def dominating_vector(
@@ -265,9 +268,10 @@ def dominating_vector(
 class DigraphStack:
     """The array step of `analyze` for a (B, n, n) stack of canonical
     reciprocal matrices `a`: `perron`, the Perron pairs, or None when the
-    vectors `w` are given; the (B, n, n) edge tensor `adj`; and the SCC
-    `labels` and `counts` of `_scc_labels`, computed on first read, since
-    the no-source scans read `adj` alone.
+    vectors `w` are given; the (B, n, n) edge tensor `adj`; and, on first
+    read, since the no-source scans read `adj` alone, the `labels` and
+    `counts` of `_scc_labels` and the `beta`, `certificates` and `certified`
+    of `_certify`.
     """
 
     def __init__(self, As, ws=None, eps_rel: float = DEFAULT_EPS_REL) -> None:
@@ -278,9 +282,12 @@ class DigraphStack:
         self.eps_rel = float(eps_rel)
 
     def __getattr__(self, name: str):
-        if name not in ("labels", "counts"):
+        if name in ("labels", "counts"):
+            self.labels, self.counts = _scc_labels(self.adj)
+        elif name in ("beta", "certificates", "certified"):
+            self.beta, self.certificates, self.certified = _certify(self)
+        else:
             raise AttributeError(name)
-        self.labels, self.counts = _scc_labels(self.adj)
         return getattr(self, name)
 
     def __len__(self) -> int:
@@ -288,11 +295,12 @@ class DigraphStack:
 
     def report(self, i: int) -> EfficiencyReport:
         """Row i's report, on copies of its rows (a kept report keeps no stack
-        alive); its certificate is built, and checked, here."""
+        alive).  CertificateError says why an inefficient row is not certified."""
         A, w, k = ReciprocalMatrix(self.a[i].copy()), self.w[i].copy(), int(self.counts[i])
-        cert = None if k == 1 else _scale_source(A, w, self.labels[i])
-        if cert is not None and not pareto_dominates(A, w, cert):
-            raise AssertionError("certificate failed the dominance definition")
+        if k > 1 and not self.certified[i]:
+            raise CertificateError("source component scaling must be < 1" if not self.beta[i] < 1
+                                   else "certificate failed the dominance definition")
+        cert = None if k == 1 else self.certificates[i].copy()
         pair = None if self.perron is None else replace(self.perron[i], w=w)
         return EfficiencyReport(A, w, pair, EfficiencyDigraph(self.adj[i].copy(), self.eps_rel),
                                 k == 1, k, cert)

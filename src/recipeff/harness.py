@@ -29,7 +29,6 @@ from .core import (
     ReciprocalMatrix,
     _rng,
     make_reciprocal,
-    pareto_dominates,
     perron,
     random_reciprocal,
     random_reciprocal_stack,
@@ -38,7 +37,6 @@ from .digraph import (
     DEFAULT_EPS_REL,
     DigraphStack,
     EfficiencyDigraph,
-    _scale_source,
     analyze,
     hamiltonian_cycle,
     has_no_source_stack,
@@ -250,10 +248,6 @@ _GRID_AUDITS = (
 )
 
 
-def _certificate_fails(A: ReciprocalMatrix, w: np.ndarray, cert: np.ndarray | None) -> bool:
-    return cert is None or not pareto_dominates(A, w, cert)
-
-
 def _grid_point(ns):
     """The namer of point i of the grids of orders `ns`, laid end to end."""
     return lambda i: f"ZParams{(ns[i // len(_GRID)], *_GRID[i % len(_GRID)].tolist())}"
@@ -262,9 +256,9 @@ def _grid_point(ns):
 def _grid_checks(eps_rel: float) -> tuple[list[WalkthroughStep], list]:
     """The n = 5, 6, 7 grids, each one `ZStack` read in turn: the grid checks'
     records in report order, and a (point, certificate fails) pair per
-    inefficient n = 5 or 6 point, lifted to order n.  Each `_GRID_AUDITS`
-    array is tallied over the three grids; a certificate is checked here, not
-    by `s.report`, so a failing one is counted, not raised."""
+    inefficient n = 5 or 6 point, from the `certified` flags of their lift to
+    order n.  Each `_GRID_AUDITS` array is tallied over the three grids; a
+    certificate is read here, not by `s.report`, so a failing one is counted."""
     records, certificates, audits, seen = [], [], [], set()
     for n in (5, 6, 7):
         s = ZStack(n, _GRID, eps_rel)
@@ -283,10 +277,8 @@ def _grid_checks(eps_rel: float) -> tuple[list[WalkthroughStep], list]:
                                 f"{eff} efficient points (guarantee is one-way)"),
             ]
             lifted = DigraphStack(*s.lift(~s.efficient), eps_rel)
-            certificates += [((n, *p), _certificate_fails(A, w, _scale_source(A, w, labels)))
-                             for p, A, w, labels in zip(s.xyza[~s.efficient].tolist(),
-                                                        map(ReciprocalMatrix, lifted.a),
-                                                        lifted.w, lifted.labels)]
+            certificates += [((n, *p), bad) for p, bad in zip(s.xyza[~s.efficient].tolist(),
+                                                              (~lifted.certified).tolist())]
         del s  # one grid's stack alive at a time
     seen.discard(None)
     records.append(WalkthroughStep("region.exception_labels_nonvacuous",
@@ -354,7 +346,7 @@ def _suite_records(eps_rel: float) -> list[WalkthroughStep]:
                *_random_extensions(eps_rel)),
     ]
     grid, certificates = _grid_checks(eps_rel)
-    points, fails = zip((None, _certificate_fails(rep3.A, rep3.w, rep3.certificate)), *certificates)
+    points, fails = zip((None, rep3.certificate is None), *certificates)
     checks += [
         *grid,
         _tally("hamiltonian.equivalence", "{bad} of {total} random digraphs disagree",

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from recipeff.core import ReciprocalMatrix, make_reciprocal
+from recipeff.core import PARETO_MARGIN, ReciprocalMatrix, make_reciprocal
 from recipeff.zfamily import _CATALOG_RELATIONS, CYCLE_CATALOG, _cell_rows, _claims, order_cells
 
 FLOAT_FMT = "%.17g"  # 17 significant digits: a write/read round trip is bit-exact
@@ -86,6 +86,33 @@ def same_report(rep, one) -> bool:
             and rep.digraph.eps_rel == one.digraph.eps_rel
             and rep.scc_count == one.scc_count and rep.efficient == one.efficient
             and cert_same and perron_same)
+
+
+def scale_source_reference(A: ReciprocalMatrix, w: np.ndarray, labels) -> tuple[float, np.ndarray]:
+    """beta and w with its source component (label 0) scaled by beta, one row
+    at a time: the reference of the certificate step `digraph._certify`.
+
+    Every absent crossing edge (j, i) into the source S means w_i / w_j
+    exceeds a_ij strictly, so scaling S down by beta = max a_ij w_j / w_i
+    (< 1) shrinks all crossing deviations, zeroes at least one, and leaves
+    the rest unchanged.
+    """
+    S = np.asarray(labels) == 0
+    beta = (A.a[np.ix_(S, ~S)] * w[~S][None, :] / w[S][:, None]).max()
+    w2 = w.copy()
+    w2[S] = beta * w[S]
+    return float(beta), w2
+
+
+def pareto_dominates_reference(A: ReciprocalMatrix, w, w2) -> bool:
+    """`core.pareto_dominates` on the off-diagonal entries alone, one pair of
+    vectors at a time: the reference of `core.pareto_dominates_stack`."""
+    dev = np.abs(A.a - w[:, None] / w[None, :])
+    dev2 = np.abs(A.a - w2[:, None] / w2[None, :])
+    off = ~np.eye(A.n, dtype=bool)
+    if np.any(dev2[off] > dev[off] + PARETO_MARGIN):
+        return False
+    return bool(np.any(dev[off] - dev2[off] > PARETO_MARGIN))
 
 
 def hamiltonian_cycle_reference(G) -> list[int] | None:

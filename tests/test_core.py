@@ -22,6 +22,8 @@ from recipeff.core import (
     random_reciprocal,
     random_reciprocal_stack,
 )
+from recipeff.harness import _GRID
+from recipeff.zfamily import z_stack
 
 positive_entry = st.floats(min_value=1.0 / 9.0, max_value=9.0)
 
@@ -320,6 +322,16 @@ def test_squared_start_rows_settle_at_different_squarings():
     assert len(squarings) >= 4
     stack = perron_stack(np.array([A.a for A, _ in rows]))
     assert all(same_pair(stack[i], ref) for i, (_, ref) in enumerate(rows))
+
+
+@pytest.mark.parametrize("n", (5, 6, 7))
+def test_perron_stack_rows_equal_one_matrix_solves_on_the_grid_quotients(n):
+    # the 625-row quotient stacks of the verify grids: rows settle and stop
+    # at different passes, so the (n, B) buffers are compacted at full width
+    a = z_stack(5, _GRID) * [1, 1, n - 4, 1, 1]
+    stack = perron_stack(a)
+    assert len(set(stack.iterations.tolist())) > 1
+    assert all(same_pair(stack[i], perron_reference(a[i])) for i in range(len(a)))
 
 
 def both_references(a, max_iter):

@@ -5,13 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import consistent_from_vector, hamiltonian_cycle_reference, same_report
+from helpers import (
+    consistent_from_vector,
+    hamiltonian_cycle_reference,
+    pareto_dominates_reference,
+    same_report,
+    scale_source_reference,
+)
 
 from recipeff.core import (
+    ReciprocalMatrix,
     make_reciprocal,
     pareto_dominates,
     perron,
     random_reciprocal,
+    random_reciprocal_stack,
 )
 import recipeff.digraph as dg
 from recipeff.digraph import (
@@ -477,13 +485,58 @@ def test_digraph_stack_reports_equal_one_matrix_reports(n, B, seed, kind, eps_re
     for i in range(B):
         try:
             one = analyze(mats[i], None if ws is None else ws[i], eps_rel)
-        except AssertionError as exc:
-            with pytest.raises(AssertionError, match=str(exc)):
+        except dg.CertificateError as exc:
+            with pytest.raises(dg.CertificateError, match=str(exc)):
                 s.report(i)
             continue
         assert same_report(s.report(i), one), i
         assert labels[i].tolist() == strongly_connected(one.digraph)[2]
         assert counts[i] == one.scc_count and np.array_equal(adj[i], one.digraph.adj)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=40),
+    st.sampled_from([1, 3, 23]),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(["random", "consistent"]),
+    st.sampled_from([0.0, 1e-9]),
+)
+def test_stacked_certificates_equal_the_per_row_reference(n, B, seed, kind, eps_rel):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        # vectors from near-constant to wide: SCC counts from 1 to n
+        As = random_reciprocal_stack(n, B, seed)
+        ws = np.exp(rng.uniform(-1, 1, (B, n)) * np.exp(rng.uniform(-4, 2.5, (B, 1))))
+    else:
+        # consistent matrices and their Perron vectors: at eps_rel = 0 the
+        # Perron vector misses some ties by ulps, so the digraph may not be
+        # strong, but no certificate may claim to dominate the exact fit
+        v = np.exp(rng.uniform(-2, 2, (B, n)))
+        As = np.array([make_reciprocal(x[:, None] / x[None, :], mode="symmetrize").a for x in v])
+        ws = None
+    s = dg.DigraphStack(As, ws, eps_rel)
+    for i in range(B):
+        A, w = ReciprocalMatrix(As[i]), s.w[i]
+        if s.counts[i] == 1:
+            assert not s.certified[i] and s.certificates[i].tobytes() == w.tobytes()
+            continue
+        beta, w2 = scale_source_reference(A, w, s.labels[i])
+        assert s.beta[i] == beta and s.certificates[i].tobytes() == w2.tobytes(), i
+        assert s.certified[i] == (beta < 1 and pareto_dominates_reference(A, w, w2)), i
+        assert pareto_dominates(A, w, w2) == pareto_dominates_reference(A, w, w2), i
+    assert kind == "random" or not s.certified.any()
+
+
+def test_an_inefficient_report_runs_no_hamiltonian_insertion(monkeypatch, counterexample):
+    # a semicomplete digraph that is not strong has no Hamiltonian cycle (Camion)
+    def insertion(G):
+        raise AssertionError("the insertion ran")
+
+    monkeypatch.setattr(dg, "hamiltonian_cycle", insertion)
+    inefficient = (counterexample, (random_reciprocal(9, seed=1), np.arange(1.0, 10.0)))
+    for rep in (analyze(A, w) for A, w in inefficient):
+        assert not rep.efficient and rep.hamiltonian is None
 
 
 def test_digraph_stack_rejects_bad_vectors_and_reports_each_row():

@@ -558,7 +558,8 @@ def test_failing_details_name_the_instance_to_replay(monkeypatch):
     monkeypatch.setattr(harness, "guarantee_a1_stack", lambda n, xyz: np.where(
         xyz[:, 2] == 4.0, "A1(forced)", a1(n, xyz)))
     # only the 3x3 counterexample's certificate dominates
-    monkeypatch.setattr(harness, "pareto_dominates", lambda A, w, w2: len(w) == 3)
+    monkeypatch.setattr(digraph, "pareto_dominates_stack",
+                        lambda a, w, w2: np.full(len(a), a.shape[-1] == 3))
     details = dict(verify_paper_suite().failures)
     assert list(details) == [
         "example1.bprime_perron_inefficient",
@@ -643,7 +644,8 @@ def test_seeded_instances_come_in_seed_order(monkeypatch):
 
 
 def test_grid_checks_every_inefficient_point_certificate(monkeypatch):
-    monkeypatch.setattr(harness, "pareto_dominates", lambda A, w, w2: False)
+    monkeypatch.setattr(digraph, "pareto_dominates_stack",
+                        lambda a, w, w2: np.zeros(len(a), dtype=bool))
     _, certificates = harness._grid_checks(1e-9)
     assert len(certificates) == 64 and all(bad for _, bad in certificates)
 
@@ -767,6 +769,18 @@ def test_cli_analyze_rejects_bad_vector(tmp_path, capsys, entry):
     code, out, err = run_cli(capsys, "analyze", str(mat), "--vector", str(vec))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "positive" in err
+
+
+def test_cli_analyze_reports_a_certificate_that_fails_its_check(tmp_path, capsys):
+    # a consistent matrix at eps_rel = 0: its Perron vector misses a tie by an
+    # ulp, so the digraph is not strong, and scaling the source by beta =
+    # 1 - 2**-53 changes no deviation by more than the dominance margin
+    v = np.exp(np.random.default_rng(2).uniform(-2, 2, 5))
+    A = make_reciprocal(v[:, None] / v[None, :], mode="symmetrize")
+    mat = tmp_path / "M.csv"
+    mat.write_text("".join(",".join(map(repr, row)) + "\n" for row in A.a.tolist()))
+    code, out, err = run_cli(capsys, "analyze", str(mat), "--eps-rel", "0")
+    assert (code, out, err) == (2, "", "error: certificate failed the dominance definition\n")
 
 
 def test_cli_analyze_rejects_eps_rel_of_one(tmp_path, capsys):
