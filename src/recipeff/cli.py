@@ -126,7 +126,7 @@ def _cmd_verify(args: argparse.Namespace, eps: float) -> int:
     status = "FAIL" if summary.failures else "PASS"
     lines.append(
         f"{status}: {summary.checks - len(summary.failures)}/{summary.checks} "
-        f"checks passed in {summary.wall_time:.1f}s"
+        f"checks passed in {summary.wall_time:.3f}s"
     )
     _emit(lines, args.out)
     return 1 if summary.failures else 0

@@ -4,17 +4,17 @@ A reciprocal matrix is a positive square matrix with unit diagonal and
 a_ij * a_ji = 1.  It is consistent when a_ij * a_jk = a_ik for all triples,
 equivalently when it has the form (v_i / v_j) for a positive vector v.
 
-Matrices are canonicalized from the upper triangle (a_ji stored as 1/a_ij),
-so ratio tests against a_ij and a_ji can never disagree by more than a
-rounding ulp.  Perron pairs are computed by power iteration, from a start
-found by repeated squaring at small orders, and normalized to have first
-component 1.  The solve runs on (B, n, n) stacks (`perron_stack`); `perron`
-is its one-matrix case.
+Matrices are canonicalized from the upper triangle, which one boolean mask
+picks (a_ji stored as 1/a_ij), so ratio tests against a_ij and a_ji can
+never disagree by more than a rounding ulp.  Perron pairs are computed by
+power iteration, from a start found by repeated squaring at small orders,
+and normalized to have first component 1.  The solve runs on (B, n, n)
+stacks (`perron_stack`); `perron` is its one-matrix case.
 
 Seeded random matrices come from one numpy generator per seed,
 `np.random.default_rng(seed)`: a stack of `count` matrices reads its upper
-triangles off one stream (`random_reciprocal_stack`), so row k is the same
-for every count > k, and `random_reciprocal` is its first row.
+triangles, row-major, off one stream (`random_reciprocal_stack`), so row k
+is the same for every count > k, and `random_reciprocal` is its first row.
 """
 
 from __future__ import annotations
@@ -78,16 +78,21 @@ def _as_positive_square(raw) -> np.ndarray:
     return a
 
 
+def _upper(n: int) -> np.ndarray:
+    """(n, n) mask of the strict upper triangle: row-major as an index, as `np.triu_indices`."""
+    return np.arange(n)[:, None] < np.arange(n)
+
+
 def _canonicalize(a: np.ndarray) -> np.ndarray:
     """Rebuild from the upper triangle: diagonal 1, lower entries 1/upper.
 
-    Works on (..., n, n) stacks.  Off the diagonal each entry is one term
-    plus exact zeros, so it is the upper entry or its reciprocal bit for bit.
+    Works on (..., n, n) stacks.  Each entry off the diagonal is the upper
+    entry or its reciprocal, picked by one mask; the result is C-ordered, so
+    the diagonal is every (n + 1)-th entry of its flat view.
     """
     n = a.shape[-1]
-    out = np.triu(a, 1)
-    out += np.triu(1.0 / a, 1).swapaxes(-1, -2)
-    out[..., range(n), range(n)] = 1.0
+    out = np.ascontiguousarray(np.where(_upper(n), a, 1.0 / a.swapaxes(-1, -2)))
+    out.reshape(-1, n * n)[:, :: n + 1] = 1.0
     return out
 
 
@@ -322,7 +327,7 @@ def random_reciprocal_stack(n: int, count: int, seed: int,
     log_scale and twice it finite and nonnegative; an entry or reciprocal
     that is not finite raises ValueError naming the row.
     """
-    if n < 2:
+    if operator.index(n) < 2:
         raise ValueError("n must be at least 2")
     if operator.index(count) < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
@@ -330,11 +335,10 @@ def random_reciprocal_stack(n: int, count: int, seed: int,
     if not 0 <= 2 * high < np.inf:  # as Generator.uniform needs its range
         raise ValueError(f"log_scale must be finite and nonnegative, and so must twice it; "
                          f"got {log_scale!r}")
-    iu, ju = np.triu_indices(n, k=1)
-    u = _rng(seed).uniform(-high, high, (count, len(iu)))
+    u = _rng(seed).uniform(-high, high, (count, n * (n - 1) // 2))
     a = np.ones((count, n, n))
     with np.errstate(over="ignore", divide="ignore"):
-        a[:, iu, ju] = np.exp(u)
+        a[:, _upper(n)] = np.exp(u)
         out = _canonicalize(a)
     ok = np.isfinite(out).all(axis=(1, 2))
     if not ok.all():

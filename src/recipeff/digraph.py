@@ -11,7 +11,7 @@ monotone rounding, a missing (i, j) means w_i/w_j < a_ij exactly and forces
 fl(w_j/w_i) >= a_ji, so (j, i) is present.  Hence the condensation is a
 total order, sorting the vertices by out-degree lists its blocks in that
 order, the block ends follow from the degrees alone, and a strong G has a
-Hamiltonian cycle (Camion 1959), which insertion on bitsets builds for every n.
+Hamiltonian cycle (Camion 1959), which `hamiltonian_cycles` builds for a stack.
 
 `DigraphStack` is the one array step: for a (B, n, n) stack, the Perron
 vectors (unless given), the digraphs as one boolean tensor, their SCCs and,
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -184,57 +183,64 @@ def no_source_theorem_check(
     return bool(has_no_source_stack(build_digraph(A, perron(A).w, eps_rel).adj[None])[0])
 
 
-def _bitsets(rows: np.ndarray) -> list[int]:
-    """Each row of a boolean array, or the one row of a vector, as an int: bit j is entry j."""
-    packed = np.packbits(rows, axis=-1, bitorder="little")
-    b, k = packed.tobytes(), packed.shape[-1]
-    return [int.from_bytes(b[i:i + k], "little") for i in range(0, len(b), k)]
-
-
-def _members(m: int) -> Iterator[int]:
-    """The set bits of m, lowest first."""
-    while m:
-        yield (m & -m).bit_length() - 1
-        m &= m - 1
-
-
-def hamiltonian_cycle(G: EfficiencyDigraph) -> list[int] | None:
-    """Directed Hamiltonian cycle starting at vertex 1, or None if G is not strong.
-
-    Camion insertion on the semicomplete G, in Python-int bitsets: G's rows,
-    packed once, and the vertices on, reached from and reaching the cycle.
-    From vertex 1 alone, each round inserts every v with edges both from
-    and to the cycle, lowest first, after the lowest c with c -> v ->
-    (successor of c): v's lowest in-neighbour on the cycle if it fits, else
-    the lowest hit of one numpy gather.  If none fits, the first edge x -> y,
-    row-major, from the outside vertices the whole cycle beats to those that
-    beat it goes in as 1 -> x -> y -> (old successor of 1); with no such
-    edge, the beaten side cannot reach the rest and G is not strong.
-    """
-    adj, n, nxt = G.adj, G.n, np.zeros(G.n, dtype=np.intp)  # nxt: successor on the cycle
-    rows = _bitsets(np.concatenate((adj, adj.T)))
-    out, into = rows[:n], rows[n:]  # bit v of out[u], and bit u of into[v]: edge (u, v)
+def _insertion(out: list[int], into: list[int]) -> list[int] | None:
+    """Camion insertion on one digraph, given its rows as bitsets (see
+    `hamiltonian_cycles`); the lowest set bit of m is (m & -m).bit_length() - 1."""
+    n, nxt = len(out), [0] * len(out)  # nxt: successor on the cycle
     on, fro, to, full = 1, out[0], into[0], (1 << n) - 1  # fro/to: edges from/to the cycle
     while on != full:
         fit = fro & to & ~on  # a vertex that fits keeps fitting as the cycle grows
-        for v in _members(fit):
-            c = next(_members(on & into[v]))
-            if not out[v] >> int(nxt[c]) & 1:
-                c = next(_members(on & into[v] & _bitsets(adj[v].take(nxt))[0]))
-            nxt[v], nxt[c] = nxt[c], v
-            on, fro, to = on | 1 << v, fro | out[v], to | into[v]
         if not fit:
-            beating = full & ~(on | fro)
-            x = next((u for u in _members(full & ~(on | to)) if out[u] & beating), None)
+            beaten, beating = full & ~(on | to), full & ~(on | fro)
+            x = next((u for u in range(n) if beaten >> u & 1 and out[u] & beating), None)
             if x is None:
                 return None
-            y = next(_members(out[x] & beating))
+            y = next(v for v in range(n) if beating >> v & 1 and out[x] >> v & 1)
             nxt[y], nxt[x], nxt[0] = nxt[0], y, x
             on, fro, to = on | 1 << x | 1 << y, fro | out[x] | out[y], to | into[x] | into[y]
-    succ, cycle = nxt.tolist(), [0]
+        while fit:
+            v = (fit & -fit).bit_length() - 1
+            fit &= fit - 1
+            ins = on & into[v]  # candidates c, lowest first, until v -> nxt[c]
+            c = (ins & -ins).bit_length() - 1
+            while not out[v] >> nxt[c] & 1:
+                ins &= ins - 1
+                if not ins:
+                    raise ValueError("the digraph is not semicomplete")
+                c = (ins & -ins).bit_length() - 1
+            nxt[v], nxt[c] = nxt[c], v
+            on, fro, to = on | 1 << v, fro | out[v], to | into[v]
+    cycle = [0]
     while len(cycle) < n:
-        cycle.append(succ[cycle[-1]])
+        cycle.append(nxt[cycle[-1]])
     return [v + 1 for v in cycle]
+
+
+def hamiltonian_cycles(adj: np.ndarray) -> list[list[int] | None]:
+    """Directed Hamiltonian cycle from vertex 1 of each digraph G of a (B, n, n)
+    semicomplete edge tensor, or None where G is not strong.
+
+    Camion insertion on Python-int bitsets: all rows' out- and in-edges,
+    packed by one `packbits`, and the vertices on, reached from and reaching
+    the cycle.  From vertex 1 alone, each round inserts every v with edges
+    both from and to the cycle, lowest first, after the lowest c with c ->
+    v -> (successor of c); some c fits as G is semicomplete, else ValueError.
+    If no v has edges both ways, the first edge x -> y, row-major, from the
+    outside vertices the whole cycle beats to those that beat it goes in as
+    1 -> x -> y -> (old successor of 1); with no such edge, G is not strong.
+    """
+    n = adj.shape[-1]
+    packed = np.packbits(np.concatenate((adj, adj.swapaxes(-1, -2)), axis=-2), axis=-1,
+                         bitorder="little")
+    b, width = packed.tobytes(), packed.shape[-1]
+    # bit v of out[u], and bit u of into[v]: edge (u, v)
+    rows = [int.from_bytes(b[i:i + width], "little") for i in range(0, len(b), width)]
+    return [_insertion(rows[i:i + n], rows[i + n:i + 2 * n]) for i in range(0, len(rows), 2 * n)]
+
+
+def hamiltonian_cycle(G: EfficiencyDigraph) -> list[int] | None:
+    """`hamiltonian_cycles` of the one digraph G."""
+    return hamiltonian_cycles(G.adj[None])[0]
 
 
 class CertificateError(RuntimeError):

@@ -36,9 +36,10 @@ class ExtensionResult:
     perron_check: float
 
     def __post_init__(self) -> None:
-        sums = self.B.a.sum(axis=1)
-        if np.max(np.abs(sums - self.target_sum)) > ROW_SUM_RTOL * self.target_sum:
-            raise ValueError("row sums deviate from the target")
+        deviation = float(np.max(np.abs(self.B.a.sum(axis=1) - self.target_sum)))
+        if deviation > ROW_SUM_RTOL * self.target_sum:
+            raise ValueError(f"row sums deviate from the target by {deviation:.3e}, over the "
+                             f"budget ROW_SUM_RTOL * target = {ROW_SUM_RTOL * self.target_sum:.3e}")
 
 
 def remove_index(C: ReciprocalMatrix, i: int) -> ReciprocalMatrix:
@@ -159,10 +160,6 @@ class SourceScanReport:
     samples: int
     seed: int
     failures: tuple[int, ...]  # sample indices whose digraph misbehaved
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def extension_source_scan_stack(

@@ -269,9 +269,7 @@ def guarantee_n5plus(p: ZParams) -> RegionVerdict:
 def guarantee_a1(n: int, x: float, y: float, z: float) -> RegionVerdict:
     """Efficiency-region verdict for the a = 1 slice, n >= 5."""
     _require_positive(x=x, y=y, z=z)
-    if operator.index(n) < 5:
-        raise ValueError("guarantee_a1 requires n >= 5")
-    label = _A1_EXCEPTIONS.first(_cell_rows([[x, y, z]]))[0]
+    label = guarantee_a1_stack(n, [[x, y, z]])[0]
     return RegionVerdict(label is None, label, "identity")
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from recipeff.core import PARETO_MARGIN, ReciprocalMatrix, make_reciprocal
+from recipeff.core import PARETO_MARGIN, ReciprocalMatrix, _rng, make_reciprocal
 from recipeff.zfamily import _CATALOG_RELATIONS, CYCLE_CATALOG, _cell_rows, _claims, order_cells
 
 FLOAT_FMT = "%.17g"  # 17 significant digits: a write/read round trip is bit-exact
@@ -145,3 +145,30 @@ def hamiltonian_cycle_reference(G) -> list[int] | None:
     while len(cycle) < n:
         cycle.append(succ[cycle[-1]])
     return [v + 1 for v in cycle]
+
+
+def canonicalize_reference(a: np.ndarray) -> np.ndarray:
+    """The upper triangle by `np.triu`, plus the transposed upper triangle of
+    1/a, diagonal 1: the reference of `core._canonicalize`."""
+    n = a.shape[-1]
+    out = np.triu(a, 1)
+    out += np.triu(1.0 / a, 1).swapaxes(-1, -2)
+    out[..., range(n), range(n)] = 1.0
+    return out
+
+
+def random_reciprocal_stack_reference(n: int, count: int, seed: int,
+                                      log_scale: float = np.log(9.0)) -> np.ndarray:
+    """The draws written through `np.triu_indices` and `canonicalize_reference`,
+    with the same overflow error: the reference of `core.random_reciprocal_stack`."""
+    iu, ju = np.triu_indices(n, k=1)
+    u = _rng(seed).uniform(-log_scale, log_scale, (count, len(iu)))
+    a = np.ones((count, n, n))
+    with np.errstate(over="ignore", divide="ignore"):
+        a[:, iu, ju] = np.exp(u)
+        out = canonicalize_reference(a)
+    ok = np.isfinite(out).all(axis=(1, 2))
+    if not ok.all():
+        raise ValueError(f"log_scale {log_scale!r} too large: entries of row {int(ok.argmin())} "
+                         f"of seed {seed}'s stack or their reciprocals overflow")
+    return out

@@ -11,7 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import recipeff.core as core
-from helpers import consistent_from_vector
+from helpers import (
+    canonicalize_reference,
+    consistent_from_vector,
+    random_reciprocal_stack_reference,
+)
 from recipeff.core import (
     PerronConvergenceError,
     ReciprocalMatrix,
@@ -87,6 +91,41 @@ def test_symmetrize_overwrites_lower_triangle():
     assert A.a[0, 0] == 1.0 and A.a[1, 1] == 1.0
     assert A.a[0, 1] == 3.0
     assert A.a[1, 0] == 1.0 / 3.0
+
+
+def test_canonicalize_is_the_triu_reference_bit_for_bit():
+    rng = np.random.default_rng(43)
+    for n in range(2, 41):
+        for shape in ((n, n), (3, n, n), (0, n, n)):
+            a = np.exp(rng.uniform(-40.0, 40.0, shape))
+            a[rng.random(shape) < 0.05] = 1e-320  # a reciprocal that overflows
+            for x in (a, np.asfortranarray(a), a.swapaxes(-1, -2)):
+                with np.errstate(over="ignore"):
+                    got = core._canonicalize(x)
+                    want = canonicalize_reference(x)
+                assert got.shape == shape and got.tobytes() == want.tobytes(), (n, shape)
+        i, j = sorted(rng.choice(n, 2, replace=False).tolist())
+        a = random_reciprocal(n, seed=n).a.copy()
+        a[i, j] = 1e-320
+        with pytest.raises(ValueError, match=rf"^entry at row {i + 1}, column {j + 1} must "
+                                             r"have a finite reciprocal, got 1e-320$"):
+            make_reciprocal(a, mode="symmetrize")
+
+
+def test_random_reciprocal_stack_is_the_triu_reference_bit_for_bit():
+    for n in range(2, 41):
+        for count in range(201) if n == 5 else (0, 1, 2, 200):
+            assert random_reciprocal_stack(n, count, 4300 + n).tobytes() == (
+                random_reciprocal_stack_reference(n, count, 4300 + n).tobytes()), (n, count)
+    for n, count, seed in ((3, 4, 5), (3, 1, 25), (7, 200, 1), (40, 3, 2)):
+        errors = []
+        for draw in (random_reciprocal_stack, random_reciprocal_stack_reference):
+            with pytest.raises(ValueError, match="overflow") as e:
+                draw(n, count, seed, log_scale=712.0)
+            errors.append(str(e.value))
+        assert errors[0] == errors[1]
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        random_reciprocal_stack(2.5, 1, 0)
 
 
 def test_canonical_storage_is_exact_reciprocal():

@@ -1,4 +1,6 @@
+import inspect
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from recipeff.digraph import (
     build_digraph,
     dominating_vector,
     hamiltonian_cycle,
+    hamiltonian_cycles,
     no_source_theorem_check,
     sinks,
     sources,
@@ -268,14 +271,54 @@ def test_hamiltonian_cycle_is_the_reference_insertion():
         assert cyc == hamiltonian_cycle_reference(G)
         found[cyc is None] += 1
     assert min(found.values()) > 100
+    # the same digraphs as one stack per order, strong and not strong rows mixed
+    mixed = 0
+    for n in sorted({len(adj) for adj in graphs}):
+        stack = np.array([adj for adj in graphs if len(adj) == n])
+        cycles = hamiltonian_cycles(stack)
+        assert len(cycles) == len(stack)
+        for adj, cyc in zip(stack, cycles):
+            assert cyc == hamiltonian_cycle_reference(EfficiencyDigraph(adj, 0.0))
+        mixed += len({cyc is None for cyc in cycles}) == 2
+    assert mixed >= 35 and hamiltonian_cycles(np.zeros((0, 4, 4), dtype=bool)) == []
+
+
+def test_hamiltonian_cycles_refuse_a_digraph_that_is_not_semicomplete():
+    # 1 <-> 2 and 1 <-> 3, and no edge between 2 and 3: 3 has edges both to
+    # and from the cycle 1 -> 2 -> 1, and no place on it
+    adj = np.zeros((2, 3, 3), dtype=bool)
+    adj[:, [0, 1, 0, 2], [1, 0, 2, 0]] = True
+    adj[0, 1, 2] = True  # row 0 is semicomplete and strong
+    assert hamiltonian_cycles(adj[:1]) == [[1, 2, 3]]
+    with pytest.raises(ValueError, match="not semicomplete"):
+        hamiltonian_cycles(adj)
+
+
+def _lines_run(func, call) -> set[str]:
+    """The stripped source lines of `func` that ran while `call()` ran."""
+    code, ran, previous = func.__code__, set(), sys.gettrace()
+
+    def trace(frame, event, arg):
+        if frame.f_code is code:
+            ran.add(frame.f_lineno)
+            return trace
+        return None
+
+    sys.settrace(trace)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    lines, first = inspect.getsourcelines(func)
+    return {lines[k - first].strip() for k in ran}
 
 
 @pytest.mark.parametrize("n", [5, 7, 51, 101])
-def test_circulant_reciprocal_matrix_gives_the_rotational_tournament(n, monkeypatch):
+def test_circulant_reciprocal_matrix_gives_the_rotational_tournament(n):
     """a[i, (i + k) % n] = c_k < 1 for k <= (n - 1) / 2: the rows are cyclic
     shifts of one another, so the Perron vector is all-ones and the digraph
     is the rotational tournament, where v's lowest in-neighbour on the cycle
-    often does not fit and the gather runs."""
+    often does not fit and the scan runs on to the next."""
     m, i = (n - 1) // 2, np.arange(n)
     a = np.ones((n, n))
     for k, c in enumerate(np.random.default_rng(n).uniform(0.2, 0.9, m), start=1):
@@ -283,10 +326,8 @@ def test_circulant_reciprocal_matrix_gives_the_rotational_tournament(n, monkeypa
     rep = analyze(make_reciprocal(a))
     assert np.abs(rep.w - 1.0).max() <= 1e-15
     assert np.array_equal(rep.digraph.adj, _rotational(n)) and rep.efficient
-    gathers, bitsets = [], dg._bitsets  # a 1-D argument is the gather adj[v, nxt]
-    monkeypatch.setattr(dg, "_bitsets", lambda a: gathers.append(a.ndim == 1) or bitsets(a))
-    _assert_valid_cycle(rep.digraph, list(rep.hamiltonian))
-    assert any(gathers)
+    ran = _lines_run(dg._insertion, lambda: _assert_valid_cycle(rep.digraph, list(rep.hamiltonian)))
+    assert "ins &= ins - 1" in ran
 
 
 def test_hamiltonian_cycle_agrees_with_networkx():
@@ -304,6 +345,64 @@ def test_hamiltonian_cycle_agrees_with_networkx():
             assert len(path) == n and nx.is_simple_path(H, path) and H.has_edge(path[-1], path[0])
         found[cyc is None] += 1
     assert min(found.values()) > 300
+
+
+def test_scc_labels_agree_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(31)
+    found = {True: 0, False: 0}
+    for n in range(2, 18):  # 64 digraphs per order, one stack each
+        adj = np.array([(_semicomplete, _not_strong)[k % 2](rng, n) for k in range(64)])
+        labels, counts = dg._scc_labels(adj)
+        for g, lab, k in zip(adj, labels, counts.tolist()):
+            H = nx.from_numpy_array(g.astype(int), create_using=nx.DiGraph)
+            blocks = {frozenset(np.flatnonzero(lab == b).tolist()) for b in range(k)}
+            assert blocks == set(map(frozenset, nx.strongly_connected_components(H)))
+            assert k == nx.number_strongly_connected_components(H)
+            i, j = np.nonzero(g)
+            assert (lab[i] <= lab[j]).all()  # no edge goes to a smaller label
+            found[k == 1] += 1
+    assert min(found.values()) >= 300
+
+
+def _lp_gain(a, w):
+    """Efficiency of w for a as a linear program (Blanquero, Carrizosa & Conde
+    2006; Bozóki & Fülöp 2018): with t_ij = log(w'_i/w'_j) - log(w_i/w_j) for
+    i < j and w'_1 = w_1, keep each t_ij between 0 and g_ij = log a_ij -
+    log(w_i/w_j), and maximise the sum of sign(g_ij) t_ij.  w is efficient
+    iff the optimum is 0."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    n = len(w)
+    i, j = np.triu_indices(n, 1)
+    g = np.log(a[i, j]) - np.log(w[i] / w[j])
+    diff = np.zeros((len(g), n))  # the variables are log w' - log w; diff takes t from them
+    diff[np.arange(len(g)), i], diff[np.arange(len(g)), j] = 1.0, -1.0
+    res = linprog(-np.sign(g) @ diff, A_ub=np.vstack([diff, -diff]),
+                  b_ub=np.concatenate([np.maximum(g, 0.0), -np.minimum(g, 0.0)]),
+                  bounds=[(0, 0)] + [(None, None)] * (n - 1), method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def test_efficiency_agrees_with_the_linear_program():
+    # supplied vectors, random and row geometric means, not Perron vectors,
+    # so that no Perron solve can stall; a pair within 1e-6 of a tie in log
+    # space is skipped, so that an LP tolerance never decides a verdict
+    rng = np.random.default_rng(37)
+    found = {True: 0, False: 0}
+    for n in range(3, 13):
+        a = random_reciprocal_stack(n, 50, 3700 + n)
+        As = np.concatenate([a, a])
+        ws = np.concatenate([np.exp(rng.uniform(-1.0, 1.0, (50, n))),
+                             np.exp(np.log(a).mean(axis=2))])
+        off = ~np.eye(n, dtype=bool)
+        for A, w, k in zip(As, ws, dg.DigraphStack(As, ws).counts.tolist()):
+            if np.abs(np.log(w[:, None] / w[None, :]) - np.log(A))[off].min() <= 1e-6:
+                continue
+            gain = _lp_gain(A, w)
+            assert (gain < 5e-7) == (k == 1), (n, A, w, gain)
+            found[k == 1] += 1
+    assert sum(found.values()) >= 1000 and min(found.values()) >= 100
 
 
 def test_no_source_theorem_on_random_matrices():
