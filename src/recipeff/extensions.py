@@ -162,34 +162,16 @@ class SourceScanReport:
     failures: tuple[int, ...]  # sample indices whose digraph misbehaved
 
 
-def extension_source_scan_stack(
-    As: np.ndarray,
-    samples: int,
-    seeds,
-    eps_rel: float = DEFAULT_EPS_REL,
-) -> list[SourceScanReport]:
-    """`extension_source_scan` of each base of a (B, n, n) stack, base i with
-    seeds[i]: all B * samples extensions are one digraph stack."""
-    As = np.asarray(As, dtype=float)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if len(seeds) != len(As):
-        raise ValueError(f"{len(seeds)} seeds for {len(As)} bases")
+def _sampled_extensions(As: np.ndarray, samples: int, seeds) -> np.ndarray:
+    """`extension_source_scan`'s samples of each base of a (B, n, n) stack, base i's
+    from seeds[i], as one (B * samples, n+1, n+1) stack, base by base."""
     n, span = As.shape[-1], np.log(APPENDED_SPAN)
     cols = np.exp([_rng(seed).uniform(-span, span, (samples, n)) for seed in seeds])
-    ext = _append_columns(As[:, None], cols.reshape(len(As), samples, n))
-    adj = DigraphStack(ext.reshape(-1, n + 1, n + 1), eps_rel=eps_rel).adj
-    ok = has_no_source_stack(adj).reshape(len(As), samples)
-    return [SourceScanReport(samples, seed, tuple(np.flatnonzero(~row).tolist()))
-            for seed, row in zip(seeds, ok)]
+    return _append_columns(As[:, None], cols.reshape(len(As), samples, n)).reshape(-1, n + 1, n + 1)
 
 
-def extension_source_scan(
-    A: ReciprocalMatrix,
-    samples: int,
-    seed: int,
-    eps_rel: float = DEFAULT_EPS_REL,
-) -> SourceScanReport:
+def extension_source_scan(A: ReciprocalMatrix, samples: int, seed: int,
+                          eps_rel: float = DEFAULT_EPS_REL) -> SourceScanReport:
     """Random extensions of A never yield a source under the Perron vector.
 
     Appends log-uniform columns in [1/9, 9], sample k the k-th row of
@@ -197,10 +179,13 @@ def extension_source_scan(
     is an integer in [0, 2**128) as for `random_reciprocal`.  Evaluates the
     extensions as one stack, and checks both the absence of sources and the
     incoming-edge witness condition (`has_no_source_stack`).  Failures
-    (expected none) are reported by sample index.  The one-base case of
-    `extension_source_scan_stack`.
+    (expected none) are reported by sample index.
     """
-    return extension_source_scan_stack(A.a[None], samples, [seed], eps_rel)[0]
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    adj = DigraphStack(_sampled_extensions(A.a[None], samples, [seed]), eps_rel=eps_rel).adj
+    failures = np.flatnonzero(~has_no_source_stack(adj))
+    return SourceScanReport(samples, seed, tuple(failures.tolist()))
 
 
 def _dense_ranks(w: np.ndarray) -> tuple[int, ...]:

@@ -11,7 +11,9 @@ whole chain against bundled reference values.
 library encodes (no-source property, sink characterization, region
 soundness, guaranteed edges, eigenvector identities, cycle catalog,
 Hamiltonian equivalence, predicate equivalences, certificate soundness) at
-desk scale with fixed seeds.  One walkthrough step is expected to fail: the
+desk scale with fixed seeds.  The checks on random instances are a table
+(`_RANDOM_CHECKS`) run as one plan: the rows of one order, over all of them,
+are one `DigraphStack`.  One walkthrough step is expected to fail: the
 bundled reference data marks the conjugate's Perron vector inefficient,
 while the computed digraph is strongly connected.  See the README.
 """
@@ -36,6 +38,7 @@ from .core import (
 from .digraph import (
     DEFAULT_EPS_REL,
     DigraphStack,
+    _scc_labels,
     analyze,
     hamiltonian_cycles,
     has_no_source_stack,
@@ -43,9 +46,9 @@ from .digraph import (
 from .extensions import (
     _conjugate,
     _ranks_kept,
+    _sampled_extensions,
     conjugated_extension,
     constant_row_sum_extension,
-    extension_source_scan_stack,
     is_extension,
     row_sums,
     well_behaved_type_I,
@@ -283,39 +286,55 @@ def _grid_checks(eps_rel: float) -> tuple[list[WalkthroughStep], list]:
     return records, certificates
 
 
-def _seeded(count: int, orders: int, seed: int, is_bad):
-    """The flags of instances k < count, and the namer of k.  Instance k is
-    row k // orders of the stack of order 3 + i, i = k % orders, drawn from
-    seed + i; `is_bad` maps each order's stack to its flags."""
-    bad = np.zeros(count, dtype=bool)
-    for i in range(orders):
-        rows = range(i, count, orders)
-        bad[rows] = is_bad(random_reciprocal_stack(3 + i, len(rows), seed + i))
-    return bad, lambda k: (f"random_reciprocal_stack({3 + k % orders}, {k // orders + 1}, "
-                           f"seed={seed + k % orders})[{k // orders}]")
+def _seeded(count: int, orders: int, seed: int):
+    """The count, draw and namer of instances k < count: k is row k // orders
+    of the stack of order 3 + k % orders, drawn from seed + k % orders."""
+    ats = [np.arange(i, count, orders) for i in range(orders)]
+    return (count, lambda: [(random_reciprocal_stack(3 + i, len(at), seed + i), at)
+                            for i, at in enumerate(ats)],
+            lambda k: (f"random_reciprocal_stack({3 + k % orders}, {k // orders + 1}, "
+                       f"seed={seed + k % orders})[{k // orders}]"))
 
 
-def _random_extensions(eps_rel: float):
-    """The flags of the samples of extension_source_scan(random_reciprocal(3 + b % 6,
-    seed=2000 + b), 50, seed=3000 + b), b < 20, sample k at 50 b + k, and their
-    namer.  The bases of each order are one stack, and one `extension_source_scan_stack`."""
-    bad = np.zeros((20, 50), dtype=bool)
+def _extension_draw():
+    """Instance 50 b + k, b < 20, is sample k of extension_source_scan(random_reciprocal(
+    3 + b % 6, seed=2000 + b), 50, seed=3000 + b); each order's bases give one stack."""
     for n in range(3, 9):
-        bs = range(n - 3, 20, 6)
+        bs = np.arange(n - 3, 20, 6)
         bases = np.array([random_reciprocal(n, seed=2000 + b).a for b in bs])
-        scans = extension_source_scan_stack(bases, 50, [3000 + b for b in bs], eps_rel)
-        for b, scan in zip(bs, scans):
-            bad[b, list(scan.failures)] = True
-    return bad.ravel(), lambda i: (
-        f"sample {i % 50} of extension_source_scan(random_reciprocal({3 + i // 50 % 6}, "
-        f"seed={2000 + i // 50}), 50, seed={3000 + i // 50})")
+        yield _sampled_extensions(bases, 50, 3000 + bs), (50 * bs[:, None] + np.arange(50)).ravel()
 
 
-def _hamiltonian_disagrees(a: np.ndarray, eps_rel: float) -> np.ndarray:
-    """Per Perron digraph of the stack a: does strong connectivity disagree
-    with finding a Hamiltonian cycle?"""
-    s = DigraphStack(a, eps_rel=eps_rel)
-    return (s.counts == 1) != [c is not None for c in hamiltonian_cycles(s.adj)]
+# the random-instance count checks, in report order: (check id, template, flags
+# of a stack of the check's Perron digraphs, count, draw, namer), where `draw()`
+# gives a stack per order and the instance number of each of its rows
+_RANDOM_CHECKS = (
+    ("no_source.random_matrices", "{bad} of {total} random matrices violated",
+     lambda adj: ~has_no_source_stack(adj), *_seeded(1000, 6, 1000)),
+    ("no_source.random_extensions", "{bad} of {total} random extensions violated",
+     lambda adj: ~has_no_source_stack(adj), 1000, _extension_draw, lambda i: (
+         f"sample {i % 50} of extension_source_scan(random_reciprocal({3 + i // 50 % 6}, "
+         f"seed={2000 + i // 50}), 50, seed={3000 + i // 50})")),
+    # strong connectivity disagrees with finding a Hamiltonian cycle
+    ("hamiltonian.equivalence", "{bad} of {total} random digraphs disagree",
+     lambda adj: (_scc_labels(adj)[1] == 1) != [c is not None for c in hamiltonian_cycles(adj)],
+     *_seeded(200, 5, 4000)),
+)
+
+
+def _random_records(eps_rel: float) -> list[WalkthroughStep]:
+    """The `_RANDOM_CHECKS` records as one plan: the rows of one order, over
+    all the checks' draws, are one `DigraphStack` (one Perron solve and one
+    digraph build per order), and each check's flags read its own rows."""
+    ids, templates, flags, counts, draws, names = zip(*_RANDOM_CHECKS)
+    drawn = [(c, a, at) for c, draw in enumerate(draws) for a, at in draw()]
+    bad = [np.zeros(count, dtype=bool) for count in counts]
+    for n in sorted({a.shape[-1] for _, a, _ in drawn}):
+        cs, stacks, ats = zip(*(part for part in drawn if part[1].shape[-1] == n))
+        adj = DigraphStack(np.concatenate(stacks), eps_rel=eps_rel).adj
+        for c, at, rows in zip(cs, ats, np.split(adj, np.cumsum([len(a) for a in stacks])[:-1])):
+            bad[c][at] = flags[c](rows)
+    return list(map(_tally, ids, templates, bad, names))
 
 
 def _suite_records(eps_rel: float) -> list[WalkthroughStep]:
@@ -328,23 +347,19 @@ def _suite_records(eps_rel: float) -> list[WalkthroughStep]:
                    np.array(COUNTEREXAMPLE_3X3_W), eps_rel)
     triples = np.exp(_rng(5000).uniform(-np.log(9.0), np.log(9.0), (1000, 3)))
     slice_points = np.array([(*p, 1.0) for p in itertools.product(DEFAULT_AXES, repeat=3)])
+    *no_source, hamiltonian = _random_records(eps_rel)
     checks = [
         *example_walkthrough(eps_rel),
         WalkthroughStep("counterexample3x3.structure",
                         rep3.digraph.edges == {(2, 1), (3, 1), (3, 2)} and rep3.sources == (3,),
                         f"edges {sorted(rep3.digraph.edges)}, sources {rep3.sources}"),
-        _tally("no_source.random_matrices", "{bad} of {total} random matrices violated",
-               *_seeded(1000, 6, 1000, lambda a: ~has_no_source_stack(
-                   DigraphStack(a, eps_rel=eps_rel).adj))),
-        _tally("no_source.random_extensions", "{bad} of {total} random extensions violated",
-               *_random_extensions(eps_rel)),
+        *no_source,
     ]
     grid, certificates = _grid_checks(eps_rel)
     points, fails = zip((None, rep3.certificate is None), *certificates)
     checks += [
         *grid,
-        _tally("hamiltonian.equivalence", "{bad} of {total} random digraphs disagree",
-               *_seeded(200, 5, 4000, lambda a: _hamiltonian_disagrees(a, eps_rel))),
+        hamiltonian,
         _tally("n4.forms_agree", "{bad} of {total} triples disagree",
                guarantee_n4_stack(triples, "six_cases")
                != guarantee_n4_stack(triples, "region_complement"),

@@ -4,6 +4,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from recipeff.core import PARETO_MARGIN, ReciprocalMatrix, _rng, make_reciprocal
 from recipeff.zfamily import _CATALOG_RELATIONS, CYCLE_CATALOG, _cell_rows, _claims, order_cells
@@ -172,3 +173,22 @@ def random_reciprocal_stack_reference(n: int, count: int, seed: int,
         raise ValueError(f"log_scale {log_scale!r} too large: entries of row {int(ok.argmin())} "
                          f"of seed {seed}'s stack or their reciprocals overflow")
     return out
+
+
+def lp_gain(a, w):
+    """Efficiency of w for a as a linear program (Blanquero, Carrizosa & Conde
+    2006; Bozóki & Fülöp 2018): with t_ij = log(w'_i/w'_j) - log(w_i/w_j) for
+    i < j and w'_1 = w_1, keep each t_ij between 0 and g_ij = log a_ij -
+    log(w_i/w_j), and maximise the sum of sign(g_ij) t_ij.  w is efficient
+    iff the optimum is 0."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    n = len(w)
+    i, j = np.triu_indices(n, 1)
+    g = np.log(a[i, j]) - np.log(w[i] / w[j])
+    diff = np.zeros((len(g), n))  # the variables are log w' - log w; diff takes t from them
+    diff[np.arange(len(g)), i], diff[np.arange(len(g)), j] = 1.0, -1.0
+    res = linprog(-np.sign(g) @ diff, A_ub=np.vstack([diff, -diff]),
+                  b_ub=np.concatenate([np.maximum(g, 0.0), -np.minimum(g, 0.0)]),
+                  bounds=[(0, 0)] + [(None, None)] * (n - 1), method="highs")
+    assert res.status == 0, res.message
+    return -res.fun

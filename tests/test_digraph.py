@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     consistent_from_vector,
     hamiltonian_cycle_reference,
+    lp_gain,
     pareto_dominates_reference,
     same_report,
     scale_source_reference,
@@ -365,25 +366,6 @@ def test_scc_labels_agree_with_networkx():
     assert min(found.values()) >= 300
 
 
-def _lp_gain(a, w):
-    """Efficiency of w for a as a linear program (Blanquero, Carrizosa & Conde
-    2006; Bozóki & Fülöp 2018): with t_ij = log(w'_i/w'_j) - log(w_i/w_j) for
-    i < j and w'_1 = w_1, keep each t_ij between 0 and g_ij = log a_ij -
-    log(w_i/w_j), and maximise the sum of sign(g_ij) t_ij.  w is efficient
-    iff the optimum is 0."""
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    n = len(w)
-    i, j = np.triu_indices(n, 1)
-    g = np.log(a[i, j]) - np.log(w[i] / w[j])
-    diff = np.zeros((len(g), n))  # the variables are log w' - log w; diff takes t from them
-    diff[np.arange(len(g)), i], diff[np.arange(len(g)), j] = 1.0, -1.0
-    res = linprog(-np.sign(g) @ diff, A_ub=np.vstack([diff, -diff]),
-                  b_ub=np.concatenate([np.maximum(g, 0.0), -np.minimum(g, 0.0)]),
-                  bounds=[(0, 0)] + [(None, None)] * (n - 1), method="highs")
-    assert res.status == 0, res.message
-    return -res.fun
-
-
 def test_efficiency_agrees_with_the_linear_program():
     # supplied vectors, random and row geometric means, not Perron vectors,
     # so that no Perron solve can stall; a pair within 1e-6 of a tie in log
@@ -399,7 +381,7 @@ def test_efficiency_agrees_with_the_linear_program():
         for A, w, k in zip(As, ws, dg.DigraphStack(As, ws).counts.tolist()):
             if np.abs(np.log(w[:, None] / w[None, :]) - np.log(A))[off].min() <= 1e-6:
                 continue
-            gain = _lp_gain(A, w)
+            gain = lp_gain(A, w)
             assert (gain < 5e-7) == (k == 1), (n, A, w, gain)
             found[k == 1] += 1
     assert sum(found.values()) >= 1000 and min(found.values()) >= 100

@@ -12,7 +12,7 @@ from recipeff.core import (
     perron,
     random_reciprocal,
 )
-from recipeff import digraph, extensions
+from recipeff import digraph, extensions, harness
 from recipeff.digraph import analyze
 from recipeff.extensions import (
     ExtensionResult,
@@ -20,7 +20,6 @@ from recipeff.extensions import (
     constant_row_sum_extension,
     extension_report,
     extension_source_scan,
-    extension_source_scan_stack,
     is_extension,
     remove_index,
     row_sums,
@@ -310,8 +309,6 @@ def test_extension_source_scan_stacks_the_sequential_samples(monkeypatch):
 def test_extension_source_scan_validates_samples():
     with pytest.raises(ValueError, match="samples"):
         extension_source_scan(all_ones(3), samples=0, seed=0)
-    with pytest.raises(ValueError, match="2 seeds for 1 bases"):
-        extension_source_scan_stack(all_ones(3).a[None], 5, [0, 1])
 
 
 def test_extension_source_scan_takes_random_reciprocals_seeds():
@@ -327,22 +324,23 @@ def test_extension_source_scan_takes_random_reciprocals_seeds():
 
 @pytest.mark.parametrize("flag_out_degree", [False, True])
 def test_stacked_scan_failures_are_the_one_base_scans(monkeypatch, flag_out_degree):
-    # verify's 20 bases, grouped by order; with the real check no sample
-    # fails, so a second run flags the samples whose appended vertex has
-    # out-degree 2
+    # verify's 20 bases, whose samples the suite solves order by order beside
+    # its other random checks' rows, flag the samples each one-base scan
+    # reports; with the real check no sample fails, so a second run flags
+    # the samples whose appended vertex has out-degree 2
     if flag_out_degree:
-        monkeypatch.setattr(extensions, "has_no_source_stack",
-                            lambda adj: adj[:, -1].sum(axis=1) != 2)
-    flagged = 0
-    for n in range(3, 9):
-        bs = range(n - 3, 20, 6)
-        bases = np.array([random_reciprocal(n, seed=2000 + b).a for b in bs])
-        stacked = extension_source_scan_stack(bases, 50, [3000 + b for b in bs])
-        for b, rep in zip(bs, stacked):
-            one = extension_source_scan(random_reciprocal(n, seed=2000 + b), 50, seed=3000 + b)
-            assert rep == one and rep.seed == 3000 + b
-            flagged += len(rep.failures)
-    assert (flagged > 0) == flag_out_degree
+        for module in (extensions, harness):
+            monkeypatch.setattr(module, "has_no_source_stack",
+                                lambda adj: adj[:, -1].sum(axis=1) != 2)
+    tallied = {}
+    monkeypatch.setattr(harness, "_tally",
+                        lambda cid, template, bad, name: tallied.setdefault(cid, bad))
+    harness._random_records(1e-9)
+    bad = tallied["no_source.random_extensions"].reshape(20, 50)
+    for b in range(20):
+        one = extension_source_scan(random_reciprocal(3 + b % 6, seed=2000 + b), 50, seed=3000 + b)
+        assert one.seed == 3000 + b and one.failures == tuple(np.flatnonzero(bad[b]).tolist())
+    assert bad.any() == flag_out_degree
 
 
 def test_order_preservation_reference(base_matrix, diag):

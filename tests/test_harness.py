@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from helpers import FLOAT_FMT, save_matrix, save_vector
 from recipeff import cli, digraph, extensions, harness, matio, zfamily
 from recipeff.core import (
+    ReciprocalMatrix,
     make_reciprocal,
     perron,
     perron_stack,
@@ -455,17 +456,25 @@ def test_grid_sweep_validation():
 def counted_suite():
     """One suite run; the orders of the rows that pass through `perron_stack`
     and `_adjacency` in the grid pass, where `ZStack` and `DigraphStack` call
-    them, and the `ZPoint`s built there."""
-    solves, builds, points, inside = [], [], [0], [False]
+    them, and the `ZPoint`s built there; and outside the grid pass, the
+    (order, rows) of each `digraph.perron_stack` and `_adjacency` call."""
+    solves, builds, points, inside, calls = [], [], [0], [False], {"solves": [], "builds": []}
 
     def counted_solves(a, *args, **kwargs):
         if inside[0]:
             solves.extend([a.shape[-1]] * len(a))
         return perron_stack(a, *args, **kwargs)
 
+    def digraph_solves(a, *args, **kwargs):
+        if not inside[0]:
+            calls["solves"].append((a.shape[-1], len(a)))
+        return counted_solves(a, *args, **kwargs)
+
     def counted_builds(a, w, eps_rel):
         if inside[0]:
             builds.extend([a.shape[-1]] * len(a))
+        else:
+            calls["builds"].append((a.shape[-1], len(a)))
         return adjacency(a, w, eps_rel)
 
     def counted_points(self, *args, **kwargs):
@@ -482,13 +491,13 @@ def counted_suite():
     adjacency, zpoint_init, grid_checks = (
         digraph._adjacency, zfamily.ZPoint.__init__, harness._grid_checks)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(digraph, "perron_stack", counted_solves)
+        mp.setattr(digraph, "perron_stack", digraph_solves)
         mp.setattr(zfamily, "perron_stack", counted_solves)
         mp.setattr(digraph, "_adjacency", counted_builds)
         mp.setattr(zfamily.ZPoint, "__init__", counted_points)
         mp.setattr(harness, "_grid_checks", grid_pass)
         summary = verify_paper_suite()
-    return summary, solves, builds, points[0]
+    return summary, solves, builds, points[0], calls
 
 
 @pytest.fixture(scope="module")
@@ -509,14 +518,27 @@ def test_suite_solves_each_grid_point_once(counted_suite):
     # each point of the n = 5, 6, 7 grids is one 5 x 5 quotient solve and one
     # 5-vertex digraph; each of the 32 inefficient n = 5 and 6 points is lifted
     # to an order-n digraph for its certificate
-    _, solves, builds, _ = counted_suite
+    _, solves, builds, _, _ = counted_suite
     assert Counter(solves) == {5: 3 * 625}
     assert Counter(builds) == {5: 3 * 625 + 32, 6: 32}
 
 
+def test_suite_solves_each_random_order_once(counted_suite):
+    # outside the grid pass, the random matrices, extensions and Hamiltonian
+    # digraphs are one plan: one Perron solve and one digraph build per order
+    # over the three checks' rows (1000 + 1000 + 200 of them).  The
+    # walkthrough adds one-row solves of B' and the order-6 extension, and
+    # one-row builds on them, on the counterexample and on two given vectors
+    *_, calls = counted_suite
+    plan = [(3, 207), (4, 407), (5, 407), (6, 357), (7, 356), (8, 316), (9, 150)]
+    assert sum(rows for _, rows in plan) == 2200
+    assert sorted(calls["solves"]) == sorted([*plan, (5, 1), (6, 1)])
+    assert sorted(calls["builds"]) == sorted([*plan, (3, 1), (5, 1), (5, 1), (6, 1), (6, 1)])
+
+
 def test_suite_builds_no_zpoint_in_the_grid_pass(counted_suite):
     # the grid audits read the grids' stacks and their cells' tables
-    _, _, _, points = counted_suite
+    _, _, _, points, _ = counted_suite
     assert points == 0
 
 
@@ -536,25 +558,33 @@ def test_failing_details_name_the_instance_to_replay(monkeypatch):
     monkeypatch.setattr(harness, "_GRID_AUDITS", tuple(
         (cid, injected if cid == "edges.no_forbidden_reverse" else audit)
         for cid, audit in harness._GRID_AUDITS))
-    monkeypatch.setattr(harness, "has_no_source_stack",
-                        lambda adj: np.full(len(adj), adj.shape[-1] != 5))
     monkeypatch.setattr(harness, "guarantee_n4_stack",
                         lambda xyz, form: (xyz[:, 0] > 8) & (form == "six_cases"))
-    # three extension samples: rows 57 and 140 of the order-5 bases' stack
+
+    # each random-instance check's flags read its own rows of an order: three
+    # extension samples fail, rows 57 and 140 of the order-5 bases' rows
     # (bases 2, 8, 14, 50 samples each) and row 50 of the order-6 bases'
-    scan = extensions.has_no_source_stack
+    def extension_failures(flags):
+        def flagged(adj):
+            bad = flags(adj)
+            for order, row in ((6, 57), (6, 140), (7, 50)):
+                if adj.shape[-1] == order:
+                    bad[row] = True
+            return bad
+        return flagged
 
-    def scan_with_failures(adj):
-        ok = scan(adj)
-        for order, row in ((6, 57), (6, 140), (7, 50)):
-            if adj.shape[-1] == order:
-                ok[row] = False
-        return ok
-
-    monkeypatch.setattr(extensions, "has_no_source_stack", scan_with_failures)
-    cycles = digraph.hamiltonian_cycles
-    monkeypatch.setattr(harness, "hamiltonian_cycles",
-                        lambda adj: [None] * len(adj) if adj.shape[-1] == 6 else cycles(adj))
+    injected = {
+        # every order-5 random matrix violates
+        "no_source.random_matrices": lambda flags: lambda adj: np.full(
+            len(adj), adj.shape[-1] == 5),
+        "no_source.random_extensions": extension_failures,
+        # no order-6 digraph has a cycle, so each strong one disagrees
+        "hamiltonian.equivalence": lambda flags: lambda adj: (
+            digraph._scc_labels(adj)[1] == 1 if adj.shape[-1] == 6 else flags(adj)),
+    }
+    monkeypatch.setattr(harness, "_RANDOM_CHECKS", tuple(
+        (cid, template, injected[cid](flags), *rest)
+        for cid, template, flags, *rest in harness._RANDOM_CHECKS))
     a1 = zfamily.guarantee_a1_stack
     monkeypatch.setattr(harness, "guarantee_a1_stack", lambda n, xyz: np.where(
         xyz[:, 2] == 4.0, "A1(forced)", a1(n, xyz)))
@@ -612,36 +642,55 @@ def test_suite_records_and_instances_are_pinned():
     assert drawn.hexdigest() == "0c19b9bbf988f7e37987eedbcd7631358c57fb7e05108ad5a6d8a74e48d7b593"
     # the stacks, one per order, of the no-source and Hamiltonian checks
     stacks = hashlib.sha256()
-    for count, orders, seed in ((1000, 6, 1000), (200, 5, 4000)):
-        harness._seeded(count, orders, seed,
-                        lambda a: stacks.update(a.tobytes()) or np.zeros(len(a), dtype=bool))
+    for cid, _, _, _, draw, _ in harness._RANDOM_CHECKS:
+        if cid != "no_source.random_extensions":
+            for a, _ in draw():
+                stacks.update(a.tobytes())
     assert stacks.hexdigest() == "cf207fed1120b76a5eff687a4ffce76be2a7b209801282cfa03616d15f3b60ca"
 
 
+def _replay(name):
+    """The matrix that a random-instance check's name of an instance gives, evaluated."""
+    sample = re.fullmatch(r"sample (\d+) of extension_source_scan\((.+), 50, seed=(\d+)\)", name)
+    if sample is None:
+        return eval(name, {"random_reciprocal_stack": random_reciprocal_stack})
+    k, base, seed = sample.groups()
+    A = eval(base, {"random_reciprocal": random_reciprocal})
+    span = np.log(extensions.APPENDED_SPAN)
+    cols = np.exp(np.random.default_rng(int(seed)).uniform(-span, span, (50, A.n)))
+    return extensions._append_column(A, cols[int(k)]).a
+
+
 def test_seeded_instances_come_in_seed_order(monkeypatch):
-    # stacks are evaluated order by order, but the pairs (and so a count
+    # stacks are evaluated order by order, but the flags (and so a count
     # check's first failing instance) follow k, and the namer of k gives,
     # evaluated, the matrix that the suite drew as instance k
-    def replay(name):
-        return eval(name, {"random_reciprocal_stack": random_reciprocal_stack})
+    count, draw, name = harness._seeded(40, 6, 1000)
+    tallied = []
+    with monkeypatch.context() as mp:
+        mp.setattr(harness, "_tally", lambda cid, template, bad, name: tallied.append(bad))
+        mp.setattr(harness, "_RANDOM_CHECKS", (
+            ("check", "", lambda adj: adj[:, 0, 1], count, draw, name),))
+        harness._random_records(1e-9)
+    want = [bool(analyze(ReciprocalMatrix(_replay(name(k)))).digraph.adj[0, 1])
+            for k in range(count)]
+    assert tallied[0].tolist() == want and 0 < sum(want) < count
+    drawn = {}
 
-    bad, name = harness._seeded(40, 6, 1000, lambda a: a[:, 0, 1] > 2.0)
-    want = [bool(replay(name(k))[0, 1] > 2.0) for k in range(40)]
-    assert bad.tolist() == want and 0 < sum(want) < 40
-    seeded, drawn = harness._seeded, []
+    def recording(cid, draw):
+        return lambda: drawn.setdefault(cid, list(draw()))
 
-    def recording(count, orders, seed, is_bad):
-        stacks = []
-        bad, name = seeded(count, orders, seed, lambda a: stacks.append(a) or is_bad(a))
-        drawn.append((orders, stacks, len(bad), name))
-        return bad, name
-
-    monkeypatch.setattr(harness, "_seeded", recording)
+    monkeypatch.setattr(harness, "_RANDOM_CHECKS", tuple(
+        (cid, template, flags, count, recording(cid, draw), name)
+        for cid, template, flags, count, draw, name in harness._RANDOM_CHECKS))
     harness._suite_records(1e-9)
-    assert [(orders, count) for orders, _, count, _ in drawn] == [(6, 1000), (5, 200)]
-    for orders, stacks, count, name in drawn:
-        for k in range(count):
-            assert replay(name(k)).tobytes() == stacks[k % orders][k // orders].tobytes()
+    assert list(drawn) == ["no_source.random_matrices", "no_source.random_extensions",
+                           "hamiltonian.equivalence"]
+    for cid, _, _, count, _, name in harness._RANDOM_CHECKS:
+        assert sorted(np.concatenate([at for _, at in drawn[cid]]).tolist()) == list(range(count))
+        for stack, at in drawn[cid]:
+            for row, k in zip(stack, at.tolist()):
+                assert _replay(name(k)).tobytes() == row.tobytes(), (cid, k)
 
 
 def test_grid_checks_every_inefficient_point_certificate(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import cell_row_reference, same_report, table_oracle, table_violations
+from helpers import cell_row_reference, lp_gain, same_report, table_oracle, table_violations
 from recipeff import harness, zfamily
 from recipeff.core import make_reciprocal, perron, perron_stack
 from recipeff.digraph import (
@@ -187,6 +187,33 @@ def test_guaranteed_points_are_efficient(x, y, z, a, n):
         A = z_matrix(p)
         G = build_digraph(A, perron(A).w)
         assert strongly_connected(G)[0]
+
+
+def test_region_verdict_agrees_with_the_linear_program():
+    # ZStack's verdict on its 5 x 5 quotient against the LP of `lp_gain` on the
+    # lifted order-n pair, which shares no code with the digraph: random
+    # points at n = 5..12 and a few up to n = 60, and the grid points outside
+    # the region guarantee, which hold its inefficient ones.  Pairs inside the
+    # middle class tie exactly; a point with another pair within 1e-6 of a tie
+    # in log space is skipped, so that an LP tolerance never decides a verdict
+    rng = np.random.default_rng(29)
+    stacks = [ZStack(n, np.exp(rng.uniform(-2.0, 2.0, (100 if n < 13 else 10, 4))))
+              for n in (*range(5, 13), 20, 33, 47, 60)]
+    stacks += [ZStack(n, s.xyza[~s.guaranteed])
+               for n, s in ((n, ZStack(n, harness._GRID)) for n in (5, 6, 7, 9, 12))]
+    found = {True: 0, False: 0}
+    for s in stacks:
+        middle = np.zeros(s.n, dtype=bool)
+        middle[2:-2] = True
+        tied = (middle[:, None] & middle) | np.eye(s.n, dtype=bool)
+        for p, a, w, efficient in zip(s.xyza.tolist(), *s.lift(slice(None)),
+                                      s.efficient.tolist()):
+            if np.abs(np.log(w[:, None] / w) - np.log(a))[~tied].min() <= 1e-6:
+                continue
+            gain = lp_gain(a, w)
+            assert (gain < 5e-7) == efficient, (s.n, p, gain)
+            found[efficient] += 1
+    assert sum(found.values()) >= 1000 and min(found.values()) >= 100, found
 
 
 def test_guarantee_a1_clauses():
