@@ -33,13 +33,13 @@ class ExtensionResult:
 
     B: ReciprocalMatrix
     target_sum: float
-    perron_check: float
+    perron_check = property(lambda e: float(np.max(np.abs(e.B.a.sum(axis=1) - e.target_sum))))
 
     def __post_init__(self) -> None:
-        deviation = float(np.max(np.abs(self.B.a.sum(axis=1) - self.target_sum)))
-        if deviation > ROW_SUM_RTOL * self.target_sum:
-            raise ValueError(f"row sums deviate from the target by {deviation:.3e}, over the "
-                             f"budget ROW_SUM_RTOL * target = {ROW_SUM_RTOL * self.target_sum:.3e}")
+        budget = ROW_SUM_RTOL * self.target_sum
+        if self.perron_check > budget:
+            raise ValueError(f"row sums deviate from the target by {self.perron_check:.3e}, "
+                             f"over the budget ROW_SUM_RTOL * target = {budget:.3e}")
 
 
 def remove_index(C: ReciprocalMatrix, i: int) -> ReciprocalMatrix:
@@ -130,9 +130,7 @@ def constant_row_sum_extension(A: ReciprocalMatrix) -> ExtensionResult:
     vector is then the Perron eigenvector of the result with eigenvalue s.
     """
     s, col = _closing_column(row_sums(A))
-    B = _append_column(A, col)
-    residual = float(np.max(np.abs(B.a.sum(axis=1) - s)))
-    return ExtensionResult(B=B, target_sum=s, perron_check=residual)
+    return ExtensionResult(B=_append_column(A, col), target_sum=s)
 
 
 def conjugated_extension(

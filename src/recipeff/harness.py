@@ -13,7 +13,9 @@ soundness, guaranteed edges, eigenvector identities, cycle catalog,
 Hamiltonian equivalence, predicate equivalences, certificate soundness) at
 desk scale with fixed seeds.  The checks on random instances are a table
 (`_RANDOM_CHECKS`) run as one plan: the rows of one order, over all of them,
-are one `DigraphStack`.  One walkthrough step is expected to fail: the
+are one `DigraphStack`.  Certificate soundness reads the grids' `ZStack`s and
+the 3x3 counterexample's one-row `DigraphStack`, so a failed certificate is
+counted, not thrown.  One walkthrough step is expected to fail: the
 bundled reference data marks the conjugate's Perron vector inefficient,
 while the computed digraph is strongly connected.  See the README.
 """
@@ -38,10 +40,12 @@ from .core import (
 from .digraph import (
     DEFAULT_EPS_REL,
     DigraphStack,
+    EfficiencyDigraph,
     _scc_labels,
     analyze,
     hamiltonian_cycles,
     has_no_source_stack,
+    sources,
 )
 from .extensions import (
     _conjugate,
@@ -251,13 +255,13 @@ def _grid_point(ns):
     return lambda i: f"ZParams{(ns[i // len(_GRID)], *_GRID[i % len(_GRID)].tolist())}"
 
 
-def _grid_checks(eps_rel: float) -> tuple[list[WalkthroughStep], list]:
+def _grid_checks(eps_rel: float) -> tuple[list[WalkthroughStep], np.ndarray, list[str]]:
     """The n = 5, 6, 7 grids, each one `ZStack` read in turn: the grid checks'
-    records in report order, and a (point, certificate fails) pair per
-    inefficient n = 5 or 6 point, from the `certified` flags of their lift to
-    order n.  Each `_GRID_AUDITS` array is tallied over the three grids; a
-    certificate is read here, not by `s.report`, so a failing one is counted."""
-    records, certificates, audits, seen = [], [], [], set()
+    records in report order, and the failed-certificate flags (`~certified`)
+    and names of the inefficient n = 5 and 6 points, read on the quotient,
+    whose certificate is the lift's (see `ZStack`).  Each `_GRID_AUDITS`
+    array is tallied over the three grids."""
+    records, fails, names, audits, seen = [], [], [], [], set()
     for n in (5, 6, 7):
         s = ZStack(n, _GRID, eps_rel)
         audits.append([audit(s) for _, audit in _GRID_AUDITS])
@@ -274,16 +278,14 @@ def _grid_checks(eps_rel: float) -> tuple[list[WalkthroughStep], list]:
                                 f"exception labels cover {ineff} inefficient and "
                                 f"{eff} efficient points (guarantee is one-way)"),
             ]
-            lifted = DigraphStack(*s.lift(~s.efficient), eps_rel)
-            certificates += [((n, *p), bad) for p, bad in zip(s.xyza[~s.efficient].tolist(),
-                                                              (~lifted.certified).tolist())]
-        del s  # one grid's stack alive at a time
+            fails.append(~s.certified[~s.efficient])
+            names += [f"ZParams{(n, *p)}" for p in s.xyza[~s.efficient].tolist()]
     seen.discard(None)
     records.append(WalkthroughStep("region.exception_labels_nonvacuous",
                                    seen == ALL_EXCEPTION_LABELS, f"labels hit: {sorted(seen)}"))
     records += [_tally(cid, "{bad} violations", np.concatenate(bad), _grid_point((5, 6, 7)))
                 for (cid, _), bad in zip(_GRID_AUDITS, zip(*audits))]
-    return records, certificates
+    return records, np.concatenate(fails), names
 
 
 def _seeded(count: int, orders: int, seed: int):
@@ -343,21 +345,21 @@ def _suite_records(eps_rel: float) -> list[WalkthroughStep]:
     one-off check, and one per count check, tallied by `_tally` from its
     array of flags in instance order.
     """
-    rep3 = analyze(make_reciprocal(np.array(COUNTEREXAMPLE_3X3_ROWS), mode="validate"),
-                   np.array(COUNTEREXAMPLE_3X3_W), eps_rel)
+    c3 = DigraphStack(make_reciprocal(np.array(COUNTEREXAMPLE_3X3_ROWS), mode="validate").a[None],
+                      np.array([COUNTEREXAMPLE_3X3_W]), eps_rel)
+    G3 = EfficiencyDigraph(c3.adj[0], c3.eps_rel)
+    grid, fails, names = _grid_checks(eps_rel)
+    if c3.counts[0] > 1:  # the counterexample has a certificate only when inefficient
+        fails, names = np.r_[~c3.certified, fails], ["the 3x3 counterexample", *names]
     triples = np.exp(_rng(5000).uniform(-np.log(9.0), np.log(9.0), (1000, 3)))
     slice_points = np.array([(*p, 1.0) for p in itertools.product(DEFAULT_AXES, repeat=3)])
     *no_source, hamiltonian = _random_records(eps_rel)
-    checks = [
+    return [
         *example_walkthrough(eps_rel),
         WalkthroughStep("counterexample3x3.structure",
-                        rep3.digraph.edges == {(2, 1), (3, 1), (3, 2)} and rep3.sources == (3,),
-                        f"edges {sorted(rep3.digraph.edges)}, sources {rep3.sources}"),
+                        G3.edges == {(2, 1), (3, 1), (3, 2)} and sources(G3) == (3,),
+                        f"edges {sorted(G3.edges)}, sources {sources(G3)}"),
         *no_source,
-    ]
-    grid, certificates = _grid_checks(eps_rel)
-    points, fails = zip((None, rep3.certificate is None), *certificates)
-    checks += [
         *grid,
         hamiltonian,
         _tally("n4.forms_agree", "{bad} of {total} triples disagree",
@@ -370,9 +372,8 @@ def _suite_records(eps_rel: float) -> list[WalkthroughStep]:
                != cell_tables(slice_points)["guaranteed"],
                lambda i: f"ZParams{(5, *slice_points[i].tolist())}"),
         _tally("certificates.sound", "{bad} of {total} certificates failed",
-               np.array(fails), lambda i: f"ZParams{points[i]}" if i else "the 3x3 counterexample"),
+               fails, names.__getitem__),
     ]
-    return checks
 
 
 def verify_paper_suite(eps_rel: float = DEFAULT_EPS_REL) -> VerificationSummary:

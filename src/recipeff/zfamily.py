@@ -333,11 +333,12 @@ class ZStack(DigraphStack):
     on the quotient vertices (1, 2, middle, n-1, n); every Z-family consumer
     reads its columns.
 
-    `a` is Z_5, `perron` and `w` are the quotient's Perron pairs, and `adj`,
-    `labels` and `counts` those of (Z_5, w).  Beside those: `r`, `efficient`;
-    the `sinks` and the `sink_present`, `sink_vertex` (3 stands for the
-    middle class) and `agrees` columns of the sink characterization;
-    `identities` (see `identity_stack`); and the `cell_tables` columns.
+    `a` is Z_5, `perron` and `w` are the quotient's Perron pairs; `adj`,
+    `labels`, `counts`, `beta`, `certified` and `certificates` are those of
+    (Z_5, w), the last three equal to the lift's (the middle class is a tied
+    block).  Also `r`, `efficient`; the `sinks` and the `sink_present`,
+    `sink_vertex` (3 for the middle class) and `agrees` columns of the sink
+    characterization; `identities` (see `identity_stack`); and `cell_tables`.
     `report(i)` is row i at order n (`lift`).  Iterating gives `ZPoint`s.
     """
 
@@ -503,8 +504,8 @@ def forbidden_reverse_edges(p: ZParams, G: EfficiencyDigraph) -> list[str]:
     impossible cancellation in the corresponding identity).  The clauses
     holding at p are its `cell_tables` row, read in clause order 2, 1, n, n-1.
     """
-    if p.n < 5:
-        raise ValueError("requires n >= 5")
+    if not 5 <= p.n == G.n:
+        raise ValueError(f"requires n >= 5 and a digraph of order n; got n = {p.n}, order {G.n}")
     forbidden = cell_tables(np.array([p.xyza]))["forbidden"][0, 2]  # the pairs (3, v)
     corners = [v for q, v in ((1, 2), (0, 1), (4, p.n), (3, p.n - 1)) if forbidden[q]]
     return [f"edge {(3, v)} with relation forbids {(v, 3)}"

@@ -208,7 +208,7 @@ def test_extension_result_invariant():
     bad = all_ones(3)  # row sums 3 against 7: deviation 4, budget 1e-10 * 7
     with pytest.raises(ValueError, match=r"^row sums deviate from the target by 4\.000e\+00, "
                                          r"over the budget ROW_SUM_RTOL \* target = 7\.000e-10$"):
-        ExtensionResult(B=bad, target_sum=7.0, perron_check=0.0)
+        ExtensionResult(B=bad, target_sum=7.0)
 
 
 def test_conjugated_extension_identity_diag_matches():

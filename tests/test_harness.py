@@ -516,11 +516,11 @@ def test_suite_single_known_failure(suite):
 
 def test_suite_solves_each_grid_point_once(counted_suite):
     # each point of the n = 5, 6, 7 grids is one 5 x 5 quotient solve and one
-    # 5-vertex digraph; each of the 32 inefficient n = 5 and 6 points is lifted
-    # to an order-n digraph for its certificate
+    # 5-vertex digraph; the 64 inefficient n = 5 and 6 points' certificates are
+    # read on those quotients, with no lift to order n
     _, solves, builds, _, _ = counted_suite
     assert Counter(solves) == {5: 3 * 625}
-    assert Counter(builds) == {5: 3 * 625 + 32, 6: 32}
+    assert Counter(builds) == {5: 3 * 625}
 
 
 def test_suite_solves_each_random_order_once(counted_suite):
@@ -588,9 +588,9 @@ def test_failing_details_name_the_instance_to_replay(monkeypatch):
     a1 = zfamily.guarantee_a1_stack
     monkeypatch.setattr(harness, "guarantee_a1_stack", lambda n, xyz: np.where(
         xyz[:, 2] == 4.0, "A1(forced)", a1(n, xyz)))
-    # only the 3x3 counterexample's certificate dominates
+    # no certificate dominates
     monkeypatch.setattr(digraph, "pareto_dominates_stack",
-                        lambda a, w, w2: np.full(len(a), a.shape[-1] == 3))
+                        lambda a, w, w2: np.zeros(len(a), dtype=bool))
     details = dict(verify_paper_suite().failures)
     assert list(details) == [
         "example1.bprime_perron_inefficient",
@@ -620,10 +620,47 @@ def test_failing_details_name_the_instance_to_replay(monkeypatch):
     # every z = 4 slice point is guaranteed for n >= 5
     assert details["a1.slice_equality"] == (
         "25 of 125 slice points disagree; first: ZParams(5, 0.25, 0.25, 4.0, 1.0)")
-    head, first = details["certificates.sound"].split("; first: ")
-    assert head == "64 of 65 certificates failed"
-    p = eval(first, {"ZParams": ZParams})
-    assert not ZStack(p.n, [p.xyza]).efficient[0]
+    assert details["certificates.sound"] == (
+        "65 of 65 certificates failed; first: the 3x3 counterexample")
+
+
+def test_failed_certificates_are_counted_not_thrown(monkeypatch, capsys):
+    # with no certificate dominating, the 3x3 counterexample and the 64
+    # inefficient grid points are each one failed certificate, and the suite
+    # still returns, so `recipeff verify` exits 1 rather than raising
+    monkeypatch.setattr(digraph, "pareto_dominates_stack",
+                        lambda a, w, w2: np.zeros(len(a), dtype=bool))
+    summary = verify_paper_suite()
+    assert summary.checks == 29 and summary.failures == (
+        ("example1.bprime_perron_inefficient",
+         "reference verdict inefficient; computed efficient=True"),
+        ("certificates.sound", "65 of 65 certificates failed; first: the 3x3 counterexample"))
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 1 and "FAIL certificates.sound: 65 of 65 certificates failed" in out
+
+
+def test_an_efficient_counterexample_has_no_certificate_to_fail():
+    # at eps_rel = 0.5 the edge (1, 2) of the 3x3 counterexample appears, so
+    # its digraph is strong: it has no certificate, and neither has any grid
+    # point, all of them efficient there
+    records = {r.check_id: (r.passed, r.detail) for r in harness._suite_records(0.5)}
+    assert records["counterexample3x3.structure"] == (
+        False, "edges [(1, 2), (2, 1), (2, 3), (3, 1), (3, 2)], sources ()")
+    assert records["certificates.sound"] == (True, "0 of 0 certificates failed")
+    assert "certificates.sound" not in dict(verify_paper_suite(0.5).failures)
+
+
+def test_suite_reads_no_report_outside_the_walkthrough(monkeypatch):
+    # the counterexample and the grids' certificates are read off their
+    # stacks' columns: no row report is built, so none can raise
+    def no_report(self, i):
+        raise AssertionError(f"report({i}) of a stack of shape {self.a.shape}")
+
+    monkeypatch.setattr(harness, "example_walkthrough", lambda eps_rel: [])
+    monkeypatch.setattr(digraph.DigraphStack, "report", no_report)
+    monkeypatch.setattr(zfamily.ZStack, "report", no_report)
+    records = harness._suite_records(1e-9)
+    assert len(records) == 19 and all(r.passed for r in records)
 
 
 def test_suite_records_and_instances_are_pinned():
@@ -696,8 +733,8 @@ def test_seeded_instances_come_in_seed_order(monkeypatch):
 def test_grid_checks_every_inefficient_point_certificate(monkeypatch):
     monkeypatch.setattr(digraph, "pareto_dominates_stack",
                         lambda a, w, w2: np.zeros(len(a), dtype=bool))
-    _, certificates = harness._grid_checks(1e-9)
-    assert len(certificates) == 64 and all(bad for _, bad in certificates)
+    _, fails, names = harness._grid_checks(1e-9)
+    assert len(fails) == len(names) == 64 and fails.all()
 
 
 def test_grid_checks_count_the_points_whose_sink_disagrees(monkeypatch):
@@ -707,7 +744,7 @@ def test_grid_checks_count_the_points_whose_sink_disagrees(monkeypatch):
     adjacency = digraph._adjacency
     monkeypatch.setattr(digraph, "_adjacency", lambda a, w, eps_rel: adjacency(
         a, w, eps_rel) | np.eye(a.shape[-1], dtype=bool))
-    records, _ = harness._grid_checks(1e-9)
+    records, _, _ = harness._grid_checks(1e-9)
     details = {r.check_id: r.detail for r in records if not r.passed}
     for n in (5, 6):
         head, first = details[f"sink_characterization.grid_n{n}"].split("; first: ")
@@ -749,7 +786,7 @@ def test_corner_sinks_agree_and_pass_the_grid_audits():
 def test_grid_check_records_in_report_order():
     # the passing details carry the counts: 625 points per grid, and the 64
     # inefficient n = 5 and 6 points whose certificates are checked
-    records, certificates = harness._grid_checks(1e-9)
+    records, fails, names = harness._grid_checks(1e-9)
     one_sided = ("exception labels cover 32 inefficient and 24 efficient points "
                  "(guarantee is one-way)")
     labels = [f"T{k}{c}" for k in (5, 6, 7, 8) for c in ("(i)", "(ii)", "(iii)")]
@@ -763,7 +800,7 @@ def test_grid_check_records_in_report_order():
         ("region.exception_labels_nonvacuous", True, f"labels hit: {labels}"),
         *((cid, True, "0 violations") for cid, _ in harness._GRID_AUDITS),
     ]
-    assert len(certificates) == 64 and not any(bad for _, bad in certificates)
+    assert len(fails) == len(names) == 64 and not fails.any()
 
 
 # --- CLI -----------------------------------------------------------------

@@ -12,6 +12,7 @@ from helpers import cell_row_reference, lp_gain, same_report, table_oracle, tabl
 from recipeff import harness, zfamily
 from recipeff.core import make_reciprocal, perron, perron_stack
 from recipeff.digraph import (
+    DigraphStack,
     EfficiencyDigraph,
     analyze,
     build_digraph,
@@ -656,6 +657,18 @@ def assert_relations_match_reference(p):
     assert guarantee_n4(x, y, z) == n4_six_cases_reference(x, y, z), p
 
 
+def test_forbidden_reverse_edges_requires_the_points_order():
+    # the corners are vertices 1, 2, n - 1 and n of the point's own order: read
+    # on an order-7 digraph, an order-5 point's corner 5 would be a middle vertex
+    p7, p5 = ZParams(7, 1.5, 1.0, 2.0, 1.0), ZParams(5, 1.5, 1.0, 2.0, 1.0)
+    with pytest.raises(ValueError, match=r"of order n; got n = 7, order 5$"):
+        forbidden_reverse_edges(p7, complete_digraph(5))
+    with pytest.raises(ValueError, match=r"of order n; got n = 5, order 7$"):
+        forbidden_reverse_edges(p5, complete_digraph(7))
+    assert forbidden_reverse_edges(p5, complete_digraph(5)) == [
+        "edge (3, 5) with relation forbids (5, 3)"]
+
+
 def test_relation_oracles_are_not_vacuous():
     p = ZParams(5, 0.5, 0.8, 0.25, 0.8)  # max(a, z) <= 1, a != z, x != y
     assert len(forbidden_reverse_edges(p, complete_digraph(5))) == 2
@@ -934,10 +947,30 @@ def test_a_wrong_class_weight_turns_the_middle_collapse_audit_red(monkeypatch):
         assert audit(zfamily.ZStack(n, harness._GRID)).all() == (n > 5)
     p = ZParams(6, 0.5, 2.0, 1.5, 1.0)
     assert eigen_identity_residuals(p).middle_deviation_max > 0.5 * ZStack(p.n, [p.xyza]).w[0, 2]
-    records, _ = harness._grid_checks(1e-9)
+    records, _, _ = harness._grid_checks(1e-9)
     failed = {r.check_id: r.detail for r in records if not r.passed}
     assert failed["identities.middle_collapse"] == (
         "1250 violations; first: ZParams(6, 0.25, 0.25, 0.25, 0.25)")
+
+
+@pytest.mark.parametrize("eps_rel", [0.0, 1e-9, 1e-3])
+def test_quotient_certificates_are_the_lifts(eps_rel):
+    # the middle class is one tied block of an equitable partition, so each
+    # inefficient point's SCC count, beta, certified flag and certificate on
+    # the 5 x 5 quotient are those of its lift to order n, bit for bit (the
+    # certificate lifted as w is, by repeating w_3)
+    rng, inefficient = np.random.default_rng(30), 0
+    for n in (*range(5, 13), 20, 47, 100):
+        s = ZStack(n, np.exp(rng.uniform(-3.0, 3.0, (1500, 4))), eps_rel)
+        ineff = ~s.efficient
+        lifted = DigraphStack(*s.lift(ineff), eps_rel)
+        assert lifted.counts.tolist() == s.counts[ineff].tolist()
+        assert lifted.certified.tolist() == s.certified[ineff].tolist()
+        assert lifted.beta.tobytes() == s.beta[ineff].tobytes()
+        members = np.r_[0, 1, np.full(n - 4, 2), 3, 4]
+        assert lifted.certificates.tobytes() == s.certificates[ineff][:, members].tobytes()
+        inefficient += int(ineff.sum())
+    assert inefficient >= 1000
 
 
 def test_zstack_at_order_a_million_solves_the_quotient_alone():
