@@ -38,7 +38,7 @@ from .harness import (
     verify_paper_suite,
 )
 from .matio import load_matrix, load_vector, report_json, report_to_dict, save_report
-from .zfamily import ZParams, ZPoint, ZStack, guarantee_n4, guarantee_n5plus, z_matrix
+from .zfamily import ZParams, ZStack, guarantee_n4, guarantee_n5plus, z_matrix
 
 
 def _resolve_eps(flag_value: float | None) -> float:
@@ -80,15 +80,15 @@ def _cmd_analyze(args: argparse.Namespace, eps: float) -> int:
 
 def _cmd_z(args: argparse.Namespace, eps: float) -> int:
     p = ZParams(args.n, args.x, args.y, args.z, args.a)
-    pt = ZPoint(ZStack(p.n, [p.xyza], eps), 0) if p.n >= 5 else None
-    rep = pt.report if pt else analyze(z_matrix(p), eps_rel=eps)
+    s = ZStack(p.n, [p.xyza], eps) if p.n >= 5 else None
+    rep = s.report(0) if s else analyze(z_matrix(p), eps_rel=eps)
     payload: dict = {
         "params": asdict(p),
         "report": report_to_dict(rep),
     }
-    if pt:
+    if s:
         payload["region"] = asdict(guarantee_n5plus(p))
-        payload["sink_check"] = {k: getattr(pt, k)
+        payload["sink_check"] = {k: getattr(s, k).item(0)
                                  for k in ("efficient", "sink_present", "sink_vertex", "agrees")}
     elif p.a == 1.0:
         payload["region"] = {

@@ -36,6 +36,11 @@ PERRON_SQUARE_MAX_N = 16
 # a squared start has settled when it moves by at most this times its
 # largest entry between two squarings
 PERRON_SQUARE_TOL = 1e-15
+# every PERRON_CHECK_EVERY power steps a row also stops when its Hilbert gap
+# g = log(max(Av/v) / min(Av/v)) is below PERRON_HILBERT_TOL and no lower
+# than at its earlier checkpoints: rounding, not convergence, then moves it
+PERRON_CHECK_EVERY = 16
+PERRON_HILBERT_TOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +211,10 @@ def perron_stack(a: np.ndarray, max_iter: int = PERRON_MAX_ITER) -> PerronStack:
     pass takes one step v <- A v, renormalized to v[0] == 1, on every live
     row; a row stops at the first step whose iterate differs from the
     previous one by less than PERRON_TOL in max norm, or is NaN (a row sum
-    overflowed), and is written out and dropped from the stack.  r is
+    overflowed), and is written out and dropped from the stack.  Where w
+    has large entries, rounding alone can keep that difference above
+    PERRON_TOL; so at every PERRON_CHECK_EVERY-th step a row also stops when
+    its Hilbert gap (see PERRON_HILBERT_TOL) has stopped falling.  r is
     (A w)[0] at that iterate.  The steps write two (n, B) buffers in turn,
     so each test over a row runs along the batch axis.  A row's `iterations`
     counts its squarings plus its power steps, and `max_iter` caps that
@@ -228,6 +236,7 @@ def perron_stack(a: np.ndarray, max_iter: int = PERRON_MAX_ITER) -> PerronStack:
         else:
             v, squarings = np.ones((n, B)), np.zeros(B, dtype=int)
         rows, live, left, u = np.arange(B), a, max_iter - squarings, np.empty((n, B))
+        best = np.full(B, np.inf)  # each row's least Hilbert gap at a checkpoint
         ub, vb, k, cap = u.T[..., None], v.T[..., None], 0, int(left.min(initial=max_iter))
         while rows.size:
             if k == cap:
@@ -238,10 +247,15 @@ def perron_stack(a: np.ndarray, max_iter: int = PERRON_MAX_ITER) -> PerronStack:
             k += 1
             # written as ~(>=) so that a NaN iterate stops too
             stop = ~(np.maximum.reduce(np.abs(u - v)) >= PERRON_TOL)
+            if k % PERRON_CHECK_EVERY == 0:
+                q = u / v
+                g = np.log(np.maximum.reduce(q) / np.minimum.reduce(q))
+                stop |= (g < PERRON_HILBERT_TOL) & (g >= best)
+                best = np.fmin(best, g)
             if stop.any():
                 w[rows[stop]] = u[:, stop].T
                 iterations[rows[stop]] = squarings[rows[stop]] + k
-                rows, live, left = rows[~stop], live[~stop], left[~stop]
+                rows, live, left, best = rows[~stop], live[~stop], left[~stop], best[~stop]
                 u, v = u.compress(~stop, axis=1), v[:, :rows.size]
                 ub, vb, cap = u.T[..., None], v.T[..., None], int(left.min(initial=max_iter))
             u, ub, v, vb = v, vb, u, ub

@@ -15,9 +15,11 @@ desk scale with fixed seeds.  The checks on random instances are a table
 (`_RANDOM_CHECKS`) run as one plan: the rows of one order, over all of them,
 are one `DigraphStack`.  Certificate soundness reads the grids' `ZStack`s and
 the 3x3 counterexample's one-row `DigraphStack`, so a failed certificate is
-counted, not thrown.  One walkthrough step is expected to fail: the
-bundled reference data marks the conjugate's Perron vector inefficient,
-while the computed digraph is strongly connected.  See the README.
+counted, not thrown.  The n = 4 and a = 1 predicates are checked on every
+order cell of the a = 1 slice (`_slice_points`).  One walkthrough step is
+expected to fail: the bundled reference data marks the conjugate's Perron
+vector inefficient, while the computed digraph is strongly connected; its
+detail gives the margin and the reference's likely source.  See the README.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import numpy as np
 
 from .core import (
     ReciprocalMatrix,
-    _rng,
     make_reciprocal,
     perron,
     random_reciprocal,
@@ -45,6 +46,7 @@ from .digraph import (
     analyze,
     hamiltonian_cycles,
     has_no_source_stack,
+    sinks,
     sources,
 )
 from .extensions import (
@@ -58,11 +60,13 @@ from .extensions import (
     well_behaved_type_I,
 )
 from .zfamily import (
+    _A1_EXCEPTIONS,
     _REGION_EXCEPTIONS,
     ZStack,
+    _cell_rows,
+    _n4_holds,
     cell_tables,
-    guarantee_a1_stack,
-    guarantee_n4_stack,
+    order_cells,
 )
 
 DEFAULT_AXES = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -131,9 +135,15 @@ def example_walkthrough(eps_rel: float = DEFAULT_EPS_REL) -> list[WalkthroughSte
     step("example1.conjugate_matches", err <= 1e-3,
          f"max entry deviation {err:.2e} (tol 1e-3)")
 
-    rep = analyze(Bp_ref, eps_rel=eps_rel)
+    # B''s own Perron vector is far from every tie; the reference verdict is
+    # the base's read against B' without conjugating by D (its digraph alone)
+    rep, unconj = analyze(Bp_ref, eps_rel=eps_rel), DigraphStack(Bp_ref.a[None], w[None], eps_rel)
+    margin = np.abs(np.log(rep.w[:, None] / rep.w) - np.log(Bp_ref.a))[~np.eye(5, dtype=bool)]
+    G = EfficiencyDigraph(unconj.adj[0], unconj.eps_rel)
     step("example1.bprime_perron_inefficient", not rep.efficient,
-         f"reference verdict inefficient; computed efficient={rep.efficient}")
+         f"reference verdict inefficient; computed efficient={rep.efficient} (min log margin "
+         f"{margin.min():.3f}); the base Perron vector read unconjugated gives "
+         f"{unconj.counts[0]} blocks, sources {sources(G)}, sinks {sinks(G)}")
 
     rep_ones = analyze(Bp_ref, w=np.ones(5), eps_rel=eps_rel)
     step("example1.ones_vector_efficient", rep_ones.efficient,
@@ -250,6 +260,12 @@ _GRID_AUDITS = (
 )
 
 
+def _slice_points() -> np.ndarray:
+    """A point in each of the 75 order cells of the a = 1 slice (a ranks with 1), in
+    `order_cells()` order: (x, y, z, a) at 2 ** (rank - rank of 1)."""
+    return np.array([[2.0 ** (r - c[0]) for r in c[1:]] for c in order_cells() if c[4] == c[0]])
+
+
 def _grid_point(ns):
     """The namer of point i of the grids of orders `ns`, laid end to end."""
     return lambda i: f"ZParams{(ns[i // len(_GRID)], *_GRID[i % len(_GRID)].tolist())}"
@@ -351,9 +367,8 @@ def _suite_records(eps_rel: float) -> list[WalkthroughStep]:
     grid, fails, names = _grid_checks(eps_rel)
     if c3.counts[0] > 1:  # the counterexample has a certificate only when inefficient
         fails, names = np.r_[~c3.certified, fails], ["the 3x3 counterexample", *names]
-    triples = np.exp(_rng(5000).uniform(-np.log(9.0), np.log(9.0), (1000, 3)))
-    slice_points = np.array([(*p, 1.0) for p in itertools.product(DEFAULT_AXES, repeat=3)])
     *no_source, hamiltonian = _random_records(eps_rel)
+    cells = _slice_points()
     return [
         *example_walkthrough(eps_rel),
         WalkthroughStep("counterexample3x3.structure",
@@ -362,15 +377,15 @@ def _suite_records(eps_rel: float) -> list[WalkthroughStep]:
         *no_source,
         *grid,
         hamiltonian,
-        _tally("n4.forms_agree", "{bad} of {total} triples disagree",
-               guarantee_n4_stack(triples, "six_cases")
-               != guarantee_n4_stack(triples, "region_complement"),
-               lambda i: f"(x, y, z) = {tuple(triples[i].tolist())}"),
-        # guarantee_n5plus's verdict is the cell table's
-        _tally("a1.slice_equality", "{bad} of {total} slice points disagree",
-               np.equal(guarantee_a1_stack(5, slice_points[:, :3]), None)
-               != cell_tables(slice_points)["guaranteed"],
-               lambda i: f"ZParams{(5, *slice_points[i].tolist())}"),
+        _tally("n4.forms_agree", "{bad} of {total} order cells disagree",
+               _n4_holds(cells[:, :3], "six_cases")
+               != _n4_holds(cells[:, :3], "region_complement"),
+               lambda i: f"(x, y, z) = {tuple(cells[i, :3].tolist())}"),
+        # guarantee_a1's verdict against guarantee_n5plus's, the cell table's
+        _tally("a1.slice_equality", "{bad} of {total} order cells disagree",
+               np.equal(_A1_EXCEPTIONS.first(_cell_rows(cells)), None)
+               != cell_tables(cells)["guaranteed"],
+               lambda i: f"ZParams{(5, *cells[i].tolist())}"),
         _tally("certificates.sound", "{bad} of {total} certificates failed",
                fails, names.__getitem__),
     ]

@@ -23,11 +23,12 @@ Every parameter predicate, the exception clauses included, is a relation
 string compiled to its hits on the 541 order cells, the weak orders of (1,
 x, y, z, a) (`order_cells()`).  A stack finds its points' cells in one array
 step (`_cell_rows`) and reads one table of all cells (`cell_tables`), of
-which `guarantee_n5plus` is the one-point read; the n = 4 and a = 1
-predicates have stack forms, whose one-row cases are the scalar functions.
-A `ZStack` evaluates a stack of points of one order once, as arrays, and
-every consumer reads it: the CLI's `z` is its one-row case, `sweep` writes
-its columns and `verify` audits them.
+which `guarantee_n5plus` is the one-point read.  The n = 4 and a = 1
+predicates read their point's cell too, so `verify` checks them once on
+each of the 75 cells of the a = 1 slice.  A `ZStack` evaluates a stack of
+points of one order once, as arrays, and every consumer reads it: the
+CLI's `z` reads row 0 of a one-point stack, `sweep` writes its columns and
+`verify` audits them.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import operator
 import re
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -61,17 +62,17 @@ def _require_positive(**params: float) -> None:
             raise ValueError(f"{name} must be positive and finite, and so must 1/{name}")
 
 
-def _positive_stack(values, names: str) -> np.ndarray:
-    """`values` as a non-empty (B, k) stack of the k parameters `names`, each
-    checked as by `_require_positive`; the error gives the first bad row."""
+def _positive_stack(values) -> np.ndarray:
+    """`values` as a non-empty (B, 4) stack of (x, y, z, a), each checked as by
+    `_require_positive`; the error gives the first bad row."""
     v = np.asarray(values, dtype=float)
-    if v.shape[1:] != (len(names),) or not len(v):
-        raise ValueError(f"{names} must be a non-empty (B, {len(names)}) stack, not {v.shape}")
+    if v.shape[1:] != (4,) or not len(v):
+        raise ValueError(f"xyza must be a non-empty (B, 4) stack, not {v.shape}")
     with np.errstate(divide="ignore", over="ignore"):
         bad = ~((v > 0) & (v < np.inf) & (1 / v < np.inf)).all(axis=1)
     if bad.any():
-        raise ValueError(f"{', '.join(names[:-1])} and {names[-1]} must be positive and finite, "
-                         f"and so must their reciprocals; got {v[bad.argmax()].tolist()}")
+        raise ValueError("x, y, z and a must be positive and finite, and so must their "
+                         f"reciprocals; got {v[bad.argmax()].tolist()}")
     return v
 
 
@@ -267,17 +268,13 @@ def guarantee_n5plus(p: ZParams) -> RegionVerdict:
 
 
 def guarantee_a1(n: int, x: float, y: float, z: float) -> RegionVerdict:
-    """Efficiency-region verdict for the a = 1 slice, n >= 5."""
+    """Efficiency-region verdict for the a = 1 slice, n >= 5: the first
+    `_A1_EXCEPTIONS` clause holding in the cell of (x, y, z, 1), or none."""
     _require_positive(x=x, y=y, z=z)
-    label = guarantee_a1_stack(n, [[x, y, z]])[0]
-    return RegionVerdict(label is None, label, "identity")
-
-
-def guarantee_a1_stack(n: int, xyz) -> np.ndarray:
-    """`guarantee_a1`'s exception label, or None, of each point of a (B, 3) stack of (x, y, z)."""
     if operator.index(n) < 5:
         raise ValueError("guarantee_a1 requires n >= 5")
-    return _A1_EXCEPTIONS.first(_cell_rows(_positive_stack(xyz, "xyz")))
+    label = _A1_EXCEPTIONS.first(_cell_rows([[x, y, z]]))[0]
+    return RegionVerdict(label is None, label, "identity")
 
 
 # the six sufficient clauses for Z_4(x, y, z, 1)
@@ -300,12 +297,8 @@ def guarantee_n4(x: float, y: float, z: float, form: str = "six_cases") -> bool:
     return bool(_n4_holds(np.array([[x, y, z]]), form)[0])
 
 
-def guarantee_n4_stack(xyz, form: str = "six_cases") -> np.ndarray:
-    """`guarantee_n4` of each point of a (B, 3) stack of (x, y, z), as (B,) bools."""
-    return _n4_holds(_positive_stack(xyz, "xyz"), form)
-
-
 def _n4_holds(xyz: np.ndarray, form: str) -> np.ndarray:
+    """`guarantee_n4` of each point of a (B, 3) stack of positive (x, y, z), as (B,) bools."""
     if form == "six_cases":
         return _N4_CASES.hits[_cell_rows(xyz)].any(axis=1)
     if form == "region_complement":
@@ -339,13 +332,14 @@ class ZStack(DigraphStack):
     block).  Also `r`, `efficient`; the `sinks` and the `sink_present`,
     `sink_vertex` (3 for the middle class) and `agrees` columns of the sink
     characterization; `identities` (see `identity_stack`); and `cell_tables`.
-    `report(i)` is row i at order n (`lift`).  Iterating gives `ZPoint`s.
+    `report(i)` is row i at order n (`lift`); a one-point reader takes row
+    0 of the columns, as the CLI's `z` does.
     """
 
     def __init__(self, n: int, xyza, eps_rel: float = DEFAULT_EPS_REL) -> None:
         if operator.index(n) < 5:
             raise ValueError("requires n >= 5")
-        self.n, self.xyza = n, _positive_stack(xyza, "xyza")
+        self.n, self.xyza = n, _positive_stack(xyza)
         a = z_stack(5, self.xyza)
         perron = perron_stack(a * [1, 1, n - 4, 1, 1])  # the quotient
         super().__init__(a, perron.w, eps_rel)
@@ -359,11 +353,15 @@ class ZStack(DigraphStack):
         self.identities = identity_stack(n, self.xyza, self.r, self.w)
         self.__dict__.update(cell_tables(self.xyza))  # predicted .. exception
 
+    @property
+    def members(self) -> np.ndarray:
+        """The quotient vertex (0 to 4) of each vertex of Z_n."""
+        return np.r_[0, 1, np.full(self.n - 4, 2), 3, 4]
+
     def lift(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """The points `rows` (an index list, mask or slice) at order n: their
         Z_n and Perron vectors, w_3 repeated over the middle class."""
-        members = np.r_[0, 1, np.full(self.n - 4, 2), 3, 4]
-        return z_stack(self.n, self.xyza[rows]), self.w[rows][:, members]
+        return z_stack(self.n, self.xyza[rows]), self.w[rows][:, self.members]
 
     def report(self, i: int) -> EfficiencyReport:
         """Row i's report on its lift, with the quotient's Perron pair."""
@@ -371,37 +369,10 @@ class ZStack(DigraphStack):
         return replace(rep, perron=replace(self.perron[i], w=rep.w))
 
     def middle_residual(self) -> np.ndarray:
-        """The largest |(Z_n w)_j - r w_j| over the middle rows j of each
-        point, by an explicit order-n matvec on the lifted pair."""
-        (a, w), mid = self.lift(slice(None)), slice(2, self.n - 2)
-        zw = (a[:, mid] @ w[:, :, None])[:, :, 0]
-        return np.abs(zw - self.r[:, None] * w[:, mid]).max(axis=1)
-
-    def __iter__(self) -> Iterator[ZPoint]:
-        return (ZPoint(self, i) for i in range(len(self)))
-
-
-def _column(name: str) -> property:
-    return property(lambda pt: getattr(pt.stack, name).item(pt.i), doc=f"`ZStack.{name}[i]`")
-
-
-@dataclass(frozen=True, eq=False)
-class ZPoint:
-    """Row i of a `ZStack`: each attribute reads the stack's column i."""
-
-    stack: ZStack
-    i: int
-
-    r, efficient, guaranteed, exception, sink_present, sink_vertex, agrees = map(_column, (
-        "r", "efficient", "guaranteed", "exception", "sink_present", "sink_vertex", "agrees"))
-
-    @property
-    def p(self) -> ZParams:
-        return ZParams(self.stack.n, *self.stack.xyza[self.i].tolist())
-
-    @cached_property
-    def report(self) -> EfficiencyReport:
-        return self.stack.report(self.i)
+        """|(Z_n w)_j - r w_3| for the lifted pair, the same on every middle
+        row j: those rows are all ones, so (Z_n w)_j is the sum of the lifted
+        w, which needs O(B n) memory and no order-n matrix."""
+        return np.abs(self.w[:, self.members].sum(axis=1) - self.r * self.w[:, 2])
 
 
 def eigen_identity_residuals(p: ZParams) -> IdentityResiduals:

@@ -192,7 +192,7 @@ def test_criterion_06_no_source_property(random_pool, extension_pool):
 
 
 def test_criterion_07_sink_characterization_grids(records):
-    bad = {n: sum(not r.agrees for r in recs) for n, recs in records.items()}
+    bad = {n: int((~s.agrees).sum()) for n, s in records.items()}
     conclude(
         7,
         all(v == 0 for v in bad.values()),
@@ -201,13 +201,8 @@ def test_criterion_07_sink_characterization_grids(records):
 
 
 def test_criterion_08_region_soundness_and_labels(records):
-    unsound = {
-        n: sum(r.guaranteed and not r.efficient for r in recs)
-        for n, recs in records.items()
-    }
-    seen = {
-        r.exception for recs in records.values() for r in recs if r.exception
-    }
+    unsound = {n: int((s.guaranteed & ~s.efficient).sum()) for n, s in records.items()}
+    seen = {label for s in records.values() for label in s.exception if label}
     refined = guarantee_n5plus(ZParams(5, 0.2, 2.0, 0.5, 1.5)).matched_exception
     conclude(
         8,

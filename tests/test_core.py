@@ -426,6 +426,40 @@ def test_squared_start_matches_a_50_digit_vector_on_wide_spreads(n):
     assert solved >= 6
 
 
+@pytest.mark.parametrize("n, stalls", ((4, 10), (6, 17), (9, 8), (12, 5), (20, 2)))
+def test_the_hilbert_fallback_stops_the_rows_the_absolute_test_stalls_on(n, stalls):
+    # spreads up to 1e3 give Perron vectors with entries in the hundreds,
+    # where rounding alone keeps max|u - v| above PERRON_TOL.  The rows the
+    # absolute test stops keep their pair bit for bit; the rest stop on the
+    # Hilbert gap, well inside the cap, and match a 50-digit solve
+    a = random_reciprocal_stack(n, 200, seed=1, log_scale=np.log(1e3))
+    stack = perron_stack(a, max_iter=5000)
+    assert stack.iterations.max() <= 150
+    stopped = []
+    for i in range(len(a)):
+        try:
+            ref = perron_reference(a[i], max_iter=1000)
+        except RuntimeError:
+            stopped.append(i)
+            continue
+        assert same_pair(stack[i], ref), i
+    assert len(stopped) == stalls
+    for i in stopped:
+        assert stack.iterations[i] >= 2 * core.PERRON_CHECK_EVERY
+        w, r = mp_perron(a[i], stack.w[i], stack.r[i])
+        assert np.max(np.abs(stack.w[i] - w) / w) <= 1e-13, i
+        assert abs(stack.r[i] - r) <= 1e-13 * r, i
+
+
+def test_the_hilbert_fallback_stops_wide_z5_points():
+    # Z_5(x, y, z, a) with log-parameters in +-9: 98 of these 1000 rows
+    # stalled under the absolute test alone
+    xyza = np.exp(np.random.default_rng(0).uniform(-9.0, 9.0, (1000, 4)))
+    stack = perron_stack(z_stack(5, xyza), max_iter=5000)
+    assert stack.iterations.max() < 5000
+    assert (stack.residual <= 1e-9 * stack.r).all()
+
+
 def test_perron_cap_is_exact_at_every_step_count():
     rows = mixed_rows(5, 20, seed=3) + mixed_rows(20, 40, seed=3)
     for A, ref in rows:

@@ -9,6 +9,7 @@ import sys
 import warnings
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -42,7 +43,7 @@ from recipeff.matio import (
     report_to_dict,
     save_report,
 )
-from recipeff.zfamily import ZParams, ZStack
+from recipeff.zfamily import ZParams, ZStack, guarantee_a1, guarantee_n4, guarantee_n5plus
 
 
 # --- matio ---------------------------------------------------------------
@@ -346,7 +347,8 @@ WALKTHROUGH_STEPS = [
     ("example1.base_perron_matches", True, "max component deviation 2.56e-04 (tol 5e-4)"),
     ("example1.conjugate_matches", True, "max entry deviation 1.00e-04 (tol 1e-3)"),
     ("example1.bprime_perron_inefficient", False,
-     "reference verdict inefficient; computed efficient=True"),
+     "reference verdict inefficient; computed efficient=True (min log margin 0.104); the base "
+     "Perron vector read unconjugated gives 5 blocks, sources (4,), sinks (3,)"),
     ("example1.ones_vector_efficient", True, "computed efficient=True"),
     ("example1.well_behaved", True, "first/last row-sum gap 5.79 (reference 5.79)"),
     ("example1.extension_unit_perron", True,
@@ -368,17 +370,16 @@ def test_walkthrough_solves_each_matrix_once(perron_calls):
 
 
 def test_sweep_point_trivial():
-    (pt,) = grid_sweep(5, (1.0,))
-    assert pt.efficient and pt.guaranteed and not pt.sink_present
-    assert pt.exception is None and pt.sink_vertex is None and pt.agrees
-    assert pt.r >= 5.0
+    s = grid_sweep(5, (1.0,))
+    assert len(s) == 1 and s.efficient[0] and s.guaranteed[0] and not s.sink_present[0]
+    assert s.exception[0] is None and s.sink_vertex[0] is None and s.agrees[0]
+    assert s.r[0] >= 5.0
 
 
 def test_grid_sweep_shape_and_order(tmp_path, capsys):
     points = grid_sweep(5, (0.25, 4.0))
     assert len(points) == 16
-    xs = [pt.p.x for pt in points]
-    assert xs == [0.25] * 8 + [4.0] * 8  # lexicographic in axis order
+    assert points.xyza[:, 0].tolist() == [0.25] * 8 + [4.0] * 8  # lexicographic in axis order
     out = tmp_path / "sweep.csv"
     code, stdout, _ = run_cli(capsys, "sweep", "--n", "5", "--axes", "0.25,4",
                               "--out", str(out))
@@ -391,14 +392,14 @@ def test_grid_sweep_shape_and_order(tmp_path, capsys):
 
 
 def test_sweep_csv_row_formats():
-    (pt,) = points = ZStack(5, [(0.25, 2.0, 2.0, 0.5)])
+    points = ZStack(5, [(0.25, 2.0, 2.0, 0.5)])
     header, line = sweep_csv(points)
     row = line.split(",")
     assert header == SWEEP_CSV_HEADER
     assert row[:5] == ["5", "0.25", "2", "2", "0.5"]
     assert row[6] == "false" and row[9] == "true"  # inefficient, sink present
     assert row[8] == "T5(iii)" and row[10] == "3" and row[11] == "true"
-    assert float(row[5]) == pt.r
+    assert float(row[5]) == points.r[0]
 
 
 # (x, y, z, a) and the sweep's efficient, guaranteed, exception, sink_vertex cells
@@ -456,9 +457,9 @@ def test_grid_sweep_validation():
 def counted_suite():
     """One suite run; the orders of the rows that pass through `perron_stack`
     and `_adjacency` in the grid pass, where `ZStack` and `DigraphStack` call
-    them, and the `ZPoint`s built there; and outside the grid pass, the
-    (order, rows) of each `digraph.perron_stack` and `_adjacency` call."""
-    solves, builds, points, inside, calls = [], [], [0], [False], {"solves": [], "builds": []}
+    them; and outside the grid pass, the (order, rows) of each
+    `digraph.perron_stack` and `_adjacency` call."""
+    solves, builds, inside, calls = [], [], [False], {"solves": [], "builds": []}
 
     def counted_solves(a, *args, **kwargs):
         if inside[0]:
@@ -477,10 +478,6 @@ def counted_suite():
             calls["builds"].append((a.shape[-1], len(a)))
         return adjacency(a, w, eps_rel)
 
-    def counted_points(self, *args, **kwargs):
-        points[0] += inside[0]
-        zpoint_init(self, *args, **kwargs)
-
     def grid_pass(eps_rel):
         inside[0] = True
         try:
@@ -488,16 +485,14 @@ def counted_suite():
         finally:
             inside[0] = False
 
-    adjacency, zpoint_init, grid_checks = (
-        digraph._adjacency, zfamily.ZPoint.__init__, harness._grid_checks)
+    adjacency, grid_checks = digraph._adjacency, harness._grid_checks
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(digraph, "perron_stack", digraph_solves)
         mp.setattr(zfamily, "perron_stack", counted_solves)
         mp.setattr(digraph, "_adjacency", counted_builds)
-        mp.setattr(zfamily.ZPoint, "__init__", counted_points)
         mp.setattr(harness, "_grid_checks", grid_pass)
         summary = verify_paper_suite()
-    return summary, solves, builds, points[0], calls
+    return summary, solves, builds, calls
 
 
 @pytest.fixture(scope="module")
@@ -518,7 +513,7 @@ def test_suite_solves_each_grid_point_once(counted_suite):
     # each point of the n = 5, 6, 7 grids is one 5 x 5 quotient solve and one
     # 5-vertex digraph; the 64 inefficient n = 5 and 6 points' certificates are
     # read on those quotients, with no lift to order n
-    _, solves, builds, _, _ = counted_suite
+    _, solves, builds, _ = counted_suite
     assert Counter(solves) == {5: 3 * 625}
     assert Counter(builds) == {5: 3 * 625}
 
@@ -528,18 +523,13 @@ def test_suite_solves_each_random_order_once(counted_suite):
     # digraphs are one plan: one Perron solve and one digraph build per order
     # over the three checks' rows (1000 + 1000 + 200 of them).  The
     # walkthrough adds one-row solves of B' and the order-6 extension, and
-    # one-row builds on them, on the counterexample and on two given vectors
+    # one-row builds on them, on the counterexample and on three given vectors
     *_, calls = counted_suite
     plan = [(3, 207), (4, 407), (5, 407), (6, 357), (7, 356), (8, 316), (9, 150)]
     assert sum(rows for _, rows in plan) == 2200
     assert sorted(calls["solves"]) == sorted([*plan, (5, 1), (6, 1)])
-    assert sorted(calls["builds"]) == sorted([*plan, (3, 1), (5, 1), (5, 1), (6, 1), (6, 1)])
-
-
-def test_suite_builds_no_zpoint_in_the_grid_pass(counted_suite):
-    # the grid audits read the grids' stacks and their cells' tables
-    _, _, _, points, _ = counted_suite
-    assert points == 0
+    assert sorted(calls["builds"]) == sorted(
+        [*plan, (3, 1), (5, 1), (5, 1), (5, 1), (6, 1), (6, 1)])
 
 
 def test_failing_details_name_the_instance_to_replay(monkeypatch):
@@ -558,8 +548,14 @@ def test_failing_details_name_the_instance_to_replay(monkeypatch):
     monkeypatch.setattr(harness, "_GRID_AUDITS", tuple(
         (cid, injected if cid == "edges.no_forbidden_reverse" else audit)
         for cid, audit in harness._GRID_AUDITS))
-    monkeypatch.setattr(harness, "guarantee_n4_stack",
-                        lambda xyz, form: (xyz[:, 0] > 8) & (form == "six_cases"))
+    # the six-case form fails where x > 1, and the A1 clauses claim every
+    # cell where z > 1 (cell rows whose rank of z exceeds that of 1)
+    n4 = zfamily._n4_holds
+    monkeypatch.setattr(harness, "_n4_holds", lambda xyz, form: n4(xyz, form) != (
+        (xyz[:, 0] > 1) & (form == "six_cases")))
+    cells, a1 = np.array(list(zfamily.order_cells())), zfamily._A1_EXCEPTIONS
+    monkeypatch.setattr(harness, "_A1_EXCEPTIONS", SimpleNamespace(first=lambda rows: np.where(
+        cells[rows, 3] > cells[rows, 0], "A1(forced)", a1.first(rows))))
 
     # each random-instance check's flags read its own rows of an order: three
     # extension samples fail, rows 57 and 140 of the order-5 bases' rows
@@ -585,9 +581,6 @@ def test_failing_details_name_the_instance_to_replay(monkeypatch):
     monkeypatch.setattr(harness, "_RANDOM_CHECKS", tuple(
         (cid, template, injected[cid](flags), *rest)
         for cid, template, flags, *rest in harness._RANDOM_CHECKS))
-    a1 = zfamily.guarantee_a1_stack
-    monkeypatch.setattr(harness, "guarantee_a1_stack", lambda n, xyz: np.where(
-        xyz[:, 2] == 4.0, "A1(forced)", a1(n, xyz)))
     # no certificate dominates
     monkeypatch.setattr(digraph, "pareto_dominates_stack",
                         lambda a, w, w2: np.zeros(len(a), dtype=bool))
@@ -614,12 +607,21 @@ def test_failing_details_name_the_instance_to_replay(monkeypatch):
     # k = 3 is the first instance of order 3 + k % 5 == 6, and its digraph is strong
     assert details["hamiltonian.equivalence"] == (
         "37 of 200 random digraphs disagree; first: random_reciprocal_stack(6, 1, seed=4003)[0]")
+    # each red line names a point that replays it: its cell is one of the
+    # flagged ones, and the unpatched predicates agree there
+    cells = harness._slice_points()
     head, first = details["n4.forms_agree"].split("; first: (x, y, z) = ")
-    assert head.endswith("of 1000 triples disagree") and not head.startswith("0 ")
-    assert ast.literal_eval(first)[0] > 8
-    # every z = 4 slice point is guaranteed for n >= 5
-    assert details["a1.slice_equality"] == (
-        "25 of 125 slice points disagree; first: ZParams(5, 0.25, 0.25, 4.0, 1.0)")
+    xyz = ast.literal_eval(first)
+    assert head == f"{int((cells[:, 0] > 1).sum())} of 75 order cells disagree"
+    assert xyz == (2.0, 1.0, 1.0)
+    assert guarantee_n4(*xyz) == guarantee_n4(*xyz, "region_complement")
+    # the A1 clauses exclude every z > 1 cell that the region keeps
+    head, first = details["a1.slice_equality"].split("; first: ")
+    p = eval(first, {"ZParams": ZParams})
+    forced = (cells[:, 2] > 1) & zfamily.cell_tables(cells)["guaranteed"]
+    assert head == f"{forced.sum()} of 75 order cells disagree" == "30 of 75 order cells disagree"
+    assert p == ZParams(5, 1.0, 1.0, 2.0, 1.0)
+    assert guarantee_a1(p.n, p.x, p.y, p.z) == guarantee_n5plus(p) and p.z > 1
     assert details["certificates.sound"] == (
         "65 of 65 certificates failed; first: the 3x3 counterexample")
 
@@ -632,11 +634,27 @@ def test_failed_certificates_are_counted_not_thrown(monkeypatch, capsys):
                         lambda a, w, w2: np.zeros(len(a), dtype=bool))
     summary = verify_paper_suite()
     assert summary.checks == 29 and summary.failures == (
-        ("example1.bprime_perron_inefficient",
-         "reference verdict inefficient; computed efficient=True"),
+        ("example1.bprime_perron_inefficient", WALKTHROUGH_STEPS[2][2]),
         ("certificates.sound", "65 of 65 certificates failed; first: the 3x3 counterexample"))
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1 and "FAIL certificates.sound: 65 of 65 certificates failed" in out
+
+
+def test_the_reference_verdict_is_the_base_vector_read_unconjugated(
+        base_matrix, conjugate_reference, diag, reference_perron):
+    # B' is D B D^-1 to 1e-3, so its Perron vector is D w_B rescaled to 1e-4,
+    # and both are efficient.  The reference's inefficient verdict is what w_B
+    # itself, or its bundled 4-decimal copy, gives when read against B'
+    # without the conjugation; D^-1 w_B is inefficient too, with another source
+    w_B = perron(base_matrix).w
+    own = analyze(conjugate_reference)
+    assert own.efficient and analyze(conjugate_reference, w=diag * w_B).efficient
+    assert np.max(np.abs(own.w - diag * w_B / (diag[0] * w_B[0]))) < 1e-4
+    for w in (w_B, reference_perron):
+        rep = analyze(conjugate_reference, w=w)
+        assert (rep.efficient, rep.scc_count, rep.sources, rep.sinks) == (False, 5, (4,), (3,))
+    rep = analyze(conjugate_reference, w=w_B / diag)
+    assert (rep.efficient, rep.sources, rep.sinks) == (False, (5,), (3,))
 
 
 def test_an_efficient_counterexample_has_no_certificate_to_fail():
@@ -670,7 +688,7 @@ def test_suite_records_and_instances_are_pinned():
     records = [(r.check_id, r.passed, r.detail) for r in harness._suite_records(1e-9)]
     assert len(records) == 29
     assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == (
-        "10dfe13bfdb92819dd3d65fe5b12a1349653fcab59f865d63231ecc6d3dbf488")
+        "0ea7dc3d76ffea5867bb085645ab0bb504daa74a1a85733c534dd9f2a0af5dc1")
     # one matrix per seed, as the extension bases are drawn: the one-seed stream
     drawn = hashlib.sha256()
     for start, count, orders in ((1000, 1000, 6), (2000, 20, 6), (4000, 200, 5)):

@@ -24,15 +24,12 @@ from recipeff.zfamily import (
     SYMMETRY_IMAGES,
     RegionVerdict,
     ZParams,
-    ZPoint,
     ZStack,
     _claims,
     eigen_identity_residuals,
     forbidden_reverse_edges,
     guarantee_a1,
-    guarantee_a1_stack,
     guarantee_n4,
-    guarantee_n4_stack,
     guarantee_n5plus,
     predicted_edges,
     reduce_to_min_first,
@@ -51,8 +48,8 @@ def small_grid(n):
 
 
 def z_point(p):
-    """The one row of p's `ZStack`."""
-    return ZPoint(ZStack(p.n, [p.xyza]), 0)
+    """p's one-point `ZStack`, read at row 0."""
+    return ZStack(p.n, [p.xyza])
 
 
 def test_zparams_validation():
@@ -73,8 +70,6 @@ def test_an_order_that_is_not_an_integer_is_rejected(n):
         harness.grid_sweep(n)
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         guarantee_a1(n, 1.0, 2.0, 0.5)
-    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-        guarantee_a1_stack(n, [[1.0, 2.0, 0.5]])
     assert zfamily.ZStack(np.int64(6), [(1.0, 1.0, 1.0, 1.0)]).n == 6
     assert guarantee_a1(np.int64(6), 1.0, 2.0, 0.5).guaranteed_efficient
 
@@ -296,11 +291,12 @@ def test_forbidden_reverse_edges_empty_on_grid():
 def test_sink_characterization_agreement_and_vertex():
     # exception clause T5(iii) point: inefficient, middle class is the sink
     sc = z_point(ZParams(5, 0.25, 2.0, 2.0, 0.5))
-    assert not sc.report.efficient and sc.sink_present and sc.agrees
-    assert sc.sink_vertex == 3
+    assert not sc.report(0).efficient and sc.sink_present[0] and sc.agrees[0]
+    assert sc.sink_vertex[0] == 3
     # guaranteed point: efficient, no sink
     sc = z_point(ZParams(5, 1.0, 1.0, 1.0, 1.0))
-    assert sc.report.efficient and not sc.sink_present and sc.agrees and sc.sink_vertex is None
+    assert sc.report(0).efficient and not sc.sink_present[0] and sc.agrees[0]
+    assert sc.sink_vertex[0] is None
 
 
 def test_quotient_sink_differs_from_literal_sinks_for_n6():
@@ -313,7 +309,7 @@ def test_quotient_sink_differs_from_literal_sinks_for_n6():
     assert sinks(G) == ()
     assert quotient_sinks_reference(G, 6) == (3,)
     sc = z_point(p)
-    assert sc.sink_present and sc.agrees and sc.sink_vertex == 3
+    assert sc.sink_present[0] and sc.agrees[0] and sc.sink_vertex[0] == 3
 
 
 def quotient_sink_vertices(row, n):
@@ -334,16 +330,17 @@ def quotient_sinks_reference(G, n):
 
 def test_middle_quotient_sinks_reference_on_grid():
     for n in (5, 6, 7):
-        s = ZStack(n, [p.xyza for p in small_grid(n)])
-        for pt in s:
-            got = quotient_sink_vertices(s.sinks[pt.i], n)
-            assert got == quotient_sinks_reference(pt.report.digraph, n), pt.p
+        ps = list(small_grid(n))
+        s = ZStack(n, [p.xyza for p in ps])
+        for i, p in enumerate(ps):
+            got = quotient_sink_vertices(s.sinks[i], n)
+            assert got == quotient_sinks_reference(s.report(i).digraph, n), p
 
 
 def test_sink_characterization_grid_agreement():
     for n in (5, 6):
         for p in small_grid(n):
-            assert z_point(p).agrees, p
+            assert z_point(p).agrees[0], p
 
 
 def test_catalog_covers_41_structures():
@@ -369,10 +366,11 @@ def test_table_oracle_realizes_vertices_for_larger_n():
 
 def test_table_claims_hold_on_grid():
     for n in (5, 6):
-        s = ZStack(n, [p.xyza for p in small_grid(n)])
-        for pt in s:
-            sinks = quotient_sink_vertices(s.sinks[pt.i], n)
-            assert table_violations(pt.p, pt.report.digraph, pt.efficient, sinks) == [], pt.p
+        ps = list(small_grid(n))
+        s = ZStack(n, [p.xyza for p in ps])
+        for i, p in enumerate(ps):
+            sinks = quotient_sink_vertices(s.sinks[i], n)
+            assert table_violations(p, s.report(i).digraph, s.efficient[i], sinks) == [], p
 
 
 def test_table_oracle_gaps_and_overlaps():
@@ -428,30 +426,29 @@ def test_zstack_columns_equal_the_point_functions(ps):
     # solve's (bit for bit at n = 5, where the quotient is Z_5), and its
     # 5-vertex digraph, lifted, is Z_n's
     s, n = ZStack(ps[0].n, [p.xyza for p in ps]), ps[0].n
-    assert [pt.p for pt in s] == ps
-    for i, (p, pt) in enumerate(zip(ps, s)):
+    assert s.xyza.tolist() == [list(p.xyza) for p in ps]
+    for i, p in enumerate(ps):
         one, rep = analyze(z_matrix(p)), s.report(i)
         if n == 5:
-            assert same_report(rep, one) and same_report(pt.report, one), p
+            assert same_report(rep, one), p
             assert s.w[i].tobytes() == one.w.tobytes() and s.r[i] == one.perron.r
         assert rep.A.a.tobytes() == one.A.a.tobytes()
-        assert rep.w.tobytes() == s.w[i, members(n)].tobytes() == pt.report.w.tobytes()
+        assert rep.w.tobytes() == s.w[i, members(n)].tobytes() == s.w[i, s.members].tobytes()
         assert np.max(np.abs(rep.w - one.w) / one.w) <= 1e-14, p
         assert abs(s.r[i] - one.perron.r) <= 1e-14 * one.perron.r, p
-        assert s.r[i] == pt.r == rep.perron.r
+        assert s.r[i] == rep.perron.r
         assert np.array_equal(lifted_adj(s.adj[i], n), one.digraph.adj), p
         assert np.array_equal(rep.digraph.adj, one.digraph.adj), p
         assert s.labels[i][members(n)].tolist() == strongly_connected(one.digraph)[2]
         assert s.counts[i] == rep.scc_count == one.scc_count
-        assert s.efficient[i] == pt.efficient == rep.efficient == one.efficient
+        assert s.efficient[i] == rep.efficient == one.efficient
         assert (rep.certificate is None) == (one.certificate is None)
         verdict = guarantee_n5plus(p)
-        assert s.guaranteed[i] == pt.guaranteed == verdict.guaranteed_efficient
-        assert s.exception[i] == pt.exception == verdict.matched_exception
+        assert s.guaranteed[i] == verdict.guaranteed_efficient
+        assert s.exception[i] == verdict.matched_exception
         sinks = quotient_sinks_reference(one.digraph, n)
         assert quotient_sink_vertices(s.sinks[i], n) == sinks
         assert (s.sink_present[i], s.sink_vertex[i], s.agrees[i]) == (
-            pt.sink_present, pt.sink_vertex, pt.agrees) == (
             bool(sinks), sinks[0] if sinks else None, one.efficient != bool(sinks))
         assert s.identities[i].tolist() == identities_reference(p, s.r[i], rep.w)
         assert np.abs(s.identities[i]).max() <= 1e-9 * one.perron.r, p
@@ -672,7 +669,7 @@ def test_forbidden_reverse_edges_requires_the_points_order():
 def test_relation_oracles_are_not_vacuous():
     p = ZParams(5, 0.5, 0.8, 0.25, 0.8)  # max(a, z) <= 1, a != z, x != y
     assert len(forbidden_reverse_edges(p, complete_digraph(5))) == 2
-    assert forbidden_reverse_edges(p, z_point(p).report.digraph) == []
+    assert forbidden_reverse_edges(p, z_point(p).report(0).digraph) == []
     # every rule holds: 12 edges among 1, 2, 7, 8 and 8 rules to or from 4 middle vertices
     assert len(predicted_edges(ZParams(8, 1.0, 1.0, 1.0, 1.0))) == 12 + 8 * 4
 
@@ -821,29 +818,31 @@ def test_guarantee_n4_forms_agree_on_every_order_cell():
 
 
 def test_stack_forms_are_the_one_point_verdicts_on_every_order_cell():
-    # the 75 weak orders of (1, x, y, z) as one stack: each row is the scalar
-    # verdict, which is the written-out predicate's
+    # the 75 weak orders of (1, x, y, z) are the verify suite's a = 1 slice
+    # points, in its order: each row of the n = 4 forms and of the A1 clauses,
+    # read on the cell rows as the suite reads them, is the scalar verdict,
+    # which is the written-out predicate's; 4 of the cells are A1 exceptions
     xyz = [[2.0 ** (r - one) for r in ranks] for one, *ranks in weak_orders(4)]
+    cells = harness._slice_points()
+    assert cells.tolist() == [[*v, 1.0] for v in xyz]
     for form in ("six_cases", "region_complement"):
-        assert guarantee_n4_stack(xyz, form).tolist() == [guarantee_n4(*v, form) for v in xyz] == [
-            n4_six_cases_reference(*v) for v in xyz], form
+        assert zfamily._n4_holds(np.array(xyz), form).tolist() == [
+            guarantee_n4(*v, form) for v in xyz] == [n4_six_cases_reference(*v) for v in xyz]
+    labels = zfamily._A1_EXCEPTIONS.first(zfamily._cell_rows(cells)).tolist()
     for n in (5, 8):
-        assert guarantee_a1_stack(n, xyz).tolist() == [
-            guarantee_a1(n, *v).matched_exception for v in xyz] == [
+        assert labels == [guarantee_a1(n, *v).matched_exception for v in xyz] == [
             guarantee_a1_reference(*v).matched_exception for v in xyz]
+    assert sum(label is not None for label in labels) == 4
 
 
 @pytest.mark.parametrize("bad", (-1.0, 0.0, math.inf, math.nan, 1e-320))
 def test_stack_forms_reject_the_first_bad_row(bad):
-    rows = [[0.5, 2.0, 1.5], [1.0, bad, 1.0], [bad, 1.0, 1.0]]
-    for call in (lambda: guarantee_n4_stack(rows), lambda: guarantee_a1_stack(5, rows),
-                 lambda: guarantee_n4_stack(rows, "region_complement")):
-        with pytest.raises(ValueError) as err:
-            call()
-        assert str(err.value) == ("x, y and z must be positive and finite, and so must their "
-                                  f"reciprocals; got {rows[1]}")
-    with pytest.raises(ValueError, match=r"xyz must be a non-empty \(B, 3\) stack"):
-        guarantee_n4_stack([0.5, 2.0, 1.5])
+    # of two bad rows, the error names the first, as it reads in the input
+    rows = [[0.5, 2.0, 1.5, 1.0], [1.0, bad, 1.0, 1.0], [bad, 1.0, 1.0, 1.0]]
+    with pytest.raises(ValueError) as err:
+        ZStack(5, rows)
+    assert str(err.value) == ("x, y, z and a must be positive and finite, and so must their "
+                              f"reciprocals; got {rows[1]}")
 
 
 @pytest.mark.parametrize("n", (5, 7))
@@ -982,6 +981,19 @@ def test_zstack_at_order_a_million_solves_the_quotient_alone():
     assert 0 < s.efficient.sum() < 625
     assert (np.abs(s.identities).max(axis=1) <= 1e-9 * s.r).all()
     assert (s.perron.residual <= 1e-9 * s.r).all()
+
+
+def test_middle_residual_needs_no_order_n_matrix(monkeypatch):
+    # the middle rows of Z_n are all ones, so their residual reads the lifted
+    # w alone: at n = 10**6 an order-n Z_n would take 7.28 TiB
+    def quotient_only(n, xyza):
+        assert n == 5, f"an order-{n} Z_n was built"
+        return z_stack(n, xyza)
+
+    monkeypatch.setattr(zfamily, "z_stack", quotient_only)
+    res = eigen_identity_residuals(ZParams(10**6, 0.5, 2.0, 1.5, 0.25))
+    w3 = ZStack(10**6, [(0.5, 2.0, 1.5, 0.25)]).w[0, 2]
+    assert res.middle_deviation_max <= 1e-12 * res.r * w3
 
 
 @settings(max_examples=300, deadline=None)
