@@ -8,9 +8,11 @@ identities and guaranteed-edge conditions that drive those predicates, and
 checks the sink characterization of inefficiency.
 
 Region verdict labels: for n >= 5 the efficiency region is the complement
-of twelve exception clauses T5(i)..T8(iii), three clauses and their images
-under the family's four symmetries, plus A1(i)..A1(iv) on the a=1 slice.
-The labels are opaque region codes.
+of twelve exception clauses T5(i)..T8(iii), T5's three and their images
+under the family's symmetries, plus A1(i)..A1(iv) on the a=1 slice.  The
+labels are opaque region codes.  The exception clauses, the forbidden-
+reverse clauses and the edge rules are each generated from their
+representatives by `_images`, which states the symmetries once.
 
 Middle indices 3..n-2 carry identical all-ones rows, an equitable partition
 (Godsil & Royle, Algebraic Graph Theory, 9.3): Z_n's Perron pair is that
@@ -120,30 +122,39 @@ def z_matrix(p: ZParams) -> ReciprocalMatrix:
 
 # The three nontrivial monomial symmetries of the family, as parameter maps:
 # swapping rows/cols (n-1) and n maps (x,y,z,a) -> (y,x,a,z); swapping 1 and
-# 2 maps to (z,a,x,y); doing both maps to (a,z,y,x).  Each is an involution.
-# The order is the tie order of `reduce_to_min_first`.
+# 2 maps to (z,a,x,y); doing both maps to (a,z,y,x).  Each is an involution,
+# and image k puts coordinate k first.
 SYMMETRY_IMAGES: dict[str, Callable[[float, float, float, float], tuple]] = {
     "identity": lambda x, y, z, a: (x, y, z, a),
     "(y,x,a,z)": lambda x, y, z, a: (y, x, a, z),
     "(z,a,x,y)": lambda x, y, z, a: (z, a, x, y),
     "(a,z,y,x)": lambda x, y, z, a: (a, z, y, x),
 }
+# the entry of Z_n that holds each parameter, as vertex codes
+_ENTRY = {"x": (1, -1), "y": (1, -2), "z": (2, -1), "a": (2, -2)}
+
+
+def _images():
+    """For each of `SYMMETRY_IMAGES` in order, the `str.translate` table taking
+    a relation's text to its image's, and the map of vertex codes."""
+    for image in SYMMETRY_IMAGES.values():
+        moved = image(*"xyza")  # moved[k]: the parameter that lands in place k
+        vertex = {3: 3}
+        for old, new in zip(moved, "xyza"):
+            vertex.update(zip(_ENTRY[old], _ENTRY[new]))
+        yield str.maketrans("".join(moved), "xyza"), vertex
 
 
 def reduce_to_min_first(
     x: float, y: float, z: float, a: float
 ) -> tuple[tuple[float, float, float, float], str]:
-    """Representative with minimal first coordinate, plus the symmetry used.
-
-    Ties take the first matching symmetry in the fixed order identity,
-    (y,x,a,z), (z,a,x,y), (a,z,y,x), so the result is deterministic.
+    """Representative with minimal first coordinate, plus the symmetry used:
+    the image of the first minimal coordinate, so ties take the first
+    symmetry in the fixed order identity, (y,x,a,z), (z,a,x,y), (a,z,y,x).
     """
-    m = min(x, y, z, a)
-    for name, image in SYMMETRY_IMAGES.items():
-        img = image(x, y, z, a)
-        if img[0] == m:
-            return img, name
-    raise AssertionError("unreachable: some coordinate attains the minimum")
+    xyza = (x, y, z, a)
+    name, image = list(SYMMETRY_IMAGES.items())[xyza.index(min(xyza))]
+    return image(*xyza), name
 
 
 # --- parameter relations ---------------------------------------------------
@@ -229,23 +240,12 @@ def _compile(*rows: tuple[object, str]) -> _Relations:
 
 
 # The region's exception clauses for n >= 5: T5's hold where x is minimal;
-# T6, T7 and T8 are their images under (y,x,a,z), (z,a,x,y) and (a,z,y,x),
-# each only where `reduce_to_min_first` picks it, so T7(iii) needs z < y
-# (T6 takes y = z) and T8(iii) needs a < x (T5 takes x = a).
-_REGION_EXCEPTIONS = _compile(
-    ("T5(i)", "x < z < a < y; z < 1"),
-    ("T5(ii)", "x < y < a < z; 1 < a"),
-    ("T5(iii)", "x <= a < 1 < y,z"),
-    ("T6(i)", "y < a < z < x; a < 1"),
-    ("T6(ii)", "y < x < z < a; 1 < z"),
-    ("T6(iii)", "y <= z < 1 < x,a"),
-    ("T7(i)", "z < x < y < a; x < 1"),
-    ("T7(ii)", "z < a < y < x; 1 < y"),
-    ("T7(iii)", "z < y < 1 < a,x"),
-    ("T8(i)", "a < y < x < z; y < 1"),
-    ("T8(ii)", "a < z < x < y; 1 < x"),
-    ("T8(iii)", "a < x < 1 < z,y"),
-)
+# T6, T7 and T8 are their images under (y,x,a,z), (z,a,x,y) and (a,z,y,x).
+_REGION_EXCEPTIONS = _compile(*(
+    (f"T{5 + k}{clause}", text.translate(table))
+    for k, (table, _) in enumerate(_images())
+    for clause, text in (("(i)", "x < z < a < y; z < 1"), ("(ii)", "x < y < a < z; 1 < a"),
+                         ("(iii)", "x <= a < 1 < y,z"))))
 # exception clauses on the a = 1 slice
 _A1_EXCEPTIONS = _compile(
     ("A1(i)", "1 < z < x < y"),
@@ -420,20 +420,13 @@ _EDGE_RULES = (
     ((1, 3), "1 <= x,y"),
     ((-2, 3), "y,a <= 1"),
 )
-# the entry of Z_n that holds each parameter, as vertex codes
-_ENTRY = {"x": (1, -1), "y": (1, -2), "z": (2, -1), "a": (2, -2)}
 
 
 def _edge_relations() -> _Relations:
     rules = {}
-    for image in SYMMETRY_IMAGES.values():
-        moved = image(*"xyza")  # moved[k]: the parameter that lands in place k
-        terms = [0] + [_TERMS.index(t) for t in moved]
-        vertex = {3: 3}
-        for old, new in zip(moved, "xyza"):
-            vertex.update(zip(_ENTRY[old], _ENTRY[new]))
+    for table, vertex in _images():
         for (u, v), text in _EDGE_RULES:
-            req = _relation(text)[np.ix_(terms, terms)]
+            req = _relation(text.translate(table))
             for edge, r in (((vertex[u], vertex[v]), req), ((vertex[v], vertex[u]), req.T)):
                 rules[edge, r.tobytes()] = edge, r
     return _Relations(*zip(*rules.values()))
@@ -456,14 +449,11 @@ def predicted_edges(p: ZParams) -> set[tuple[int, int]]:
             for u in members[i] for v in members[j]}
 
 
-# (v, relation): with the relation, edge (3, v) forbids edge (v, 3).  A
-# condition "u, w <= 1 and u != w" is written as its two strict orders.
-_FORBIDDEN_REVERSE = _compile(
-    (2, "a < z <= 1"), (2, "z < a <= 1"),
-    (1, "x < y <= 1"), (1, "y < x <= 1"),
-    (-1, "1 <= x < z"), (-1, "1 <= z < x"),
-    (-2, "1 <= a < y"), (-2, "1 <= y < a"),
-)
+# (v, relation): with the relation, edge (3, v) forbids edge (v, 3); two
+# clauses and their images.
+_FORBIDDEN_REVERSE = _compile(*(
+    (vertex[v], text.translate(table)) for table, vertex in _images()
+    for v, text in ((2, "a < z <= 1"), (-1, "1 <= x < z"))))
 
 
 def forbidden_reverse_edges(p: ZParams, G: EfficiencyDigraph) -> list[str]:

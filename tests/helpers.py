@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from recipeff.core import PARETO_MARGIN, ReciprocalMatrix, _rng, make_reciprocal
-from recipeff.zfamily import _CATALOG_RELATIONS, CYCLE_CATALOG, _cell_rows, _claims, order_cells
+from recipeff.zfamily import (
+    _CATALOG_RELATIONS,
+    CYCLE_CATALOG,
+    SYMMETRY_IMAGES,
+    _cell_rows,
+    _claims,
+    order_cells,
+)
 
 FLOAT_FMT = "%.17g"  # 17 significant digits: a write/read round trip is bit-exact
 
@@ -33,6 +40,18 @@ def cell_row_reference(xyza) -> int:
     dense ranks of (1, x, y, z, a): the loop reference of `zfamily._cell_rows`."""
     v = (1.0, *xyza)
     return order_cells()[tuple(map(sorted(set(v)).index, v))]
+
+
+def reduce_to_min_first_reference(x, y, z, a):
+    """The first of `SYMMETRY_IMAGES`, in their fixed order, whose image puts
+    a minimal coordinate first, with that image: the loop reference of
+    `zfamily.reduce_to_min_first`."""
+    m = min(x, y, z, a)
+    for name, image in SYMMETRY_IMAGES.items():
+        img = image(x, y, z, a)
+        if img[0] == m:
+            return img, name
+    raise AssertionError("unreachable: some coordinate attains the minimum")
 
 
 def realize(n: int, codes: tuple[int, ...]) -> tuple[int, ...]:

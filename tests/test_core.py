@@ -460,6 +460,18 @@ def test_the_hilbert_fallback_stops_wide_z5_points():
     assert (stack.residual <= 1e-9 * stack.r).all()
 
 
+@pytest.mark.xfail(strict=True, raises=PerronConvergenceError,
+                   reason="ROADMAP item 1: the loop cycles at a fixed Hilbert gap of 1.45e-12, "
+                          "above PERRON_HILBERT_TOL, so no stop rule fires")
+@pytest.mark.parametrize("row", (96, 112))
+def test_rows_cycling_above_the_hilbert_tolerance_stop(row):
+    # spread 1e6: the squared start reaches the Perron vector, then each step
+    # moves it by a fixed 1.39e-12; 34 of 70 such stacks (orders 6 to 12,
+    # seeds 0 to 9) hold a row that reaches the 100,000 cap
+    a = random_reciprocal_stack(6, 200, 0, log_scale=np.log(1e6))[row]
+    perron(ReciprocalMatrix(a), max_iter=5000)
+
+
 def test_perron_cap_is_exact_at_every_step_count():
     rows = mixed_rows(5, 20, seed=3) + mixed_rows(20, 40, seed=3)
     for A, ref in rows:

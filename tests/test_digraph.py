@@ -21,6 +21,7 @@ from recipeff.core import (
     make_reciprocal,
     pareto_dominates,
     perron,
+    perron_stack,
     random_reciprocal,
     random_reciprocal_stack,
 )
@@ -645,3 +646,45 @@ def test_a_kept_report_shares_no_memory_with_its_stack():
     assert not any(np.shares_memory(x, y) for x in (rep.A.a, rep.w, rep.perron.w, rep.digraph.adj)
                    for y in (s.a, s.w, s.perron.w, s.adj))
     assert rep.perron.w is rep.w and rep.A.a.tobytes() == As[7].tobytes()
+
+
+def test_digraph_stack_has_no_attribute_it_does_not_compute():
+    s = dg.DigraphStack(random_reciprocal(4, seed=1).a[None])
+    with pytest.raises(AttributeError, match="^certificate$"):
+        s.certificate
+    assert not hasattr(s, "sinks")
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+@pytest.mark.parametrize("L", (2.0, 4.0))
+def test_perturbed_consistent_perron_vectors_are_efficient(L, seed):
+    # a consistent matrix with one upper entry scaled has an efficient
+    # Perron vector (Abele-Nagy & Bozoki 2016).  100 draws at each n = 3..12:
+    # v = exp(U(-2, 2)), the entry (i, j) from rng.choice(n, 2) without
+    # replacement, sorted, scaled by exp(U(-L, L)); a stall raises at 5000 steps
+    rng = np.random.default_rng(seed)
+    for n in range(3, 13):
+        a = np.empty((100, n, n))
+        for k in range(100):
+            v = np.exp(rng.uniform(-2.0, 2.0, n))
+            m = np.outer(v, 1.0 / v)
+            i, j = sorted(rng.choice(n, 2, replace=False))
+            m[i, j] *= np.exp(rng.uniform(-L, L))
+            a[k] = make_reciprocal(m, mode="symmetrize").a
+        counts = dg.DigraphStack(a, perron_stack(a, max_iter=5000).w).counts
+        assert (counts == 1).all(), (n, np.flatnonzero(counts > 1))
+
+
+@pytest.mark.xfail(strict=True, raises=dg.CertificateError,
+                   reason="ROADMAP item 12: scaling the source block moves a within-block ratio "
+                          "near 1e5 by an ulp, more than PARETO_MARGIN")
+@pytest.mark.parametrize("n, seed, row, beta", ((7, 5, 132, 0.892), (8, 1, 181, 0.179),
+                                                (9, 4, 11, 0.588), (9, 8, 119, 0.069)))
+def test_wide_inefficient_perron_vectors_are_certified(n, seed, row, beta):
+    # valid input: two SCCs and a source scaling below 1, yet the dominance
+    # re-check fails, and `recipeff analyze` exits 2.  These are all such rows
+    # among the 981 inefficient Perron rows of orders 6 to 12, seeds 0 to 9
+    a = random_reciprocal_stack(n, 200, seed, log_scale=np.log(1e4))[row]
+    s = dg.DigraphStack(a[None])
+    assert s.counts[0] == 2 and round(float(s.beta[0]), 3) == beta
+    assert analyze(ReciprocalMatrix(a)).certificate is not None

@@ -865,6 +865,14 @@ def test_cli_analyze_input_error(tmp_path, capsys):
     assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
 
 
+@pytest.mark.parametrize("flags", ([], ["--symmetrize"]))
+def test_cli_analyze_rejects_an_infinite_entry(tmp_path, capsys, flags):
+    path = tmp_path / "inf.csv"
+    path.write_text("1,inf\n0,1\n")
+    assert run_cli(capsys, "analyze", str(path), *flags) == (
+        2, "", "error: matrix entries must be finite\n")
+
+
 @pytest.mark.parametrize("entry", ["inf", "nan", "0", "-1"])
 def test_cli_analyze_rejects_bad_vector(tmp_path, capsys, entry):
     mat = tmp_path / "M.csv"

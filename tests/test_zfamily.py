@@ -8,7 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import cell_row_reference, lp_gain, same_report, table_oracle, table_violations
+from helpers import (
+    cell_row_reference,
+    lp_gain,
+    reduce_to_min_first_reference,
+    same_report,
+    table_oracle,
+    table_violations,
+)
 from recipeff import harness, zfamily
 from recipeff.core import make_reciprocal, perron, perron_stack
 from recipeff.digraph import (
@@ -133,6 +140,112 @@ def test_reduce_to_min_first():
     # ties resolve to the first symmetry in the fixed order
     assert reduce_to_min_first(1.0, 1.0, 1.0, 1.0)[1] == "identity"
     assert reduce_to_min_first(2.0, 0.5, 3.0, 0.5)[1] == "(y,x,a,z)"
+    # the loop reference, on axes that repeat values, so every tie of the minimum occurs
+    for xyza in itertools.product((0.25, 0.5, 1.0, 4.0), repeat=4):
+        assert reduce_to_min_first(*xyza) == reduce_to_min_first_reference(*xyza), xyza
+
+
+# the permutation of the quotient vertices (1, 2, middle, n-1, n) that
+# realizes each image, as `test_symmetry_images_are_similarities` pins it
+QUOTIENT_PERMUTATIONS = {"identity": [0, 1, 2, 3, 4], "(y,x,a,z)": [0, 1, 2, 4, 3],
+                         "(z,a,x,y)": [1, 0, 2, 3, 4], "(a,z,y,x)": [1, 0, 2, 4, 3]}
+QUOTIENT_CODES = (1, 2, 3, -2, -1)  # the vertex codes of the quotient vertices
+
+
+def cell_point(cell):
+    """The point (x, y, z, a) at levels 2**(rank - rank of 1) of a dense-rank cell of (1, x, y, z, a)."""
+    return [2.0 ** (r - cell[0]) for r in cell[1:]]
+
+
+def image_cell(name, cell):
+    """The dense-rank cell of the image `name` of the points of `cell`."""
+    return (cell[0], *SYMMETRY_IMAGES[name](*cell[1:]))
+
+
+def test_images_translate_relations_and_vertices_as_the_similarities_do():
+    # each image's text table maps a relation to one that holds in a cell's
+    # image exactly where the relation holds in the cell, on every cell and
+    # every catalog relation; its vertex map is the similarity's permutation
+    cells = list(zfamily.order_cells())
+    texts = [row.relation for row in CYCLE_CATALOG]
+    hits = zfamily._compile(*enumerate(texts)).hits
+    for name, (table, vertex) in zip(SYMMETRY_IMAGES, zfamily._images()):
+        assert [QUOTIENT_CODES.index(vertex[c]) for c in QUOTIENT_CODES] == (
+            QUOTIENT_PERMUTATIONS[name])
+        rows = zfamily._cell_rows([cell_point(image_cell(name, c)) for c in cells])
+        moved = zfamily._compile(*enumerate(t.translate(table) for t in texts)).hits
+        assert np.array_equal(moved[rows], hits), name
+
+
+def cell_text(cell):
+    """A dense-rank cell of (1, x, y, z, a) as its chain, such as "z < x < 1 = y < a"."""
+    order = sorted(range(5), key=lambda i: (cell[i], i))
+    return "1xyza"[order[0]] + "".join(f" {'=' if cell[i] == cell[j] else '<'} {'1xyza'[j]}"
+                                       for i, j in zip(order, order[1:]))
+
+
+# catalog row 25, "z < x < y <= 1 < a", puts its boundary at y = 1, where the
+# images of its orbit mates (rows 23, 27 and 29) read "z < x < y < 1 <= a"; so
+# on these two tie cells and their images, sink_rows does not follow the images
+ROW_25_TIES = ("z < x < 1 = y < a", "z < x < y < 1 = a")
+
+
+def test_cell_tables_follow_the_symmetry_images():
+    # each cell's image cell has the cell's predicted, forbidden and guaranteed
+    # rows with the quotient vertices permuted, on all 541 cells; sink_rows
+    # too except on row 25's ties; claimed does not, since catalog groups 1-4
+    # are stated only where x is minimal
+    cells = list(zfamily.order_cells())
+    t = zfamily.cell_tables(np.array([cell_point(c) for c in cells]))
+    for name, perm in QUOTIENT_PERMUTATIONS.items():
+        image = zfamily.cell_tables(np.array([cell_point(image_cell(name, c)) for c in cells]))
+        for key in ("predicted", "forbidden"):
+            assert np.array_equal(image[key], t[key][:, perm][:, :, perm]), (name, key)
+        assert np.array_equal(image["guaranteed"], t["guaranteed"]), name
+        ties = {*ROW_25_TIES, *(cell_text(image_cell(name, c)) for c in cells
+                                if cell_text(c) in ROW_25_TIES)}
+        asymmetric = ~(image["sink_rows"] == t["sink_rows"][:, perm]).all(axis=1)
+        assert {cell_text(cells[i]) for i in np.flatnonzero(asymmetric)} == (
+            set() if name == "identity" else ties), name
+        claimed = ~(image["claimed"] == t["claimed"][:, perm][:, :, perm]).all(axis=(1, 2))
+        assert claimed.sum() == {"identity": 0, "(y,x,a,z)": 282, "(z,a,x,y)": 286,
+                                 "(a,z,y,x)": 266}[name]
+
+
+@pytest.mark.parametrize("n", (5, 6, 7, 50))
+def test_row_25_claims_hold_on_both_tie_boundaries(n):
+    # row 25's cycle and extra edges hold at y = 1, where it puts its
+    # boundary, and at a = 1, where its orbit mates' images put theirs
+    rng = np.random.default_rng(25 + n)
+    low = np.sort(np.exp(rng.uniform(-2.0, 0.0, (2000, 3))), axis=1)  # z < x < y < 1
+    high = np.exp(rng.uniform(0.0, 2.0, 2000))
+    on_y = np.column_stack([low[:, 1], np.ones(2000), low[:, 0], high])  # z < x < 1 = y < a
+    on_a = np.column_stack([low[:, 1], low[:, 2], low[:, 0], np.ones(2000)])  # z < x < y < 1 = a
+    row = CYCLE_CATALOG[25]
+    assert row.relation == "z < x < y <= 1 < a"
+    edges = [(QUOTIENT_CODES.index(u), QUOTIENT_CODES.index(v)) for _, (u, v) in _claims(row)]
+    for xyza in (on_y, on_a):
+        s = ZStack(n, xyza)
+        assert all(s.adj[:, u, v].all() for u, v in edges)
+
+
+@pytest.mark.parametrize("n", (5, 8))
+def test_zstack_verdicts_follow_the_symmetry_images(n):
+    # each image of a point has its verdict, and its sink is the point's
+    # sink moved by the image's vertex permutation; points within 1e-9 of a
+    # tie in log space are skipped
+    xyza = np.exp(np.random.default_rng(800 + n).uniform(-2.0, 2.0, (1000, 4)))
+    s = ZStack(n, xyza)
+    margin = np.abs(np.log(s.w[:, :, None] / s.w[:, None, :]) - np.log(s.a))
+    margin[:, range(5), range(5)] = np.inf
+    clear = margin.min(axis=(1, 2)) >= 1e-9
+    assert clear.sum() >= 990 and (~s.efficient[clear]).sum() >= 20
+    vertices = (1, 2, 3, n - 1, n)
+    for name, perm in QUOTIENT_PERMUTATIONS.items():
+        image = ZStack(n, [SYMMETRY_IMAGES[name](*p) for p in xyza.tolist()])
+        assert np.array_equal(image.efficient[clear], s.efficient[clear]), name
+        moved = [None if v is None else vertices[perm[vertices.index(v)]] for v in s.sink_vertex]
+        assert image.sink_vertex[clear].tolist() == np.array(moved, dtype=object)[clear].tolist()
 
 
 def test_guarantee_labels_track_the_reduction():
@@ -162,6 +275,8 @@ def test_guarantee_clause_labels():
 def test_guarantee_requires_n5():
     with pytest.raises(ValueError, match="n >= 5"):
         guarantee_n5plus(ZParams(4, 1.0, 1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match=r"^requires n >= 5$"):
+        predicted_edges(ZParams(4, 1.0, 1.0, 1.0, 1.0))
 
 
 def test_guarantee_invariant_under_symmetries():
@@ -544,7 +659,7 @@ def min_first_exception_reference(x, y, z, a):
 
 
 def guarantee_n5plus_reference(p):
-    rep, reduction = reduce_to_min_first(*p.xyza)
+    rep, reduction = reduce_to_min_first_reference(*p.xyza)
     clause = min_first_exception_reference(*rep)
     variant = dict(zip(SYMMETRY_IMAGES, ("T5", "T6", "T7", "T8")))[reduction]
     return RegionVerdict(clause is None, clause and variant + clause, reduction)
