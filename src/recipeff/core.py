@@ -136,7 +136,8 @@ def make_reciprocal(raw, mode: str = "validate") -> ReciprocalMatrix:
 
 @dataclass(frozen=True, eq=False)
 class PerronStack:
-    """Perron pairs of a (B, n, n) stack: row i of each array is matrix i's."""
+    """Perron pairs of a (B, n, n) stack: row i of each array is matrix i's.
+    `[i]` is row i's pair, on a copy of its w (a kept pair keeps no stack alive)."""
 
     w: np.ndarray
     r: np.ndarray
@@ -144,7 +145,7 @@ class PerronStack:
     iterations: np.ndarray
 
     def __getitem__(self, i: int) -> PerronPair:
-        return PerronPair(float(self.r[i]), self.w[i], float(self.residual[i]),
+        return PerronPair(float(self.r[i]), self.w[i].copy(), float(self.residual[i]),
                           int(self.iterations[i]))
 
 
@@ -154,9 +155,8 @@ class PerronConvergenceError(RuntimeError):
 
 
 def _not_converged(a: np.ndarray, v: np.ndarray, i: int, max_iter: int):
-    with np.errstate(over="ignore", invalid="ignore"):
-        av = a @ v
-        residual = np.max(np.abs(av - av[0] * v))
+    av = a @ v  # both callers run under perron_stack's errstate
+    residual = np.max(np.abs(av - av[0] * v))
     return PerronConvergenceError(
         f"power iteration did not converge in {max_iter} iterations "
         f"at row {i} (residual {residual:.3e})"
@@ -170,10 +170,11 @@ def _squared_start(a: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray
     Each row squares M <- M @ M from M = A and divides M by its largest row
     sum, so no entry exceeds 1, until the row sums of M, scaled to first
     component 1, move by at most PERRON_SQUARE_TOL times their largest
-    entry.  The row sums are `add.reduce`'s, in an (n, B) buffer, so their
-    maxima and the settle test run along the batch axis.  Settled rows are dropped
-    from the stack, so a row's start never depends on the other rows.  A row
-    whose row sums stop being finite and positive starts from all-ones;
+    entry.  The row sums are `add.reduce`'s (a chain of column sums matches
+    them bit for bit only up to n = 7), in an (n, B) buffer, so their maxima
+    and the settle test run along the batch axis.  Settled rows are dropped
+    from the stack, so a row's start never depends on the other rows.  A
+    row whose row sums stop being finite and positive starts from all-ones;
     `perron_stack` runs this under the errstate that silences their overflow.
     """
     B, n = a.shape[0], a.shape[-1]

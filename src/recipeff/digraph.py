@@ -9,7 +9,7 @@ G is semicomplete: every pair of vertices has at least one edge.  For i < j
 canonical storage gives a_ji = fl(1/a_ij); with 0 <= eps_rel < 1 and
 monotone rounding, a missing (i, j) means w_i/w_j < a_ij exactly and forces
 fl(w_j/w_i) >= a_ji, so (j, i) is present.  Hence the condensation is a
-total order, sorting the vertices by out-degree lists its blocks in that
+total order, sorting the vertices by net degree lists its blocks in that
 order, the block ends follow from the degrees alone, and a strong G has a
 Hamiltonian cycle (Camion 1959), which `hamiltonian_cycles` builds for a stack.
 
@@ -23,7 +23,8 @@ case, and whole-stack audits, the certificate check among them, read arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -119,39 +120,34 @@ def build_digraph(
     return EfficiencyDigraph(_adjacency(A.a[None], w[None], eps_rel)[0], float(eps_rel))
 
 
-def _scc_labels(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """SCC labels (B, n) and counts (B,) of a (B, n, n) semicomplete stack.
+def _scc_counts(adj: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """SCC counts (B,) of a (B, n, n) semicomplete stack, and a function that
+    reads their labels (B, n) off the same pass.
 
-    Labels follow the condensation order: every edge goes from a component
-    with a smaller-or-equal label to one with a larger-or-equal label.  A
-    vertex of an earlier component beats every vertex of a later one, so
-    it has the larger out-degree, and sorted by descending out-degree the
-    components are contiguous.  The first r sorted vertices end a block
-    iff no edge leads back into them, that is iff all r(n - r) crossing
-    pairs are edges out only: iff their out- minus in-degrees sum to
-    r(n - r).
+    A vertex of an earlier component of the condensation beats every vertex
+    of a later one and is beaten by fewer, so it has the larger net degree
+    (out- minus in-degree): sorted by it, the components are contiguous.
+    The r lowest vertices end a block iff all r(n - r) crossing pairs are
+    edges into them only: iff their net degrees sum to -r(n - r), as a
+    transitive tournament's 1 - n, 3 - n, ..., 2r - 1 - n do (r = n always
+    does).  A label counts the ends r < n with the vertex among the r
+    lowest, so no edge goes to a smaller label.
     """
-    B, n = adj.shape[:2]
-    out = adj.sum(axis=2)
-    order = np.argsort(-out, axis=1, kind="stable")
-    flat = (order + n * np.arange(B)[:, None]).ravel()  # into the (B*n,) ravel
-    net = (out - adj.sum(axis=1)).ravel()[flat].reshape(B, n)
-    r = np.arange(1, n)
-    block = np.zeros((B, n), dtype=int)
-    np.cumsum(np.cumsum(net, axis=1)[:, :-1] == r * (n - r), axis=1, out=block[:, 1:])
-    labels = np.empty(B * n, dtype=int)
-    labels[flat] = block.ravel()
-    return labels.reshape(B, n), block[:, -1] + 1
+    n = adj.shape[-1]
+    net = np.add.reduce(adj, 2) - np.add.reduce(adj, 1)
+    low = np.sort(net)
+    ends = np.add.accumulate(low - np.arange(1 - n, n, 2), 1) == 0
+    return np.add.reduce(ends, 1), lambda: np.add.reduce(
+        ends[:, None, :] & (net[:, :, None] <= low[:, None, :]), 2) - 1
 
 
 def strongly_connected(G: EfficiencyDigraph) -> tuple[bool, int, list[int]]:
     """SCC decomposition: (single component?, count, per-vertex labels).
 
-    The labels follow the condensation order (see `_scc_labels`).
+    The labels follow the condensation order (see `_scc_counts`).
     """
-    labels, counts = _scc_labels(G.adj[None])
-    k = int(counts[0])
-    return k == 1, k, labels[0].tolist()
+    counts, labels = _scc_counts(G.adj[None])
+    return bool(counts[0] == 1), int(counts[0]), labels()[0].tolist()
 
 
 def sources(G: EfficiencyDigraph) -> tuple[int, ...]:
@@ -275,9 +271,9 @@ class DigraphStack:
     """The array step of `analyze` for a (B, n, n) stack of canonical
     reciprocal matrices `a`: `perron`, the Perron pairs, or None when the
     vectors `w` are given; the (B, n, n) edge tensor `adj`; and, on first
-    read, since the no-source scans read `adj` alone, the `labels` and
-    `counts` of `_scc_labels` and the `beta`, `certificates` and `certified`
-    of `_certify`.
+    read, since the no-source scans read `adj` alone, the `counts` and
+    `labels` of one `_scc_counts` pass and the `beta`, `certificates` and
+    `certified` of `_certify`.
     """
 
     def __init__(self, As, ws=None, eps_rel: float = DEFAULT_EPS_REL) -> None:
@@ -288,8 +284,10 @@ class DigraphStack:
         self.eps_rel = float(eps_rel)
 
     def __getattr__(self, name: str):
-        if name in ("labels", "counts"):
-            self.labels, self.counts = _scc_labels(self.adj)
+        if name in ("counts", "_labels"):
+            self.counts, self._labels = _scc_counts(self.adj)
+        elif name == "labels":
+            self.labels = self._labels()
         elif name in ("beta", "certificates", "certified"):
             self.beta, self.certificates, self.certified = _certify(self)
         else:
@@ -302,12 +300,13 @@ class DigraphStack:
     def report(self, i: int) -> EfficiencyReport:
         """Row i's report, on copies of its rows (a kept report keeps no stack
         alive).  CertificateError says why an inefficient row is not certified."""
-        A, w, k = ReciprocalMatrix(self.a[i].copy()), self.w[i].copy(), int(self.counts[i])
+        A, k = ReciprocalMatrix(self.a[i].copy()), int(self.counts[i])
         if k > 1 and not self.certified[i]:
             raise CertificateError("source component scaling must be < 1" if not self.beta[i] < 1
                                    else "certificate failed the dominance definition")
         cert = None if k == 1 else self.certificates[i].copy()
-        pair = None if self.perron is None else replace(self.perron[i], w=w)
+        pair = None if self.perron is None else self.perron[i]
+        w = self.w[i].copy() if pair is None else pair.w
         return EfficiencyReport(A, w, pair, EfficiencyDigraph(self.adj[i].copy(), self.eps_rel),
                                 k == 1, k, cert)
 

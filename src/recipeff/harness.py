@@ -42,7 +42,7 @@ from .digraph import (
     DEFAULT_EPS_REL,
     DigraphStack,
     EfficiencyDigraph,
-    _scc_labels,
+    _scc_counts,
     analyze,
     hamiltonian_cycles,
     has_no_source_stack,
@@ -335,7 +335,7 @@ _RANDOM_CHECKS = (
          f"seed={2000 + i // 50}), 50, seed={3000 + i // 50})")),
     # strong connectivity disagrees with finding a Hamiltonian cycle
     ("hamiltonian.equivalence", "{bad} of {total} random digraphs disagree",
-     lambda adj: (_scc_labels(adj)[1] == 1) != [c is not None for c in hamiltonian_cycles(adj)],
+     lambda adj: (_scc_counts(adj)[0] == 1) != [c is not None for c in hamiltonian_cycles(adj)],
      *_seeded(200, 5, 4000)),
 )
 

@@ -26,6 +26,7 @@ from recipeff.core import (
     random_reciprocal,
     random_reciprocal_stack,
 )
+from recipeff.digraph import analyze
 from recipeff.harness import _GRID
 from recipeff.zfamily import z_stack
 
@@ -305,9 +306,10 @@ def same_pair(pp, ref) -> bool:
 CAP = 3000  # rows slower than this are left to the cap tests
 
 
-def mixed_rows(n, count, seed, reference=perron_reference):
+def mixed_rows(n, count, seed, reference=perron_reference, max_spread=1e3):
     """Matrices of order n: consistent ones (two steps), random ones with
-    spreads log-uniform up to 1e3 (fast to slow), all below CAP iterations."""
+    spreads log-uniform up to max_spread (fast to slow), all below CAP
+    iterations."""
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
@@ -315,7 +317,7 @@ def mixed_rows(n, count, seed, reference=perron_reference):
         if k % 4 == 3:
             A = consistent_from_vector(np.exp(rng.uniform(-3.0, 3.0, size=n)))
         else:
-            spread = np.exp(rng.uniform(0.0, np.log(1e3)))
+            spread = np.exp(rng.uniform(0.0, np.log(max_spread)))
             A = random_reciprocal(n, seed=seed + k, log_scale=np.log(spread))
         try:
             ref = reference(A.a, max_iter=CAP)
@@ -336,6 +338,17 @@ def test_perron_stack_rows_equal_one_matrix_solves(n, B, seed):
     for i, (A, ref) in enumerate(rows):
         assert same_pair(stack[i], ref), (i, its)
         assert same_pair(perron(A), ref), (i, its)
+
+
+@pytest.mark.parametrize("n", range(6, 13))
+def test_spread_workload_rows_equal_one_matrix_solves(n):
+    # where the `spread` benchmark measures: orders 6-12 and entry spreads
+    # up to 1e4, through every one-matrix path as well as a mixed stack
+    rows = mixed_rows(n, 37, seed=40 + n, max_spread=1e4)
+    stack = perron_stack(np.array([A.a for A, _ in rows]))
+    for i, (A, ref) in enumerate(rows):
+        assert same_pair(stack[i], ref) and same_pair(perron_stack(A.a[None])[0], ref), i
+        assert same_pair(perron(A), ref) and same_pair(analyze(A).perron, ref), i
 
 
 @settings(max_examples=8, deadline=None)

@@ -355,7 +355,8 @@ def test_scc_labels_agree_with_networkx():
     found = {True: 0, False: 0}
     for n in range(2, 18):  # 64 digraphs per order, one stack each
         adj = np.array([(_semicomplete, _not_strong)[k % 2](rng, n) for k in range(64)])
-        labels, counts = dg._scc_labels(adj)
+        counts, labels = dg._scc_counts(adj)
+        labels = labels()
         for g, lab, k in zip(adj, labels, counts.tolist()):
             H = nx.from_numpy_array(g.astype(int), create_using=nx.DiGraph)
             blocks = {frozenset(np.flatnonzero(lab == b).tolist()) for b in range(k)}
@@ -365,6 +366,137 @@ def test_scc_labels_agree_with_networkx():
             assert (lab[i] <= lab[j]).all()  # no edge goes to a smaller label
             found[k == 1] += 1
     assert min(found.values()) >= 300
+
+
+@pytest.mark.parametrize("eps_rel", (0.0, 1e-9))
+def test_scc_counts_agree_with_networkx_however_they_are_read(eps_rel):
+    # counts come from one pass and labels are read off it on demand, so the
+    # counts must not depend on whether, or when, the labels were read
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(41)
+    found = set()
+    for n in range(2, 13):  # 1,024 rows in all
+        B = 1024 // 11 + (n == 2)
+        As = random_reciprocal_stack(n, B, seed=4100 + n)
+        ws = np.exp(rng.uniform(-1, 1, (B, n)) * np.exp(rng.uniform(-4, 2.5, (B, 1))))
+        alone, before, after = (dg.DigraphStack(As, ws, eps_rel) for _ in range(3))
+        counts = before.counts  # before the labels
+        assert before.labels.shape == (B, n) and after.labels.shape == (B, n)
+        for s in (alone, before, after):  # alone, and after the labels
+            assert s.counts.tolist() == counts.tolist()
+        for A, w, adj, k, lab in zip(As, ws, alone.adj, counts.tolist(), after.labels):
+            H = nx.from_numpy_array(adj.astype(int), create_using=nx.DiGraph)
+            assert k == nx.number_strongly_connected_components(H) == len(set(lab.tolist()))
+            assert analyze(ReciprocalMatrix(A), w, eps_rel).scc_count == k
+            found.add(k)
+    assert found == set(range(1, 13))
+
+
+def _vectors(rng, As):
+    """Perron vectors on even rows of a (B, n, n) stack, and random vectors
+    from near-constant to wide on odd rows: SCC counts from 1 to n."""
+    B, n = As.shape[:2]
+    wide = np.exp(rng.uniform(-1, 1, (B, n)) * np.exp(rng.uniform(-4, 2.5, (B, 1))))
+    return np.where(np.arange(B)[:, None] % 2, wide, perron_stack(As).w)
+
+
+def _near_tie(As, ws, eps_rel):
+    """Rows of a (B, n, n) stack with an off-diagonal pair whose log ratio
+    log(w_i / w_j) is within 1e-9 of log(a_ij (1 - eps_rel)), an edge tie."""
+    gap = np.abs(np.log(ws[:, :, None] / ws[:, None, :]) - np.log(As * (1.0 - eps_rel)))
+    return (gap + np.diag(np.full(As.shape[-1], np.inf)) < 1e-9).any(axis=(1, 2))
+
+
+def _sources_sinks(s):
+    """Each row's sources and sinks, as (B, n) masks."""
+    return ~s.adj.any(axis=1), ~s.adj.any(axis=2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=10**6),
+       st.sampled_from([0.0, 1e-9]))
+def test_permuting_the_vertices_relabels_the_digraph(n, seed, eps_rel):
+    # (P A P^T, P w) makes each ratio test with the same two floats, so the
+    # digraph is relabelled exactly; the Perron digraph of P A P^T, solved
+    # on its own, is too, away from edge ties
+    rng = np.random.default_rng(seed)
+    As, B = random_reciprocal_stack(n, 64, seed), 64
+    ws, p = _vectors(rng, As), rng.permuted(np.tile(np.arange(n), (B, 1)), axis=1)
+    rows = np.arange(B)[:, None]
+    relabel = (lambda x: x[rows[..., None], p[:, :, None], p[:, None, :]] if x.ndim == 3
+               else x[rows, p])
+    s, sp = dg.DigraphStack(As, ws, eps_rel), dg.DigraphStack(relabel(As), relabel(ws), eps_rel)
+    assert np.array_equal(sp.adj, relabel(s.adj)) and np.array_equal(sp.counts, s.counts)
+    assert np.array_equal(sp.labels, relabel(s.labels))
+    assert all(map(np.array_equal, _sources_sinks(sp), map(relabel, _sources_sinks(s))))
+    s, sp = dg.DigraphStack(As, eps_rel=eps_rel), dg.DigraphStack(relabel(As), eps_rel=eps_rel)
+    keep = ~_near_tie(As, s.w, eps_rel)
+    assert np.array_equal(sp.adj[keep], relabel(s.adj)[keep])
+    assert np.array_equal(sp.counts[keep], s.counts[keep])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=10**6),
+       st.sampled_from([0.0, 1e-9]))
+def test_transposing_reverses_every_edge(n, seed, eps_rel):
+    # G(A^T, 1/w) has edge (i, j) iff w_j / w_i >= a_ji (1 - eps_rel): G(A, w)
+    # reversed, away from edge ties, where the two roundings may disagree
+    rng = np.random.default_rng(seed)
+    As = random_reciprocal_stack(n, 64, seed)
+    ws = _vectors(rng, As)
+    keep = ~_near_tie(As, ws, eps_rel)
+    s = dg.DigraphStack(As[keep], ws[keep], eps_rel)
+    t = dg.DigraphStack(As[keep].swapaxes(1, 2), 1.0 / ws[keep], eps_rel)
+    assert keep.sum() >= (32 if n == 2 else 60)  # an order-2 Perron vector ties exactly
+    assert np.array_equal(t.adj, s.adj.swapaxes(1, 2)) and np.array_equal(t.counts, s.counts)
+    assert np.array_equal(t.labels, s.counts[:, None] - 1 - s.labels)
+    (src, snk), (src_t, snk_t) = _sources_sinks(s), _sources_sinks(t)
+    assert np.array_equal(src_t, snk) and np.array_equal(snk_t, src)
+
+
+def _hilbert(x, y):
+    """Hilbert's projective distance log(max(x/y) / min(x/y)) along the last axis."""
+    q = np.log(x / y)
+    return q.max(axis=-1) - q.min(axis=-1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=10**6),
+       st.sampled_from([0.0, 1e-9]))
+def test_a_diagonal_similarity_keeps_the_digraph_and_scales_the_perron_vector(n, seed, eps_rel):
+    rng = np.random.default_rng(seed)
+    As = random_reciprocal_stack(n, 64, seed)
+    d = np.exp(rng.uniform(-2, 2, (64, n)))
+    Ad = np.array([make_reciprocal(x, mode="symmetrize").a
+                   for x in d[:, :, None] * As / d[:, None, :]])
+    ws = _vectors(rng, As)
+    keep = ~_near_tie(As, ws, eps_rel)
+    s, sd = dg.DigraphStack(As, ws, eps_rel), dg.DigraphStack(Ad, d * ws, eps_rel)
+    assert keep.sum() >= (32 if n == 2 else 60) and np.array_equal(sd.adj[keep], s.adj[keep])
+    assert np.array_equal(sd.counts[keep], s.counts[keep])
+    # The Perron vector of D A D^-1 is D w*.  For a positive A, Birkhoff-Hopf
+    # contracts Hilbert's metric by tau = tanh(diam / 4), diam = max over
+    # columns k, l of the spread of log(a_ik / a_il), so a computed w with
+    # gap g = d_H(A w, w) has d_H(w, w*) <= g + d_H(A w, A w*) <= g + tau
+    # d_H(w, w*): d_H(w, w*) <= g / (1 - tau).  The bound adds both solves'
+    # bounds, with 8 (n + 2) ulps per gap for the rounding of A w, and as
+    # much again for Ad's entries, which are within a few ulps of d_i a_ij
+    # / d_j; D is an isometry of d_H, which ignores the scaling to w_1 = 1.
+    # Stack rows are `perron`'s solves bit for bit.
+    p, pd = perron_stack(As), perron_stack(Ad)
+    x = d * p.w
+    x /= x[:, :1]
+    L = np.log(np.concatenate((As, Ad)))
+    diam = np.ptp(L[:, :, :, None] - L[:, :, None, :], axis=1).max(axis=(1, 2))
+    tau = np.tanh(diam.reshape(2, -1).max(axis=0) / 4.0)
+    ulps = 8 * (n + 2) * np.finfo(float).eps
+    gaps = [_hilbert(np.matmul(a, w[..., None])[..., 0], w) + ulps
+            for a, w in ((As, p.w), (Ad, pd.w))]
+    bound = (gaps[0] + gaps[1] + ulps) / (1.0 - tau)
+    assert (_hilbert(pd.w, x) <= bound).all() and bound.max() < 1e-9
+    keep = ~_near_tie(As, p.w, eps_rel)
+    assert np.array_equal(dg.DigraphStack(Ad, eps_rel=eps_rel).adj[keep],
+                          dg.DigraphStack(As, eps_rel=eps_rel).adj[keep])
 
 
 def test_efficiency_agrees_with_the_linear_program():
@@ -559,7 +691,8 @@ def test_digraph_stack_reports_equal_one_matrix_reports(n, B, seed, kind, eps_re
     As = np.array([A.a for A in mats])
     ws = None if kind == "perron" else np.exp(rng.uniform(-1.0, 1.0, size=(B, n)))
     adj = dg._adjacency(As, dg.perron_stack(As).w if ws is None else ws, eps_rel)
-    labels, counts = dg._scc_labels(adj)
+    counts, labels = dg._scc_counts(adj)
+    labels = labels()
     s = dg.DigraphStack(As, ws, eps_rel)
     assert np.array_equal(s.adj, adj) and np.array_equal(s.labels, labels)
     # a row whose certificate raises (exact ties at eps_rel = 0, as for every

@@ -576,7 +576,7 @@ def test_failing_details_name_the_instance_to_replay(monkeypatch):
         "no_source.random_extensions": extension_failures,
         # no order-6 digraph has a cycle, so each strong one disagrees
         "hamiltonian.equivalence": lambda flags: lambda adj: (
-            digraph._scc_labels(adj)[1] == 1 if adj.shape[-1] == 6 else flags(adj)),
+            digraph._scc_counts(adj)[0] == 1 if adj.shape[-1] == 6 else flags(adj)),
     }
     monkeypatch.setattr(harness, "_RANDOM_CHECKS", tuple(
         (cid, template, injected[cid](flags), *rest)
