@@ -124,8 +124,9 @@ def _cmd_verify(args: argparse.Namespace, eps: float) -> int:
     summary = verify_paper_suite(eps)
     lines = [f"FAIL {check_id}: {detail}" for check_id, detail in summary.failures]
     status = "FAIL" if summary.failures else "PASS"
+    at = "" if eps == DEFAULT_EPS_REL else f" at eps_rel={eps!r} (default {DEFAULT_EPS_REL!r})"
     lines.append(
-        f"{status}: {summary.checks - len(summary.failures)}/{summary.checks} "
+        f"{status}{at}: {summary.checks - len(summary.failures)}/{summary.checks} "
         f"checks passed in {summary.wall_time:.3f}s"
     )
     _emit(lines, args.out)

@@ -171,34 +171,40 @@ def _squared_start(a: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray
     sum, so no entry exceeds 1, until the row sums of M, scaled to first
     component 1, move by at most PERRON_SQUARE_TOL times their largest
     entry.  The row sums are `add.reduce`'s (a chain of column sums matches
-    them bit for bit only up to n = 7), in an (n, B) buffer, so their maxima
-    and the settle test run along the batch axis.  Settled rows are dropped
-    from the stack, so a row's start never depends on the other rows.  A
+    them bit for bit only up to n = 7), in an (n + 1, B) buffer whose row n
+    is their maximum: one division by the first sum scales all (monotone, so
+    row n stays the largest bit for bit and moves no more than the others),
+    and the settle test runs along the batch axis.  Settled rows are written
+    out, and compacted away while others move, so a row's start never
+    depends on the other rows; the loop ends when its last rows settle.  A
     row whose row sums stop being finite and positive starts from all-ones;
     `perron_stack` runs this under the errstate that silences their overflow.
     """
     B, n = a.shape[0], a.shape[-1]
     start = np.empty((n, B))
     squarings = np.empty(B, dtype=int)
-    rows, m, k = np.arange(B), a, 0
-    u = np.add.reduce(m, 2, out=np.empty((n, B)).T).T
-    s, ut = u / u[0], u.T
+    rows, m, k, u = np.arange(B), a, 0, np.empty((n + 1, B))
+    ut, top, u0 = u[:n].T, u[n], u[0]
+    np.maximum.reduce(np.add.reduce(m, 2, out=ut), 1, out=top)
+    s = u / u0
     while rows.size:
         if k == max_iter:
-            raise _not_converged(a[rows[0]], s[:, 0], int(rows[0]), max_iter)
+            raise _not_converged(a[rows[0]], s[:n, 0], int(rows[0]), max_iter)
         m = m @ m
-        np.add.reduce(m, 2, out=ut)
-        top = np.maximum.reduce(u)
+        np.maximum.reduce(np.add.reduce(m, 2, out=ut), 1, out=top)
         m /= top[:, None, None]
-        t = u / u[0]
+        t = u / u0
         k += 1
         # NaN never moves by less than the bound: it ends the row too
-        out = ~(np.maximum.reduce(np.abs(t - s)) > PERRON_SQUARE_TOL * (top / u[0]))
-        if out.any():
-            start[:, rows[out]] = t[:, out]
-            squarings[rows[out]] = k
-            rows, m, t = rows[~out], m[~out], t.compress(~out, axis=1)
-            u, ut = u[:, :rows.size], ut[:rows.size]
+        moving = np.maximum.reduce(np.abs(t - s)) > PERRON_SQUARE_TOL * t[n]
+        going = np.count_nonzero(moving)
+        if going < rows.size:
+            out = ~moving
+            start[:, rows[out]], squarings[rows[out]] = t[:n, out], k
+            if not going:
+                break
+            rows, m, t, u = rows[moving], m[moving], t.compress(moving, axis=1), u[:, :going]
+            ut, top, u0 = u[:n].T, u[n], u[0]
         s = t
     start[:, ~np.logical_and.reduce(np.isfinite(start) & (start > 0))] = 1.0
     return start, squarings
@@ -210,20 +216,20 @@ def perron_stack(a: np.ndarray, max_iter: int = PERRON_MAX_ITER) -> PerronStack:
     Orders up to PERRON_SQUARE_MAX_N start from a squared start (see
     `_squared_start`); larger orders start from all-ones.  From there each
     pass takes one step v <- A v, renormalized to v[0] == 1, on every live
-    row; a row stops at the first step whose iterate differs from the
-    previous one by less than PERRON_TOL in max norm, or is NaN (a row sum
-    overflowed), and is written out and dropped from the stack.  Where w
-    has large entries, rounding alone can keep that difference above
-    PERRON_TOL; so at every PERRON_CHECK_EVERY-th step a row also stops when
-    its Hilbert gap (see PERRON_HILBERT_TOL) has stopped falling.  r is
-    (A w)[0] at that iterate.  The steps write two (n, B) buffers in turn,
-    so each test over a row runs along the batch axis.  A row's `iterations`
-    counts its squarings plus its power steps, and `max_iter` caps that
-    total.  PerronConvergenceError names the row when it reaches the cap
-    (the one with the least budget left, the first on ties), or when it
-    stops at a w or r that is not positive and finite, as when an entry
-    product underflows or a row sum overflows.  Every row equals its own
-    one-matrix solve bit for bit.  max_iter must be a nonnegative integer.
+    row; a row stops at the first step whose iterate differs from the last
+    by less than PERRON_TOL in max norm, or is NaN (a row sum overflowed),
+    and is written out: compacted away while other rows move, or the loop
+    ends with it.  Where w has large entries, rounding alone can keep that
+    difference above PERRON_TOL; so at every PERRON_CHECK_EVERY-th step a
+    row also stops when its Hilbert gap (see PERRON_HILBERT_TOL) has stopped
+    falling.  r is (A w)[0] at that iterate.  Two (n, B) buffers take the
+    steps in turn, so tests over a row run along the batch axis.  A row's
+    `iterations` counts its squarings plus its power steps, capped by
+    `max_iter`.  PerronConvergenceError names the row that reaches the cap
+    (the one with the least budget left, the first on ties), or that stops
+    at a w or r that is not positive and finite, as when an entry product
+    underflows or a row sum overflows.  Every row equals its own one-matrix
+    solve bit for bit.  max_iter must be a nonnegative integer.
     """
     if operator.index(max_iter) < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
@@ -246,18 +252,21 @@ def perron_stack(a: np.ndarray, max_iter: int = PERRON_MAX_ITER) -> PerronStack:
             np.matmul(live, vb, out=ub)
             u /= u[0]
             k += 1
-            # written as ~(>=) so that a NaN iterate stops too
-            stop = ~(np.maximum.reduce(np.abs(u - v)) >= PERRON_TOL)
+            # written as >= so that a NaN iterate stops too
+            moving = np.maximum.reduce(np.abs(u - v)) >= PERRON_TOL
             if k % PERRON_CHECK_EVERY == 0:
                 q = u / v
                 g = np.log(np.maximum.reduce(q) / np.minimum.reduce(q))
-                stop |= (g < PERRON_HILBERT_TOL) & (g >= best)
+                moving &= ~((g < PERRON_HILBERT_TOL) & (g >= best))
                 best = np.fmin(best, g)
-            if stop.any():
-                w[rows[stop]] = u[:, stop].T
-                iterations[rows[stop]] = squarings[rows[stop]] + k
-                rows, live, left, best = rows[~stop], live[~stop], left[~stop], best[~stop]
-                u, v = u.compress(~stop, axis=1), v[:, :rows.size]
+            going = np.count_nonzero(moving)
+            if going < rows.size:
+                stop = ~moving
+                w[rows[stop]], iterations[rows[stop]] = u[:, stop].T, squarings[rows[stop]] + k
+                if not going:
+                    break
+                rows, live, left, best = rows[moving], live[moving], left[moving], best[moving]
+                u, v = u.compress(moving, axis=1), v[:, :rows.size]
                 ub, vb, cap = u.T[..., None], v.T[..., None], int(left.min(initial=max_iter))
             u, ub, v, vb = v, vb, u, ub
         aw = np.matmul(a, w[..., None], out=np.empty((n, B)).T[..., None])[..., 0].T

@@ -297,10 +297,10 @@ class DigraphStack:
     def __len__(self) -> int:
         return len(self.a)
 
-    def report(self, i: int) -> EfficiencyReport:
-        """Row i's report, on copies of its rows (a kept report keeps no stack
-        alive).  CertificateError says why an inefficient row is not certified."""
-        A, k = ReciprocalMatrix(self.a[i].copy()), int(self.counts[i])
+    def report(self, i: int, A: ReciprocalMatrix | None = None) -> EfficiencyReport:
+        """Row i's report on copies of its rows, so a kept report keeps no stack alive; `A`
+        is its matrix if given.  CertificateError says why an inefficient row is not certified."""
+        A, k = ReciprocalMatrix(self.a[i].copy()) if A is None else A, int(self.counts[i])
         if k > 1 and not self.certified[i]:
             raise CertificateError("source component scaling must be < 1" if not self.beta[i] < 1
                                    else "certificate failed the dominance definition")
@@ -318,4 +318,4 @@ def analyze(
 ) -> EfficiencyReport:
     """Full efficiency report for (A, w); w defaults to the Perron vector."""
     ws = None if w is None else np.asarray(w, dtype=float)[None]
-    return DigraphStack(A.a[None], ws, eps_rel).report(0)
+    return DigraphStack(A.a[None], ws, eps_rel).report(0, A)

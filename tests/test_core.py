@@ -376,6 +376,43 @@ def test_squared_start_rows_settle_at_different_squarings():
     assert all(same_pair(stack[i], ref) for i, (_, ref) in enumerate(rows))
 
 
+def _repeated_row(B):
+    return np.repeat(random_reciprocal(7, seed=5, log_scale=np.log(100.0)).a[None], B, 0)
+
+
+def _consistent_rows(n):
+    # power-of-two ratios: every row settles at its first squaring and stops
+    # at its second power step
+    v = 2.0 ** np.random.default_rng(n).integers(-20, 21, (37, n))
+    return np.array([consistent_from_vector(x).a for x in v])
+
+
+@pytest.mark.parametrize("a", (_repeated_row(1), _repeated_row(37), _consistent_rows(5),
+                               _consistent_rows(16)), ids=("B=1", "repeated", "consistent5",
+                                                           "consistent16"))
+def test_rows_that_stop_together_leave_both_loops_together(a):
+    # every live row stops at once: both loops write them out and leave
+    # without compacting
+    refs = [perron_reference(x) for x in a]
+    assert len({squared_start_reference(x)[1] for x in a}) == 1
+    assert len({ref[3] for ref in refs}) == 1
+    stack = perron_stack(a)
+    assert all(same_pair(stack[i], ref) for i, ref in enumerate(refs))
+
+
+def test_the_last_live_row_stops_alone_after_compactions():
+    # row 21 takes the most squarings (13) and the most iterations (14), and
+    # alone: both loops compact around it before it stops by itself
+    rows = mixed_rows(9, 37, seed=11)
+    squarings = [squared_start_reference(A.a)[1] for A, _ in rows]
+    its = [ref[3] for _, ref in rows]
+    assert len(set(squarings)) >= 4 and len(set(its)) >= 4
+    for counts in (squarings, its):
+        assert counts.count(max(counts)) == 1 and counts.index(max(counts)) == 21
+    stack = perron_stack(np.array([A.a for A, _ in rows]))
+    assert all(same_pair(stack[i], ref) for i, (_, ref) in enumerate(rows))
+
+
 @pytest.mark.parametrize("n", (5, 6, 7))
 def test_perron_stack_rows_equal_one_matrix_solves_on_the_grid_quotients(n):
     # the 625-row quotient stacks of the verify grids: rows settle and stop
@@ -567,6 +604,18 @@ def test_perron_cap_is_exact_for_each_row_of_a_stack():
     assert same_pair(perron_stack(stack, max_iter=ref[3])[1], ref)
     with pytest.raises(PerronConvergenceError, match="at row 1 "):
         perron_stack(stack, max_iter=ref[3] - 1)
+    # rows 1 and 3 stop only on the Hilbert gap, after 5 and 12 squarings;
+    # rows 0 and 2 stop after one power step.  At a cap below both, the
+    # row with the least budget left is named, though row 1 is live before it
+    x, y = (random_reciprocal(3, seed=s, log_scale=np.log(1000.0)).a for s in (111, 190))
+    stack = np.array([random_reciprocal(3, seed=1).a, x, random_reciprocal(3, seed=4).a, y])
+    full = perron_stack(stack)
+    assert [squared_start_reference(a)[1] for a in stack] == [7, 5, 8, 12]
+    assert full.iterations.tolist() == [8, 37, 9, 44]
+    assert all(same_pair(full[i], perron_reference(stack[i])) for i in (0, 2))
+    for cap in (20, 43):
+        with pytest.raises(PerronConvergenceError, match=f"in {cap} iterations at row 3 "):
+            perron_stack(stack, max_iter=cap)
 
 
 def test_random_reciprocal_stack_rows_are_the_matrices():

@@ -781,6 +781,13 @@ def test_a_kept_report_shares_no_memory_with_its_stack():
     assert rep.perron.w is rep.w and rep.A.a.tobytes() == As[7].tobytes()
 
 
+def test_analyze_keeps_its_callers_matrix():
+    # the one-row stack is a view of A.a, so a copy would protect nothing
+    A = random_reciprocal(6, seed=2)
+    w = np.exp(np.random.default_rng(2).uniform(-1.0, 1.0, 6))
+    assert analyze(A).A is A and analyze(A, w).A is A
+
+
 def test_digraph_stack_has_no_attribute_it_does_not_compute():
     s = dg.DigraphStack(random_reciprocal(4, seed=1).a[None])
     with pytest.raises(AttributeError, match="^certificate$"):

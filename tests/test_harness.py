@@ -27,9 +27,10 @@ from recipeff.core import (
     random_reciprocal,
     random_reciprocal_stack,
 )
-from recipeff.digraph import analyze
+from recipeff.digraph import DEFAULT_EPS_REL, analyze
 from recipeff.harness import (
     SWEEP_CSV_HEADER,
+    VerificationSummary,
     example_walkthrough,
     grid_sweep,
     sweep_csv,
@@ -1220,6 +1221,28 @@ def test_cli_verify_exit_codes(monkeypatch, capsys):
     monkeypatch.setattr(cli, "verify_paper_suite", fake_suite_fail)
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1 and "FAIL x.y: boom" in out
+
+
+def test_cli_verify_names_an_eps_rel_that_is_not_the_default(monkeypatch, capsys):
+    # at the default the output is unchanged; elsewhere the summary says which
+    # eps_rel the checks ran at, so a count there is not read as the paper's
+    seen = []
+
+    def fake_suite(eps):
+        seen.append(eps)
+        return VerificationSummary("verify", 29, (("x.y", "boom"),), 0.1)
+
+    monkeypatch.setattr(cli, "verify_paper_suite", fake_suite)
+    monkeypatch.delenv("RECIP_EPS", raising=False)
+    default = "FAIL x.y: boom\nFAIL: 28/29 checks passed in 0.100s\n"
+    assert run_cli(capsys, "verify") == (1, default, "")
+    assert run_cli(capsys, "verify", "--eps-rel", "1e-9") == (1, default, "")
+    assert run_cli(capsys, "verify", "--eps-rel", "0.5")[1].splitlines()[-1] == (
+        "FAIL at eps_rel=0.5 (default 1e-09): 28/29 checks passed in 0.100s")
+    monkeypatch.setenv("RECIP_EPS", "0")
+    assert run_cli(capsys, "verify")[1].splitlines()[-1] == (
+        "FAIL at eps_rel=0.0 (default 1e-09): 28/29 checks passed in 0.100s")
+    assert seen == [DEFAULT_EPS_REL, DEFAULT_EPS_REL, 0.5, 0.0]
 
 
 def test_cli_eps_resolution(tmp_path, capsys, monkeypatch):
