@@ -69,18 +69,11 @@ class PerronPair:
     iterations: int
 
 
-def _as_positive_square(raw) -> np.ndarray:
-    a = np.array(raw, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if a.shape[0] < 2:
-        raise ValueError("matrix order must be at least 2")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    if not np.all(a > 0):
-        i, j = np.argwhere(~(a > 0))[0]
-        raise ValueError(f"non-positive entry at row {i + 1}, column {j + 1}")
-    return a
+def _as_real(raw) -> np.ndarray:
+    """`raw` as a float array; a complex one raises rather than lose its imaginary parts."""
+    if (a := np.asarray(raw)).dtype.kind == "c":
+        raise ValueError("entries must be real, not complex")
+    return a.astype(float, copy=False)
 
 
 def _upper(n: int) -> np.ndarray:
@@ -110,7 +103,16 @@ def make_reciprocal(raw, mode: str = "validate") -> ReciprocalMatrix:
     modes store the canonical form, so a_ji == 1/a_ij exactly afterwards,
     and reject an upper entry whose reciprocal overflows (such as 1e-320).
     """
-    a = _as_positive_square(raw)
+    a = _as_real(raw)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if a.shape[0] < 2:
+        raise ValueError("matrix order must be at least 2")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    if not np.all(a > 0):
+        i, j = np.argwhere(~(a > 0))[0]
+        raise ValueError(f"non-positive entry at row {i + 1}, column {j + 1}")
     if mode == "validate":
         if not np.all(np.diag(a) == 1.0):
             i = int(np.argwhere(np.diag(a) != 1.0)[0][0])
@@ -307,8 +309,7 @@ def pareto_dominates(A: ReciprocalMatrix, w, w2) -> bool:
     of the corresponding block of w.  A vector that is not positive and
     finite, or whose ratio max/min overflows, raises ValueError.
     """
-    w = np.asarray(w, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
+    w, w2 = _as_real(w), _as_real(w2)
     if w.shape != (A.n,) or w2.shape != (A.n,):
         raise ValueError("vector length mismatch")
     _require_finite_ratios(np.array([w, w2]))

@@ -32,6 +32,7 @@ import numpy as np
 from .core import (
     PerronPair,
     ReciprocalMatrix,
+    _as_real,
     _require_finite_ratios,
     pareto_dominates_stack,
     perron,
@@ -116,8 +117,7 @@ def build_digraph(
     A: ReciprocalMatrix, w, eps_rel: float = DEFAULT_EPS_REL
 ) -> EfficiencyDigraph:
     """Edge (i,j) iff w_i / w_j >= a_ij * (1 - eps_rel), i != j."""
-    w = np.asarray(w, dtype=float)
-    return EfficiencyDigraph(_adjacency(A.a[None], w[None], eps_rel)[0], float(eps_rel))
+    return EfficiencyDigraph(_adjacency(A.a[None], _as_real(w)[None], eps_rel)[0], float(eps_rel))
 
 
 def _scc_counts(adj: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
@@ -277,9 +277,9 @@ class DigraphStack:
     """
 
     def __init__(self, As, ws=None, eps_rel: float = DEFAULT_EPS_REL) -> None:
-        self.a = np.asarray(As, dtype=float)
+        self.a = _as_real(As)
         self.perron = None if ws is not None else perron_stack(self.a)
-        self.w = self.perron.w if ws is None else np.asarray(ws, dtype=float)
+        self.w = self.perron.w if ws is None else _as_real(ws)
         self.adj = _adjacency(self.a, self.w, eps_rel)
         self.eps_rel = float(eps_rel)
 
@@ -317,5 +317,5 @@ def analyze(
     eps_rel: float = DEFAULT_EPS_REL,
 ) -> EfficiencyReport:
     """Full efficiency report for (A, w); w defaults to the Perron vector."""
-    ws = None if w is None else np.asarray(w, dtype=float)[None]
+    ws = None if w is None else _as_real(w)[None]
     return DigraphStack(A.a[None], ws, eps_rel).report(0, A)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ReciprocalMatrix, _rng, make_reciprocal, perron
+from .core import ReciprocalMatrix, _as_real, _rng, make_reciprocal, perron
 from .digraph import DEFAULT_EPS_REL, DigraphStack, analyze, has_no_source_stack
 
 ROW_SUM_RTOL = 1e-10
@@ -87,7 +87,7 @@ def _closing_column(r: np.ndarray) -> tuple[float, np.ndarray]:
         t = u / (u + d)
         step = u * (u * (1.0 - m - u) + t.sum()) / (t @ t + u * u)
         if not u + step > u:
-            return m + u, u + d
+            return float(m + u), u + d
         u += step
 
 
@@ -144,7 +144,7 @@ def conjugated_extension(
     extension divided by d_i; the Perron eigenvector is proportional to
     (1/d_1, ..., 1/d_n, 1).
     """
-    d = np.asarray(D, dtype=float).reshape(-1)
+    d = _as_real(D).reshape(-1)
     ext = constant_row_sum_extension(_conjugate(A_orig, d))
     with np.errstate(over="ignore"):
         col = ext.B.a[:-1, -1] / d

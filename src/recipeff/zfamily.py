@@ -10,9 +10,9 @@ checks the sink characterization of inefficiency.
 Region verdict labels: for n >= 5 the efficiency region is the complement
 of twelve exception clauses T5(i)..T8(iii), T5's three and their images
 under the family's symmetries, plus A1(i)..A1(iv) on the a=1 slice.  The
-labels are opaque region codes.  The exception clauses, the forbidden-
-reverse clauses and the edge rules are each generated from their
-representatives by `_images`, which states the symmetries once.
+labels are opaque region codes.  Each rule table is generated from its
+representatives: `_images` states the perturbed block's four row and column
+swaps (identity included), `_reversed` the vertex reversal; eight in all.
 
 Middle indices 3..n-2 carry identical all-ones rows, an equitable partition
 (Godsil & Royle, Algebraic Graph Theory, 9.3): Z_n's Perron pair is that
@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ReciprocalMatrix, perron_stack
+from .core import ReciprocalMatrix, _as_real, perron_stack
 from .digraph import (
     DEFAULT_EPS_REL,
     DigraphStack,
@@ -67,7 +67,7 @@ def _require_positive(**params: float) -> None:
 def _positive_stack(values) -> np.ndarray:
     """`values` as a non-empty (B, 4) stack of (x, y, z, a), each checked as by
     `_require_positive`; the error gives the first bad row."""
-    v = np.asarray(values, dtype=float)
+    v = _as_real(values)
     if v.shape[1:] != (4,) or not len(v):
         raise ValueError(f"xyza must be a non-empty (B, 4) stack, not {v.shape}")
     with np.errstate(divide="ignore", over="ignore"):
@@ -145,16 +145,20 @@ def _images():
         yield str.maketrans("".join(moved), "xyza"), vertex
 
 
-def reduce_to_min_first(
-    x: float, y: float, z: float, a: float
-) -> tuple[tuple[float, float, float, float], str]:
-    """Representative with minimal first coordinate, plus the symmetry used:
-    the image of the first minimal coordinate, so ties take the first
-    symmetry in the fixed order identity, (y,x,a,z), (z,a,x,y), (a,z,y,x).
-    """
-    xyza = (x, y, z, a)
-    name, image = list(SYMMETRY_IMAGES.items())[xyza.index(min(xyza))]
-    return image(*xyza), name
+def _reversed(text: str) -> str:
+    """A relation's image under the vertex reversal i -> n+1-i (codes c -> -c, 3 -> 3), which
+    maps Z_n(x,y,z,a) to Z_n(1/x,1/z,1/y,1/a): each chain read backwards, y and z swapped."""
+    chains = text.translate(str.maketrans("yz", "zy")).split(";")
+    return "; ".join(" ".join(re.split(r"\s*(<=|<)\s*", c.strip())[::-1]) for c in chains)
+
+
+def _orbit(rules):
+    """The images of (vertex codes, relation) rules under the eight symmetries: under
+    each of `_images()`, those of the rules and then of their reversals."""
+    reversals = [([c if c == 3 else -c for c in codes], _reversed(text)) for codes, text in rules]
+    for table, vertex in _images():
+        for codes, text in (*rules, *reversals):
+            yield tuple(vertex[c] for c in codes), text.translate(table)
 
 
 # --- parameter relations ---------------------------------------------------
@@ -246,13 +250,9 @@ _REGION_EXCEPTIONS = _compile(*(
     for k, (table, _) in enumerate(_images())
     for clause, text in (("(i)", "x < z < a < y; z < 1"), ("(ii)", "x < y < a < z; 1 < a"),
                          ("(iii)", "x <= a < 1 < y,z"))))
-# exception clauses on the a = 1 slice
-_A1_EXCEPTIONS = _compile(
-    ("A1(i)", "1 < z < x < y"),
-    ("A1(ii)", "z < 1 < y < x"),
-    ("A1(iii)", "z < x < y < 1"),
-    ("A1(iv)", "x < z < 1 < y"),
-)
+# exception clauses on the a = 1 slice: (iii) and (iv) are the reversals of (i) and (ii)
+_A1_EXCEPTIONS = _compile(*zip(("A1(i)", "A1(ii)", "A1(iii)", "A1(iv)"), (
+    image(text) for image in (str, _reversed) for text in ("1 < z < x < y", "z < 1 < y < x"))))
 
 
 def guarantee_n5plus(p: ZParams) -> RegionVerdict:
@@ -264,7 +264,7 @@ def guarantee_n5plus(p: ZParams) -> RegionVerdict:
     if p.n < 5:
         raise ValueError("guarantee_n5plus requires n >= 5")
     label = _cell_tables()[1][_cell_rows([p.xyza])[0]]
-    return RegionVerdict(label is None, label, reduce_to_min_first(*p.xyza)[1])
+    return RegionVerdict(label is None, label, list(SYMMETRY_IMAGES)[p.xyza.index(min(p.xyza))])
 
 
 def guarantee_a1(n: int, x: float, y: float, z: float) -> RegionVerdict:
@@ -277,11 +277,10 @@ def guarantee_a1(n: int, x: float, y: float, z: float) -> RegionVerdict:
     return RegionVerdict(label is None, label, "identity")
 
 
-# the six sufficient clauses for Z_4(x, y, z, 1)
-_N4_CASES = _compile(*enumerate((
-    "y <= x,1 <= z", "y,z <= x,1", "1 <= y,z <= x",
-    "z <= x,1 <= y", "x,1 <= y,z", "x <= y,z <= 1",
-)))
+# the six sufficient clauses for Z_4(x, y, z, 1): four and their reversals, two their own
+_N4_CASES = _compile(*enumerate(dict.fromkeys(
+    text for case in ("y <= x,1 <= z", "y,z <= x,1", "1 <= y,z <= x", "z <= x,1 <= y")
+    for text in (case, _reversed(case)))))
 
 
 def guarantee_n4(x: float, y: float, z: float, form: str = "six_cases") -> bool:
@@ -410,25 +409,22 @@ def identity_stack(n: int, xyza: np.ndarray, r: np.ndarray, w: np.ndarray) -> np
 
 # Edge rules read off the two-/three-term identities, as (edge, relation).
 # Vertex codes as in the catalog below, with 3 for every middle vertex.  The
-# five rules give twenty: their images under the symmetries, which permute
-# both the vertices and the terms, and the transposes of those, which reverse
-# the edge and every relation.
+# three rules give twenty: their images under the eight symmetries, which
+# permute both the vertices and the terms, and the transposes of those, which
+# reverse the edge and every relation.
 _EDGE_RULES = (
     ((1, 2), "a <= y; z <= x"),
-    ((-2, -1), "y <= x; a <= z"),
     ((1, -2), "y <= 1,a,x"),
     ((1, 3), "1 <= x,y"),
-    ((-2, 3), "y,a <= 1"),
 )
 
 
 def _edge_relations() -> _Relations:
     rules = {}
-    for table, vertex in _images():
-        for (u, v), text in _EDGE_RULES:
-            req = _relation(text.translate(table))
-            for edge, r in (((vertex[u], vertex[v]), req), ((vertex[v], vertex[u]), req.T)):
-                rules[edge, r.tobytes()] = edge, r
+    for (u, v), text in _orbit(_EDGE_RULES):
+        req = _relation(text)
+        for edge, r in (((u, v), req), ((v, u), req.T)):
+            rules[edge, r.tobytes()] = edge, r
     return _Relations(*zip(*rules.values()))
 
 
@@ -449,11 +445,9 @@ def predicted_edges(p: ZParams) -> set[tuple[int, int]]:
             for u in members[i] for v in members[j]}
 
 
-# (v, relation): with the relation, edge (3, v) forbids edge (v, 3); two
-# clauses and their images.
-_FORBIDDEN_REVERSE = _compile(*(
-    (vertex[v], text.translate(table)) for table, vertex in _images()
-    for v, text in ((2, "a < z <= 1"), (-1, "1 <= x < z"))))
+# (v, relation): with the relation, edge (3, v) forbids edge (v, 3); one
+# clause and its eight images.
+_FORBIDDEN_REVERSE = _compile(*((v, text) for (v,), text in _orbit([((2,), "a < z <= 1")])))
 
 
 def forbidden_reverse_edges(p: ZParams, G: EfficiencyDigraph) -> list[str]:

@@ -44,8 +44,8 @@ def cell_row_reference(xyza) -> int:
 
 def reduce_to_min_first_reference(x, y, z, a):
     """The first of `SYMMETRY_IMAGES`, in their fixed order, whose image puts
-    a minimal coordinate first, with that image: the loop reference of
-    `zfamily.reduce_to_min_first`."""
+    a minimal coordinate first, with that image: the loop reference of the
+    `reduction_used` of `zfamily.guarantee_n5plus`."""
     m = min(x, y, z, a)
     for name, image in SYMMETRY_IMAGES.items():
         img = image(x, y, z, a)

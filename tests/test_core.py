@@ -26,9 +26,10 @@ from recipeff.core import (
     random_reciprocal,
     random_reciprocal_stack,
 )
-from recipeff.digraph import analyze
+from recipeff.digraph import DigraphStack, analyze, build_digraph
+from recipeff.extensions import conjugated_extension
 from recipeff.harness import _GRID
-from recipeff.zfamily import z_stack
+from recipeff.zfamily import ZStack, z_stack
 
 positive_entry = st.floats(min_value=1.0 / 9.0, max_value=9.0)
 
@@ -520,6 +521,43 @@ def test_rows_cycling_above_the_hilbert_tolerance_stop(row):
     # seeds 0 to 9) hold a row that reaches the 100,000 cap
     a = random_reciprocal_stack(6, 200, 0, log_scale=np.log(1e6))[row]
     perron(ReciprocalMatrix(a), max_iter=5000)
+
+
+@pytest.mark.parametrize("x", (1e160, *(pytest.param(x, marks=pytest.mark.xfail(
+    strict=True, raises=PerronConvergenceError,
+    reason="ROADMAP item 1: the iterate does not settle, so neither stop rule fires"))
+    for x in (1e170, 1e300))))
+def test_z5_with_one_wide_parameter_solves(x):
+    # Z_5(x, 1, 1, 1) solves at x = 1e160 in 52 steps; at 1e165, 1e170,
+    # 1e200 and 1e300 the iterate never settles and the cap is reached, in
+    # about 20 ms at 2,000 steps and 0.6 to 0.9 s at the default, so
+    # `recipeff z --x 1e200` exits 2
+    a = z_stack(5, np.array([[x, 1.0, 1.0, 1.0]]))
+    pair = perron_stack(a, max_iter=2000)[0]
+    assert np.abs(a[0] @ pair.w - pair.r * pair.w).max() <= 1e-12 * pair.r * pair.w.max()
+
+
+def test_complex_input_is_rejected_not_truncated():
+    # a cast to float drops the imaginary parts and warns with a
+    # ComplexWarning, a RuntimeWarning that the test settings turn into an
+    # error; with the warning filter reset, each entry point must still raise
+    A, z = random_reciprocal(3, seed=0), np.array([1.0, 2.0 + 5j, 3.0])
+    calls = (lambda: make_reciprocal(np.array([[1.0, 2.0 + 1j], [0.5, 1.0]])),
+             lambda: analyze(A, w=z),
+             lambda: build_digraph(A, z),
+             lambda: pareto_dominates(A, [1.0, 2.0, 3.0], z),
+             lambda: pareto_dominates(A, z, [1.0, 2.0, 3.0]),
+             lambda: DigraphStack(A.a[None].astype(complex)),
+             lambda: DigraphStack(A.a[None], z[None]),
+             lambda: ZStack(5, [[1.0, 2.0, 1.0, 1.0 + 1j]]),
+             lambda: conjugated_extension(A, z))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.resetwarnings()
+        warnings.simplefilter("always")
+        for call in calls:
+            with pytest.raises(ValueError, match="real, not complex"):
+                call()
+    assert caught == []
 
 
 def test_perron_cap_is_exact_at_every_step_count():

@@ -185,6 +185,16 @@ def test_constant_row_sum_extension_exact_root():
     assert res.B.a[:2, 2].tolist() == [0.5, 2.0]
 
 
+def test_target_sum_is_a_float_on_both_newton_exits():
+    # at 1e300 Newton's first step does not raise u, so the start is returned;
+    # the random matrix takes steps, whose u was an np.float64
+    for A, sum_ in ((make_reciprocal(np.array([[1.0, 1e300], [1e-300, 1.0]])), 1e300),
+                    (random_reciprocal(4, 0), None)):
+        res = constant_row_sum_extension(A)
+        assert type(res.target_sum) is float
+        assert sum_ is None or res.target_sum == sum_
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 60), st.integers(0, 10**6), st.floats(0.0, np.log(1e8)))
 # stalled under the absolute Perron stop test alone

@@ -33,13 +33,13 @@ from recipeff.zfamily import (
     ZParams,
     ZStack,
     _claims,
+    _relation,
     eigen_identity_residuals,
     forbidden_reverse_edges,
     guarantee_a1,
     guarantee_n4,
     guarantee_n5plus,
     predicted_edges,
-    reduce_to_min_first,
     z_matrix,
     z_stack,
 )
@@ -129,20 +129,15 @@ def test_symmetry_images_are_similarities():
 
 
 def test_reduce_to_min_first():
-    img, red = reduce_to_min_first(0.2, 2.0, 0.5, 1.5)
-    assert img == (0.2, 2.0, 0.5, 1.5) and red == "identity"
-    img, red = reduce_to_min_first(2.0, 0.2, 1.5, 0.5)
-    assert img == (0.2, 2.0, 0.5, 1.5) and red == "(y,x,a,z)"
-    img, red = reduce_to_min_first(0.5, 1.5, 0.2, 2.0)
-    assert img == (0.2, 2.0, 0.5, 1.5) and red == "(z,a,x,y)"
-    img, red = reduce_to_min_first(1.5, 0.5, 2.0, 0.2)
-    assert img == (0.2, 2.0, 0.5, 1.5) and red == "(a,z,y,x)"
-    # ties resolve to the first symmetry in the fixed order
-    assert reduce_to_min_first(1.0, 1.0, 1.0, 1.0)[1] == "identity"
-    assert reduce_to_min_first(2.0, 0.5, 3.0, 0.5)[1] == "(y,x,a,z)"
+    # `reduction_used` names the image that puts the first minimal coordinate
+    # first, so ties take the first symmetry in the fixed order identity,
+    # (y,x,a,z), (z,a,x,y), (a,z,y,x)
+    assert guarantee_n5plus(ZParams(5, 1.0, 1.0, 1.0, 1.0)).reduction_used == "identity"
+    assert guarantee_n5plus(ZParams(5, 2.0, 0.5, 3.0, 0.5)).reduction_used == "(y,x,a,z)"
     # the loop reference, on axes that repeat values, so every tie of the minimum occurs
     for xyza in itertools.product((0.25, 0.5, 1.0, 4.0), repeat=4):
-        assert reduce_to_min_first(*xyza) == reduce_to_min_first_reference(*xyza), xyza
+        assert guarantee_n5plus(ZParams(5, *xyza)).reduction_used == (
+            reduce_to_min_first_reference(*xyza)[1]), xyza
 
 
 # the permutation of the quotient vertices (1, 2, middle, n-1, n) that
@@ -246,6 +241,98 @@ def test_zstack_verdicts_follow_the_symmetry_images(n):
         assert np.array_equal(image.efficient[clear], s.efficient[clear]), name
         moved = [None if v is None else vertices[perm[vertices.index(v)]] for v in s.sink_vertex]
         assert image.sink_vertex[clear].tolist() == np.array(moved, dtype=object)[clear].tolist()
+
+
+# the vertex reversal i -> n+1-i on the quotient vertices, which maps
+# Z_n(x, y, z, a) to Z_n(1/x, 1/z, 1/y, 1/a)
+REVERSAL = [4, 3, 2, 1, 0]
+
+
+def reversed_cell(cell):
+    """The dense-rank cell of the points (1/x, 1/z, 1/y, 1/a) of a cell of (1, x, y, z, a)."""
+    return tuple(max(cell) - cell[i] for i in (0, 1, 3, 2, 4))
+
+
+def test_reversal_is_a_similarity():
+    for n in (5, 8):
+        p = ZParams(n, 0.25, 2.0, 0.5, 4.0)  # powers of two, so reciprocals are exact
+        reverse = ZParams(n, 1 / p.x, 1 / p.z, 1 / p.y, 1 / p.a)
+        assert np.array_equal(z_matrix(p).a[::-1, ::-1], z_matrix(reverse).a)
+
+
+def test_reversal_reads_each_chain_backwards_with_y_and_z_swapped():
+    assert zfamily._reversed("1 < z < x < y") == "z < x < y < 1"  # A1(i) to A1(iii)
+    assert zfamily._reversed("z < 1 < y < x") == "x < z < 1 < y"  # A1(ii) to A1(iv)
+    assert zfamily._reversed("a <= y; z <= x") == "z <= a; x <= y"
+    assert zfamily._reversed("y,z <= x,1") == "x,1 <= z,y"
+
+
+def test_orbit_maps_relations_and_vertices_as_the_eight_similarities_do():
+    # `_orbit` yields, for each image in `SYMMETRY_IMAGES` order, a rule's
+    # image and then its reversal's; each text holds in the image of a cell
+    # exactly where the relation holds in the cell, on every cell and every
+    # catalog relation, and each vertex map is the similarity's permutation
+    cells = list(zfamily.order_cells())
+    texts = [row.relation for row in CYCLE_CATALOG]
+    hits = zfamily._compile(*enumerate(texts)).hits
+    orbits = [list(zfamily._orbit([(QUOTIENT_CODES, t)])) for t in texts]
+    for k, (name, reverse) in enumerate(itertools.product(SYMMETRY_IMAGES, (False, True))):
+        perm = QUOTIENT_PERMUTATIONS[name]
+        codes = orbits[0][k][0]
+        assert [QUOTIENT_CODES.index(c) for c in codes] == (
+            [perm[i] for i in REVERSAL] if reverse else perm), (name, reverse)
+        rows = zfamily._cell_rows([cell_point(image_cell(name, reversed_cell(c) if reverse else c))
+                                   for c in cells])
+        moved = zfamily._compile(*enumerate(orbit[k][1] for orbit in orbits)).hits
+        assert np.array_equal(moved[rows], hits), (name, reverse)
+
+
+def test_cell_tables_follow_the_reversal():
+    # the reversed cell has the cell's predicted, forbidden and guaranteed rows
+    # with the quotient vertices reversed, on all 541 cells.  sink_rows does
+    # not on 12 cells, each with a tie at 1: group 6 puts its boundaries at
+    # "< 1 <=", so a row and its reversal's orbit mate close opposite ends, as
+    # row 25 does for the images.  claimed does not on 313, since catalog
+    # groups 1-4 are stated only where x is minimal
+    cells = list(zfamily.order_cells())
+    t = zfamily.cell_tables(np.array([cell_point(c) for c in cells]))
+    image = zfamily.cell_tables(np.array([cell_point(reversed_cell(c)) for c in cells]))
+    for key in ("predicted", "forbidden"):
+        assert np.array_equal(image[key], t[key][:, REVERSAL][:, :, REVERSAL]), key
+    assert np.array_equal(image["guaranteed"], t["guaranteed"])
+    asymmetric = np.flatnonzero(~(image["sink_rows"] == t["sink_rows"][:, REVERSAL]).all(axis=1))
+    assert len(asymmetric) == 12 and all("1 =" in cell_text(cells[i]) for i in asymmetric)
+    claimed = ~(image["claimed"] == t["claimed"][:, REVERSAL][:, :, REVERSAL]).all(axis=(1, 2))
+    assert claimed.sum() == 313
+
+
+@pytest.mark.parametrize("n", (5, 8))
+def test_zstack_verdicts_follow_the_reversal(n):
+    # the points of `test_zstack_verdicts_follow_the_symmetry_images`: each
+    # reversed point has the point's verdict, and its sink is the point's sink
+    # moved by i -> n+1-i, the middle class staying
+    xyza = np.exp(np.random.default_rng(800 + n).uniform(-2.0, 2.0, (1000, 4)))
+    s, image = ZStack(n, xyza), ZStack(n, 1 / xyza[:, [0, 2, 1, 3]])
+    assert (~s.efficient).sum() == {5: 55, 8: 43}[n]
+    assert np.array_equal(image.efficient, s.efficient)
+    vertices = (1, 2, 3, n - 1, n)
+    moved = [None if v is None else vertices[REVERSAL[vertices.index(v)]] for v in s.sink_vertex]
+    assert image.sink_vertex.tolist() == moved
+
+
+@pytest.mark.parametrize("group", (5, 7))
+def test_catalog_sink_groups_are_closed_under_the_eight_symmetries(group):
+    # each image of a row, its relation, sink and claimed edges moved
+    # together, is a row of the same group
+    def key(relation, vertex, edges):
+        return _relation(relation).tobytes(), vertex, frozenset(edges)
+
+    rows = [m for m in CYCLE_CATALOG if m.group == group]
+    stated = {key(m.relation, m.vertex, [e for _, e in _claims(m)]) for m in rows}
+    for m in rows:
+        codes = (m.vertex, *(c for _, edge in _claims(m) for c in edge))
+        for (vertex, *ends), text in zfamily._orbit([(codes, m.relation)]):
+            assert key(text, vertex, zip(ends[::2], ends[1::2])) in stated, (m, text)
 
 
 def test_guarantee_labels_track_the_reduction():
