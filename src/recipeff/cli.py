@@ -8,8 +8,10 @@ bundled worked example with pass/fail marks).
 
 Exit codes: 0 success, 1 verification failure, 2 input error, a Perron
 solve that did not converge, a failed certificate, or an array too large
-to allocate.  The env var RECIP_EPS overrides the default edge tolerance;
-an explicit --eps-rel flag overrides both.
+to allocate, 141 (128 + SIGPIPE, as a shell reports it) when the reader
+closes the output pipe early, with nothing on stderr.  The env var
+RECIP_EPS overrides the default edge tolerance; an explicit --eps-rel flag
+overrides both.
 """
 
 from __future__ import annotations
@@ -204,8 +206,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        eps = _resolve_eps(args.eps_rel)
-        return args.func(args, eps)
+        code = args.func(args, _resolve_eps(args.eps_rel))
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left (`sweep ... | head -1`); devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError, PerronConvergenceError, CertificateError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

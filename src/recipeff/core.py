@@ -36,6 +36,10 @@ PERRON_SQUARE_MAX_N = 16
 # a squared start has settled when it moves by at most this times its
 # largest entry between two squarings
 PERRON_SQUARE_TOL = 1e-15
+# stacks of at least this many rows sum rows by column adds (`_row_sums`): at
+# n <= 8 they beat `np.add.reduce` from 48-64 rows, at n = 9..16 from 96-160,
+# and were 4-10x slower at one row (2 cores, Python 3.11.7, numpy 2.4.6)
+PERRON_COLUMN_SUM_MIN_ROWS = 128
 # every PERRON_CHECK_EVERY power steps a row also stops when its Hilbert gap
 # g = log(max(Av/v) / min(Av/v)) is below PERRON_HILBERT_TOL and no lower
 # than at its earlier checkpoints: rounding, not convergence, then moves it
@@ -165,6 +169,27 @@ def _not_converged(a: np.ndarray, v: np.ndarray, i: int, max_iter: int):
     )
 
 
+def _row_sums(m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`np.add.reduce(m, 2, out=out)` of a (B, n, n) stack, bit for bit.  From
+    PERRON_COLUMN_SUM_MIN_ROWS rows on it adds whole columns in numpy's order (n <= 16):
+    a chain below n = 8, else 8 partial sums (column j, plus j + 8 at n = 16), their
+    tree ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in order."""
+    if len(m) < PERRON_COLUMN_SUM_MIN_ROWS:
+        return np.add.reduce(m, 2, out=out)
+    c, n = m.transpose(2, 0, 1), m.shape[-1]  # c[j] is column j of every matrix
+    if n < 8:
+        s, rest = c[0] + c[1], c[2:]
+    else:
+        r = c[:8] + c[8:] if n == 16 else c[:8]
+        while len(r) > 1:
+            r = r[0::2] + r[1::2]
+        s, rest = r[0], c[8:] if n < 16 else ()
+    for col in rest:
+        s += col
+    out[...] = s
+    return out
+
+
 def _squared_start(a: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
     """Start vectors of a (B, n, n) stack from repeated squaring, as (n, B)
     columns, and the number of squarings each row took.
@@ -172,9 +197,9 @@ def _squared_start(a: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray
     Each row squares M <- M @ M from M = A and divides M by its largest row
     sum, so no entry exceeds 1, until the row sums of M, scaled to first
     component 1, move by at most PERRON_SQUARE_TOL times their largest
-    entry.  The row sums are `add.reduce`'s (a chain of column sums matches
-    them bit for bit only up to n = 7), in an (n + 1, B) buffer whose row n
-    is their maximum: one division by the first sum scales all (monotone, so
+    entry.  The row sums are `add.reduce`'s bit for bit (`_row_sums`: tall
+    stacks add whole columns in its order), in an (n + 1, B) buffer whose row
+    n is their maximum: one division by the first sum scales all (monotone, so
     row n stays the largest bit for bit and moves no more than the others),
     and the settle test runs along the batch axis.  Settled rows are written
     out, and compacted away while others move, so a row's start never
@@ -187,13 +212,13 @@ def _squared_start(a: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray
     squarings = np.empty(B, dtype=int)
     rows, m, k, u = np.arange(B), a, 0, np.empty((n + 1, B))
     ut, top, u0 = u[:n].T, u[n], u[0]
-    np.maximum.reduce(np.add.reduce(m, 2, out=ut), 1, out=top)
+    np.maximum.reduce(_row_sums(m, ut), 1, out=top)
     s = u / u0
     while rows.size:
         if k == max_iter:
             raise _not_converged(a[rows[0]], s[:n, 0], int(rows[0]), max_iter)
         m = m @ m
-        np.maximum.reduce(np.add.reduce(m, 2, out=ut), 1, out=top)
+        np.maximum.reduce(_row_sums(m, ut), 1, out=top)
         m /= top[:, None, None]
         t = u / u0
         k += 1
@@ -231,11 +256,12 @@ def perron_stack(a: np.ndarray, max_iter: int = PERRON_MAX_ITER) -> PerronStack:
     (the one with the least budget left, the first on ties), or that stops
     at a w or r that is not positive and finite, as when an entry product
     underflows or a row sum overflows.  Every row equals its own one-matrix
-    solve bit for bit.  max_iter must be a nonnegative integer.
+    solve bit for bit.  max_iter must be a nonnegative integer; complex
+    entries raise ValueError.
     """
     if operator.index(max_iter) < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
-    a = np.ascontiguousarray(a, dtype=float)
+    a = np.ascontiguousarray(_as_real(a))
     B, n = a.shape[0], a.shape[-1]
     w = np.empty((B, n))
     iterations = np.empty(B, dtype=int)

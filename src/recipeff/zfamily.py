@@ -108,9 +108,10 @@ class RegionVerdict:
 
 
 def z_stack(n: int, xyza: np.ndarray) -> np.ndarray:
-    """(B, n, n) stack of the canonical Z_n matrices of a (B, 4) stack of (x, y, z, a)."""
+    """(B, n, n) stack of the canonical Z_n matrices of a (B, 4) stack of (x, y, z, a);
+    complex parameters raise ValueError."""
     out = np.ones((len(xyza), n, n))
-    for (i, j), v in zip(((0, n - 1), (0, n - 2), (1, n - 1), (1, n - 2)), xyza.T):
+    for (i, j), v in zip(((0, n - 1), (0, n - 2), (1, n - 1), (1, n - 2)), _as_real(xyza).T):
         out[:, i, j] = v
         out[:, j, i] = 1.0 / v
     return out

@@ -56,3 +56,15 @@ def test_every_subcommand_runs_warning_free(tmp_path):
                              capture_output=True, timeout=120, env=env)
         assert (run.returncode, run.stderr) == (code, b""), args
         assert text in run.stdout, args
+
+
+def test_a_closed_output_pipe_ends_quietly():
+    # the reader stops after the header; the CSV (2,401 rows, about 135 kB)
+    # outgrows the pipe buffer, so the writer meets the closed pipe
+    env = {**os.environ, "PYTHONPATH": str(Path(recipeff.__file__).parents[1])}
+    args = ["sweep", "--n", "5", "--axes", "0.25,0.5,1,2,4,8,16"]
+    with subprocess.Popen([sys.executable, "-W", "error", "-m", "recipeff", *args], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"n,x,y,z,a,")
+        proc.stdout.close()
+        assert (proc.wait(timeout=120), proc.stderr.read()) == (141, b"")
