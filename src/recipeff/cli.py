@@ -122,13 +122,17 @@ def _cmd_extend(args: argparse.Namespace, eps: float) -> int:
     return 0
 
 
+def _at(eps: float) -> str:
+    """A summary's note of an eps_rel other than the default, so its count is not read as the paper's."""
+    return "" if eps == DEFAULT_EPS_REL else f" at eps_rel={eps!r} (default {DEFAULT_EPS_REL!r})"
+
+
 def _cmd_verify(args: argparse.Namespace, eps: float) -> int:
     summary = verify_paper_suite(eps)
     lines = [f"FAIL {check_id}: {detail}" for check_id, detail in summary.failures]
     status = "FAIL" if summary.failures else "PASS"
-    at = "" if eps == DEFAULT_EPS_REL else f" at eps_rel={eps!r} (default {DEFAULT_EPS_REL!r})"
     lines.append(
-        f"{status}{at}: {summary.checks - len(summary.failures)}/{summary.checks} "
+        f"{status}{_at(eps)}: {summary.checks - len(summary.failures)}/{summary.checks} "
         f"checks passed in {summary.wall_time:.3f}s"
     )
     _emit(lines, args.out)
@@ -139,7 +143,7 @@ def _cmd_example(args: argparse.Namespace, eps: float) -> int:
     steps = example_walkthrough(eps)
     lines = [f"[{'PASS' if s.passed else 'FAIL'}] {s.check_id}: {s.detail}" for s in steps]
     nb_fail = sum(not s.passed for s in steps)
-    lines.append(f"{len(steps) - nb_fail}/{len(steps)} steps passed")
+    lines.append(f"{len(steps) - nb_fail}/{len(steps)} steps passed{_at(eps)}")
     _emit(lines, args.out)
     return 1 if nb_fail else 0
 

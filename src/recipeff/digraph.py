@@ -19,6 +19,8 @@ for all rows at once, the certificates: better vectors made by scaling the
 source component of the condensation down by the tightest crossing ratio,
 and their checks.  `report(i)` reads row i, `analyze` is the one-matrix
 case, and whole-stack audits, the certificate check among them, read arrays.
+The edge tensor is batch-minor, as the Perron solve's (n, B) buffers are: a
+reduction over a vertex axis runs along the B rows, not over n of them.
 """
 
 from __future__ import annotations
@@ -95,7 +97,8 @@ class EfficiencyReport:
 
 
 def _adjacency(a: np.ndarray, w: np.ndarray, eps_rel: float) -> np.ndarray:
-    """(B, n, n) edge tensor of a (B, n, n) matrix stack and (B, n) vectors."""
+    """(B, n, n) edge tensor of a (B, n, n) matrix stack and (B, n) vectors: a
+    view of an (n, n, B) buffer, as numpy orders a reduction by strides."""
     if w.shape != a.shape[:2]:
         raise ValueError(
             f"vector length mismatch: vector has {w.shape[1]} entries, "
@@ -107,10 +110,10 @@ def _adjacency(a: np.ndarray, w: np.ndarray, eps_rel: float) -> np.ndarray:
     _require_finite_ratios(w)
     if not 0.0 <= eps_rel < 1.0:
         raise ValueError("eps_rel must be nonnegative and below 1")
-    adj = w[:, :, None] / w[:, None, :] >= a * (1.0 - eps_rel)
-    n = a.shape[-1]
-    adj.reshape(len(adj), n * n)[:, :: n + 1] = False
-    return adj
+    wt, n = np.ascontiguousarray(w.T), a.shape[-1]  # (n, B), so the quotients land (n, n, B)
+    adj = wt[:, None] / wt >= a.transpose(1, 2, 0) * (1.0 - eps_rel)
+    adj.reshape(n * n, len(a))[:: n + 1] = False
+    return adj.transpose(2, 0, 1)
 
 
 def build_digraph(
@@ -270,7 +273,7 @@ def dominating_vector(
 class DigraphStack:
     """The array step of `analyze` for a (B, n, n) stack of canonical
     reciprocal matrices `a`: `perron`, the Perron pairs, or None when the
-    vectors `w` are given; the (B, n, n) edge tensor `adj`; and, on first
+    vectors `w` are given; the batch-minor edge tensor `adj`; and, on first
     read, since the no-source scans read `adj` alone, the `counts` and
     `labels` of one `_scc_counts` pass and the `beta`, `certificates` and
     `certified` of `_certify`.

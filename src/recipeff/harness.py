@@ -271,13 +271,13 @@ def _grid_point(ns):
     return lambda i: f"ZParams{(ns[i // len(_GRID)], *_GRID[i % len(_GRID)].tolist())}"
 
 
-def _grid_checks(eps_rel: float) -> tuple[list[WalkthroughStep], np.ndarray, list[str]]:
+def _grid_checks(eps_rel: float) -> tuple[list[WalkthroughStep], np.ndarray, np.ndarray]:
     """The n = 5, 6, 7 grids, each one `ZStack` read in turn: the grid checks'
     records in report order, and the failed-certificate flags (`~certified`)
-    and names of the inefficient n = 5 and 6 points, read on the quotient,
-    whose certificate is the lift's (see `ZStack`).  Each `_GRID_AUDITS`
-    array is tallied over the three grids."""
-    records, fails, names, audits, seen = [], [], [], [], set()
+    and `_grid_point((5, 6))` numbers of the inefficient n = 5 and 6 points,
+    read on the quotient, whose certificate is the lift's (see `ZStack`).
+    Each `_GRID_AUDITS` array is tallied over the three grids."""
+    records, fails, points, audits, seen = [], [], [], [], set()
     for n in (5, 6, 7):
         s = ZStack(n, _GRID, eps_rel)
         audits.append([audit(s) for _, audit in _GRID_AUDITS])
@@ -295,13 +295,13 @@ def _grid_checks(eps_rel: float) -> tuple[list[WalkthroughStep], np.ndarray, lis
                                 f"{eff} efficient points (guarantee is one-way)"),
             ]
             fails.append(~s.certified[~s.efficient])
-            names += [f"ZParams{(n, *p)}" for p in s.xyza[~s.efficient].tolist()]
+            points.append(np.flatnonzero(~s.efficient) + (n - 5) * len(_GRID))
     seen.discard(None)
     records.append(WalkthroughStep("region.exception_labels_nonvacuous",
                                    seen == ALL_EXCEPTION_LABELS, f"labels hit: {sorted(seen)}"))
     records += [_tally(cid, "{bad} violations", np.concatenate(bad), _grid_point((5, 6, 7)))
                 for (cid, _), bad in zip(_GRID_AUDITS, zip(*audits))]
-    return records, np.concatenate(fails), names
+    return records, np.concatenate(fails), np.concatenate(points)
 
 
 def _seeded(count: int, orders: int, seed: int):
@@ -364,9 +364,9 @@ def _suite_records(eps_rel: float) -> list[WalkthroughStep]:
     c3 = DigraphStack(make_reciprocal(np.array(COUNTEREXAMPLE_3X3_ROWS), mode="validate").a[None],
                       np.array([COUNTEREXAMPLE_3X3_W]), eps_rel)
     G3 = EfficiencyDigraph(c3.adj[0], c3.eps_rel)
-    grid, fails, names = _grid_checks(eps_rel)
+    grid, fails, points = _grid_checks(eps_rel)
     if c3.counts[0] > 1:  # the counterexample has a certificate only when inefficient
-        fails, names = np.r_[~c3.certified, fails], ["the 3x3 counterexample", *names]
+        fails, points = np.r_[~c3.certified, fails], np.r_[-1, points]
     *no_source, hamiltonian = _random_records(eps_rel)
     cells = _slice_points()
     return [
@@ -387,7 +387,8 @@ def _suite_records(eps_rel: float) -> list[WalkthroughStep]:
                != cell_tables(cells)["guaranteed"],
                lambda i: f"ZParams{(5, *cells[i].tolist())}"),
         _tally("certificates.sound", "{bad} of {total} certificates failed",
-               fails, names.__getitem__),
+               fails, lambda i: "the 3x3 counterexample" if points[i] < 0
+               else _grid_point((5, 6))(points[i])),
     ]
 
 

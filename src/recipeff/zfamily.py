@@ -584,6 +584,8 @@ def cell_tables(xyza: np.ndarray) -> dict[str, np.ndarray]:
     """
     index = _cell_rows(xyza)
     t, exception = (table[index] for table in _cell_tables())
+    # batch-minor, as the `ZStack` edge tensors they are read against
+    t = np.ascontiguousarray(t.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
     return {"predicted": t[:, 0] > 0, "forbidden": t[:, 1], "claimed": t[:, 2],
             "sink_rows": t[:, 3, 0], "exception": exception,
             "guaranteed": np.equal(exception, None)}

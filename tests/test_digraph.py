@@ -38,6 +38,7 @@ from recipeff.digraph import (
     sources,
     strongly_connected,
 )
+from recipeff.zfamily import ZStack
 
 
 @pytest.fixture
@@ -793,6 +794,53 @@ def test_digraph_stack_has_no_attribute_it_does_not_compute():
     with pytest.raises(AttributeError, match="^certificate$"):
         s.certificate
     assert not hasattr(s, "sinks")
+
+
+@pytest.mark.parametrize("B", (2, 7, 300))
+def test_edge_tensors_are_batch_minor(B):
+    # a reduction over a vertex axis runs along the batch axis only when the
+    # rows of one edge are adjacent in memory; a report's tensor is its own copy
+    stacks = (dg.DigraphStack(random_reciprocal_stack(6, B, seed=B)),
+              ZStack(6, np.exp(np.random.default_rng(B).uniform(-2.0, 2.0, (B, 4)))))
+    for s in stacks:
+        assert s.adj.strides[0] == 1, (
+            f"{type(s).__name__}.adj should be batch-minor, a (B, n, n) view of an (n, n, B) "
+            f"buffer, but has strides {s.adj.strides}")
+        assert s.report(B - 1).digraph.adj.flags.c_contiguous
+    assert all(getattr(stacks[1], k).strides[0] == 1 for k in ("predicted", "forbidden", "claimed"))
+
+
+@pytest.mark.parametrize("eps_rel", (0.0, 1e-9))
+@pytest.mark.parametrize("B", (0, 1, 7, 300))
+def test_edge_tensor_readers_do_not_depend_on_its_memory_order(B, eps_rel, monkeypatch):
+    # the same digraphs, batch-minor and in C order, give the same SCC counts
+    # and labels, no-source flags, Hamiltonian cycles, row reports and sinks
+    rng, adjacency, outputs = np.random.default_rng(B), dg._adjacency, {}
+    inputs = [(n, random_reciprocal_stack(n, B, seed=n),
+               np.exp(rng.uniform(-1, 1, (B, n)) * np.exp(rng.uniform(-4, 2.5, (B, 1)))),
+               np.exp(rng.uniform(-2.0, 2.0, (B, 4)))) for n in range(2, 17)]
+    for order in ("batch-minor", "C"):
+        if order == "C":
+            monkeypatch.setattr(dg, "_adjacency", lambda *args: np.ascontiguousarray(adjacency(*args)))
+        for n, As, ws, xyza in inputs:
+            s = dg.DigraphStack(As, ws, eps_rel)
+            assert s.adj.flags.c_contiguous == (order == "C" or B < 2)
+            reports = []
+            for i in range(B):
+                try:
+                    reports.append(s.report(i))
+                except dg.CertificateError as exc:
+                    reports.append(str(exc))
+            outputs[order, n] = reports, [
+                s.counts.tolist(), s.labels.tolist(), dg.has_no_source_stack(s.adj).tolist(),
+                dg.hamiltonian_cycles(s.adj),
+                ZStack(n, xyza, eps_rel).sinks.tolist() if n >= 5 and B else None]
+    for n, *_ in inputs:
+        (reports, arrays), (c_reports, c_arrays) = outputs["batch-minor", n], outputs["C", n]
+        assert arrays == c_arrays, n
+        for one, other in zip(reports, c_reports, strict=True):
+            assert one == other if isinstance(one, str) else (
+                same_report(one, other) and one.digraph.adj.flags.c_contiguous), n
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3))

@@ -44,7 +44,14 @@ from recipeff.matio import (
     report_to_dict,
     save_report,
 )
-from recipeff.zfamily import ZParams, ZStack, guarantee_a1, guarantee_n4, guarantee_n5plus
+from recipeff.zfamily import (
+    ZParams,
+    ZStack,
+    guarantee_a1,
+    guarantee_n4,
+    guarantee_n5plus,
+    z_matrix,
+)
 
 
 # --- matio ---------------------------------------------------------------
@@ -641,6 +648,23 @@ def test_failed_certificates_are_counted_not_thrown(monkeypatch, capsys):
     assert code == 1 and "FAIL certificates.sound: 65 of 65 certificates failed" in out
 
 
+def test_a_failed_grid_certificate_names_its_point(monkeypatch):
+    # the n = 5 grid's certificates and the counterexample's hold, the n = 6
+    # grid's fail: the first failure is the first inefficient n = 6 point,
+    # named only when the record is written
+    grids = iter([True, False])
+    monkeypatch.setattr(digraph, "pareto_dominates_stack", lambda a, w, w2: np.full(
+        len(a), len(a) != len(harness._GRID) or next(grids)))
+    monkeypatch.setattr(harness, "example_walkthrough", lambda eps_rel: [])
+    s = ZStack(6, harness._GRID)
+    bad = int((~s.efficient).sum())
+    records = {r.check_id: (r.passed, r.detail) for r in harness._suite_records(1e-9)}
+    assert records["certificates.sound"] == (False, (
+        f"{bad} of 65 certificates failed; first: ZParams{(6, *s.xyza[~s.efficient][0].tolist())}"))
+    p = eval(records["certificates.sound"][1].split("; first: ")[1], {"ZParams": ZParams})
+    assert 0 < bad < 64 and not analyze(z_matrix(p)).efficient
+
+
 def test_the_reference_verdict_is_the_base_vector_read_unconjugated(
         base_matrix, conjugate_reference, diag, reference_perron):
     # B' is D B D^-1 to 1e-3, so its Perron vector is D w_B rescaled to 1e-4,
@@ -1203,6 +1227,22 @@ def test_cli_example_walkthrough_reports_discrepancy(capsys):
     assert "[FAIL] example1.bprime_perron_inefficient" in out
     assert out.count("[PASS]") == 9
     assert "9/10 steps passed" in out
+
+
+def test_cli_example_names_an_eps_rel_that_is_not_the_default(monkeypatch, capsys):
+    # as in verify's summary: the default output is unchanged, and elsewhere
+    # the last line says which eps_rel the steps ran at
+    monkeypatch.delenv("RECIP_EPS", raising=False)
+    assert run_cli(capsys, "example-ee1")[1].splitlines()[-1] == "9/10 steps passed"
+    assert run_cli(capsys, "example-ee1", "--eps-rel", "1e-9")[1].splitlines()[-1] == (
+        "9/10 steps passed")
+    assert run_cli(capsys, "example-ee1", "--eps-rel", "0.5") == (1, "\n".join(
+        [f"[{'PASS' if s.passed else 'FAIL'}] {s.check_id}: {s.detail}"
+         for s in example_walkthrough(0.5)]
+        + ["9/10 steps passed at eps_rel=0.5 (default 1e-09)", ""]), "")
+    monkeypatch.setenv("RECIP_EPS", "0")
+    assert run_cli(capsys, "example-ee1")[1].splitlines()[-1].endswith(
+        " steps passed at eps_rel=0.0 (default 1e-09)")
 
 
 def test_cli_verify_exit_codes(monkeypatch, capsys):
