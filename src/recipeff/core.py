@@ -171,19 +171,19 @@ def _not_converged(a: np.ndarray, v: np.ndarray, i: int, max_iter: int):
 
 def _row_sums(m: np.ndarray, out: np.ndarray) -> np.ndarray:
     """`np.add.reduce(m, 2, out=out)` of a (B, n, n) stack, bit for bit.  From
-    PERRON_COLUMN_SUM_MIN_ROWS rows on it adds whole columns in numpy's order (n <= 16):
-    a chain below n = 8, else 8 partial sums (column j, plus j + 8 at n = 16), their
-    tree ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in order."""
-    if len(m) < PERRON_COLUMN_SUM_MIN_ROWS:
+    PERRON_COLUMN_SUM_MIN_ROWS rows on, up to n = 128, it adds whole columns in numpy's
+    order: a chain below n = 8, else 8 partial sums over the whole blocks of 8, their tree
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in order."""
+    if len(m) < PERRON_COLUMN_SUM_MIN_ROWS or m.shape[-1] > 128:  # numpy splits longer rows
         return np.add.reduce(m, 2, out=out)
     c, n = m.transpose(2, 0, 1), m.shape[-1]  # c[j] is column j of every matrix
     if n < 8:
         s, rest = c[0] + c[1], c[2:]
     else:
-        r = c[:8] + c[8:] if n == 16 else c[:8]
+        r = sum((c[j:j + 8] for j in range(8, n - n % 8, 8)), c[:8])
         while len(r) > 1:
             r = r[0::2] + r[1::2]
-        s, rest = r[0], c[8:] if n < 16 else ()
+        s, rest = r[0], c[n - n % 8:]
     for col in rest:
         s += col
     out[...] = s

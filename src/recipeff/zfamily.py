@@ -4,8 +4,8 @@ Z_n(x,y,z,a) is the all-ones n x n matrix with entries (1,n-1)=y, (1,n)=x,
 (2,n-1)=a, (2,n)=z and their reciprocals.  This module decides, from the
 parameters alone, whether the Perron eigenvector is guaranteed efficient
 (`guarantee_n5plus` and the a=1 / n=4 variants), verifies the eigenvector
-identities and guaranteed-edge conditions that drive those predicates, and
-checks the sink characterization of inefficiency.
+identities and the row-dominance edges (`predicted_edges`) that drive those
+predicates, and checks the sink characterization of inefficiency.
 
 Region verdict labels: for n >= 5 the efficiency region is the complement
 of twelve exception clauses T5(i)..T8(iii), T5's three and their images
@@ -408,35 +408,10 @@ def identity_stack(n: int, xyza: np.ndarray, r: np.ndarray, w: np.ndarray) -> np
     ], axis=1)
 
 
-# Edge rules read off the two-/three-term identities, as (edge, relation).
-# Vertex codes as in the catalog below, with 3 for every middle vertex.  The
-# three rules give twenty: their images under the eight symmetries, which
-# permute both the vertices and the terms, and the transposes of those, which
-# reverse the edge and every relation.
-_EDGE_RULES = (
-    ((1, 2), "a <= y; z <= x"),
-    ((1, -2), "y <= 1,a,x"),
-    ((1, 3), "1 <= x,y"),
-)
-
-
-def _edge_relations() -> _Relations:
-    rules = {}
-    for (u, v), text in _orbit(_EDGE_RULES):
-        req = _relation(text)
-        for edge, r in (((u, v), req), ((v, u), req.T)):
-            rules[edge, r.tobytes()] = edge, r
-    return _Relations(*zip(*rules.values()))
-
-
-_EDGE_RELATIONS = _edge_relations()
-
-
 def predicted_edges(p: ZParams) -> set[tuple[int, int]]:
-    """Edges guaranteed by the parameter order relations alone (`_EDGE_RULES`).
-
-    Ten rules give edges among {1, 2, n-1, n}, ten give edges between those
-    vertices and every middle vertex.
+    """Edges guaranteed by p's order cell alone: the row-dominance edges of
+    `_cell_tables`, lifted over the middle class.  Up to twelve are among {1,
+    2, n-1, n}, and up to eight join those vertices to every middle vertex.
     """
     if p.n < 5:
         raise ValueError("requires n >= 5")
@@ -555,18 +530,26 @@ def _claims(m: CatalogRow) -> list[tuple[str, tuple[int, int]]]:
 @cache
 def _cell_tables() -> tuple[np.ndarray, np.ndarray]:
     """Every order cell's tables, the same at every order n >= 5: the (541,
-    4, 5, 5) counts over the quotient vertices (1, 2, middle, n-1, n) of the
-    rules giving each predicted edge, the forbidden-reverse pairs, the
-    claimed edges and, in row [3, 0], the sink rows; and the (541,) labels
-    of the first `_REGION_EXCEPTIONS` clause holding, or None."""
+    4, 5, 5) tables over the quotient vertices (1, 2, middle, n-1, n) of the
+    predicted edges, the forbidden-reverse pairs, the claimed edges and, in
+    row [3, 0], the sink rows; and the (541,) labels of the first
+    `_REGION_EXCEPTIONS` clause holding, or None.
+
+    An edge (i, j) is predicted where row i dominates a_ij times row j of
+    Z_5: a_il >= a_ij a_jl for every l.  Then (Q w)_i >= a_ij (Q w)_j for every
+    positive w, Q being Z_5 with column 3 scaled by n - 4, and at the Perron
+    pair that reads w_i / w_j >= a_ij.  Each comparison reduces to one between
+    two of 1, x, y, z, a, so it holds on a whole cell, and it is decided exactly
+    at the cell's point with each parameter at 2 ** (its rank - the rank of 1)."""
     quotient = {1: 0, 2: 1, 3: 2, -2: 3, -1: 4}  # from vertex codes
     tables = np.zeros((541, 4, 5, 5), dtype=np.int8)
+    a = z_stack(5, np.array([[2.0 ** (r - c[0]) for r in c[1:]] for c in order_cells()]))
+    tables[:, 0] = (a[:, :, None] >= a[..., None] * a[:, None]).all(axis=3) & ~np.eye(5, dtype=bool)
     for k, (relations, pairs) in enumerate((
-        (_EDGE_RELATIONS, [[edge] for edge in _EDGE_RELATIONS.labels]),
         (_FORBIDDEN_REVERSE, [[(3, v)] for v in _FORBIDDEN_REVERSE.labels]),
         (_CATALOG_RELATIONS, [[edge for _, edge in _claims(m)] for m in CYCLE_CATALOG]),
         (_CATALOG_RELATIONS, [[(1, m.vertex)] * (m.kind == "sink") for m in CYCLE_CATALOG]),
-    )):
+    ), start=1):
         for hit, row_pairs in zip(relations.hits.T, pairs):  # each relation row
             for u, v in row_pairs:
                 tables[hit, k, quotient[u], quotient[v]] += 1

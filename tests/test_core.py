@@ -350,13 +350,16 @@ def test_tall_stack_rows_equal_one_matrix_solves(n):
     assert all(same_pair(stack[i], ref) for i, (_, ref) in enumerate(rows))
 
 
-@pytest.mark.parametrize("B", (1, core.PERRON_COLUMN_SUM_MIN_ROWS))
+@pytest.mark.parametrize("B", (1, core.PERRON_COLUMN_SUM_MIN_ROWS, 300))
 def test_row_sums_are_numpys_own_bit_for_bit(B):
     # tall stacks add whole columns in the order numpy's `add.reduce` sums a
     # row, an implementation detail of numpy: a numpy that sums in another
-    # order fails here, not in a distant Perron digest
+    # order fails here, not in a distant Perron digest.  Every order is
+    # checked, not only those the squared start reaches (n <= 16): past 16 a
+    # whole block of 8 columns more joins the partial sums, and past 128
+    # numpy's own reduce runs
     rng = np.random.default_rng(B)
-    for n in range(2, core.PERRON_SQUARE_MAX_N + 1):
+    for n in (*range(2, 41), 63, 64, 127, 128, 129, 136):
         m = np.exp(rng.uniform(-20.0, 20.0, (B, n, n)))
         m[0, 0, n // 2] = m[-1, n - 1, 0] = np.inf
         u = np.empty((n + 1, B))

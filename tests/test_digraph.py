@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import pickle
 import sys
 
@@ -38,6 +39,7 @@ from recipeff.digraph import (
     sources,
     strongly_connected,
 )
+from recipeff.harness import _GRID
 from recipeff.zfamily import ZStack
 
 
@@ -861,6 +863,36 @@ def test_perturbed_consistent_perron_vectors_are_efficient(L, seed):
             a[k] = make_reciprocal(m, mode="symmetrize").a
         counts = dg.DigraphStack(a, perron_stack(a, max_iter=5000).w).counts
         assert (counts == 1).all(), (n, np.flatnonzero(counts > 1))
+
+
+def _row_dominance(a):
+    """(B, n, n): where row i of each matrix is at least a_ij times row j entrywise."""
+    dominance = (a[:, :, None] >= a[..., None] * a[:, None]).all(axis=3)
+    return dominance & ~np.eye(a.shape[-1], dtype=bool)
+
+
+def test_row_dominance_gives_an_edge_of_every_perron_digraph():
+    # the lemma behind the Z family's predicted edges holds for any positive
+    # reciprocal matrix: where a_il >= a_ij a_jl for every l, (A w)_i >= a_ij
+    # (A w)_j for every positive w, so w_i / w_j >= a_ij at the Perron vector
+    dominated = 0
+    for n, seed, spread in itertools.product(range(3, 9), range(5), (9.0, 100.0)):
+        a = random_reciprocal_stack(n, 400, seed, log_scale=np.log(spread))
+        dominance = _row_dominance(a)
+        missing = dominance & ~dg.DigraphStack(a).adj
+        assert not missing.any(), (n, seed, spread, np.argwhere(missing)[:3].tolist())
+        dominated += int(dominance.sum())
+    assert dominated == 99_738
+
+
+@pytest.mark.parametrize("n", (5, 6, 7))
+def test_z_family_predicted_edges_are_row_dominance_at_each_grid_point(n):
+    # the cell table's edges, read at each `verify` grid point's cell, are
+    # the dominance read on that point's own Z_5, and edges of its digraph
+    s = ZStack(n, _GRID)
+    dominance = _row_dominance(s.a)
+    assert np.array_equal(s.predicted, dominance)
+    assert not (dominance & ~s.adj).any() and int(dominance.sum()) == 4_700
 
 
 @pytest.mark.xfail(strict=True, raises=dg.CertificateError,

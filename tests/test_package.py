@@ -68,3 +68,34 @@ def test_a_closed_output_pipe_ends_quietly():
         assert proc.stdout.readline().startswith(b"n,x,y,z,a,")
         proc.stdout.close()
         assert (proc.wait(timeout=120), proc.stderr.read()) == (141, b"")
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    # a module-level private function, class or constant that no module of
+    # the package reads is dead code, such as a helper a half-done deletion
+    # left behind; tests and the bench do not count as readers
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(recipeff.__file__).parent.glob("*.py"))}
+    defined = set()
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [leaf.id for t in targets for leaf in ast.walk(t)
+                         if isinstance(leaf, ast.Name)]
+            else:
+                continue
+            defined.update((file, name) for name in names
+                           if name.startswith("_") and not name.startswith("__"))
+    read = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    assert len(defined) >= 60
+    assert sorted(f"{file}: {name}" for file, name in defined if name not in read) == []

@@ -999,6 +999,25 @@ def test_cell_table_exceptions_are_the_reference_verdicts_and_call_no_predicate(
         assert exception[row] == guarantee_n5plus_reference(p).matched_exception, p
 
 
+def test_predicted_edges_alone_make_451_cells_strong():
+    # the first link of the region theorem's cell-by-cell proof: on 451 of
+    # the 541 order cells the guaranteed edges alone make the quotient
+    # digraph strong, so every such point's Perron vector is efficient.  All
+    # 451 are guaranteed cells (483), none an exception cell.  The predicted
+    # digraph is semicomplete on only 27 cells, so strength is read off a
+    # transitive closure, not the SCC counts of a semicomplete digraph
+    t = zfamily.cell_tables(np.array([[2.0 ** (r - one) for r in ranks]
+                                      for one, *ranks in zfamily.order_cells()]))
+    predicted, loops = t["predicted"], np.eye(5, dtype=bool)
+    reach = predicted | loops
+    for _ in range(2):  # paths of up to 4 edges reach every vertex that any path does
+        reach = (reach.astype(int) @ reach) > 0
+    strong = reach.all(axis=(1, 2))
+    semicomplete = (predicted | predicted.transpose(0, 2, 1) | loops).all(axis=(1, 2))
+    assert (strong.sum(), t["guaranteed"].sum(), semicomplete.sum()) == (451, 483, 27)
+    assert not (strong & ~t["guaranteed"]).any()
+
+
 @pytest.mark.parametrize("n", (5, 7))
 def test_compiled_relations_match_reference_on_every_order_cell(n):
     # one point per weak order of (1, x, y, z, a), at levels 2**(rank - rank
