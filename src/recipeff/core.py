@@ -28,10 +28,11 @@ RECIPROCITY_RTOL = 1e-12
 PERRON_TOL = 1e-14
 PERRON_MAX_ITER = 100_000
 PARETO_MARGIN = 1e-12  # pareto_dominates ignores deviation changes up to this size
-# orders up to this start the power iteration from a squared start.  A
-# squaring costs n^3 where a step costs n^2: one matrix at spread 1e2 solved
-# faster from a squared start up to n = 32 and slower at n = 40 (2 cores,
-# Python 3.11.7, numpy 2.4.6)
+# orders up to this start the power iteration from a squared start; larger ones
+# keep the all-ones start, bit for bit.  A squaring costs n^3 where a step costs
+# n^2: one matrix at spread 1e2 solved faster squared up to n = 32 and slower at
+# n = 40 (2 cores, Python 3.11.7, numpy 2.4.6), but no workload runs orders 17
+# to 49, so the cut at 16 is not measured there
 PERRON_SQUARE_MAX_N = 16
 # a squared start has settled when it moves by at most this times its
 # largest entry between two squarings

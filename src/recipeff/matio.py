@@ -21,28 +21,20 @@ _MARK = "\0"  # holds an array's place in the JSON text (see `report_json`)
 
 
 def _parse_rows(text: str, what: str) -> list[tuple[int, np.ndarray]]:
-    """The file line number and float array of each non-blank line.
-
-    The reference for syntax, values and errors: numpy converts each token
-    with `float`, and the per-token scan runs only to locate a failure.
-    """
+    """The file line number and float array of each non-blank line.  `float` converts each
+    token once and is the reference for syntax, values and errors; the first bad token is named."""
     rows: list[tuple[int, np.ndarray]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        toks = line.split(",")
-        try:
-            rows.append((lineno, np.array(toks, dtype=float)))
-        except ValueError:
-            for colno, tok in enumerate(toks, start=1):
-                try:
-                    float(tok)
-                except ValueError:
-                    raise ValueError(
-                        f"{what}: row {lineno}, column {colno}: "
-                        f"cannot parse {tok.strip()!r}"
-                    ) from None
-            raise
+        row = []
+        for colno, tok in enumerate(line.split(","), start=1):
+            try:
+                row.append(float(tok))
+            except ValueError:
+                raise ValueError(f"{what}: row {lineno}, column {colno}: "
+                                 f"cannot parse {tok.strip()!r}") from None
+        rows.append((lineno, np.array(row)))
     if not rows:
         raise ValueError(f"{what}: empty input")
     return rows

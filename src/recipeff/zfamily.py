@@ -3,9 +3,9 @@
 Z_n(x,y,z,a) is the all-ones n x n matrix with entries (1,n-1)=y, (1,n)=x,
 (2,n-1)=a, (2,n)=z and their reciprocals.  This module decides, from the
 parameters alone, whether the Perron eigenvector is guaranteed efficient
-(`guarantee_n5plus` and the a=1 / n=4 variants), verifies the eigenvector
-identities and the row-dominance edges (`predicted_edges`) that drive those
-predicates, and checks the sink characterization of inefficiency.
+(`guarantee_n5plus` and the a=1 / n=4 variants), verifies the eigenvector identities
+and the row-dominance edges (`predicted_edges`) that drive those predicates, both read
+off one coefficient tensor (`_coefficients`), and checks the sink characterization.
 
 Region verdict labels: for n >= 5 the efficiency region is the complement
 of twelve exception clauses T5(i)..T8(iii), T5's three and their images
@@ -376,36 +376,34 @@ class ZStack(DigraphStack):
 
 
 def eigen_identity_residuals(p: ZParams) -> IdentityResiduals:
-    """The eigenvector identities of the family at the Perron pair of p.
-
-    The max residual of the row equations of (Z - rI)w = 0, the ten
-    two-or-three-term identities obtained by differencing those rows (each
-    vanishes for an exact eigenpair), and `ZStack.middle_residual`.
-    """
+    """The eigenvector identities of the family at the Perron pair of p: the max residual of
+    the row equations of (Z - rI)w = 0, the ten identities of `identity_stack` (each vanishes
+    for an exact eigenpair) and `ZStack.middle_residual`."""
     s = ZStack(p.n, [p.xyza])
     identities = tuple(s.identities[0].tolist())
     return IdentityResiduals(s.r.item(0), s.perron.residual.item(0), identities,
                              max(map(abs, identities)), s.middle_residual().item())
 
 
+def _coefficients(t: np.ndarray, i, j, l) -> np.ndarray:
+    """The coefficients d_ijl = a_il - a_ij a_jl, row i of Z_5 less a_ij times row j, as (..., B)
+    columns at the broadcast index arrays i, j, l of a batch-minor (5, 5, B) stack t of Z_5.
+    A product is taken against the parameter, as a_ij / a_lj where l < j, so y / a rounds
+    once, not as y * fl(1 / a); at the cells' power-of-two points both forms are exact."""
+    return t[i, l] - np.where((l < j)[..., None], t[i, j] / t[l, j], t[i, j] * t[j, l])
+
+
 def identity_stack(n: int, xyza: np.ndarray, r: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The (B, 10) identities of `eigen_identity_residuals` for Perron pairs
-    (r, w) over the quotient vertices of a (B, 4) stack of (x, y, z, a) at order n."""
-    x, y, z, a = xyza.T
-    w1, w2, w3, wm, wn = w.T
-    k = n - 4
-    return np.stack([
-        r * (w2 - w1) + (y - a) * wm + (x - z) * wn,
-        r * (w3 - w1) + (y - 1) * wm + (x - 1) * wn,
-        r * (y * wm - w1) + (1 - y / a) * w2 + (1 - y) * k * w3 + (x - y) * wn,
-        r * (x * wn - w1) + (1 - x / z) * w2 + (1 - x) * k * w3 + (y - x) * wm,
-        r * (w3 - w2) + (a - 1) * wm + (z - 1) * wn,
-        r * (a * wm - w2) + (1 - a / y) * w1 + (1 - a) * k * w3 + (z - a) * wn,
-        r * (z * wn - w2) + (1 - z / x) * w1 + (1 - z) * k * w3 + (a - z) * wm,
-        r * (wm - w3) + (1 - 1 / y) * w1 + (1 - 1 / a) * w2,
-        r * (wn - w3) + (1 - 1 / x) * w1 + (1 - 1 / z) * w2,
-        r * (wn - wm) + (1 / y - 1 / x) * w1 + (1 / a - 1 / z) * w2,
-    ], axis=1)
+    """The (B, 10) identities of `eigen_identity_residuals` for Perron pairs (r, w) over the
+    quotient vertices of a (B, 4) stack of (x, y, z, a) at order n.  Identity (i, j), for each
+    pair i < j in `np.triu_indices` order, is row i less a_ij times row j of (Q - rI)w = 0:
+    r (a_ij w_j - w_i) + sum_l d_ijl c_l w_l, c the class sizes, added over l in order."""
+    (i, j), t = np.triu_indices(5, 1), np.ascontiguousarray(z_stack(5, xyza).transpose(1, 2, 0))
+    w = np.ascontiguousarray(w.T)
+    out = r * (t[i, j] * w[j] - w[i])
+    for l, c in enumerate([1, 1, n - 4, 1, 1]):
+        out = out + _coefficients(t, i, j, l) * c * w[l]
+    return out.T
 
 
 def predicted_edges(p: ZParams) -> set[tuple[int, int]]:
@@ -535,16 +533,16 @@ def _cell_tables() -> tuple[np.ndarray, np.ndarray]:
     row [3, 0], the sink rows; and the (541,) labels of the first
     `_REGION_EXCEPTIONS` clause holding, or None.
 
-    An edge (i, j) is predicted where row i dominates a_ij times row j of
-    Z_5: a_il >= a_ij a_jl for every l.  Then (Q w)_i >= a_ij (Q w)_j for every
-    positive w, Q being Z_5 with column 3 scaled by n - 4, and at the Perron
-    pair that reads w_i / w_j >= a_ij.  Each comparison reduces to one between
-    two of 1, x, y, z, a, so it holds on a whole cell, and it is decided exactly
-    at the cell's point with each parameter at 2 ** (its rank - the rank of 1)."""
+    An edge (i, j) is predicted where every coefficient of identity (i, j) is >= 0
+    (`_coefficients`): row i dominates a_ij times row j of Z_5, so (Q w)_i >= a_ij (Q w)_j
+    for every positive w, Q being Z_5 with column 3 scaled by n - 4, and w_i / w_j >= a_ij
+    at the Perron pair.  Each coefficient compares two of 1, x, y, z, a, so its sign holds on a
+    whole cell; it is read at the cell's point, each parameter at 2 ** (rank - rank of 1)."""
     quotient = {1: 0, 2: 1, 3: 2, -2: 3, -1: 4}  # from vertex codes
     tables = np.zeros((541, 4, 5, 5), dtype=np.int8)
     a = z_stack(5, np.array([[2.0 ** (r - c[0]) for r in c[1:]] for c in order_cells()]))
-    tables[:, 0] = (a[:, :, None] >= a[..., None] * a[:, None]).all(axis=3) & ~np.eye(5, dtype=bool)
+    d = _coefficients(a.transpose(1, 2, 0), *np.ogrid[:5, :5, :5])  # d[i, j, l], batch-minor
+    tables[:, 0] = (d >= 0).all(axis=2).transpose(2, 0, 1) & ~np.eye(5, dtype=bool)
     for k, (relations, pairs) in enumerate((
         (_FORBIDDEN_REVERSE, [[(3, v)] for v in _FORBIDDEN_REVERSE.labels]),
         (_CATALOG_RELATIONS, [[edge for _, edge in _claims(m)] for m in CYCLE_CATALOG]),

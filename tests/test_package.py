@@ -99,3 +99,16 @@ def test_every_private_module_name_is_read_in_the_package():
             read.update(alias.name for alias in node.names)
     assert len(defined) >= 60
     assert sorted(f"{file}: {name}" for file, name in defined if name not in read) == []
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # scipy, networkx and mpmath are test-only: the package imports the
+    # standard library, numpy and its own modules, and nothing else
+    imported = set()
+    for path in sorted(Path(recipeff.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.partition(".")[0])
+    assert imported - set(sys.stdlib_module_names) == {"numpy"}

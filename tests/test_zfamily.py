@@ -1019,6 +1019,26 @@ def test_predicted_edges_alone_make_451_cells_strong():
 
 
 @pytest.mark.parametrize("n", (5, 7))
+def test_identity_signs_prove_the_forbidden_reverse_clauses(n):
+    # the second link: for a corner v of quotient column q, identity 2, 5, 8
+    # or 9 reads r (w_3 - w_v) = sum_l c_l (a_3l - a_vl) w_l.  Where every
+    # a_3l - a_vl is >= 0 and one is > 0, w_3 > w_v strictly, so no tie
+    # joins v and the middle class: on 207 cells per corner, which hold all
+    # 176 where the paper's clause (`_FORBIDDEN_REVERSE`) does.  The row
+    # differences are taken from Z_5 itself, not from `_coefficients`
+    xyza = np.array([[2.0 ** (r - one) for r in ranks] for one, *ranks in zfamily.order_cells()])
+    a, w = z_stack(5, xyza), ZStack(n, xyza).w
+    forbidden = zfamily.cell_tables(xyza)["forbidden"]
+    for q in (0, 1, 3, 4):
+        diff = a[:, 2] - a[:, q]
+        no_tie = (diff >= 0).all(axis=1) & (diff > 0).any(axis=1)
+        clause = forbidden[:, 2, q] > 0
+        assert (no_tie.sum(), clause.sum()) == (207, 176), q
+        assert not (clause & ~no_tie).any(), q
+        assert (w[no_tie, 2] > w[no_tie, q]).all(), q
+
+
+@pytest.mark.parametrize("n", (5, 7))
 def test_compiled_relations_match_reference_on_every_order_cell(n):
     # one point per weak order of (1, x, y, z, a), at levels 2**(rank - rank
     # of 1); the relations read only that order, and the tied grid reaches
